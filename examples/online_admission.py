@@ -8,10 +8,10 @@ is added.  This example deploys an E-TSN schedule into a versioned
 
 1. admits two new TCT streams in one batch (validated once, placed
    earliest-fit around the frozen schedule);
-2. admits a second ECT stream (the incremental rung re-places only the
+2. admits a second ECT stream (the constructive rung re-places only the
    TCT streams that now share their slots with it);
-3. admits a *sharing* TCT stream — the incremental rung refuses this
-   case, so the service climbs the fallback ladder to a full re-solve;
+3. admits a *sharing* TCT stream beside the live ECT streams — placed
+   constructively too, with its own prudent-reservation extras;
 4. rejects an overload admission with a structured decision, leaving
    the published schedule intact;
 5. retires a stream and reuses its capacity;
@@ -112,9 +112,9 @@ def main() -> None:
         print(f"   {ect.name:12s} any event delivered within "
               f"{ns_to_us(step + worst):8.1f} us (formal bound)")
 
-    # --- a sharing TCT stream: the ladder climbs to a full re-solve -----
+    # --- a sharing TCT stream: placed around the live ECT reservations --
     show([service.submit(tct("loop-s", "plc2", "io2", 16, 1000, share=True))])
-    describe(store, "day 14 (+1 sharing TCT via full re-solve)")
+    describe(store, "day 14 (+1 sharing TCT, no slot moved)")
 
     # --- admission control: an overload is rejected cleanly -------------
     # 30 MTU per 4 ms is ~3.7 ms of wire time per link: cannot fit

@@ -85,15 +85,8 @@ FIGURES = {
 }
 
 
-def _add_fastpath_flags(parser) -> None:
-    """Fast-path/portfolio/warm-start toggles shared by the serving
-    commands (see :mod:`repro.service.fastpath`)."""
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="disable the analytic fast-path rung; every "
-                             "request climbs the solver ladder")
-    parser.add_argument("--portfolio", action="store_true",
-                        help="race the ladder rungs concurrently instead "
-                             "of climbing in series")
+def _add_warm_start_flag(parser) -> None:
+    """The warm-start toggle shared by the serving commands."""
     parser.add_argument("--no-warm-start", action="store_true",
                         help="disable SMT solver warm-starting across "
                              "consecutive solves on one snapshot")
@@ -148,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify every solver verdict with the "
                             "repro.check certificate checker "
                             "(requires --backend smt)")
-    _add_fastpath_flags(admit)
+    _add_warm_start_flag(admit)
 
     serve = sub.add_parser(
         "serve", help="serve a JSON-lines admission request stream"
@@ -181,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify every solver verdict with the "
                             "repro.check certificate checker "
                             "(requires --backend smt)")
-    _add_fastpath_flags(serve)
+    _add_warm_start_flag(serve)
 
     metrics = sub.add_parser(
         "metrics", help="run a demo admission and export its metrics"
@@ -247,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cserve.add_argument("--backend", default="heuristic",
                         choices=("heuristic", "smt"),
                         help="backend for the full re-solve rung")
-    _add_fastpath_flags(cserve)
+    _add_warm_start_flag(cserve)
     cserve.add_argument("--metrics-out",
                         help="write the cluster metrics JSON here")
     cserve.add_argument("--audit", action="store_true",
@@ -472,17 +465,10 @@ def _dump_events(path, events) -> None:
     save_events(path, events.events())
 
 
-def _fastpath_config(args) -> dict:
-    """ServiceConfig kwargs from the shared fast-path flags.
-
-    ``getattr`` defaults keep commands without the flags (``cluster
-    status``/``admit``) on the ServiceConfig defaults.
-    """
-    return {
-        "fastpath": not getattr(args, "no_fastpath", False),
-        "portfolio": getattr(args, "portfolio", False),
-        "warm_start": not getattr(args, "no_warm_start", False),
-    }
+def _warm_start(args) -> bool:
+    """``ServiceConfig.warm_start`` from the shared flag; commands
+    without it (``cluster status``/``admit``) keep the default."""
+    return not getattr(args, "no_warm_start", False)
 
 
 def _open_requests(path: str):
@@ -518,7 +504,7 @@ def _run_admit(args) -> int:
     service = AdmissionService(
         store,
         config=ServiceConfig(backend=args.backend, certify=args.certify,
-                             **_fastpath_config(args)),
+                             warm_start=_warm_start(args)),
         tracer=tracer,
     )
     decision = service.submit(_admit_request(args))
@@ -559,7 +545,7 @@ def _run_serve(args) -> int:
         max_batch=args.max_batch,
         emit_deployments=args.emit_deployments,
         certify=args.certify,
-        **_fastpath_config(args),
+        warm_start=_warm_start(args),
     ), tracer=tracer, events=events)
 
     decisions = []
@@ -719,7 +705,7 @@ def _load_cluster(args, tracer=None, events=None):
     from repro.service import ServiceConfig
 
     config = ServiceConfig(backend=getattr(args, "backend", "heuristic"),
-                           **_fastpath_config(args))
+                           warm_start=_warm_start(args))
     return ClusterCoordinator(
         partition=partition,
         config=config,
@@ -850,7 +836,7 @@ def _run_trace_cluster(args) -> int:
     from repro.model.stream import Priorities, TctRequirement
     from repro.model.units import milliseconds
     from repro.obs import Tracer, render_trace_tree
-    from repro.service import AdmitTct, ServiceConfig
+    from repro.service import AdmitTct
 
     ticks = itertools.count()
     tracer = Tracer(clock=lambda: next(ticks) * 1_000_000)  # 1 ms per read
@@ -862,9 +848,6 @@ def _run_trace_cluster(args) -> int:
         tracer=tracer,
         max_workers=1,          # serial shard batches: stable span order
         clock=lambda: 0.0,      # latency histograms stay deterministic
-        # fast path off: the demo exists to show the rung -> solve span
-        # chains, which the analytic fast path would decide without
-        config=ServiceConfig(fastpath=False),
     )
 
     def tct(name, src, dst):

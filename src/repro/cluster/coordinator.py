@@ -549,7 +549,7 @@ class ClusterCoordinator:
         """Admit or remove one cross-shard stream via two-phase publish."""
         started = self._clock()
         attempts: Dict[str, str] = {}
-        if isinstance(request, AdmitTct) and self._config.fastpath:
+        if isinstance(request, AdmitTct):
             # Screen the *global* route before the two-phase machinery
             # spins up: the wire-time floor over the whole path is a
             # necessary condition regardless of how the e2e budget is

@@ -5,9 +5,11 @@ and go, and recomputing the whole network schedule on every change is too
 slow.  This module adds streams to an existing :class:`NetworkSchedule`
 without moving any already-granted slot:
 
-* :func:`add_tct_stream` — admit one new TCT stream; existing slots are
-  frozen, the new stream is placed earliest-fit around them (the
-  incremental step of Steiner's backtracking approach [18]).
+* :func:`add_tct_stream` / :func:`add_shared_tct_stream` — admit one
+  new TCT stream; existing slots are frozen, the new stream (with its
+  own prudent-reservation extras when it shares slots with ECT) is
+  placed earliest-fit around them (the incremental step of Steiner's
+  backtracking approach [18]).
 * :func:`add_ect_stream` — admit one new ECT stream.  Its probabilistic
   possibilities are placed around the frozen schedule.  TCT streams that
   share their slots with the new ECT need fresh prudent-reservation
@@ -18,9 +20,12 @@ without moving any already-granted slot:
   for an ECT stream, the extras it induced, recomputed for the remaining
   set).
 
-Every operation returns a **new** schedule object and re-validates it;
-admission failure raises :class:`InfeasibleError` and leaves the input
-schedule untouched (admission control semantics).
+Every operation returns a **new** schedule object and re-validates it
+unless the caller defers that (``validate_result=False`` — the admission
+service's constructive rung, the one loop over these primitives, applies
+a whole batch and delta-validates once); admission failure raises
+:class:`InfeasibleError` and leaves the input schedule untouched
+(admission control semantics).
 """
 
 from __future__ import annotations
@@ -85,45 +90,10 @@ def add_tct_stream(
     guard_margin_ns: int = 0,
     validate_result: bool = True,
 ) -> NetworkSchedule:
-    """Admit one TCT stream into a frozen schedule.
-
-    The new stream must not share slots with ECT (``share=False``); use
-    :func:`add_shared_tct_stream` for sharing streams, whose own
-    reservations depend on the existing ECT set.
-    """
-    if stream.type != StreamType.DET:
-        raise ValueError("add_tct_stream takes a deterministic stream")
-    if stream.share and schedule.ect_streams:
-        raise InfeasibleError(
-            f"{stream.name}: admitting a *sharing* TCT stream online would "
-            f"re-shape existing ECT reservations; re-run the offline "
-            f"scheduler for that"
-        )
-    Priorities.check(stream)
-    if any(s.name == stream.name for s in schedule.streams):
-        raise ValueError(f"stream {stream.name!r} already scheduled")
-
-    plan = prudent_reservation([stream])
-    frames = build_frames([stream], plan, guard_margin_ns)
-    occupancy = _occupancy_of(schedule)
-    _register(occupancy, [stream])
-    try:
-        placed = _place_stream(stream, frames, occupancy)
-    except _PlacementFailure as exc:
-        raise InfeasibleError(f"cannot admit {stream.name}: {exc}") from exc
-
-    result = _clone(schedule)
-    result.streams.append(stream)
-    for slot in placed:
-        result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-    for key in [(stream.name, link.key) for link in stream.path]:
-        result.slots[key].sort(key=lambda s: s.index)
-    result.meta["incremental_additions"] = (
-        schedule.meta.get("incremental_additions", 0) + 1
+    """:func:`add_shared_tct_stream` under paper-mode reservation."""
+    return add_shared_tct_stream(
+        schedule, stream, guard_margin_ns, "paper", validate_result
     )
-    if validate_result:
-        validate(result)
-    return result
 
 
 def add_shared_tct_stream(
@@ -133,7 +103,7 @@ def add_shared_tct_stream(
     reservation_mode: str = "paper",
     validate_result: bool = True,
 ) -> NetworkSchedule:
-    """Admit one *sharing* TCT stream into a frozen schedule.
+    """Admit one TCT stream, sharing or not, into a frozen schedule.
 
     Prudent reservation (Alg. 1) computes a stream's extras from that
     stream's own ``share`` flag and the ECT possibilities on its links —
@@ -142,27 +112,20 @@ def add_shared_tct_stream(
     (extras included) is unchanged.  That makes online admission sound:
     freeze everything, compute the candidate's reservation against the
     full population, and place its base+extra frames earliest-fit.
-
-    The blanket refusal in :func:`add_tct_stream` predates this
-    analysis and is kept there so the ladder's full re-solve rung still
-    exercises the offline path when the fast path is disabled.
     """
     if stream.type != StreamType.DET:
-        raise ValueError("add_shared_tct_stream takes a deterministic stream")
-    if not stream.share:
-        return add_tct_stream(
-            schedule, stream, guard_margin_ns, validate_result
-        )
+        raise ValueError("online TCT admission takes a deterministic stream")
     Priorities.check(stream)
     if any(s.name == stream.name for s in schedule.streams):
         raise ValueError(f"stream {stream.name!r} already scheduled")
 
-    # the candidate's extras depend on the ECT possibilities sharing its
-    # links, so the plan must see the whole population — but only the
-    # candidate's rows of the plan are used
-    plan = prudent_reservation(
-        list(schedule.streams) + [stream], mode=reservation_mode
-    )
+    # only a sharing candidate's extras depend on the ECT possibilities
+    # on its links; then the plan must see the whole population, though
+    # only the candidate's rows of it are used
+    population = [stream]
+    if stream.share and schedule.ect_streams:
+        population = list(schedule.streams) + population
+    plan = prudent_reservation(population, mode=reservation_mode)
     frames = build_frames([stream], plan, guard_margin_ns)
     occupancy = _occupancy_of(schedule)
     _register(occupancy, [stream])

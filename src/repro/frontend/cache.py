@@ -25,9 +25,9 @@ Not every decision is replayable.  :func:`cacheable` admits only
   concurrent in-flight claim) depends on the one field the shape
   deliberately ignores — replaying it for a same-shaped request under
   a fresh name would be wrong;
-* a *transient* rejection (rung timeout, CAS exhaustion, a raced
-  portfolio budget) is wall-clock dependent — a fresh attempt on the
-  same snapshot could legitimately decide differently.
+* a *transient* rejection (rung timeout, CAS exhaustion) is wall-clock
+  dependent — a fresh attempt on the same snapshot could legitimately
+  decide differently.
 
 What remains — screening rejects, analytic fast-path rejects, and
 deterministic infeasibility verdicts — is exactly the class for which

@@ -6,10 +6,12 @@
 * requests (admit TCT / admit ECT / remove) are **batched** when their
   stream sets are disjoint, so one validation pass amortizes over the
   whole batch;
-* every solve climbs a **fallback ladder** — incremental earliest-fit
-  around the frozen schedule first, then a full :func:`schedule_etsn`
-  re-solve, then a restart-boosted :func:`schedule_heuristic` — each
-  rung with its own wall-clock timeout and bounded retry/backoff;
+* every solve climbs a **fallback ladder** — the constructive rung
+  (:mod:`repro.service.fastpath`: earliest-fit around the frozen
+  schedule, or a conclusive analytic reject that ends the climb), then
+  a re-solve with the configured backend, then — for the SMT backend —
+  a re-solve with :func:`schedule_heuristic`; each re-solve rung with
+  its own wall-clock timeout and bounded retry/backoff;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -30,11 +32,10 @@
 
 from __future__ import annotations
 
-import queue as queue_module
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.proof import CertificateError
@@ -42,7 +43,6 @@ from repro.check.sanitizer import make_lock
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
 from repro.core.heuristic import schedule_heuristic
-from repro.core.incremental import add_ect_stream, add_tct_stream, remove_stream
 from repro.core.schedule import (
     CertifiedInfeasibleError,
     InfeasibleError,
@@ -50,11 +50,11 @@ from repro.core.schedule import (
     ScheduleError,
     validate,
 )
-from repro.model.stream import EctStream, Stream, StreamError, StreamType
+from repro.model.stream import StreamError, StreamType
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import fastpath as fastpath_module
-from repro.service.fastpath import RUNG_FASTPATH, FastPathResult
+from repro.service.fastpath import RUNG_FASTPATH, ConclusiveReject
 from repro.service.metrics import MetricsRegistry
 from repro.service.requests import (
     AdmissionRequest,
@@ -66,11 +66,18 @@ from repro.service.requests import (
 from repro.service.store import ScheduleStore, StaleVersionError
 from repro.smt.warmstart import WarmStartCache
 
-#: Ladder rung names, in climb order (``RUNG_FASTPATH`` sits below the
-#: ladder and is re-exported from :mod:`repro.service.fastpath`).
-RUNG_INCREMENTAL = "incremental"
+#: Ladder rung names, in climb order.  ``RUNG_FASTPATH`` (re-exported
+#: from :mod:`repro.service.fastpath`) is the constructive rung: bounded
+#: work, always run inline.  ``RUNG_FULL`` re-solves with
+#: ``ServiceConfig.backend``; ``RUNG_HEURISTIC`` re-solves with the
+#: heuristic scheduler and is skipped when that is what ``RUNG_FULL``
+#: already ran.
 RUNG_FULL = "full"
 RUNG_HEURISTIC = "heuristic"
+#: Deprecated alias of ``RUNG_FASTPATH`` for ``bench/``; a later
+#: benchmark PR drops it together with the ``incremental`` column of
+#: ``bench/``'s rung tables.
+RUNG_INCREMENTAL = RUNG_FASTPATH
 
 #: How often a batch may rebase onto a fresh snapshot after losing the
 #: publish CAS race to another writer sharing the store, before it is
@@ -91,7 +98,8 @@ class RungConfig:
 
     ``retries`` re-runs apply to timeouts and unexpected solver errors;
     a deterministic :class:`InfeasibleError` is final for the rung, so
-    it climbs immediately.
+    it climbs immediately.  The budget is for *search*: the constructive
+    rung has none and runs inline whatever ``timeout_s`` says.
     """
 
     name: str
@@ -108,9 +116,8 @@ class ServiceConfig:
     backend: str = "heuristic"
     reservation_mode: str = "paper"
     guard_margin_ns: int = 0
-    #: restart budget of the last-resort heuristic rung (the default
-    #: budget is ``2 * streams + 4``; this floor keeps the last rung
-    #: strictly more persistent than the full re-solve's default).
+    #: floor of a heuristic re-solve's restart budget (the scheduler's
+    #: own default is ``2 * streams + 4``).
     heuristic_min_restarts: int = 128
     #: largest number of requests validated as one batch.
     max_batch: int = 8
@@ -122,29 +129,48 @@ class ServiceConfig:
     #: independent checker (:mod:`repro.check`) verify every verdict:
     #: UNSAT proofs replay before a rejection is final, SAT models are
     #: evaluated against the original constraints before a schedule
-    #: publishes.  Requires ``backend='smt'``.
+    #: publishes.  The constructive rung then fully validates what it
+    #: accepts and never rejects on its own — its analytic rejects
+    #: climb on to the proof-logging solver.  Requires ``backend='smt'``.
     certify: bool = False
-    #: decide the common case analytically before any solver rung runs
-    #: (:mod:`repro.service.fastpath`): conclusive accepts and rejects
-    #: in microseconds, anything else falls through to the ladder.
-    #: Forced off under ``certify`` — certified verdicts must come from
-    #: the proof-logging solver.
-    fastpath: bool = True
-    #: race the ladder rungs concurrently instead of climbing in series;
-    #: first conclusive result wins, losers are abandoned through the
-    #: orphaned-solver plumbing.  Per-rung ``retries`` are not honoured
-    #: while racing (a raced rung gets exactly one attempt).  Forced off
-    #: under ``certify``.
-    portfolio: bool = False
     #: reuse formula-independent DPLL(T) state (theory lemmas, branching
     #: heuristics, potentials) across consecutive full-rung SMT solves
     #: on one snapshot; invalidated on every publish.  No-op for the
     #: heuristic backend and under ``certify``.
     warm_start: bool = True
     rungs: Tuple[RungConfig, ...] = (
-        RungConfig(RUNG_INCREMENTAL),
+        RungConfig(RUNG_FASTPATH),
         RungConfig(RUNG_FULL),
         RungConfig(RUNG_HEURISTIC),
+    )
+
+
+#: ``fastpath.*`` counter bumped per constructive-rung verdict.
+_FASTPATH_COUNTERS = {
+    fastpath_module.ACCEPT: "fastpath.accepts",
+    fastpath_module.REJECT: "fastpath.rejects",
+    fastpath_module.INCONCLUSIVE: "fastpath.fallthroughs",
+}
+
+
+def _effective_rungs(config: ServiceConfig) -> Tuple[RungConfig, ...]:
+    """The rungs a climb runs, from a validated ``config.rungs``.
+
+    The constructive rung is pinned inline.  With ``backend='heuristic'``
+    the heuristic rung would replay the full rung — the same
+    deterministic scheduler under the same restart budget — so it goes.
+    """
+    names = {rung.name for rung in config.rungs}
+    if not names or names - {RUNG_FASTPATH, RUNG_FULL, RUNG_HEURISTIC}:
+        raise ValueError(
+            f"ServiceConfig.rungs must name some of {RUNG_FASTPATH!r}, "
+            f"{RUNG_FULL!r}, {RUNG_HEURISTIC!r} (got {sorted(names)!r})"
+        )
+    if config.backend == "heuristic" and RUNG_FULL in names:
+        names.discard(RUNG_HEURISTIC)
+    return tuple(
+        replace(rung, timeout_s=None) if rung.name == RUNG_FASTPATH else rung
+        for rung in config.rungs if rung.name in names
     )
 
 
@@ -195,9 +221,7 @@ class AdmissionService:
         self._request_counter = 0
         self._batch_counter = 0
         self._last_deployment: Optional[Deployment] = None
-        self._fastpath_on = (
-            self._config.fastpath and not self._config.certify
-        )
+        self._rungs = _effective_rungs(self._config)
         self._warm_cache: Optional[WarmStartCache] = (
             WarmStartCache()
             if (self._config.backend == "smt"
@@ -287,7 +311,7 @@ class AdmissionService:
         if not viable:
             attempts["screen"] = "no requests to solve"
             return None, attempts
-        return self._climb_ladder(schedule, viable)
+        return self._climb_ladder(schedule, viable)[:2]
 
     def enqueue(self, request: AdmissionRequest) -> None:
         """Queue a request for the next :meth:`drain`."""
@@ -411,10 +435,10 @@ class AdmissionService:
                     latency_ms=0.0,
                 )
 
-        outcome: Optional[Tuple[str, NetworkSchedule]] = None
-        attempts: Dict[str, str] = {}
-        if viable:
-            outcome, attempts = self._climb_ladder(snapshot.schedule, viable)
+        outcome, attempts, reason = (
+            self._climb_ladder(snapshot.schedule, viable)
+            if viable else (None, {}, None)
+        )
 
         if viable and outcome is None and len(viable) > 1:
             # Amortization failed for the group: decide each request on
@@ -469,8 +493,7 @@ class AdmissionService:
                 ))
             else:
                 ordered.append(self._decide(
-                    request, batch, accepted=False,
-                    reason=self._rejection_reason(attempts),
+                    request, batch, accepted=False, reason=reason,
                     latency_ms=latency_ms, batch_size=len(viable),
                     attempts=attempts,
                 ))
@@ -500,8 +523,8 @@ class AdmissionService:
         self._metrics.histogram("latency.decision_ms").observe(latency_ms)
         if not accepted:
             # rejections get their own latency distribution: a reject
-            # that climbs (or races) the whole ladder is the worst case
-            # the fast path's conclusive verdicts are meant to cut
+            # that climbs the whole ladder is the worst case the
+            # constructive rung's conclusive verdicts are meant to cut
             self._metrics.histogram("latency.rejected_ms").observe(
                 latency_ms
             )
@@ -535,11 +558,6 @@ class AdmissionService:
             batch_size=batch_size,
             attempts=dict(attempts or {}),
         )
-
-    @staticmethod
-    def _rejection_reason(attempts: Dict[str, str]) -> str:
-        detail = "; ".join(f"{rung}: {why}" for rung, why in attempts.items())
-        return f"all ladder rungs failed ({detail})"
 
     # -- request screening ---------------------------------------------
     def _screen(
@@ -584,244 +602,34 @@ class AdmissionService:
     # -- the fallback ladder -------------------------------------------
     def _climb_ladder(
         self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-    ) -> Tuple[Optional[Tuple[str, NetworkSchedule]], Dict[str, str]]:
-        """Decide analytically if possible, otherwise run the rungs.
+    ) -> Tuple[
+        Optional[Tuple[str, NetworkSchedule]], Dict[str, str], Optional[str]
+    ]:
+        """Run the rungs in order until one places the batch.
 
-        The fast path goes first: a conclusive accept returns without
-        any solver call, a conclusive reject skips the whole ladder
-        (the analytic checks are necessary conditions — no rung could
-        succeed), and a constructive fall-through skips the incremental
-        rung (the fast path already ran that computation and watched it
-        fail).  The remaining rungs then either climb in series or, with
-        ``portfolio=True``, race concurrently — first success wins.
-
-        Returns ``((rung name, new schedule), attempts)`` on success or
-        ``(None, attempts)`` with per-rung failure reasons.
+        Returns ``((rung name, new schedule), attempts, None)`` on
+        success or ``(None, attempts, reason)`` with per-rung failure
+        reasons.  A conclusive analytic reject ends the climb — a
+        necessary condition failed, no later rung could succeed — and
+        its witness is the reason.
         """
         solvers = {
-            RUNG_INCREMENTAL: lambda: self._solve_incremental(schedule, batch),
-            RUNG_FULL: lambda: self._solve_full(schedule, batch),
-            RUNG_HEURISTIC: lambda: self._solve_heuristic(schedule, batch),
+            RUNG_FASTPATH: lambda: self._construct(schedule, batch),
+            RUNG_FULL: lambda: self._resolve(schedule, batch, RUNG_FULL),
+            RUNG_HEURISTIC: lambda: self._resolve(
+                schedule, batch, RUNG_HEURISTIC
+            ),
         }
         attempts: Dict[str, str] = {}
-        rungs = list(self._config.rungs)
-        if self._fastpath_on:
-            verdict = self._run_fastpath(schedule, batch, attempts)
-            if verdict.verdict == fastpath_module.ACCEPT:
-                return (RUNG_FASTPATH, verdict.schedule), attempts
-            if verdict.verdict == fastpath_module.REJECT:
-                return None, attempts
-            if verdict.subsumes_incremental:
-                for rung in rungs:
-                    if rung.name == RUNG_INCREMENTAL:
-                        attempts[RUNG_INCREMENTAL] = (
-                            "subsumed by the fast path's failed "
-                            "constructive attempt"
-                        )
-                rungs = [r for r in rungs if r.name != RUNG_INCREMENTAL]
-
-        known = []
-        for rung in rungs:
-            if rung.name in solvers:
-                known.append(rung)
-            else:
-                attempts[rung.name] = "unknown rung"
-        if (self._config.portfolio and not self._config.certify
-                and len(known) > 1):
-            outcome = self._race_rungs(known, solvers, attempts)
-            return outcome, attempts
-        for rung in known:
-            result = self._run_rung(rung, solvers[rung.name], attempts)
+        for rung in self._rungs:
+            try:
+                result = self._run_rung(rung, solvers[rung.name], attempts)
+            except ConclusiveReject as exc:
+                return None, attempts, str(exc)
             if result is not None:
-                return (rung.name, result), attempts
-        return None, attempts
-
-    def _run_fastpath(
-        self,
-        schedule: NetworkSchedule,
-        batch: Sequence[AdmissionRequest],
-        attempts: Dict[str, str],
-    ) -> FastPathResult:
-        """Run the analytic rung with full telemetry."""
-        self._metrics.counter("rungs.fastpath.attempts").inc()
-        started = self._clock()
-        with self._tracer.span(
-            "admission.rung", rung=RUNG_FASTPATH, attempt=0
-        ) as rung_span:
-            try:
-                result = fastpath_module.evaluate(
-                    schedule, batch,
-                    guard_margin_ns=self._config.guard_margin_ns,
-                    reservation_mode=self._config.reservation_mode,
-                )
-            except Exception as exc:  # noqa: BLE001 - keep the service up
-                self._metrics.counter("rungs.fastpath.errors").inc()
-                result = FastPathResult(
-                    fastpath_module.INCONCLUSIVE,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            latency_ms = (self._clock() - started) * 1e3
-            self._metrics.histogram(
-                "latency.rung.fastpath_ms"
-            ).observe(latency_ms)
-            if result.verdict == fastpath_module.ACCEPT:
-                self._metrics.counter("fastpath.accepts").inc()
-                self._metrics.counter("rungs.fastpath.successes").inc()
-                rung_span.set(outcome="success")
-            elif result.verdict == fastpath_module.REJECT:
-                self._metrics.counter("fastpath.rejects").inc()
-                self._metrics.counter("rungs.fastpath.failures").inc()
-                attempts[RUNG_FASTPATH] = result.reason
-                rung_span.set(outcome="infeasible")
-            else:
-                self._metrics.counter("fastpath.fallthroughs").inc()
-                attempts[RUNG_FASTPATH] = result.reason
-                rung_span.set(outcome="fallthrough")
-            if self._events.enabled:
-                self._events.emit(
-                    "admission.fastpath",
-                    verdict=result.verdict, reason=result.reason,
-                    requests=[r.stream_name for r in batch],
-                    latency_ms=round(latency_ms, 3),
-                )
-        return result
-
-    def _race_rungs(
-        self,
-        rungs: Sequence[RungConfig],
-        solvers: Dict[str, Callable[[], NetworkSchedule]],
-        attempts: Dict[str, str],
-    ) -> Optional[Tuple[str, NetworkSchedule]]:
-        """Race the rungs concurrently; first success wins.
-
-        Each rung runs on its own daemon thread under its own wall-clock
-        budget.  Losers — overdue rungs and the also-rans after a win —
-        are abandoned through the same plumbing as
-        :func:`_call_with_timeout`: ``solver.threads_abandoned`` counts
-        them, ``solver.orphans_running`` tracks the ones still burning
-        CPU (each orphan decrements it on exit), and their results are
-        discarded.
-        """
-        self._metrics.counter("portfolio.races").inc()
-        results: "queue_module.Queue[Tuple[RungConfig, str, object]]" = (
-            queue_module.Queue()
-        )
-        trace_ctx = self._tracer.current_context()
-        started = self._clock()
-
-        class _Entry:
-            __slots__ = ("rung", "state", "lock", "deadline")
-
-        entries: Dict[str, _Entry] = {}
-        for rung in rungs:
-            entry = _Entry()
-            entry.rung = rung
-            entry.state = {"abandoned": False, "finished": False}
-            entry.lock = threading.Lock()
-            entry.deadline = (
-                started + rung.timeout_s
-                if rung.timeout_s and rung.timeout_s > 0 else None
-            )
-            entries[rung.name] = entry
-            self._metrics.counter(f"rungs.{rung.name}.attempts").inc()
-
-            def worker(rung=rung, entry=entry) -> None:
-                with self._tracer.use_context(trace_ctx):
-                    with self._tracer.span(
-                        "admission.rung", rung=rung.name, attempt=0,
-                        raced=True,
-                    ) as rung_span:
-                        try:
-                            value = solvers[rung.name]()
-                        except (InfeasibleError, ScheduleError, StreamError,
-                                ValueError) as exc:
-                            rung_span.set(outcome="infeasible")
-                            payload = (rung, "infeasible", exc)
-                        except Exception as exc:  # noqa: BLE001
-                            rung_span.set(outcome="error")
-                            payload = (rung, "error", exc)
-                        else:
-                            rung_span.set(outcome="success")
-                            payload = (rung, "success", value)
-                with entry.lock:
-                    entry.state["finished"] = True
-                    if entry.state["abandoned"]:
-                        # loser or overdue: result discarded
-                        self._metrics.gauge("solver.orphans_running").add(-1)
-                        return
-                results.put(payload)
-
-            threading.Thread(
-                target=worker, name=f"repro-portfolio-{rung.name}",
-                daemon=True,
-            ).start()
-
-        def abandon(entry: _Entry, why: str) -> bool:
-            """Mark a still-running rung abandoned; True if it was live."""
-            with entry.lock:
-                if entry.state["finished"] or entry.state["abandoned"]:
-                    return False
-                entry.state["abandoned"] = True
-            self._metrics.counter("solver.threads_abandoned").inc()
-            self._metrics.gauge("solver.orphans_running").add(1)
-            self._metrics.counter("portfolio.losers_cancelled").inc()
-            if self._events.enabled:
-                self._events.emit(
-                    "solver.abandoned", rung=entry.rung.name, cause=why,
-                    timeout_s=entry.rung.timeout_s,
-                )
-            return True
-
-        winner: Optional[Tuple[str, NetworkSchedule]] = None
-        pending = dict(entries)
-        while pending and winner is None:
-            now = self._clock()
-            for name, entry in list(pending.items()):
-                if entry.deadline is not None and now >= entry.deadline:
-                    if abandon(entry, "timeout"):
-                        self._metrics.counter(
-                            f"rungs.{name}.timeouts"
-                        ).inc()
-                        attempts[name] = (
-                            f"solve exceeded {entry.rung.timeout_s:.3f}s "
-                            f"budget (raced)"
-                        )
-                        self._observe_rung_latency(entry.rung, started)
-                        del pending[name]
-            if not pending:
-                break
-            deadlines = [
-                e.deadline for e in pending.values() if e.deadline is not None
-            ]
-            wait_s = (
-                max(min(deadlines) - self._clock(), 0.001)
-                if deadlines else 0.05
-            )
-            try:
-                rung, status, payload = results.get(timeout=wait_s)
-            except queue_module.Empty:
-                continue
-            entry = pending.pop(rung.name, None)
-            if entry is None:
-                continue  # raced with its own timeout handling
-            self._observe_rung_latency(rung, started)
-            if status == "success":
-                self._metrics.counter(f"rungs.{rung.name}.successes").inc()
-                self._harvest_solver_stats(payload)
-                winner = (rung.name, payload)
-            elif status == "infeasible":
-                self._metrics.counter(f"rungs.{rung.name}.failures").inc()
-                attempts[rung.name] = str(payload)
-            else:
-                self._metrics.counter(f"rungs.{rung.name}.errors").inc()
-                attempts[rung.name] = (
-                    f"{type(payload).__name__}: {payload}"
-                )
-        # cancel the also-rans (their threads keep running to completion
-        # but their results are discarded and accounted as orphans)
-        for entry in pending.values():
-            abandon(entry, "lost race")
-        return winner
+                return (rung.name, result), attempts, None
+        detail = "; ".join(f"{rung}: {why}" for rung, why in attempts.items())
+        return None, attempts, f"all ladder rungs failed ({detail})"
 
     def _run_rung(
         self,
@@ -829,82 +637,71 @@ class AdmissionService:
         solver: Callable[[], NetworkSchedule],
         attempts: Dict[str, str],
     ) -> Optional[NetworkSchedule]:
+        def count(what: str) -> None:
+            self._metrics.counter(f"rungs.{rung.name}.{what}").inc()
+
         for attempt in range(rung.retries + 1):
-            self._metrics.counter(f"rungs.{rung.name}.attempts").inc()
+            count("attempts")
             started = self._clock()
-            with self._tracer.span(
-                "admission.rung", rung=rung.name, attempt=attempt
-            ) as rung_span:
-                traced = self._traced_solver(solver, rung, rung_span)
-                try:
-                    result = _call_with_timeout(
-                        traced, rung.timeout_s, self._metrics,
-                        events=self._events, rung_name=rung.name,
-                    )
-                except RungTimeout as exc:
-                    self._metrics.counter(f"rungs.{rung.name}.timeouts").inc()
-                    attempts[rung.name] = str(exc)
-                    rung_span.set(outcome="timeout")
-                except (InfeasibleError, ScheduleError, StreamError,
-                        ValueError) as exc:
-                    # deterministic verdict: retrying cannot change it
-                    self._metrics.counter(f"rungs.{rung.name}.failures").inc()
-                    attempts[rung.name] = str(exc)
-                    rung_span.set(outcome="infeasible")
-                    if isinstance(exc, CertifiedInfeasibleError):
-                        # the rejection's UNSAT proof replayed cleanly
-                        self._metrics.counter(
-                            "certificates.verified_unsat"
-                        ).inc()
-                        rung_span.set(certified=True)
-                    self._observe_rung_latency(rung, started)
-                    return None
-                except Exception as exc:  # noqa: BLE001 - keep the service up
-                    self._metrics.counter(f"rungs.{rung.name}.errors").inc()
-                    attempts[rung.name] = f"{type(exc).__name__}: {exc}"
-                    rung_span.set(outcome="error")
-                    if isinstance(exc, CertificateError):
-                        # a verdict failed independent checking: a solver
-                        # bug — surfaced loudly, never silently admitted
-                        self._metrics.counter("certificates.failed").inc()
-                        rung_span.set(certified=False)
-                else:
-                    self._metrics.counter(f"rungs.{rung.name}.successes").inc()
-                    rung_span.set(outcome="success")
-                    self._observe_rung_latency(rung, started)
-                    self._harvest_solver_stats(result)
-                    return result
-            self._observe_rung_latency(rung, started)
+            try:
+                with self._tracer.span(
+                    "admission.rung", rung=rung.name, attempt=attempt
+                ) as rung_span:
+                    def solve() -> NetworkSchedule:
+                        # may run on the timeout watchdog's worker
+                        # thread, whose span stack cannot see this one:
+                        # the parent is named explicitly
+                        with self._tracer.span(
+                            "solve", parent=rung_span, rung=rung.name
+                        ):
+                            return solver()
+
+                    try:
+                        result = _call_with_timeout(
+                            solve, rung.timeout_s, self._metrics,
+                            self._events, rung.name,
+                        )
+                    except RungTimeout as exc:
+                        count("timeouts")
+                        attempts[rung.name] = str(exc)
+                        rung_span.set(outcome="timeout")
+                    except (InfeasibleError, ScheduleError, StreamError,
+                            ValueError) as exc:
+                        # deterministic verdict: retrying cannot change it
+                        count("failures")
+                        attempts[rung.name] = str(exc)
+                        rung_span.set(outcome="infeasible")
+                        if isinstance(exc, CertifiedInfeasibleError):
+                            # the rejection's UNSAT proof replayed cleanly
+                            self._metrics.counter(
+                                "certificates.verified_unsat"
+                            ).inc()
+                            rung_span.set(certified=True)
+                        if isinstance(exc, ConclusiveReject):
+                            raise
+                        return None
+                    except Exception as exc:  # noqa: BLE001 - keep the service up
+                        count("errors")
+                        attempts[rung.name] = f"{type(exc).__name__}: {exc}"
+                        rung_span.set(outcome="error")
+                        if isinstance(exc, CertificateError):
+                            # a verdict failed independent checking: a
+                            # solver bug — surfaced loudly, never
+                            # silently admitted
+                            self._metrics.counter("certificates.failed").inc()
+                            rung_span.set(certified=False)
+                    else:
+                        count("successes")
+                        rung_span.set(outcome="success")
+                        self._harvest_solver_stats(result)
+                        return result
+            finally:
+                self._metrics.histogram(
+                    f"latency.rung.{rung.name}_ms"
+                ).observe((self._clock() - started) * 1e3)
             if attempt < rung.retries and rung.backoff_s:
                 self._sleep(rung.backoff_s * (2 ** attempt))
         return None
-
-    def _observe_rung_latency(self, rung: RungConfig, started: float) -> None:
-        self._metrics.histogram(
-            f"latency.rung.{rung.name}_ms"
-        ).observe((self._clock() - started) * 1e3)
-
-    def _traced_solver(
-        self,
-        solver: Callable[[], NetworkSchedule],
-        rung: RungConfig,
-        rung_span,
-    ) -> Callable[[], NetworkSchedule]:
-        """Wrap a rung's solver in a ``solve`` span.
-
-        The solve may run on the timeout watchdog's worker thread, so
-        the rung span is named as the parent explicitly — the tracer's
-        per-thread stack cannot see across threads.
-        """
-        if not self._tracer.enabled:
-            return solver
-
-        def traced() -> NetworkSchedule:
-            with self._tracer.span("solve", parent=rung_span,
-                                   rung=rung.name):
-                return solver()
-
-        return traced
 
     def _harvest_solver_stats(self, result: NetworkSchedule) -> None:
         """Fold a solve's SMT search counters into the service metrics.
@@ -923,39 +720,39 @@ class AdmissionService:
             self._metrics.counter("certificates.verified_sat").inc()
 
     # rung 1: earliest-fit around the frozen schedule ------------------
-    def _solve_incremental(
+    def _construct(
         self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
     ) -> NetworkSchedule:
-        result = schedule
-        last = len(batch) - 1
-        for position, request in enumerate(batch):
-            # validation is amortized: only the last operation validates
-            check = position == last
-            if isinstance(request, AdmitTct):
-                result = add_tct_stream(
-                    result,
-                    request.requirement.resolve(result.topology),
-                    guard_margin_ns=self._config.guard_margin_ns,
-                    validate_result=check,
-                )
-            elif isinstance(request, AdmitEct):
-                result = add_ect_stream(
-                    result, request.ect,
-                    guard_margin_ns=self._config.guard_margin_ns,
-                    reservation_mode=self._config.reservation_mode,
-                    validate_result=check,
-                )
-            else:
-                result = remove_stream(
-                    result, request.name, validate_result=check
-                )
-        return result
+        result = fastpath_module.evaluate(
+            schedule, batch,
+            guard_margin_ns=self._config.guard_margin_ns,
+            reservation_mode=self._config.reservation_mode,
+        )
+        verdict = result.verdict
+        if verdict == fastpath_module.REJECT and self._config.certify:
+            # every certified rejection carries a replayed UNSAT proof
+            verdict = fastpath_module.INCONCLUSIVE
+        self._metrics.counter(_FASTPATH_COUNTERS[verdict]).inc()
+        if self._events.enabled:
+            self._events.emit(
+                "admission.fastpath", verdict=verdict, reason=result.reason,
+                requests=[r.stream_name for r in batch],
+            )
+        if verdict == fastpath_module.ACCEPT:
+            if self._config.certify:
+                validate(result.schedule)
+            return result.schedule
+        if verdict == fastpath_module.REJECT:
+            raise ConclusiveReject(result.reason)
+        raise InfeasibleError(result.reason)
 
     # rungs 2/3: re-solve the target stream set from scratch -----------
-    def _target_sets(
-        self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-    ) -> Tuple[List[Stream], List[EctStream]]:
-        """The stream population after applying the batch's operations."""
+    def _resolve(
+        self,
+        schedule: NetworkSchedule,
+        batch: Sequence[AdmissionRequest],
+        rung_name: str,
+    ) -> NetworkSchedule:
         removals = {r.name for r in batch if isinstance(r, Remove)}
         ects = [e for e in schedule.ect_streams if e.name not in removals]
         # probabilistic possibilities are regenerated from the ECT specs
@@ -969,52 +766,42 @@ class AdmissionService:
                 tct.append(request.requirement.resolve(schedule.topology))
             elif isinstance(request, AdmitEct):
                 ects.append(request.ect)
-        return tct, ects
-
-    def _solve_full(
-        self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-    ) -> NetworkSchedule:
-        tct, ects = self._target_sets(schedule, batch)
-        warm_state = None
-        warm_sink = None
-        cache = self._warm_cache
-        if cache is not None:
-            # keyed on the snapshot identity: every publish builds a new
-            # schedule object, so a hit always means "same base formula
-            # shape" — and the publish path invalidates explicitly too
-            warm_state = cache.get(schedule)
-            self._metrics.counter(
-                "warmstart.hits" if warm_state is not None
-                else "warmstart.misses"
-            ).inc()
-            warm_sink = lambda state: cache.put(schedule, state)  # noqa: E731
-        result = schedule_etsn(
-            schedule.topology, tct, ects,
-            backend=self._config.backend,
-            guard_margin_ns=self._config.guard_margin_ns,
-            reservation_mode=self._config.reservation_mode,
-            proof=self._config.certify,
-            warm_start=warm_state,
-            warm_state_sink=warm_sink,
+        backend = (
+            self._config.backend if rung_name == RUNG_FULL else "heuristic"
         )
-        result.meta["resolved_by"] = RUNG_FULL
-        return result
-
-    def _solve_heuristic(
-        self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-    ) -> NetworkSchedule:
-        tct, ects = self._target_sets(schedule, batch)
-        restarts = max(
-            self._config.heuristic_min_restarts,
-            2 * (len(tct) + sum(e.possibilities for e in ects)) + 4,
-        )
-        result = schedule_heuristic(
-            schedule.topology, tct, ects,
-            max_restarts=restarts,
+        kwargs = dict(
             guard_margin_ns=self._config.guard_margin_ns,
             reservation_mode=self._config.reservation_mode,
         )
-        result.meta["resolved_by"] = RUNG_HEURISTIC
+        if backend == "heuristic":
+            restarts = max(
+                self._config.heuristic_min_restarts,
+                2 * (len(tct) + sum(e.possibilities for e in ects)) + 4,
+            )
+            result = schedule_heuristic(
+                schedule.topology, tct, ects, max_restarts=restarts, **kwargs
+            )
+        else:
+            warm_state = None
+            warm_sink = None
+            cache = self._warm_cache
+            if cache is not None:
+                # keyed on the snapshot identity: every publish builds a
+                # new schedule object, so a hit always means "same base
+                # formula shape" — and the publish path invalidates
+                # explicitly too
+                warm_state = cache.get(schedule)
+                self._metrics.counter(
+                    "warmstart.hits" if warm_state is not None
+                    else "warmstart.misses"
+                ).inc()
+                warm_sink = lambda state: cache.put(schedule, state)  # noqa: E731
+            result = schedule_etsn(
+                schedule.topology, tct, ects, backend=backend,
+                proof=self._config.certify,
+                warm_start=warm_state, warm_state_sink=warm_sink, **kwargs
+            )
+        result.meta["resolved_by"] = rung_name
         return result
 
     # -- deployment emission -------------------------------------------
@@ -1039,8 +826,8 @@ class AdmissionService:
 def _call_with_timeout(
     fn: Callable[[], NetworkSchedule],
     timeout_s: Optional[float],
-    metrics: Optional[MetricsRegistry] = None,
-    events: Optional[EventLog] = None,
+    metrics: MetricsRegistry,
+    events: EventLog = NULL_EVENT_LOG,
     rung_name: Optional[str] = None,
 ) -> NetworkSchedule:
     """Run ``fn`` under a wall-clock budget.
@@ -1070,7 +857,7 @@ def _call_with_timeout(
         finally:
             with state_lock:
                 state["finished"] = True
-                if state["abandoned"] and metrics is not None:
+                if state["abandoned"]:
                     metrics.gauge("solver.orphans_running").add(-1)
             done.set()
 
@@ -1084,10 +871,9 @@ def _call_with_timeout(
                 # the solve is still running somewhere: count the orphan
                 # now and have the worker decrement on eventual exit
                 state["abandoned"] = True
-                if metrics is not None:
-                    metrics.counter("solver.threads_abandoned").inc()
-                    metrics.gauge("solver.orphans_running").add(1)
-                if events is not None and events.enabled:
+                metrics.counter("solver.threads_abandoned").inc()
+                metrics.gauge("solver.orphans_running").add(1)
+                if events.enabled:
                     events.emit(
                         "solver.abandoned", timeout_s=timeout_s,
                         rung=rung_name,

@@ -1,4 +1,4 @@
-"""Analytic fast-path admission — the microsecond rung below the ladder.
+"""Analytic fast-path admission — the ladder's first, constructive rung.
 
 Most admission requests do not need a solver.  This module decides the
 common case with two sound, placement-independent arguments:
@@ -28,15 +28,14 @@ common case with two sound, placement-independent arguments:
 * **Constructive accept** — apply the incremental placement primitives
   and run :func:`repro.core.schedule.validate_delta` over the changed
   streams.  An accept therefore ships an *actual validated schedule*;
-  soundness is by construction, not by approximation.  Sharing TCT
-  admits use :func:`repro.core.incremental.add_shared_tct_stream`
-  (a new sharing stream only adds its own prudent-reservation extras).
+  soundness is by construction, not by approximation.  A sharing TCT
+  admit only adds its own prudent-reservation extras, so it is placed
+  like any other (:func:`repro.core.incremental.add_shared_tct_stream`).
 
-Anything else is **inconclusive** and falls through to the solver
-ladder.  Because the constructive attempt *is* the incremental rung's
-computation (with delta-validation instead of a full pass), a fall
-through also proves the incremental rung would fail — the ladder may
-skip straight to the re-solve rungs.
+Anything else is **inconclusive**: the admission service climbs on to
+its re-solve rungs.  :func:`_apply_batch` is the only loop over the
+incremental primitives — there is no separate incremental rung to fail
+the same way a second time.
 
 All arithmetic is exact: integer nanoseconds and
 :class:`fractions.Fraction` densities, never floats.
@@ -52,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.incremental import (
     add_ect_stream,
     add_shared_tct_stream,
-    add_tct_stream,
     affected_sharing_streams,
     remove_stream,
 )
@@ -80,25 +78,22 @@ INCONCLUSIVE = "inconclusive"
 RUNG_FASTPATH = "fastpath"
 
 
+class ConclusiveReject(InfeasibleError):
+    """A :data:`REJECT` verdict as the admission ladder raises it: a
+    necessary condition failed, no rung can succeed, the climb ends."""
+
+
 @dataclass(frozen=True)
 class FastPathResult:
     """Outcome of :func:`evaluate` on one request batch.
 
     ``schedule`` is populated only for :data:`ACCEPT` — the already
     delta-validated schedule with the batch applied, ready to publish.
-
-    ``subsumes_incremental`` is set on an :data:`INCONCLUSIVE` verdict
-    whose constructive attempt ran and failed: the attempt *is* the
-    incremental rung's computation (same deterministic primitives; the
-    only difference, delta- vs full-validation, can only fail on a
-    subset of the full check), so the ladder may skip the incremental
-    rung — it would fail identically.
     """
 
     verdict: str
     reason: str
     schedule: Optional[NetworkSchedule] = None
-    subsumes_incremental: bool = False
 
     @property
     def conclusive(self) -> bool:
@@ -142,8 +137,7 @@ def evaluate(
         if reason is not None:
             return FastPathResult(REJECT, reason)
         return FastPathResult(
-            INCONCLUSIVE, f"constructive placement failed: {exc}",
-            subsumes_incremental=True,
+            INCONCLUSIVE, f"constructive placement failed: {exc}"
         )
     return FastPathResult(
         ACCEPT, "constructive placement delta-validated", placed
@@ -342,19 +336,12 @@ def _apply_batch(
     for request in batch:
         if isinstance(request, AdmitTct):
             stream = request.requirement.resolve(current.topology)
-            if stream.share and current.ect_streams:
-                current = add_shared_tct_stream(
-                    current, stream,
-                    guard_margin_ns=guard_margin_ns,
-                    reservation_mode=reservation_mode,
-                    validate_result=False,
-                )
-            else:
-                current = add_tct_stream(
-                    current, stream,
-                    guard_margin_ns=guard_margin_ns,
-                    validate_result=False,
-                )
+            current = add_shared_tct_stream(
+                current, stream,
+                guard_margin_ns=guard_margin_ns,
+                reservation_mode=reservation_mode,
+                validate_result=False,
+            )
             changed.add(stream.name)
         elif isinstance(request, AdmitEct):
             affected = affected_sharing_streams(current, request.ect)

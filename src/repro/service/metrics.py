@@ -83,7 +83,7 @@ class MetricsRegistry:
 
     Instruments are created on first use, so callers never have to
     declare metrics ahead of time; ``prefix.name`` dotted keys group
-    related series (e.g. ``decisions.incremental``).
+    related series (e.g. ``decisions.fastpath``).
     """
 
     def __init__(self) -> None:

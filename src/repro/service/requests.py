@@ -70,7 +70,7 @@ class Decision:
 
     rung
         Ladder rung that produced the committed schedule
-        (``incremental`` / ``full`` / ``heuristic``), or ``None`` for a
+        (``fastpath`` / ``full`` / ``heuristic``), or ``None`` for a
         rejection.
     store_version
         Store version the accepting batch published (``None`` when

@@ -23,9 +23,11 @@ from repro.model.stream import (
 )
 from repro.model.units import milliseconds
 from repro.service import (
+    RUNG_FULL,
     AdmissionService,
     AdmitEct,
     AdmitTct,
+    RungConfig,
     ScheduleStore,
     ServiceConfig,
     empty_schedule,
@@ -198,7 +200,13 @@ class TestServiceCertify:
             )
 
     def test_certified_admission_counts_verified_sat(self, star_topology):
-        service = self._service(star_topology)
+        # a solver-only ladder: the constructive rung would place all
+        # three without ever reaching the proof-logging solver
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)),
+            config=ServiceConfig(backend="smt", certify=True,
+                                 rungs=(RungConfig(RUNG_FULL),)),
+        )
         assert service.submit(AdmitTct(TctRequirement(
             name="base", source="D1", destination="D3",
             period_ns=milliseconds(8), length_bytes=1500,
@@ -209,8 +217,6 @@ class TestServiceCertify:
             min_interevent_ns=milliseconds(16), length_bytes=512,
             possibilities=4,
         ))).accepted
-        # sharing TCT with ECT present climbs to the full SMT rung,
-        # which now runs with proof=True
         decision = service.submit(AdmitTct(TctRequirement(
             name="late", source="D2", destination="D3",
             period_ns=milliseconds(8), length_bytes=1500,

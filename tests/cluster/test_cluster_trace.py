@@ -39,14 +39,7 @@ def traced_coordinator():
     partition = partition_topology(
         simulation_topology(), 2, seeds=["SW1", "SW4"]
     )
-    # fast path off: these tests pin the *solver* span chains (rung ->
-    # solve); the analytic fast path would decide them without a solve
-    from repro.service import ServiceConfig
-
-    coordinator = ClusterCoordinator(
-        partition=partition, tracer=tracer,
-        config=ServiceConfig(fastpath=False),
-    )
+    coordinator = ClusterCoordinator(partition=partition, tracer=tracer)
     yield coordinator, tracer
     coordinator.shutdown()
 

@@ -58,15 +58,21 @@ class TestAddTct:
         validate(schedule)
         assert len(schedule.streams) == 5
 
-    def test_sharing_stream_needs_offline_run(self, star_topology):
-        schedule = schedule_etsn(
-            star_topology, [_tct(star_topology, "base1")],
+    def test_sharing_stream_is_placed_around_live_ect(self, star_topology):
+        before = schedule_etsn(
+            star_topology, [_tct(star_topology, "base1", share=True)],
             [EctStream("e", "D2", "D3", min_interevent_ns=milliseconds(16),
                        length_bytes=1500, possibilities=4)],
         )
-        with pytest.raises(InfeasibleError):
-            add_tct_stream(schedule, _tct(star_topology, "shared-new",
-                                          src="D2", share=True))
+        frozen = {k: list(v) for k, v in before.slots.items()}
+        after = add_tct_stream(before, _tct(star_topology, "shared-new",
+                                            src="D2", share=True))
+        validate(after)
+        for key, slots in frozen.items():
+            assert after.slots[key] == slots
+        # the newcomer crosses the ECT's links: it carries its own extras
+        assert any(slot.extra for (name, _), slots in after.slots.items()
+                   if name == "shared-new" for slot in slots)
 
     def test_chain_of_admissions(self, star_topology):
         schedule = _base_schedule(star_topology)

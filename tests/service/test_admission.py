@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.core.schedule import InfeasibleError, validate
+from repro.service import admission as admission_module
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
 from repro.service import (
@@ -48,16 +49,6 @@ def service(star_topology):
     return AdmissionService(ScheduleStore(empty_schedule(star_topology)))
 
 
-@pytest.fixture
-def ladder_service(star_topology):
-    """A service with the analytic fast path off, so every request
-    exercises the solver ladder the tests below are about."""
-    return AdmissionService(
-        ScheduleStore(empty_schedule(star_topology)),
-        config=ServiceConfig(fastpath=False),
-    )
-
-
 class TestLadder:
     def test_plain_tct_decided_by_fastpath(self, service):
         decision = service.submit(_tct("a"))
@@ -66,27 +57,47 @@ class TestLadder:
         assert decision.store_version == 1
         validate(service.store.schedule)
 
-    def test_plain_tct_lands_on_incremental_rung(self, ladder_service):
-        decision = ladder_service.submit(_tct("a"))
+    def test_plain_tct_lands_on_incremental_rung(self, star_topology):
+        """The deprecated alias bench/ still configures: a ladder of
+        ``RUNG_INCREMENTAL`` alone is the constructive rung alone."""
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)),
+            config=ServiceConfig(rungs=(RungConfig(RUNG_INCREMENTAL),)),
+        )
+        decision = service.submit(_tct("a"))
         assert decision.accepted
-        assert decision.rung == RUNG_INCREMENTAL
-        assert decision.store_version == 1
-        validate(ladder_service.store.schedule)
-
-    def test_sharing_tct_climbs_to_full_resolve(self, ladder_service):
-        service = ladder_service
-        assert service.submit(_tct("base", share=True)).accepted
-        assert service.submit(_ect("alarm")).accepted
-        # the incremental primitive refuses sharing TCT when ECT exists,
-        # so the ladder must climb to the full re-solve
-        decision = service.submit(_tct("late-share", src="D2", share=True))
-        assert decision.accepted
-        assert decision.rung == RUNG_FULL
-        assert RUNG_INCREMENTAL in decision.attempts
+        assert decision.rung == RUNG_FASTPATH
         validate(service.store.schedule)
 
-    def test_overload_is_structured_rejection(self, ladder_service):
-        service = ladder_service
+    @pytest.mark.parametrize("route", ["submit", "batch", "prepare",
+                                       "certify"])
+    def test_sharing_tct_beside_ect_is_placed_constructively(
+        self, star_topology, route
+    ):
+        """Every way into the ladder places a sharing TCT around live
+        ECT without a re-solve, and without moving a granted slot."""
+        config = (ServiceConfig(backend="smt", certify=True)
+                  if route == "certify" else ServiceConfig())
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)), config=config)
+        assert service.submit(_tct("base", share=True)).accepted
+        assert service.submit(_ect("alarm")).accepted
+        before = service.store.schedule
+        late = _tct("late-share", src="D2", share=True)
+        if route == "prepare":
+            (rung, after), _ = service.solve_against(before, [late])
+        else:
+            batch = [late, _tct("mate")] if route == "batch" else [late]
+            decisions = service.submit_many(batch)
+            assert all(d.accepted for d in decisions)
+            rung, after = decisions[0].rung, service.store.schedule
+        assert rung == RUNG_FASTPATH
+        validate(after)
+        assert all(after.slots[key] == slots
+                   for key, slots in before.slots.items())
+        assert service.metrics.counter("rungs.full.attempts").value == 0
+
+    def test_overload_is_structured_rejection(self, service):
         period = 6 * MTU_WIRE_NS
         for i in range(5):
             assert service.submit(AdmitTct(TctRequirement(
@@ -103,40 +114,53 @@ class TestLadder:
         assert not decision.accepted
         assert decision.rung is None
         assert "all ladder rungs failed" in decision.reason
-        # every rung reported a reason
-        assert set(decision.attempts) == {
-            RUNG_INCREMENTAL, RUNG_FULL, RUNG_HEURISTIC,
-        }
+        # every rung that ran reported a reason; the heuristic rung
+        # would replay the heuristic backend's full rung, so it did not
+        assert set(decision.attempts) == {RUNG_FASTPATH, RUNG_FULL}
         # rejected admission did not publish anything
         assert service.store.snapshot() is before
         validate(service.store.schedule)
 
     def test_heuristic_rung_catches_full_failure(
-        self, ladder_service, monkeypatch
+        self, star_topology, monkeypatch
     ):
-        service = ladder_service
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)),
+            config=ServiceConfig(backend="smt", rungs=(
+                RungConfig(RUNG_FULL), RungConfig(RUNG_HEURISTIC),
+            )),
+        )
         monkeypatch.setattr(
-            service, "_solve_full",
+            admission_module, "schedule_etsn",
             lambda *a, **k: (_ for _ in ()).throw(InfeasibleError("stub")),
         )
-        assert service.submit(_tct("base", share=True)).accepted
-        assert service.submit(_ect("alarm")).accepted
-        decision = service.submit(_tct("late-share", src="D2", share=True))
+        decision = service.submit(_tct("a"))
         assert decision.accepted
         assert decision.rung == RUNG_HEURISTIC
         assert decision.attempts[RUNG_FULL] == "stub"
+
+    def test_conclusive_reject_reason_is_the_witness(self, service):
+        decision = service.submit(AdmitTct(TctRequirement(
+            name="tight", source="D1", destination="D3",
+            period_ns=milliseconds(8), e2e_ns=1_000, length_bytes=1500,
+            priority=Priorities.NSH_PH,
+        )))
+        assert not decision.accepted
+        assert decision.reason.startswith("e2e-floor: ")
+        # nothing climbed: the witness is the one attempt
+        assert decision.attempts == {RUNG_FASTPATH: decision.reason}
 
 
 class TestScreening:
     def test_duplicate_name_rejected_without_solving(self, service):
         service.submit(_tct("a"))
         attempts_before = service.metrics.counter(
-            f"rungs.{RUNG_INCREMENTAL}.attempts").value
+            f"rungs.{RUNG_FASTPATH}.attempts").value
         decision = service.submit(_tct("a"))
         assert not decision.accepted
         assert "already in use" in decision.reason
         assert service.metrics.counter(
-            f"rungs.{RUNG_INCREMENTAL}.attempts").value == attempts_before
+            f"rungs.{RUNG_FASTPATH}.attempts").value == attempts_before
 
     def test_unroutable_request_rejected(self, service):
         decision = service.submit(_tct("ghost-route", src="D1", dst="nowhere"))
@@ -245,44 +269,45 @@ class TestBatching:
 
 class TestTimeoutsAndRetries:
     def test_rung_timeout_climbs_ladder(self, star_topology, monkeypatch):
-        config = ServiceConfig(fastpath=False, rungs=(
-            RungConfig(RUNG_INCREMENTAL, timeout_s=0.02),
-            RungConfig(RUNG_FULL, timeout_s=None),
+        config = ServiceConfig(backend="smt", rungs=(
+            RungConfig(RUNG_FULL, timeout_s=0.02),
+            RungConfig(RUNG_HEURISTIC, timeout_s=None),
         ))
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)), config=config)
-        real = service._solve_incremental
+        real = service._resolve
 
-        def slow(schedule, batch):
-            time.sleep(0.2)
-            return real(schedule, batch)
+        def slow(schedule, batch, rung_name):
+            if rung_name == RUNG_FULL:
+                time.sleep(0.2)
+            return real(schedule, batch, rung_name)
 
-        monkeypatch.setattr(service, "_solve_incremental", slow)
+        monkeypatch.setattr(service, "_resolve", slow)
         decision = service.submit(_tct("a"))
         assert decision.accepted
-        assert decision.rung == RUNG_FULL
-        assert "budget" in decision.attempts[RUNG_INCREMENTAL]
+        assert decision.rung == RUNG_HEURISTIC
+        assert "budget" in decision.attempts[RUNG_FULL]
         assert service.metrics.counter(
-            f"rungs.{RUNG_INCREMENTAL}.timeouts").value == 1
+            f"rungs.{RUNG_FULL}.timeouts").value == 1
 
     def test_bounded_retry_with_backoff(self, star_topology, monkeypatch):
         sleeps = []
-        config = ServiceConfig(fastpath=False, rungs=(
+        config = ServiceConfig(rungs=(
             RungConfig(RUNG_FULL, timeout_s=None, retries=2, backoff_s=0.01),
         ))
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)), config=config,
             sleep=sleeps.append)
         calls = {"n": 0}
-        real = service._solve_full
+        real = service._resolve
 
-        def flaky(schedule, batch):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] < 3:
                 raise RuntimeError("transient backend hiccup")
-            return real(schedule, batch)
+            return real(*args)
 
-        monkeypatch.setattr(service, "_solve_full", flaky)
+        monkeypatch.setattr(service, "_resolve", flaky)
         decision = service.submit(_tct("a"))
         assert decision.accepted
         assert decision.rung == RUNG_FULL
@@ -291,18 +316,18 @@ class TestTimeoutsAndRetries:
         assert service.metrics.counter(f"rungs.{RUNG_FULL}.errors").value == 2
 
     def test_retries_do_not_apply_to_infeasible(self, star_topology, monkeypatch):
-        config = ServiceConfig(fastpath=False, rungs=(
+        config = ServiceConfig(rungs=(
             RungConfig(RUNG_FULL, timeout_s=None, retries=3, backoff_s=0.01),
         ))
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)), config=config)
         calls = {"n": 0}
 
-        def always_infeasible(schedule, batch):
+        def always_infeasible(*args):
             calls["n"] += 1
             raise InfeasibleError("deterministically full")
 
-        monkeypatch.setattr(service, "_solve_full", always_infeasible)
+        monkeypatch.setattr(service, "_resolve", always_infeasible)
         decision = service.submit(_tct("a"))
         assert not decision.accepted
         assert calls["n"] == 1  # no point retrying a deterministic verdict
@@ -356,7 +381,7 @@ class TestStorm:
             config=ServiceConfig(
                 heuristic_min_restarts=8,
                 rungs=(
-                    RungConfig(RUNG_INCREMENTAL, timeout_s=10.0),
+                    RungConfig(RUNG_FASTPATH, timeout_s=10.0),
                     RungConfig(RUNG_FULL, timeout_s=10.0),
                     RungConfig(RUNG_HEURISTIC, timeout_s=10.0),
                 ),

@@ -11,9 +11,11 @@ from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
 from repro.obs import Tracer, children_of, summarize_spans
 from repro.service import (
+    RUNG_FULL,
     AdmissionService,
     AdmitEct,
     AdmitTct,
+    RungConfig,
     ScheduleStore,
     ServiceConfig,
     empty_schedule,
@@ -45,10 +47,11 @@ def tracer():
 
 @pytest.fixture
 def service(star_topology, tracer):
-    # fast path off: these tests are about the ladder's span chains
+    # a solver-only ladder: these tests are about the rung -> solve
+    # span chains of the re-solve rungs
     return AdmissionService(
         ScheduleStore(empty_schedule(star_topology)), tracer=tracer,
-        config=ServiceConfig(fastpath=False),
+        config=ServiceConfig(rungs=(RungConfig(RUNG_FULL),)),
     )
 
 
@@ -69,7 +72,7 @@ class TestRequestSpans:
         assert request.attributes["op"] == "admit-tct"
         assert request.attributes["stream"] == "a"
         assert request.attributes["accepted"] is True
-        assert request.attributes["rung"] == "incremental"
+        assert request.attributes["rung"] == "full"
         rungs = spans["admission.rung"]
         assert rungs[-1].attributes["outcome"] == "success"
         assert all(r.parent_id == batch.span_id for r in rungs)
@@ -207,13 +210,13 @@ class TestSolverStatsHarvest:
     def test_smt_backend_folds_stats_into_metrics(self, star_topology):
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)),
-            config=ServiceConfig(backend="smt", fastpath=False),
+            config=ServiceConfig(backend="smt",
+                                 rungs=(RungConfig(RUNG_FULL),)),
         )
         assert service.submit(_tct("base", share=True)).accepted
         assert service.submit(_ect("alarm")).accepted
-        # the incremental primitive refuses sharing TCT when ECT exists,
-        # so this climbs to the full rung — the SMT backend — whose
-        # SolverStats snapshot must land in the solver.* counters
+        # the full rung is the SMT backend, whose SolverStats snapshot
+        # must land in the solver.* counters
         decision = service.submit(_tct("late", src="D2", share=True))
         assert decision.accepted
         assert decision.rung == "full"

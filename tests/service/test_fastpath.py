@@ -120,7 +120,7 @@ class TestVerdicts:
         # probe's earliest fit there busts a 3-wire-time deadline, yet
         # no necessary condition trips (the link lands on exactly 4/4
         # density, capacity needs > 1) — so the verdict must be a
-        # fall-through that lets the ladder skip its incremental rung
+        # fall-through to the re-solve rungs
         period = 4 * MTU_WIRE_NS
         current = schedule
         for i in range(3):
@@ -139,7 +139,7 @@ class TestVerdicts:
         result = fastpath.evaluate(current, [probe])
         assert result.verdict == fastpath.INCONCLUSIVE
         assert not result.conclusive
-        assert result.subsumes_incremental
+        assert "constructive placement failed" in result.reason
 
     def test_unknown_remove_is_inconclusive(self, schedule):
         result = fastpath.evaluate(schedule, [Remove("ghost")])
@@ -254,8 +254,7 @@ def test_warm_cache_invalidated_on_every_publish(names):
         ScheduleStore(empty_schedule(_star())),
         # full-SMT-only ladder so every decision exercises the cache
         config=ServiceConfig(
-            backend="smt", fastpath=False,
-            rungs=(RungConfig("full", timeout_s=None),),
+            backend="smt", rungs=(RungConfig("full", timeout_s=None),),
         ),
     )
     admitted = set()

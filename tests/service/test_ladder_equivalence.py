@@ -1,0 +1,240 @@
+"""The one-ladder refactor changed no deterministic behaviour.
+
+The digests and per-decision strings below were recorded at the parent
+commit (fast path + incremental/full/heuristic rungs, ``_race_rungs``
+present) *before* ``src/`` was touched: SHA-256 of the canonical JSON of
+``schedule_to_dict(service.store.schedule)`` after two scripted runs.
+One letter per decision: ``f`` accepted by the constructive rung, ``F``
+by the full re-solve, ``h`` by the heuristic rung, ``x`` rejected.
+
+The rest pins what the single rung driver owes: no replayed solver, the
+heuristic rung as the SMT backend's fallback, and the abandoned-solver
+accounting on a sequential timeout.
+"""
+
+import hashlib
+import json
+import random
+import time
+
+import pytest
+
+from repro.core import schedule_etsn
+from repro.experiments import simulation_workload
+from repro.model.stream import Priorities, TctRequirement
+from repro.model.units import milliseconds
+from repro.obs import EventLog, filter_events
+from repro.serialization import schedule_to_dict
+from repro.service import (
+    RUNG_FASTPATH,
+    RUNG_FULL,
+    RUNG_HEURISTIC,
+    AdmissionService,
+    AdmitTct,
+    Remove,
+    RungConfig,
+    ScheduleStore,
+    ServiceConfig,
+    empty_schedule,
+)
+from repro.service import admission as admission_module
+from tests.conftest import MTU_WIRE_NS
+
+MIX_DIGEST = "0a6fd5aa46781f3dccc1c8c147bca78809f7313534390aaacb4b64629493423a"
+MIX_DECISIONS = "f" * 35 + "x"
+LADDER_DIGEST = "52a20200936996b4a7d85b935147c2b8072406d82de5a12c617c6f702794053a"
+LADDER_DECISIONS = (
+    "fffFffffffffffffFfffffffffFffffffFfffffffffffFffFffFffffffffffFfffffff"
+    "ffFfFffffFfFfFFffffffFffffFFffFffFffffffffffffffFfffffffffFfFFfffffffF"
+    "fFfffffffffffffffFffffffffFfffffFfffffffffffFffffffffFfffffffffFffFfff"
+    "ffffffFffFffffffffffffffFffffFFFffFffFfFfFfffffffffffFfffFffffffffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffFfffFffffffffffffffffffFfF"
+    "fFfFffFfFffffFfffffffffffffffFffffFfffffffFFffffff"
+)
+_LETTERS = {RUNG_FASTPATH: "f", RUNG_FULL: "F", RUNG_HEURISTIC: "h"}
+
+
+def _tct(name, src="D1", dst="D3", period_ms=8, length=1500, share=False,
+         period_ns=None, e2e_ns=None):
+    return AdmitTct(TctRequirement(
+        name=name, source=src, destination=dst,
+        period_ns=period_ns or milliseconds(period_ms), e2e_ns=e2e_ns,
+        length_bytes=length,
+        priority=Priorities.SH_PL if share else Priorities.NSH_PH,
+        share=share,
+    ))
+
+
+def _seeded_service(load):
+    workload = simulation_workload(load, seed=1)
+    base = schedule_etsn(workload.topology, workload.tct_streams,
+                         workload.ect_streams)
+    service = AdmissionService(
+        ScheduleStore(base), ServiceConfig(heuristic_min_restarts=16)
+    )
+    return service, [d.name for d in workload.topology.devices]
+
+
+def _letters(decisions):
+    return "".join(
+        _LETTERS[d.rung] if d.accepted else "x" for d in decisions
+    )
+
+
+def _digest(service):
+    canonical = json.dumps(
+        schedule_to_dict(service.store.schedule),
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestPinnedToParent:
+    def test_fig13_mix(self):
+        """The 36-decision mix of benchmarks/test_admission_service.py."""
+        service, devices = _seeded_service(0.25)
+        n = len(devices)
+        requests = []
+        for i in range(24):
+            requests.append(_tct(f"adm{i}", devices[i % n],
+                                 devices[(i + 5) % n], 10, 800))
+            if i % 3 == 2:
+                requests.append(Remove(f"adm{i - 1}"))
+        for i in range(3):
+            requests.append(_tct(f"share{i}", devices[(2 * i) % n],
+                                 devices[(2 * i + 7) % n], 20, 800, True))
+        requests.append(_tct("hog", devices[0], devices[1], 5, 80 * 1500))
+        decisions = [service.submit(r) for r in requests]
+        assert _letters(decisions) == MIX_DECISIONS
+        assert _digest(service) == MIX_DIGEST
+
+    def test_first_400_ladder_ops_at_seed_1(self):
+        """bench's ``LadderOps`` script: 150 warm-up operations drawn at
+        seed 0, then seed 1, steering towards 60 live admitted streams."""
+        service, devices = _seeded_service(0.5)
+        rng = random.Random(0)
+        live, decisions = [], []
+        for count in range(1, 401):
+            if count == 151:
+                rng = random.Random(1)
+            if live and rng.random() < len(live) / 120:
+                request = Remove(live[rng.randrange(len(live))])
+            else:
+                src, dst = rng.sample(devices, 2)
+                request = _tct(
+                    f"a{count}", src, dst, rng.choice((5, 10, 20)),
+                    rng.randrange(200, 1501), rng.random() < 0.2,
+                )
+            decision = service.submit(request)
+            decisions.append(decision)
+            if decision.accepted and isinstance(request, Remove):
+                live.remove(request.name)
+            elif decision.accepted:
+                live.append(request.stream_name)
+        assert _letters(decisions) == LADDER_DECISIONS
+        assert _digest(service) == LADDER_DIGEST
+        counters = service.metrics.to_dict()["counters"]
+        assert counters["fastpath.fallthroughs"] == 57
+        assert counters["rungs.full.attempts"] == 57
+
+
+def _saturated(service):
+    """Three seeds leave one free slot on SW1->D3; the probe's earliest
+    fit there busts its deadline and no necessary condition trips, so
+    the constructive rung is inconclusive and the climb goes on."""
+    period = 4 * MTU_WIRE_NS
+    for i in range(3):
+        assert service.submit(_tct(f"s{i}", period_ns=period)).accepted
+    return _tct("probe", src="D2", period_ns=period,
+                e2e_ns=3 * MTU_WIRE_NS)
+
+
+def _slow(monkeypatch, solver_name, delay_s):
+    real = getattr(admission_module, solver_name)
+
+    def slowed(*args, **kwargs):
+        time.sleep(delay_s)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(admission_module, solver_name, slowed)
+
+
+class TestNoReplayedSolver:
+    def test_heuristic_backend_reject_never_runs_the_heuristic_rung(
+        self, star_topology
+    ):
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology))
+        )
+        decision = service.submit(_saturated(service))
+        assert not decision.accepted
+        assert decision.reason.startswith("all ladder rungs failed")
+        assert set(decision.attempts) == {RUNG_FASTPATH, RUNG_FULL}
+        counters = service.metrics.to_dict()["counters"]
+        assert counters.get("rungs.heuristic.attempts", 0) == 0
+
+    def test_heuristic_rung_decides_after_an_smt_timeout(
+        self, star_topology, monkeypatch
+    ):
+        _slow(monkeypatch, "schedule_etsn", 0.3)
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)),
+            config=ServiceConfig(backend="smt", rungs=(
+                RungConfig(RUNG_FULL, timeout_s=0.02),
+                RungConfig(RUNG_HEURISTIC),
+            )),
+        )
+        decision = service.submit(_tct("a"))
+        assert decision.accepted
+        assert decision.rung == RUNG_HEURISTIC
+        assert "budget" in decision.attempts[RUNG_FULL]
+
+
+class TestAbandonedSolver:
+    """A sequential timeout leaves its solver thread running: counted,
+    journalled, and drained from the gauge when the orphan unwinds."""
+
+    @pytest.fixture
+    def timed_out(self, star_topology, monkeypatch):
+        _slow(monkeypatch, "schedule_heuristic", 0.3)
+        events = EventLog(clock=lambda: 0)
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)),
+            config=ServiceConfig(rungs=(
+                RungConfig(RUNG_FASTPATH),
+                RungConfig(RUNG_FULL, timeout_s=0.05),
+            )),
+            events=events,
+        )
+        decision = service.submit(_saturated(service))
+        yield service, events, decision
+        deadline = time.monotonic() + 5.0
+        while service.metrics.gauge("solver.orphans_running").value:
+            assert time.monotonic() < deadline, "orphan never unwound"
+            time.sleep(0.01)
+
+    def test_overdue_rung_times_out_and_is_abandoned(self, timed_out):
+        service, _, decision = timed_out
+        assert not decision.accepted
+        assert "budget" in decision.attempts[RUNG_FULL]
+        counters = service.metrics.to_dict()["counters"]
+        assert counters["rungs.full.timeouts"] == 1
+        assert counters["solver.threads_abandoned"] == 1
+
+    def test_abandonment_emits_solver_abandoned_event(self, timed_out):
+        _, events, _ = timed_out
+        abandoned = filter_events(events.events(), kind="solver.abandoned")
+        assert [e.attributes["rung"] for e in abandoned] == [RUNG_FULL]
+        assert abandoned[0].attributes["timeout_s"] == 0.05
+
+
+class TestRungValidation:
+    @pytest.mark.parametrize("rungs", [(), (RungConfig("ful"),)])
+    def test_unknown_or_empty_ladder_is_a_config_error(
+        self, star_topology, rungs
+    ):
+        with pytest.raises(ValueError, match="ServiceConfig.rungs"):
+            AdmissionService(
+                ScheduleStore(empty_schedule(star_topology)),
+                config=ServiceConfig(rungs=rungs),
+            )

@@ -202,11 +202,9 @@ class TestTraceFlag:
              "length_bytes": 512, "possibilities": 2},
         ]) + "\n")
         trace_path = tmp_path / "out.jsonl"
-        # --no-fastpath: these tests pin the ladder's rung/solve spans
         assert main([
             "serve", "--topology", str(topo_path),
             "--requests", str(requests), "--trace", str(trace_path),
-            "--no-fastpath",
         ]) == 0
         capsys.readouterr()
         return trace_path
@@ -237,15 +235,15 @@ class TestTraceFlag:
         out = capsys.readouterr().out
         assert "admission.request" in out
         assert "per-rung solve latency:" in out
-        assert "incremental" in out
+        assert "fastpath" in out
 
     def test_trace_summarize_json(self, capsys, tmp_path, star_topology):
         trace_path = self._serve_traced(capsys, tmp_path, star_topology)
         assert main(["trace", "summarize", str(trace_path),
                      "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["rungs"]["incremental"]["count"] >= 1
-        assert "p99_ms" in summary["rungs"]["incremental"]
+        assert summary["rungs"]["fastpath"]["count"] >= 1
+        assert "p99_ms" in summary["rungs"]["fastpath"]
 
     def test_admit_trace_flag(self, capsys, tmp_path, state_file):
         trace_path = tmp_path / "admit.jsonl"
