@@ -54,8 +54,12 @@ def bench_record():
     workload metadata that identifies what was measured.
     """
 
-    def _record(name: str, data: dict) -> Path:
+    def _record(name: str, data: dict, merge: bool = False) -> Path:
+        """``merge`` keeps the file's other top-level keys: a second
+        benchmark adding its block to a file another one owns."""
         path = REPO_ROOT / f"BENCH_{name}.json"
+        if merge and path.exists():
+            data = {**json.loads(path.read_text()), **data}
         path.write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n"
         )

@@ -1,20 +1,31 @@
-"""Sharded vs single-store admission throughput on a 4-ring network.
+"""Sharded vs single-store admission on a 4-ring network.
 
-The cluster claim (ISSUE: sharded multi-tenant admission): on a
-shard-local workload — industrial cells mostly talk within themselves —
-a 4-shard :class:`~repro.cluster.ClusterCoordinator` must admit at
-least 2x faster than one :class:`~repro.service.AdmissionService` over
-the whole network.  The multiple is algorithmic, not just threading:
-each shard's incremental admit walks a schedule a quarter of the global
-size, and the four shard batches run concurrently on the pool.
+What this benchmark used to claim — a 4-shard
+:class:`~repro.cluster.ClusterCoordinator` admitting a shard-local
+storm >= 2x faster than one :class:`~repro.service.AdmissionService`
+(2.84x measured) — was never parallelism: the shard batches share one
+GIL.  It was each shard walking a schedule a quarter the global size
+while every incremental primitive cost O(network).  Now that an
+admission costs what its own links carry (the snapshot carries its
+occupancy index), the single store recovered that multiple on its own:
+474 -> ~3100 admits/s, against ~3000 for the cluster, whose coordinator
+adds routing, name claims and a pool hop per batch.
 
-A cross-shard admit at the end exercises the two-phase publish inside
-the measured flow, and the stitched global schedule must pass the GCL
-audit afterwards — sharding must not cost correctness.
+What sharding still buys is not throughput on one core: isolation (a
+shard's solver climb or store contention stalls only its own cell),
+and cross-shard streams admitted by a two-phase publish without a
+global lock.  So the gates are: neither arm slower than its committed
+``BENCH_cluster.json`` figure (the ``repro bench diff`` gate, at CI's
+margin), the cluster within 0.8x of the single store on the shard-local
+storm, every request of that storm on the shard-local path, and — as
+before — a cross-shard admit through the two-phase publish inside the
+measured flow with the stitched global schedule passing the GCL audit:
+sharding must not cost correctness.
 """
 
-import os
+import json
 import time
+from pathlib import Path
 
 from repro.analysis import format_table
 from repro.cluster import ClusterCoordinator, partition_topology
@@ -22,6 +33,7 @@ from repro.core import validate
 from repro.experiments import line_of_rings
 from repro.model.stream import Priorities, TctRequirement
 from repro.model.units import milliseconds
+from repro.obs.bench import diff_benchmarks, format_bench_diff, split_failures
 from repro.service import (
     AdmissionService,
     AdmitTct,
@@ -32,16 +44,15 @@ from repro.service import (
 RINGS = 4
 RING_SIZE = 4
 DEVICES_PER_SWITCH = 2
-#: Large enough that per-admit cost is dominated by schedule size (the
-#: advantage sharding buys), not by fixed per-batch overhead.
 STREAMS_PER_RING = 96
 
-#: The acceptance bar is >=2x on an otherwise idle machine (~2.7x
-#: measured).  Shared CI runners cannot promise the cores a wall-clock
-#: multiple needs, so CI lowers the floor through the environment while
-#: 2x stays the local/soak target; the work-partitioning assertions
-#: below stay deterministic either way.
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_CLUSTER_SPEEDUP_FLOOR", "2.0"))
+#: the coordinator's per-batch overhead may cost the cluster this much
+#: of the single store's rate on a storm that never leaves a shard.
+CLUSTER_OVER_SINGLE_FLOOR = 0.8
+#: ``repro bench diff`` margin against the committed arms — the one CI's
+#: fresh-vs-committed gate uses on shared runners.
+MAX_REGRESSION = 0.5
+COMMITTED = Path(__file__).parent.parent / "BENCH_cluster.json"
 
 
 def _tct(name, src, dst, period_ms=8, length=800):
@@ -97,6 +108,7 @@ def _run_cluster(requests):
 
 def test_cluster_throughput_multiple(benchmark, emit, bench_record):
     requests = _local_workload()
+    committed = json.loads(COMMITTED.read_text())
 
     # warm-up pass (imports, pools), then best-of-3 for both arms
     _run_single(requests[: 2 * STREAMS_PER_RING])
@@ -120,7 +132,7 @@ def test_cluster_throughput_multiple(benchmark, emit, bench_record):
     assert cross.accepted and cross.rung == "twophase"
     assert coordinator.audit() is not None
 
-    speedup = single_s / cluster_s
+    ratio = single_s / cluster_s
     count = len(requests)
     emit("cluster_admission", format_table(
         ["arm", "streams", "wall_s", "admits_per_sec"],
@@ -129,7 +141,7 @@ def test_cluster_throughput_multiple(benchmark, emit, bench_record):
              f"{count / single_s:.0f}"],
             [f"{RINGS}-shard cluster", count, f"{cluster_s:.3f}",
              f"{count / cluster_s:.0f}"],
-            ["speedup", "", f"{speedup:.2f}x", ""],
+            ["cluster / single", "", f"{ratio:.2f}x", ""],
         ],
         title=(
             f"Shard-local admission storm on {RINGS} rings of "
@@ -137,7 +149,7 @@ def test_cluster_throughput_multiple(benchmark, emit, bench_record):
         ),
     ))
 
-    bench_record("cluster", {
+    fresh = {
         "benchmark": "cluster_throughput_multiple",
         "network": f"{RINGS}-rings-of-{RING_SIZE}",
         "streams": count,
@@ -150,15 +162,21 @@ def test_cluster_throughput_multiple(benchmark, emit, bench_record):
             "wall_s": round(cluster_s, 4),
             "admits_per_sec": round(count / cluster_s, 1),
         },
-        "speedup": round(speedup, 3),
-        "speedup_floor": SPEEDUP_FLOOR,
-    })
+        "cluster_over_single": round(ratio, 3),
+    }
+    bench_record("cluster", fresh)
 
-    # the acceptance bar: 2x on the shard-local workload by default,
-    # relaxed via REPRO_CLUSTER_SPEEDUP_FLOOR on loaded shared runners
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"4-shard cluster is only {speedup:.2f}x the single store "
-        f"(floor {SPEEDUP_FLOOR}x)"
+    arms = ("single_store", "cluster")
+    deltas = diff_benchmarks(
+        {arm: committed[arm] for arm in arms},
+        {arm: fresh[arm] for arm in arms}, MAX_REGRESSION,
+    )
+    assert not split_failures(deltas)[0], format_bench_diff(
+        deltas, MAX_REGRESSION
+    )
+    assert ratio >= CLUSTER_OVER_SINGLE_FLOOR, (
+        f"4-shard cluster runs at {ratio:.2f}x the single store on a "
+        f"shard-local storm (floor {CLUSTER_OVER_SINGLE_FLOOR}x)"
     )
 
     # steady-state hot path: one shard-local admit + its rollback

@@ -1,15 +1,24 @@
 """Online admission vs full rescheduling (the paper's Sec. VII-C future
 work): admitting one stream into a 40-stream network must be much cheaper
 than recomputing the whole schedule, and must leave existing slots
-untouched."""
+untouched — and what it costs must follow the links it touches, not the
+size of the network around them (the 40 / 400 / 4000-stream sweep)."""
 
 import time
 
 from repro.analysis import format_table
 from repro.core import add_tct_stream, schedule_etsn, validate
-from repro.experiments import simulation_workload
-from repro.model.stream import Priorities, Stream
+from repro.experiments import line_of_rings, simulation_workload
+from repro.model.stream import Priorities, Stream, TctRequirement
 from repro.model.units import milliseconds
+from repro.service import (
+    RUNG_FASTPATH,
+    AdmissionService,
+    AdmitTct,
+    Remove,
+    ScheduleStore,
+    empty_schedule,
+)
 
 
 def test_online_admission_vs_reschedule(benchmark, emit):
@@ -50,3 +59,104 @@ def test_online_admission_vs_reschedule(benchmark, emit):
     assert t_incremental <= t_full
 
     benchmark(lambda: add_tct_stream(base, newcomer))
+
+
+# ----------------------------------------------------------------------
+# cost of one admission as the *rest* of the network grows
+# ----------------------------------------------------------------------
+#: background streams live in rings 1-3 when the probes are timed.
+SCALING_POINTS = (40, 400, 4000)
+#: streams kept live in ring 0, where every probe lands.
+PROBE_RING_STREAMS = 20
+PROBE_CYCLES = 300
+#: p50(400) and p50(4000) over p50(40).  What is left to grow is three
+#: C-level shallow copies per edit (outer slot table, stream list, name
+#: map); the parent commit, which rebuilt its occupancy from every slot
+#: and cloned every slot list per operation, measured 3.3x and 45x.
+SCALING_GATES = (1.6, 7.0)
+
+
+def _ring_request(name, ring, i):
+    """Stream ``i`` across ring ``ring``: one to three switches on."""
+    src = f"R{ring}S{i % 4}D{i % 2}"
+    dst = f"R{ring}S{(i + 1 + i // 4 % 3) % 4}D{(i + 1) % 2}"
+    return AdmitTct(TctRequirement(
+        name=name, source=src, destination=dst,
+        period_ns=milliseconds((4, 8, 16)[i % 3]),
+        length_bytes=100 + 37 * (i % 8), priority=Priorities.NSH_PH,
+    ))
+
+
+def _background_request(i):
+    """Stream ``i`` of the background: between the two devices of one
+    switch in rings 1-3, round-robin over the 24 (switch, direction)
+    lanes, so no link carries more than 1/24 of the background and
+    growing it to 4000 streams stays cheap."""
+    ring, switch, direction = 1 + i % 3, i // 3 % 4, i // 12 % 2
+    return AdmitTct(TctRequirement(
+        name=f"bg{i}", source=f"R{ring}S{switch}D{direction}",
+        destination=f"R{ring}S{switch}D{1 - direction}",
+        period_ns=milliseconds(16), length_bytes=100 + 37 * (i % 8),
+        priority=Priorities.NSH_PH,
+    ))
+
+
+def _probe_p50_us(service):
+    cycles = []
+    for i in range(PROBE_CYCLES):
+        request = _ring_request("probe", 0, i)
+        started = time.perf_counter()
+        admitted = service.submit(request)
+        removed = service.submit(Remove("probe"))
+        cycles.append(time.perf_counter() - started)
+        assert admitted.accepted and admitted.rung == RUNG_FASTPATH
+        assert removed.accepted
+    cycles.sort()
+    return cycles[len(cycles) // 2] * 1e6
+
+
+def test_admission_cost_vs_network_size(emit, bench_record):
+    """Admit -> remove probes into ring 0 (held at 20 live streams) of
+    ``line_of_rings(4, 4, 2)`` while rings 1-3 grow from 40 to 4000
+    streams: none of the probes' links carries a background slot, so
+    whatever the p50 gains is the cost of *having* a large snapshot."""
+    service = AdmissionService(ScheduleStore(empty_schedule(
+        line_of_rings(4, 4, 2)
+    )))
+    for i in range(PROBE_RING_STREAMS):
+        assert service.submit(_ring_request(f"fixed{i}", 0, i)).accepted
+    points = []
+    background = 0
+    for target in SCALING_POINTS:
+        while background < target:
+            assert service.submit(_background_request(background)).accepted
+            background += 1
+        _probe_p50_us(service)  # warm-up at this size
+        points.append((target, _probe_p50_us(service)))
+    validate(service.store.schedule)
+
+    base_us = points[0][1]
+    emit("online_scaling", format_table(
+        ["background_streams", "admit+remove_p50_us", "vs_smallest"],
+        [[n, f"{us:.0f}", f"{us / base_us:.2f}x"] for n, us in points],
+        title=(
+            "One admit -> remove cycle in ring 0 (20 live streams) as "
+            "rings 1-3 grow"
+        ),
+    ))
+    bench_record("admission", {"scaling": {
+        "benchmark": "admission_cost_vs_network_size",
+        "network": "4-rings-of-4",
+        "probe_ring_streams": PROBE_RING_STREAMS,
+        "cycles_per_point": PROBE_CYCLES,
+        "points": [
+            {"background_streams": n, "cycle_p50_us": round(us, 1)}
+            for n, us in points
+        ],
+    }}, merge=True)
+    for (n, us), gate in zip(points[1:], SCALING_GATES):
+        assert us <= gate * base_us, (
+            f"an admit->remove cycle beside {n} background streams costs "
+            f"{us:.0f} us, {us / base_us:.1f}x the {base_us:.0f} us beside "
+            f"{points[0][0]} (gate {gate}x)"
+        )

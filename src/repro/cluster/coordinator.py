@@ -511,7 +511,7 @@ class ClusterCoordinator:
     @staticmethod
     def _holds_stream(runtime: _ShardRuntime, name: str) -> bool:
         schedule = runtime.store.schedule
-        return any(s.name == name for s in schedule.streams) or any(
+        return name in schedule.streams_by_name or any(
             e.name == name for e in schedule.ect_streams
         )
 

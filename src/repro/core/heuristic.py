@@ -21,7 +21,7 @@ the same independent validator — only the search differs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import build_frames, window_max_ns
 from repro.core.probabilistic import expand_ect
@@ -48,21 +48,55 @@ class _PlacementFailure(Exception):
 
 
 class _Occupancy:
-    """Placed slots per link, for conflict queries during the search."""
+    """Placed slots per link, for conflict queries during the search.
 
-    def __init__(self, streams_by_name: Dict[str, Stream]) -> None:
-        self._streams = streams_by_name
-        self._by_link: Dict[Tuple[str, str], List[FrameSlot]] = {}
+    Starts empty (the offline search) or :meth:`over` a finished
+    schedule (an online edit).  Over a schedule only the two outer maps
+    are copied; a link's slot list is copied the first time this
+    occupancy writes to that link, so the schedule's own lists are never
+    touched and every untouched link stays shared with it.
+    """
+
+    def __init__(
+        self,
+        streams_by_name: Dict[str, Stream],
+        by_link: Optional[Dict[Tuple[str, str], List[FrameSlot]]] = None,
+    ) -> None:
+        self.streams = streams_by_name
+        self.by_link = {} if by_link is None else by_link
+        #: links whose list this occupancy made, and so may append to
+        self._own: Set[Tuple[str, str]] = set()
         # may_overlap() is pure in the stream pair; the fit loop asks the
         # same pairs thousands of times, so memoize by name pair
         self._exempt: Dict[Tuple[str, str], bool] = {}
 
-    def add(self, slot: FrameSlot) -> None:
-        self._by_link.setdefault(slot.link, []).append(slot)
+    @classmethod
+    def over(cls, schedule: NetworkSchedule) -> "_Occupancy":
+        return cls(
+            dict(schedule.streams_by_name), dict(schedule.slots_by_link)
+        )
 
-    def remove_stream(self, stream_name: str) -> None:
-        for slots in self._by_link.values():
-            slots[:] = [s for s in slots if s.stream != stream_name]
+    def add(self, slot: FrameSlot) -> None:
+        link = slot.link
+        if link not in self._own:
+            self.by_link[link] = list(self.by_link.get(link, ()))
+            self._own.add(link)
+        self.by_link[link].append(slot)
+
+    def release(self, streams: Sequence[Stream]) -> None:
+        """Drop every slot of ``streams`` from the links they cross."""
+        names = {s.name for s in streams}
+        for link in {link.key for s in streams for link in s.path}:
+            kept = [
+                slot for slot in self.by_link.get(link, ())
+                if slot.stream not in names
+            ]
+            if kept:
+                self.by_link[link] = kept
+                self._own.add(link)
+            else:
+                self.by_link.pop(link, None)
+                self._own.discard(link)
 
     def earliest_fit(
         self, stream: Stream, frame: FrameVar, lower_bound_ns: int, tu_ns: int
@@ -76,7 +110,7 @@ class _Occupancy:
                 f"frame {frame.index} lower bound {lower_bound_ns} beyond "
                 f"window max {window_max} on {frame.link}",
             )
-        others = self._by_link.get(frame.link, ())
+        others = self.by_link.get(frame.link, ())
         # Each pass either accepts phi or pushes it strictly later; the
         # bound is generous because clearing one pattern can re-enter
         # another's forbidden residue a few times before escaping.
@@ -88,7 +122,7 @@ class _Occupancy:
                 pair = (stream.name, slot.stream)
                 exempted = exempt.get(pair)
                 if exempted is None:
-                    exempted = may_overlap(stream, self._streams[slot.stream])
+                    exempted = may_overlap(stream, self.streams[slot.stream])
                     exempt[pair] = exempted
                 if exempted:
                     continue

@@ -16,22 +16,25 @@ without moving any already-granted slot:
   extras, and appending extras on one link shifts the adjacent-link
   pairing (paper Fig. 8) — so exactly those streams are *re-placed*;
   every other stream's slots are frozen.
-* :func:`remove_stream` — retire a stream and release its slots (and,
-  for an ECT stream, the extras it induced, recomputed for the remaining
-  set).
+* :func:`remove_stream` — retire a stream and release its slots.  The
+  extras an ECT stream induced on sharing TCT streams stay in place
+  (still valid, just more generous than needed) until a re-solve.
 
-Every operation returns a **new** schedule object and re-validates it
-unless the caller defers that (``validate_result=False`` — the admission
+Every operation *derives* a **new** schedule from its input — the outer
+``slots`` dict, the ``streams`` list and the two index maps are shallow
+copies, only the per-link slot lists the edit touches are rebuilt, every
+other list is shared with the input, and the input itself is never
+written to — so an edit costs what it touches plus three C-level
+copies, not a walk over the network.  The result is re-validated unless
+the caller defers that (``validate_result=False`` — the admission
 service's constructive rung, the one loop over these primitives, applies
 a whole batch and delta-validates once); admission failure raises
-:class:`InfeasibleError` and leaves the input schedule untouched
-(admission control semantics).
+:class:`InfeasibleError` (admission control semantics).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
@@ -41,29 +44,40 @@ from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Priorities, Stream, StreamType
 
-
-def _occupancy_of(schedule: NetworkSchedule) -> _Occupancy:
-    streams_by_name = {s.name: s for s in schedule.streams}
-    occupancy = _Occupancy(streams_by_name)
-    for slots in schedule.slots.values():
-        for slot in slots:
-            occupancy.add(slot)
-    return occupancy
+_SlotTable = Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]]
 
 
-def _clone(schedule: NetworkSchedule) -> NetworkSchedule:
-    return NetworkSchedule(
-        topology=schedule.topology,
-        streams=list(schedule.streams),
-        slots={key: list(slots) for key, slots in schedule.slots.items()},
-        ect_streams=list(schedule.ect_streams),
-        meta=dict(schedule.meta),
+def _place(
+    stream: Stream, frames, occupancy: _Occupancy, slots: _SlotTable
+) -> None:
+    """Place ``stream`` earliest-fit and enter its slots, per link in
+    frame order, at the end of ``slots`` and of the occupancy."""
+    for slot in _place_stream(stream, frames, occupancy):
+        occupancy.add(slot)
+        slots.setdefault((slot.stream, slot.link), []).append(slot)
+    for link in stream.path:
+        slots[(stream.name, link.key)].sort(key=lambda s: s.index)
+
+
+def _derived(
+    schedule: NetworkSchedule,
+    streams: List[Stream],
+    slots: _SlotTable,
+    ect_streams: List[EctStream],
+    occupancy: _Occupancy,
+    validate_result: bool,
+    additions: int = 0,
+) -> NetworkSchedule:
+    result = schedule.derive(
+        streams, slots, ect_streams, occupancy.by_link, occupancy.streams
     )
-
-
-def _register(occupancy: _Occupancy, new_streams: Sequence[Stream]) -> None:
-    for stream in new_streams:
-        occupancy._streams[stream.name] = stream  # noqa: SLF001 - same package
+    if additions:
+        result.meta["incremental_additions"] = (
+            schedule.meta.get("incremental_additions", 0) + additions
+        )
+    if validate_result:
+        validate(result)
+    return result
 
 
 def affected_sharing_streams(
@@ -74,14 +88,23 @@ def affected_sharing_streams(
     Exactly the deterministic ``share=True`` streams crossing any link
     of the ECT's route: prudent reservation (Alg. 1) adds extras per
     (sharing TCT x ECT) pair per shared link, so these — and only
-    these — need re-placement when ``ect`` is admitted.
+    these — need re-placement when ``ect`` is admitted.  In ``streams``
+    order, the order they are re-placed in.
     """
-    ect_links = {link.key for link in ect.route(schedule.topology)}
-    return [
-        s for s in schedule.streams
-        if s.type == StreamType.DET and s.share
-        and any(link.key in ect_links for link in s.path)
-    ]
+    by_name = schedule.streams_by_name
+    by_link = schedule.slots_by_link
+    crossing = {
+        slot.stream
+        for link in ect.route(schedule.topology)
+        for slot in by_link.get(link.key, ())
+    }
+    affected = {
+        name for name in crossing
+        if by_name[name].type == StreamType.DET and by_name[name].share
+    }
+    if not affected:
+        return []
+    return [s for s in schedule.streams if s.name in affected]
 
 
 def add_tct_stream(
@@ -116,7 +139,7 @@ def add_shared_tct_stream(
     if stream.type != StreamType.DET:
         raise ValueError("online TCT admission takes a deterministic stream")
     Priorities.check(stream)
-    if any(s.name == stream.name for s in schedule.streams):
+    if stream.name in schedule.streams_by_name:
         raise ValueError(f"stream {stream.name!r} already scheduled")
 
     # only a sharing candidate's extras depend on the ECT possibilities
@@ -127,25 +150,17 @@ def add_shared_tct_stream(
         population = list(schedule.streams) + population
     plan = prudent_reservation(population, mode=reservation_mode)
     frames = build_frames([stream], plan, guard_margin_ns)
-    occupancy = _occupancy_of(schedule)
-    _register(occupancy, [stream])
+    occupancy = _Occupancy.over(schedule)
+    occupancy.streams[stream.name] = stream
+    slots = dict(schedule.slots)
     try:
-        placed = _place_stream(stream, frames, occupancy)
+        _place(stream, frames, occupancy, slots)
     except _PlacementFailure as exc:
         raise InfeasibleError(f"cannot admit {stream.name}: {exc}") from exc
-
-    result = _clone(schedule)
-    result.streams.append(stream)
-    for slot in placed:
-        result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-    for key in [(stream.name, link.key) for link in stream.path]:
-        result.slots[key].sort(key=lambda s: s.index)
-    result.meta["incremental_additions"] = (
-        schedule.meta.get("incremental_additions", 0) + 1
+    return _derived(
+        schedule, schedule.streams + [stream], slots, schedule.ect_streams,
+        occupancy, validate_result, additions=1,
     )
-    if validate_result:
-        validate(result)
-    return result
 
 
 def add_ect_stream(
@@ -165,25 +180,19 @@ def add_ect_stream(
     if any(e.name == ect.name for e in schedule.ect_streams):
         raise ValueError(f"ECT stream {ect.name!r} already scheduled")
     possibilities = expand_ect(ect, schedule.topology)
-
-    old_streams = list(schedule.streams)
-    new_streams = old_streams + possibilities
-    plan_after = prudent_reservation(new_streams, mode=reservation_mode)
-
+    streams = schedule.streams + possibilities
+    plan_after = prudent_reservation(streams, mode=reservation_mode)
     affected = affected_sharing_streams(schedule, ect)
-    affected_names = {s.name for s in affected}
 
-    result = _clone(schedule)
-    result.streams.extend(possibilities)
-    result.ect_streams.append(ect)
+    occupancy = _Occupancy.over(schedule)
+    for possibility in possibilities:
+        occupancy.streams[possibility.name] = possibility
     # drop the affected streams' slots; they are re-placed below
-    result.slots = {
-        key: slots for key, slots in result.slots.items()
-        if key[0] not in affected_names
-    }
-    occupancy = _occupancy_of(result)
-    _register(occupancy, possibilities)
-
+    occupancy.release(affected)
+    slots = dict(schedule.slots)
+    for stream in affected:
+        for link in stream.path:
+            del slots[(stream.name, link.key)]
     try:
         frames = build_frames(
             affected + possibilities, plan_after, guard_margin_ns
@@ -191,21 +200,13 @@ def add_ect_stream(
         # re-place the sharing streams first (tighter), then the
         # possibilities (they may overlap the sharing streams anyway)
         for stream in affected + possibilities:
-            placed = _place_stream(stream, frames, occupancy)
-            for slot in placed:
-                occupancy.add(slot)
-                result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-            for link in stream.path:
-                result.slots[(stream.name, link.key)].sort(key=lambda s: s.index)
+            _place(stream, frames, occupancy, slots)
     except _PlacementFailure as exc:
         raise InfeasibleError(f"cannot admit {ect.name}: {exc}") from exc
-
-    result.meta["incremental_additions"] = (
-        schedule.meta.get("incremental_additions", 0) + 1
+    return _derived(
+        schedule, streams, slots, schedule.ect_streams + [ect],
+        occupancy, validate_result, additions=1,
     )
-    if validate_result:
-        validate(result)
-    return result
 
 
 def remove_stream(
@@ -217,20 +218,23 @@ def remove_stream(
     in place (they are still valid, just more generous than needed); a
     periodic offline re-run reclaims them.
     """
-    result = _clone(schedule)
-    ect = next((e for e in result.ect_streams if e.name == name), None)
-    if ect is not None:
-        result.ect_streams = [e for e in result.ect_streams if e.name != name]
-        victims = {s.name for s in result.streams
-                   if s.type == StreamType.PROB and s.parent == name}
+    ect_streams = schedule.ect_streams
+    if any(e.name == name for e in ect_streams):
+        victims = schedule.possibilities_of(name)
+        ect_streams = [e for e in ect_streams if e.name != name]
+    elif name in schedule.streams_by_name:
+        victims = [schedule.streams_by_name[name]]
     else:
-        if not any(s.name == name for s in result.streams):
-            raise KeyError(f"no stream named {name!r}")
-        victims = {name}
-    result.streams = [s for s in result.streams if s.name not in victims]
-    result.slots = {
-        key: slots for key, slots in result.slots.items() if key[0] not in victims
-    }
-    if validate_result:
-        validate(result)
-    return result
+        raise KeyError(f"no stream named {name!r}")
+    occupancy = _Occupancy.over(schedule)
+    occupancy.release(victims)
+    slots = dict(schedule.slots)
+    for stream in victims:
+        del occupancy.streams[stream.name]
+        for link in stream.path:
+            slots.pop((stream.name, link.key), None)
+    # the name index is in ``streams`` order and deletion keeps it
+    return _derived(
+        schedule, list(occupancy.streams.values()), slots, ect_streams,
+        occupancy, validate_result,
+    )

@@ -22,6 +22,11 @@ from repro.model.topology import Topology
 from repro.model.units import is_multiple
 
 
+def possibility_names(ect: EctStream) -> List[str]:
+    """Names of the ``N`` probabilistic streams :func:`expand_ect` makes."""
+    return [f"{ect.name}#ps{i + 1}" for i in range(ect.possibilities)]
+
+
 def expand_ect(ect: EctStream, topology: Topology) -> List[Stream]:
     """Derive the ``N`` probabilistic streams of one ECT stream.
 
@@ -51,10 +56,10 @@ def expand_ect(ect: EctStream, topology: Topology) -> List[Stream]:
         )
     path = ect.route(topology)
     possibilities = []
-    for i in range(n):
+    for i, name in enumerate(possibility_names(ect)):
         possibilities.append(
             Stream(
-                name=f"{ect.name}#ps{i + 1}",
+                name=name,
                 path=path,
                 e2e_ns=budget_ns,
                 priority=Priorities.EP,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.probabilistic import possibility_names
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Stream, StreamType, may_overlap
 from repro.model.topology import Topology
@@ -54,6 +55,13 @@ class NetworkSchedule:
     ect_streams
         The original ECT specifications, kept for the simulator's event
         sources and for GCL synthesis.
+
+    A schedule is a value: nothing mutates ``streams``, ``slots`` or a
+    slot list once the object is constructed — an edit derives a new
+    schedule (:mod:`repro.core.incremental`).  That is what lets the two
+    derived indexes below be built once, on first use, and lets a
+    derived schedule share every list its edit did not touch with the
+    schedule it came from.
     """
 
     topology: Topology
@@ -61,24 +69,90 @@ class NetworkSchedule:
     slots: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]]
     ect_streams: List[EctStream] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
+    #: the derived indexes behind the two properties below; ``None``
+    #: until first read, unless :meth:`derive` handed them in.
+    _by_link: Optional[Dict[Tuple[str, str], List[FrameSlot]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _by_name: Optional[Dict[str, Stream]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
+    def derive(
+        self,
+        streams: List[Stream],
+        slots: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]],
+        ect_streams: List[EctStream],
+        by_link: Dict[Tuple[str, str], List[FrameSlot]],
+        by_name: Dict[str, Stream],
+    ) -> "NetworkSchedule":
+        """The schedule an edit of this one produced, with its indexes
+        handed in instead of rebuilt.
+
+        For :mod:`repro.core.incremental` only.  The caller vouches that
+        ``by_link`` / ``by_name`` are exactly what the lazy build would
+        make of ``slots`` / ``streams``; :func:`validate` never reads
+        them, so a wrong index cannot hide from it.
+        """
+        result = NetworkSchedule(
+            topology=self.topology, streams=streams, slots=slots,
+            ect_streams=ect_streams, meta=dict(self.meta),
+        )
+        result._by_link = by_link
+        result._by_name = by_name
+        return result
+
+    @property
+    def slots_by_link(self) -> Dict[Tuple[str, str], List[FrameSlot]]:
+        """``link key -> every slot on that link``, in slot-table order
+        (the order ``slots`` yields them).  Read-only, like ``slots``."""
+        index = self._by_link
+        if index is None:
+            index = {}
+            for (_, link_key), frames in self.slots.items():
+                if frames:
+                    index.setdefault(link_key, []).extend(frames)
+            self._by_link = index
+        return index
+
+    @property
+    def streams_by_name(self) -> Dict[str, Stream]:
+        """``stream name -> stream``, in ``streams`` order.  Read-only."""
+        index = self._by_name
+        if index is None:
+            index = self._by_name = {s.name: s for s in self.streams}
+        return index
+
     def stream(self, name: str) -> Stream:
-        for s in self.streams:
-            if s.name == name:
-                return s
-        raise KeyError(f"no stream named {name!r} in this schedule")
+        try:
+            return self.streams_by_name[name]
+        except KeyError:
+            raise KeyError(
+                f"no stream named {name!r} in this schedule"
+            ) from None
 
     def stream_slots(self, stream_name: str, link_key: Tuple[str, str]) -> List[FrameSlot]:
         return self.slots[(stream_name, link_key)]
 
     def link_slots(self, link_key: Tuple[str, str]) -> List[FrameSlot]:
         """All slots on one directed link, sorted by offset."""
-        result: List[FrameSlot] = []
-        for (_, key), frames in self.slots.items():
-            if key == link_key:
-                result.extend(frames)
-        return sorted(result, key=lambda f: (f.offset_ns, f.stream, f.index))
+        return sorted(
+            self.slots_by_link.get(link_key, ()),
+            key=lambda f: (f.offset_ns, f.stream, f.index),
+        )
+
+    def possibilities_of(self, ect_name: str) -> List[Stream]:
+        """The scheduled probabilistic streams of one ECT stream, by
+        name lookup — no scan over ``streams``."""
+        ect = next((e for e in self.ect_streams if e.name == ect_name), None)
+        if ect is None:
+            return []
+        by_name = self.streams_by_name
+        return [
+            by_name[name] for name in possibility_names(ect)
+            if name in by_name and by_name[name].parent == ect_name
+        ]
 
     @property
     def hyperperiod_ns(self) -> int:
@@ -107,16 +181,7 @@ class NetworkSchedule:
         probabilistic stream: last-frame reception minus the occurrence
         time (paper Eq. 4's two branches).
         """
-        stream = self.stream(stream_name)
-        first_link = stream.path[0]
-        last_link = stream.path[-1]
-        first = self.slots[(stream_name, first_link.key)][0]
-        last_frames = self.slots[(stream_name, last_link.key)]
-        last = last_frames[-1]
-        finish = last.end_ns + last_link.propagation_ns
-        if stream.type == StreamType.PROB:
-            return finish - stream.occurrence_ns
-        return finish - first.offset_ns
+        return _slot_table_latency_ns(self.slots, self.stream(stream_name))
 
     def ect_guarantee_ns(self, ect_name: str) -> int:
         """Formal worst-case delivery bound for one ECT stream's events.
@@ -174,6 +239,15 @@ class NetworkSchedule:
         return "\n".join(lines)
 
 
+def _slot_table_latency_ns(slots, stream: Stream) -> int:
+    last_link = stream.path[-1]
+    last = slots[(stream.name, last_link.key)][-1]
+    finish = last.end_ns + last_link.propagation_ns
+    if stream.type == StreamType.PROB:
+        return finish - stream.occurrence_ns
+    return finish - slots[(stream.name, stream.path[0].key)][0].offset_ns
+
+
 # ----------------------------------------------------------------------
 # periodic-interval arithmetic
 # ----------------------------------------------------------------------
@@ -226,7 +300,9 @@ def validate(schedule: NetworkSchedule) -> None:
 
     Raises :class:`ScheduleError` with a precise message on the first
     violation.  This validator is intentionally independent of all solver
-    code paths: it recomputes the semantics from the slot table alone.
+    code paths: it recomputes the semantics from ``streams`` and the slot
+    table alone, and never reads the schedule's derived indexes — so it
+    also re-checks whoever built or carried those.
     """
     _validate_completeness(schedule)
     _validate_time_constraints(schedule)
@@ -250,51 +326,59 @@ def validate_delta(schedule: NetworkSchedule, changed_names) -> None:
     per-stream plus changed-vs-all overlap therefore decides exactly
     what :func:`validate` would, at a cost proportional to the edit
     instead of the whole schedule.
+
+    Unlike :func:`validate` this trusts the schedule's derived indexes
+    (to find the changed streams and their link neighbours).
     """
-    changed = set(changed_names)
-    streams = [s for s in schedule.streams if s.name in changed]
-    missing = changed - {s.name for s in streams}
+    by_name = schedule.streams_by_name
+    names = sorted(set(changed_names))
+    missing = [name for name in names if name not in by_name]
     if missing:
         raise ScheduleError(
-            f"validate_delta: changed streams {sorted(missing)} are not "
+            f"validate_delta: changed streams {missing} are not "
             f"in the schedule"
         )
+    streams = [by_name[name] for name in names]
     _validate_completeness(schedule, streams)
     _validate_time_constraints(schedule, streams)
     _validate_sequencing(schedule, streams)
     _validate_e2e(schedule, streams)
-    _validate_overlap_delta(schedule, changed)
+    _validate_overlap_delta(schedule, streams)
     _validate_adjacent_links(schedule, streams)
     _validate_alignment(schedule, streams)
 
 
 def _validate_overlap_delta(schedule: NetworkSchedule, changed) -> None:
-    """Eq. 5 restricted to pairs with at least one changed stream."""
-    streams = {s.name: s for s in schedule.streams}
-    links_of_changed = set()
-    for name in changed:
-        for link in streams[name].path:
-            links_of_changed.add(link.key)
-    for key in links_of_changed:
-        frames = schedule.link_slots(key)
-        for i in range(len(frames)):
-            for j in range(i + 1, len(frames)):
-                a, b = frames[i], frames[j]
-                if a.stream not in changed and b.stream not in changed:
-                    continue
-                sa, sb = streams[a.stream], streams[b.stream]
-                if sa.name == sb.name:
-                    continue  # covered by sequencing + window checks
-                if may_overlap(sa, sb):
-                    continue
-                if periodic_overlap(
-                    a.offset_ns, a.duration_ns, a.period_ns,
-                    b.offset_ns, b.duration_ns, b.period_ns,
-                ):
-                    raise ScheduleError(
-                        f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "
-                        f"{b.stream}[{b.index}] overlap but are not allowed to"
+    """Eq. 5 restricted to pairs with at least one changed stream:
+    each changed stream's slots against its links' occupancy."""
+    by_name = schedule.streams_by_name
+    by_link = schedule.slots_by_link
+    for stream in changed:
+        exempt: Dict[str, bool] = {stream.name: True}  # sequencing + window
+        for link in stream.path:
+            own = schedule.slots[(stream.name, link.key)]
+            for other in by_link.get(link.key, ()):
+                exempted = exempt.get(other.stream)
+                if exempted is None:
+                    exempted = exempt[other.stream] = may_overlap(
+                        stream, by_name[other.stream]
                     )
+                if exempted:
+                    continue
+                for slot in own:
+                    if periodic_overlap(
+                        slot.offset_ns, slot.duration_ns, slot.period_ns,
+                        other.offset_ns, other.duration_ns, other.period_ns,
+                    ):
+                        a, b = sorted((slot, other), key=lambda f: (
+                            f.offset_ns, f.stream, f.index
+                        ))
+                        raise ScheduleError(
+                            f"link <{link.key[0]},{link.key[1]}>: "
+                            f"{a.stream}[{a.index}] and "
+                            f"{b.stream}[{b.index}] overlap but are not "
+                            f"allowed to"
+                        )
 
 
 def _validate_completeness(schedule: NetworkSchedule, streams=None) -> None:
@@ -354,7 +438,7 @@ def _validate_e2e(schedule: NetworkSchedule, streams=None) -> None:
     """Paper Eq. 4, tightened to count the last frame's wire time and
     propagation (reception-based latency, matching Sec. VI-A3)."""
     for stream in schedule.streams if streams is None else streams:
-        latency = schedule.scheduled_latency_ns(stream.name)
+        latency = _slot_table_latency_ns(schedule.slots, stream)
         if latency > stream.e2e_ns:
             raise ScheduleError(
                 f"{stream.name}: scheduled worst-case latency "

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: A numeric leaf is a tracked throughput metric when its key ends in
-#: one of these (``speedup`` is the cluster-vs-single multiple).
+#: one of these (``cache_speedup`` is the frontend's cache-on multiple).
 _THROUGHPUT_SUFFIXES = ("_per_sec", "speedup")
 
 

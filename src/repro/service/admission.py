@@ -571,12 +571,12 @@ class AdmissionService:
         Returns a rejection reason, or ``None`` when the request is
         worth a solve.
         """
-        taken = {s.name for s in schedule.streams}
-        taken.update(e.name for e in schedule.ect_streams)
-        pending = {r.stream_name for r in batch_so_far}
         name = request.stream_name
+        pending = {r.stream_name for r in batch_so_far}
+        scheduled = schedule.streams_by_name.get(name)
+        is_ect = any(e.name == name for e in schedule.ect_streams)
         if isinstance(request, (AdmitTct, AdmitEct)):
-            if name in taken or name in pending:
+            if scheduled is not None or is_ect or name in pending:
                 return f"stream name {name!r} already in use"
             try:
                 if isinstance(request, AdmitTct):
@@ -587,10 +587,8 @@ class AdmissionService:
                 return f"unroutable request: {exc}"
             return None
         if isinstance(request, Remove):
-            is_ect = any(e.name == name for e in schedule.ect_streams)
-            is_tct = any(
-                s.name == name and s.type == StreamType.DET
-                for s in schedule.streams
+            is_tct = (
+                scheduled is not None and scheduled.type == StreamType.DET
             )
             if not (is_ect or is_tct):
                 return f"no stream named {name!r} to remove"

@@ -170,13 +170,9 @@ def _removed_names(
     schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
 ) -> Set[str]:
     removed = {r.name for r in batch if isinstance(r, Remove)}
-    if not removed:
-        return removed
     # removing an ECT retires its possibility streams too
-    removed |= {
-        s.name for s in schedule.streams
-        if s.parent is not None and s.parent in removed
-    }
+    for name in list(removed):
+        removed.update(s.name for s in schedule.possibilities_of(name))
     return removed
 
 
@@ -227,31 +223,35 @@ def _capacity_reject(
 ) -> Optional[str]:
     """Per-link density bound over two pairwise-non-overlapping
     families (exact :class:`Fraction` arithmetic)."""
-    streams = {s.name: s for s in schedule.streams}
+    streams = schedule.streams_by_name
+    by_link = schedule.slots_by_link
     candidate_links = {link.key for probe in probes for link in probe.path}
     det: Dict[Tuple[str, str], Fraction] = {}
     nonshared: Dict[Tuple[str, str], Fraction] = {}
     prob: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
-    for (name, link_key), slots in schedule.slots.items():
-        if link_key not in candidate_links or name in removed or not slots:
-            continue
-        stream = streams[name]
-        load = Fraction(
-            sum(slot.duration_ns for slot in slots), stream.period_ns
-        )
-        if stream.type == StreamType.DET:
-            det[link_key] = det.get(link_key, Fraction(0)) + load
-            if not stream.share:
-                nonshared[link_key] = (
-                    nonshared.get(link_key, Fraction(0)) + load
+    for link_key in candidate_links:
+        busy_ns: Dict[str, int] = {}
+        for slot in by_link.get(link_key, ()):
+            if slot.stream not in removed:
+                busy_ns[slot.stream] = (
+                    busy_ns.get(slot.stream, 0) + slot.duration_ns
                 )
-        else:
-            per_parent = prob.setdefault(link_key, {})
-            parent = stream.parent or name
-            # possibilities of one parent are interchangeable here;
-            # keep the densest representative
-            if load > per_parent.get(parent, Fraction(0)):
-                per_parent[parent] = load
+        for name, total_ns in busy_ns.items():
+            stream = streams[name]
+            load = Fraction(total_ns, stream.period_ns)
+            if stream.type == StreamType.DET:
+                det[link_key] = det.get(link_key, Fraction(0)) + load
+                if not stream.share:
+                    nonshared[link_key] = (
+                        nonshared.get(link_key, Fraction(0)) + load
+                    )
+            else:
+                per_parent = prob.setdefault(link_key, {})
+                parent = stream.parent or name
+                # possibilities of one parent are interchangeable here;
+                # keep the densest representative
+                if load > per_parent.get(parent, Fraction(0)):
+                    per_parent[parent] = load
 
     for probe in probes:
         for link in probe.path:
@@ -295,28 +295,26 @@ def _gcd_reject(
 ) -> Optional[str]:
     """Exact pairwise infeasibility: lengths that cannot fit under the
     gcd of their periods can never avoid each other (Eq. 5)."""
-    streams = {s.name: s for s in schedule.streams}
+    streams = schedule.streams_by_name
+    by_link = schedule.slots_by_link
     for probe in probes:
         for link in probe.path:
             min_wire = min(_wire_ns(probe, link))
-            for (name, link_key), slots in schedule.slots.items():
-                if link_key != link.key or name in removed or not slots:
+            for slot in by_link.get(link.key, ()):
+                name = slot.stream
+                if name in removed or may_overlap(probe, streams[name]):
                     continue
-                other = streams[name]
-                if may_overlap(probe, other):
-                    continue
-                for slot in slots:
-                    g = gcd(probe.period_ns, slot.period_ns)
-                    if min_wire + slot.duration_ns > g:
-                        return (
-                            f"pairwise-gcd: {probe.name} "
-                            f"({min_wire} ns / {probe.period_ns} ns) and "
-                            f"{name}[{slot.index}] "
-                            f"({slot.duration_ns} ns / {slot.period_ns} ns) "
-                            f"can never avoid each other on link "
-                            f"<{link.key[0]},{link.key[1]}> "
-                            f"(gcd {g} ns)"
-                        )
+                g = gcd(probe.period_ns, slot.period_ns)
+                if min_wire + slot.duration_ns > g:
+                    return (
+                        f"pairwise-gcd: {probe.name} "
+                        f"({min_wire} ns / {probe.period_ns} ns) and "
+                        f"{name}[{slot.index}] "
+                        f"({slot.duration_ns} ns / {slot.period_ns} ns) "
+                        f"can never avoid each other on link "
+                        f"<{link.key[0]},{link.key[1]}> "
+                        f"(gcd {g} ns)"
+                    )
     return None
 
 
@@ -353,8 +351,7 @@ def _apply_batch(
             )
             changed.update(s.name for s in affected)
             changed.update(
-                s.name for s in current.streams
-                if s.parent == request.ect.name
+                s.name for s in current.possibilities_of(request.ect.name)
             )
         elif isinstance(request, Remove):
             current = remove_stream(
@@ -362,8 +359,8 @@ def _apply_batch(
             )
             # removal only deletes slots: remaining constraints are a
             # subset of the already-valid base schedule's
-            survivors = {s.name for s in current.streams}
-            changed &= survivors
+            survivors = current.streams_by_name
+            changed = {name for name in changed if name in survivors}
         else:
             raise ValueError(
                 f"unsupported request type {type(request).__name__}"
