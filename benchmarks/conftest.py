@@ -55,11 +55,17 @@ def bench_record():
     """
 
     def _record(name: str, data: dict, merge: bool = False) -> Path:
-        """``merge`` keeps the file's other top-level keys: a second
-        benchmark adding its block to a file another one owns."""
+        """``merge`` keeps the file's other top-level keys, and the
+        other keys of a block it adds to: a second benchmark adding its
+        block, or its curve, to a file another one owns."""
         path = REPO_ROOT / f"BENCH_{name}.json"
         if merge and path.exists():
-            data = {**json.loads(path.read_text()), **data}
+            kept = json.loads(path.read_text())
+            for key, value in data.items():
+                if isinstance(value, dict) and isinstance(kept.get(key), dict):
+                    value = {**kept[key], **value}
+                kept[key] = value
+            data = kept
         path.write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n"
         )

@@ -2,15 +2,19 @@
 work): admitting one stream into a 40-stream network must be much cheaper
 than recomputing the whole schedule, and must leave existing slots
 untouched — and what it costs must follow the links it touches, not the
-size of the network around them (the 40 / 400 / 4000-stream sweep)."""
+size of the network around them (the 40 / 400 / 4000-stream sweep), and
+grow linearly, not quadratically, with what those links already carry
+(the 50 / 200 / 800 / 3200-slot sweep)."""
 
 import time
 
 from repro.analysis import format_table
-from repro.core import add_tct_stream, schedule_etsn, validate
+from repro.core import NetworkSchedule, add_tct_stream, schedule_etsn, validate
 from repro.experiments import line_of_rings, simulation_workload
+from repro.model.frame import FrameSlot
 from repro.model.stream import Priorities, Stream, TctRequirement
-from repro.model.units import milliseconds
+from repro.model.topology import Topology
+from repro.model.units import MBPS_100, milliseconds, wire_bytes
 from repro.service import (
     RUNG_FASTPATH,
     AdmissionService,
@@ -159,4 +163,86 @@ def test_admission_cost_vs_network_size(emit, bench_record):
             f"an admit->remove cycle beside {n} background streams costs "
             f"{us:.0f} us, {us / base_us:.1f}x the {base_us:.0f} us beside "
             f"{points[0][0]} (gate {gate}x)"
+        )
+
+
+# ----------------------------------------------------------------------
+# cost of one placement as *its own link* fills up
+# ----------------------------------------------------------------------
+#: slots already on the link, all of one period, laid end to end.
+OCCUPANCY_POINTS = (50, 200, 800, 3200)
+#: per 4x of occupancy.  The kernel builds the link's rows once and laps
+#: over them twice, so the curve is linear above a fixed cost (the gate
+#: leaves 2x of noise); the restart scan it replaced was quadratic and
+#: measured 15x / 15x / 16x.
+OCCUPANCY_GATE = 8.0
+PLACEMENTS_PER_POINT = 9
+
+
+def _packed_link(occupancy):
+    """``occupancy`` one-frame streams back to back on the one link
+    A -> B, and the newcomer that has to go behind all of them."""
+    topo = Topology()
+    topo.add_device("A")
+    topo.add_device("B")
+    topo.add_link("A", "B", bandwidth_bps=10 * MBPS_100)
+    path = tuple(topo.shortest_path("A", "B"))
+    (link,) = path
+
+    def stream(name):
+        return Stream(
+            name=name, path=path, e2e_ns=milliseconds(16),
+            priority=Priorities.NSH_PH, length_bytes=64,
+            period_ns=milliseconds(16),
+        )
+
+    duration = link.transmission_ns(wire_bytes(64))
+    streams = [stream(f"s{i}") for i in range(occupancy)]
+    packed = NetworkSchedule(topology=topo, streams=streams, slots={
+        (s.name, link.key): [FrameSlot(
+            s.name, link.key, 0, i * duration, s.period_ns, duration
+        )]
+        for i, s in enumerate(streams)
+    })
+    return packed, stream("newcomer"), occupancy * duration
+
+
+def test_placement_cost_vs_link_occupancy(emit, bench_record):
+    """One ``add_tct_stream`` onto a link that already carries 50 to
+    3200 same-period slots: every slot is in the newcomer's way, so this
+    is the worst case of the earliest-fit kernel per slot on the link."""
+    points = []
+    for occupancy in OCCUPANCY_POINTS:
+        packed, newcomer, behind_all_ns = _packed_link(occupancy)
+        if occupancy == OCCUPANCY_POINTS[0]:
+            validate(packed)
+        times = []
+        for _ in range(PLACEMENTS_PER_POINT):
+            started = time.perf_counter()
+            admitted = add_tct_stream(packed, newcomer, validate_result=False)
+            times.append(time.perf_counter() - started)
+        (slot,) = admitted.slots[("newcomer", ("A", "B"))]
+        assert slot.offset_ns == behind_all_ns
+        times.sort()
+        points.append((occupancy, times[len(times) // 2] * 1e3))
+
+    emit("online_link_scaling", format_table(
+        ["slots_on_link", "placement_p50_ms", "vs_previous"],
+        [[n, f"{ms:.3f}", f"{ms / prev:.1f}x" if prev else "-"]
+         for (n, ms), prev in zip(points, [None] + [p[1] for p in points])],
+        title="One placement onto a packed link, by the link's occupancy",
+    ))
+    bench_record("admission", {"scaling": {"link_occupancy": {
+        "benchmark": "placement_cost_vs_link_occupancy",
+        "placements_per_point": PLACEMENTS_PER_POINT,
+        "points": [
+            {"slots_on_link": n, "placement_p50_ms": round(ms, 3)}
+            for n, ms in points
+        ],
+    }}}, merge=True)
+    for (n, ms), (prev_n, prev_ms) in zip(points[1:], points):
+        assert ms <= OCCUPANCY_GATE * prev_ms, (
+            f"a placement behind {n} slots costs {ms:.2f} ms, "
+            f"{ms / prev_ms:.1f}x the {prev_ms:.2f} ms behind {prev_n} "
+            f"(gate {OCCUPANCY_GATE}x per 4x of occupancy)"
         )

@@ -21,6 +21,7 @@ the same independent validator — only the search differs:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import build_frames, window_max_ns
@@ -29,8 +30,7 @@ from repro.core.reservation import prudent_reservation
 from repro.core.schedule import (
     InfeasibleError,
     NetworkSchedule,
-    ScheduleError,
-    earliest_gap_shift,
+    never_clear_message,
     validate,
 )
 from repro.model.frame import FrameSlot, FrameVar
@@ -55,6 +55,13 @@ class _Occupancy:
     are copied; a link's slot list is copied the first time this
     occupancy writes to that link, so the schedule's own lists are never
     touched and every untouched link stays shared with it.
+
+    :meth:`earliest_fit` reads a link through flat *rows* ``(offset,
+    duration, gcd with the candidate's period)``, one per slot the
+    candidate may not overlap.  A link's rows belong to one candidate
+    stream and are dropped by the next :meth:`add` or :meth:`release`
+    on that link — entering the candidate's own slots does that on every
+    link of its path, so rows never outlive one stream's placement.
     """
 
     def __init__(
@@ -66,9 +73,8 @@ class _Occupancy:
         self.by_link = {} if by_link is None else by_link
         #: links whose list this occupancy made, and so may append to
         self._own: Set[Tuple[str, str]] = set()
-        # may_overlap() is pure in the stream pair; the fit loop asks the
-        # same pairs thousands of times, so memoize by name pair
-        self._exempt: Dict[Tuple[str, str], bool] = {}
+        #: link -> (candidate stream, its rows on that link)
+        self._rows: Dict[Tuple[str, str], Tuple[Stream, list]] = {}
 
     @classmethod
     def over(cls, schedule: NetworkSchedule) -> "_Occupancy":
@@ -82,6 +88,7 @@ class _Occupancy:
             self.by_link[link] = list(self.by_link.get(link, ()))
             self._own.add(link)
         self.by_link[link].append(slot)
+        self._rows.pop(link, None)
 
     def release(self, streams: Sequence[Stream]) -> None:
         """Drop every slot of ``streams`` from the links they cross."""
@@ -97,11 +104,46 @@ class _Occupancy:
             else:
                 self.by_link.pop(link, None)
                 self._own.discard(link)
+            self._rows.pop(link, None)
+
+    def _rows_against(
+        self, stream: Stream, frame: FrameVar
+    ) -> List[Tuple[int, int, int]]:
+        """The rows of ``frame.link`` for ``stream``, in slot order: the
+        Eq. 5 exemption is decided once per placed stream, the gcd once
+        per slot — not once per probe."""
+        cached = self._rows.get(frame.link)
+        if cached is not None and cached[0] is stream:
+            return cached[1]
+        exempt: Dict[str, bool] = {}
+        rows = []
+        for slot in self.by_link.get(frame.link, ()):
+            exempted = exempt.get(slot.stream)
+            if exempted is None:
+                exempted = exempt[slot.stream] = may_overlap(
+                    stream, self.streams[slot.stream]
+                )
+            if not exempted:
+                rows.append((
+                    slot.offset_ns, slot.duration_ns,
+                    math.gcd(frame.period_ns, slot.period_ns),
+                ))
+        self._rows[frame.link] = (stream, rows)
+        return rows
 
     def earliest_fit(
         self, stream: Stream, frame: FrameVar, lower_bound_ns: int, tu_ns: int
     ) -> int:
-        """Earliest conflict-free offset >= lower bound, or raise."""
+        """Earliest conflict-free offset >= lower bound, or raise.
+
+        Each row's "shift until clear of me" (what
+        :func:`earliest_gap_shift` computes) is monotone and never moves
+        an offset earlier, so the rows have one least common fixpoint at
+        or above the lower bound and visiting them in any fair order
+        reaches exactly it: lap over them until a lap shifts nothing.
+        A row no shift can clear ends the scan the moment the rows
+        before it are clear, so only those take part.
+        """
         window_max = window_max_ns(stream, frame)
         phi = ceil_to_multiple(max(lower_bound_ns, 0), tu_ns)
         if phi > window_max:
@@ -110,44 +152,34 @@ class _Occupancy:
                 f"frame {frame.index} lower bound {lower_bound_ns} beyond "
                 f"window max {window_max} on {frame.link}",
             )
-        others = self.by_link.get(frame.link, ())
-        # Each pass either accepts phi or pushes it strictly later; the
-        # bound is generous because clearing one pattern can re-enter
-        # another's forbidden residue a few times before escaping.
-        guard = max(1024, 32 * (len(others) + 2))
-        exempt = self._exempt
-        for _ in range(guard):
+        rows = self._rows_against(stream, frame)
+        duration = frame.duration_ns
+        unclearable = None
+        shifted = True
+        while shifted:
             shifted = False
-            for slot in others:
-                pair = (stream.name, slot.stream)
-                exempted = exempt.get(pair)
-                if exempted is None:
-                    exempted = may_overlap(stream, self.streams[slot.stream])
-                    exempt[pair] = exempted
-                if exempted:
-                    continue
-                try:
-                    shift = earliest_gap_shift(
-                        phi, frame.duration_ns, frame.period_ns,
-                        slot.offset_ns, slot.duration_ns, slot.period_ns,
-                    )
-                except ScheduleError as exc:
-                    raise _PlacementFailure(stream.name, str(exc)) from exc
-                if shift:
-                    phi += shift
+            for offset, length, g in rows:
+                r = (offset - phi) % g
+                if r < duration or r > g - length:
+                    shifted = True
+                    if duration + length > g:
+                        # an equal row earlier would have stopped the
+                        # lap first, so index() finds this very row
+                        unclearable = (length, g)
+                        rows = rows[:rows.index((offset, length, g))]
+                        break
+                    phi += (r + length) % g
                     if phi > window_max:
                         raise _PlacementFailure(
                             stream.name,
                             f"frame {frame.index} pushed past window max "
                             f"{window_max} on {frame.link}",
                         )
-                    shifted = True
-                    break
-            if not shifted:
-                return phi
-        raise _PlacementFailure(
-            stream.name, f"no fixpoint for frame {frame.index} on {frame.link}"
-        )
+        if unclearable is not None:
+            raise _PlacementFailure(
+                stream.name, never_clear_message(duration, *unclearable)
+            )
+        return phi
 
 
 def _try_place(

@@ -268,6 +268,13 @@ def periodic_overlap(
     return r < len_a or r > g - len_b
 
 
+def never_clear_message(len_a: int, len_b: int, g: int) -> str:
+    return (
+        f"patterns of lengths {len_a}+{len_b} can never avoid each other "
+        f"under gcd period {g}"
+    )
+
+
 def earliest_gap_shift(
     offset_a: int, len_a: int, period_a: int,
     offset_b: int, len_b: int, period_b: int,
@@ -280,10 +287,7 @@ def earliest_gap_shift(
     """
     g = math.gcd(period_a, period_b)
     if len_a + len_b > g:
-        raise ScheduleError(
-            f"patterns of lengths {len_a}+{len_b} can never avoid each other "
-            f"under gcd period {g}"
-        )
+        raise ScheduleError(never_clear_message(len_a, len_b, g))
     r = (offset_b - offset_a) % g
     if len_a <= r <= g - len_b:
         return 0
@@ -354,21 +358,19 @@ def _validate_overlap_delta(schedule: NetworkSchedule, changed) -> None:
     by_name = schedule.streams_by_name
     by_link = schedule.slots_by_link
     for stream in changed:
-        exempt: Dict[str, bool] = {stream.name: True}  # sequencing + window
         for link in stream.path:
             own = schedule.slots[(stream.name, link.key)]
             for other in by_link.get(link.key, ()):
-                exempted = exempt.get(other.stream)
-                if exempted is None:
-                    exempted = exempt[other.stream] = may_overlap(
-                        stream, by_name[other.stream]
-                    )
-                if exempted:
-                    continue
                 for slot in own:
-                    if periodic_overlap(
-                        slot.offset_ns, slot.duration_ns, slot.period_ns,
-                        other.offset_ns, other.duration_ns, other.period_ns,
+                    # periodic_overlap(), inline; who may overlap whom is
+                    # only asked of the few pairs that do
+                    g = math.gcd(slot.period_ns, other.period_ns)
+                    r = (other.offset_ns - slot.offset_ns) % g
+                    if (
+                        r < slot.duration_ns or r > g - other.duration_ns
+                    ) and not (
+                        other.stream == stream.name  # sequencing + window
+                        or may_overlap(stream, by_name[other.stream])
                     ):
                         a, b = sorted((slot, other), key=lambda f: (
                             f.offset_ns, f.stream, f.index
@@ -452,18 +454,21 @@ def _validate_overlap(schedule: NetworkSchedule) -> None:
     by_link: Dict[Tuple[str, str], List[FrameSlot]] = {}
     for (_, key), frames in schedule.slots.items():
         by_link.setdefault(key, []).extend(frames)
+    gcd = math.gcd
     for key, frames in by_link.items():
-        for i in range(len(frames)):
-            for j in range(i + 1, len(frames)):
-                a, b = frames[i], frames[j]
-                sa, sb = streams[a.stream], streams[b.stream]
-                if sa.name == sb.name:
-                    continue  # covered by sequencing + window checks
-                if may_overlap(sa, sb):
-                    continue
-                if periodic_overlap(
-                    a.offset_ns, a.duration_ns, a.period_ns,
-                    b.offset_ns, b.duration_ns, b.period_ns,
+        rows = [
+            (f.offset_ns, f.duration_ns, f.period_ns, f, streams[f.stream])
+            for f in frames
+        ]
+        for i, (offset_a, len_a, period_a, a, sa) in enumerate(rows, 1):
+            for offset_b, len_b, period_b, b, sb in rows[i:]:
+                # periodic_overlap(), inline; who may overlap whom is
+                # only asked of the few pairs that do
+                g = gcd(period_a, period_b)
+                r = (offset_b - offset_a) % g
+                if (r < len_a or r > g - len_b) and not (
+                    sa.name == sb.name  # sequencing + window checks
+                    or may_overlap(sa, sb)
                 ):
                     raise ScheduleError(
                         f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "

@@ -14,7 +14,6 @@ report; ``--fail-on-drops`` and ``--slo`` turn it into a CI gate.
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 import sys
 
@@ -207,13 +206,6 @@ def _run_frontend_serve(args) -> int:
             "host": host, "port": port, "backend": backend.kind,
         }}), flush=True)
 
-    # This process serves until it is stopped: park everything start-up
-    # allocated (the imported module graph, the backend) in the
-    # permanent generation, so no request-path collection ever walks
-    # it.  Unfrozen, the round trip of a cache hit sat at 0.14 or
-    # 0.21 ms depending on where start-up left the collector's counters.
-    gc.collect()
-    gc.freeze()
     try:
         asyncio.run(serve_until_stopped(frontend, on_started=announce))
     except KeyboardInterrupt:  # pragma: no cover - signal path races

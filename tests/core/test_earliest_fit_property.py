@@ -1,21 +1,34 @@
-"""Property tests for the heuristic's earliest-fit kernel.
+"""Property tests for the periodic-interval kernel.
 
 ``_Occupancy.earliest_fit`` must return the *smallest* offset at or after
-the lower bound whose periodic slot pattern avoids every incompatible
-placed slot — verified against a brute-force scan.
+the lower bound whose periodic slot pattern avoids every placed slot the
+candidate may not overlap — verified against a brute-force scan — and
+fail with exactly the message of the restart scan it replaced, which is
+kept below, written with ``may_overlap`` and ``earliest_gap_shift``.
+The Eq. 5 validators get the same differential against their pair-loop
+form, written with ``may_overlap`` and ``periodic_overlap``.
 """
 
-import math
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.constraints import window_max_ns
 from repro.core.heuristic import _Occupancy, _PlacementFailure
-from repro.core.schedule import periodic_overlap
+from repro.core.schedule import (
+    NetworkSchedule,
+    ScheduleError,
+    _validate_overlap,
+    _validate_overlap_delta,
+    earliest_gap_shift,
+    periodic_overlap,
+)
 from repro.model.frame import FrameSlot, FrameVar
-from repro.model.stream import Priorities, Stream
+from repro.model.stream import Priorities, Stream, StreamType, may_overlap
 from repro.model.topology import Topology
+from repro.model.units import ceil_to_multiple
 
 
 def _topo():
@@ -28,72 +41,132 @@ def _topo():
     return topo
 
 
-def _stream(topo, name, period):
-    return Stream(
-        name=name, path=tuple(topo.shortest_path("A", "B")),
-        e2e_ns=period, priority=Priorities.NSH_PL, length_bytes=64,
-        period_ns=period,
-    )
-
-
 PERIODS = [60, 120, 240]
 LINK = ("A", "SW")
 
+#: every class ``may_overlap`` tells apart: a TCT stream that shares its
+#: slots or does not, and the possibilities of two different ECT streams
+KINDS = ["plain", "sharing", "prob-e1", "prob-e2"]
+
+
+def _stream(topo, name, period, kind="plain", occurrence=0):
+    probabilistic = kind.startswith("prob")
+    return Stream(
+        name=name, path=(topo.link(*LINK),),
+        e2e_ns=period, priority=Priorities.NSH_PL, length_bytes=64,
+        period_ns=period, share=kind == "sharing",
+        type=StreamType.PROB if probabilistic else StreamType.DET,
+        parent=kind[5:] if probabilistic else None,
+        occurrence_ns=occurrence if probabilistic else 0,
+    )
+
 
 @st.composite
-def occupancy_case(draw):
+def occupancy_case(draw, kinds=("plain",), max_duration=12):
+    """Placed slots (not necessarily consistent with each other) and a
+    candidate.  Durations above 30 make rows no shift can clear
+    (``len_a + len_b > gcd``) against the 60 ns periods."""
     topo = _topo()
     streams = {}
     slots = []
-    for i in range(draw(st.integers(0, 5))):
+    for i in range(draw(st.integers(0, 6))):
         period = draw(st.sampled_from(PERIODS))
-        duration = draw(st.integers(1, 12))
+        duration = draw(st.integers(1, max_duration))
         offset = draw(st.integers(0, period - duration))
         name = f"s{i}"
-        streams[name] = _stream(topo, name, period)
+        streams[name] = _stream(topo, name, period, draw(st.sampled_from(kinds)))
         slots.append(FrameSlot(name, LINK, 0, offset, period, duration))
-    new_period = draw(st.sampled_from(PERIODS))
-    new_duration = draw(st.integers(1, 12))
-    lower = draw(st.integers(0, new_period))
-    return topo, streams, slots, new_period, new_duration, lower
+    period = draw(st.sampled_from(PERIODS))
+    duration = draw(st.integers(1, max_duration))
+    lower = draw(st.integers(0, period))
+    streams["new"] = _stream(
+        topo, "new", period, draw(st.sampled_from(kinds)),
+        occurrence=draw(st.integers(0, period - 1)),
+    )
+    return streams, slots, FrameVar("new", LINK, 0, period, duration), lower
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(occupancy_case())
-def test_earliest_fit_matches_brute_force(case):
-    topo, streams, slots, period, duration, lower = case
-    newcomer = _stream(topo, "new", period)
-    streams = dict(streams)
-    streams["new"] = newcomer
+def _occupancy(streams, slots):
     occupancy = _Occupancy(streams)
     for slot in slots:
         occupancy.add(slot)
-    frame = FrameVar("new", LINK, 0, period, duration)
+    return occupancy
 
-    def conflicts(phi: int) -> bool:
-        return any(
-            periodic_overlap(phi, duration, period,
-                             s.offset_ns, s.duration_ns, s.period_ns)
-            for s in slots
-        )
 
-    window_max = period - duration
-    expected = None
-    for phi in range(max(lower, 0), window_max + 1):
-        if not conflicts(phi):
-            expected = phi
-            break
-
+def _fit(occupancy, newcomer, frame, lower, tu=1):
+    """The kernel's answer: an offset, or its failure text."""
     try:
-        got = occupancy.earliest_fit(newcomer, frame, lower, tu_ns=1)
-    except _PlacementFailure:
-        got = None
+        return occupancy.earliest_fit(newcomer, frame, lower, tu_ns=tu)
+    except _PlacementFailure as exc:
+        return str(exc)
 
+
+def _restart_scan(streams, slots, newcomer, frame, lower, tu=1):
+    """The scan the kernel replaced, as its specification: probe the
+    slots in order, shift past the first conflict, start over."""
+    window_max = window_max_ns(newcomer, frame)
+    phi = ceil_to_multiple(max(lower, 0), tu)
+    if phi > window_max:
+        return (f"new: frame {frame.index} lower bound {lower} beyond "
+                f"window max {window_max} on {frame.link}")
+    while True:
+        for slot in slots:
+            if may_overlap(newcomer, streams[slot.stream]):
+                continue
+            try:
+                shift = earliest_gap_shift(
+                    phi, frame.duration_ns, frame.period_ns,
+                    slot.offset_ns, slot.duration_ns, slot.period_ns,
+                )
+            except ScheduleError as exc:
+                return f"new: {exc}"
+            if shift:
+                phi += shift
+                if phi > window_max:
+                    return (f"new: frame {frame.index} pushed past window "
+                            f"max {window_max} on {frame.link}")
+                break
+        else:
+            return phi
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(occupancy_case(kinds=KINDS, max_duration=40))
+def test_earliest_fit_matches_brute_force(case):
+    streams, slots, frame, lower = case
+    newcomer = streams["new"]
+    blocking = [
+        s for s in slots if not may_overlap(newcomer, streams[s.stream])
+    ]
+    expected = next((
+        phi for phi in range(lower, window_max_ns(newcomer, frame) + 1)
+        if not any(
+            periodic_overlap(phi, frame.duration_ns, frame.period_ns,
+                             s.offset_ns, s.duration_ns, s.period_ns)
+            for s in blocking
+        )
+    ), None)
+    got = _fit(_occupancy(streams, slots), newcomer, frame, lower)
     if expected is None:
-        assert got is None
+        assert isinstance(got, str)
     else:
         assert got == expected
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(occupancy_case(kinds=KINDS, max_duration=40))
+def test_earliest_fit_fails_with_the_restart_scans_message(case):
+    streams, slots, frame, lower = case
+    newcomer = streams["new"]
+    occupancy = _occupancy(streams, slots)
+    expected = _restart_scan(streams, slots, newcomer, frame, lower)
+    assert _fit(occupancy, newcomer, frame, lower) == expected
+    # the rows built for the first probe serve the stream's next frames
+    assert _fit(occupancy, newcomer, frame, lower + 7) == _restart_scan(
+        streams, slots, newcomer, frame, lower + 7
+    )
 
 
 @settings(max_examples=100, deadline=None,
@@ -102,7 +175,7 @@ def test_earliest_fit_matches_brute_force(case):
 def test_earliest_fit_respects_time_unit(case):
     """With a coarser gate granularity, the result is a tu multiple and
     still conflict-free."""
-    topo, streams, slots, period, duration, lower = case
+    streams, slots, frame, lower = case
     tu = 4
     # keep every pattern tu-aligned so alignment is achievable
     slots = [
@@ -110,19 +183,14 @@ def test_earliest_fit_respects_time_unit(case):
                   s.period_ns, ((s.duration_ns + tu - 1) // tu) * tu)
         for s in slots
     ]
-    duration = ((duration + tu - 1) // tu) * tu
-    if duration > period:
-        return
-    newcomer = _stream(topo, "new", period)
-    streams = dict(streams)
-    streams["new"] = newcomer
-    occupancy = _Occupancy(streams)
-    for slot in slots:
-        occupancy.add(slot)
+    period = frame.period_ns
+    duration = ((frame.duration_ns + tu - 1) // tu) * tu
     frame = FrameVar("new", LINK, 0, period, duration)
-    try:
-        got = occupancy.earliest_fit(newcomer, frame, lower, tu_ns=tu)
-    except _PlacementFailure:
+    got = _fit(_occupancy(streams, slots), streams["new"], frame, lower, tu)
+    assert got == _restart_scan(
+        streams, slots, streams["new"], frame, lower, tu
+    )
+    if isinstance(got, str):
         return
     assert got % tu == 0
     assert got >= lower
@@ -131,3 +199,185 @@ def test_earliest_fit_respects_time_unit(case):
                          s.offset_ns, s.duration_ns, s.period_ns)
         for s in slots
     )
+
+
+@pytest.mark.parametrize("blocker_ns, verdict", [
+    (30, "patterns of lengths 10+55 can never avoid each other"),
+    (31, "pushed past window max 50"),
+])
+def test_unclearable_row_fails_once_the_rows_before_it_are_clear(
+    blocker_ns, verdict
+):
+    """Clearing s1 (12 ns at 0) lands the candidate in s0 (at 20), and
+    clearing that ends at 50 or 51 of a window that closes at 50: the
+    scan dies on the unclearable s2 only in the first case — one lap
+    over s0 and s1 is not enough to tell."""
+    topo = _topo()
+    streams = {name: _stream(topo, name, 60)
+               for name in ("new", "s0", "s1", "s2", "s3")}
+    slots = [FrameSlot("s0", LINK, 0, 20, 60, blocker_ns),
+             FrameSlot("s1", LINK, 0, 0, 60, 12),
+             FrameSlot("s2", LINK, 0, 0, 60, 55),
+             FrameSlot("s3", LINK, 0, 0, 60, 58)]
+    frame = FrameVar("new", LINK, 0, 60, 10)
+    got = _fit(_occupancy(streams, slots), streams["new"], frame, 0)
+    assert verdict in got
+    assert got == _restart_scan(streams, slots, streams["new"], frame, 0)
+
+
+def test_rows_are_dropped_by_an_add_or_release_on_their_link():
+    topo = _topo()
+    streams = {name: _stream(topo, name, 60) for name in ("new", "s0", "s1")}
+    frame = FrameVar("new", LINK, 0, 60, 10)
+    occupancy = _occupancy(streams, [FrameSlot("s0", LINK, 0, 0, 60, 10)])
+    assert occupancy.earliest_fit(streams["new"], frame, 0, 1) == 10
+    occupancy.add(FrameSlot("s1", LINK, 0, 10, 60, 10))
+    assert occupancy.earliest_fit(streams["new"], frame, 0, 1) == 20
+    occupancy.release([streams["s0"]])
+    assert occupancy.earliest_fit(streams["new"], frame, 0, 1) == 0
+    assert occupancy.earliest_fit(streams["new"], frame, 5, 1) == 20
+
+
+# ----------------------------------------------------------------------
+# every pair of classes: kernel and validators agree with may_overlap
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "kind_a, kind_b", itertools.product(KINDS, repeat=2)
+)
+def test_exemption_agrees_with_may_overlap_on_every_class_pair(kind_a, kind_b):
+    topo = _topo()
+    a = _stream(topo, "new", 60, kind_a)
+    b = _stream(topo, "old", 60, kind_b)
+    streams = {"new": a, "old": b}
+    placed = FrameSlot("old", LINK, 0, 0, 60, 10)
+    exempt = may_overlap(a, b)
+    assert exempt == may_overlap(b, a)
+
+    fit = _occupancy(streams, [placed]).earliest_fit(
+        a, FrameVar("new", LINK, 0, 60, 10), 0, tu_ns=1
+    )
+    assert fit == (0 if exempt else 10)
+
+    clash = NetworkSchedule(
+        topology=topo, streams=[b, a],
+        slots={("old", LINK): [placed],
+               ("new", LINK): [FrameSlot("new", LINK, 0, 5, 60, 10)]},
+    )
+    for check in (_validate_overlap,
+                  lambda s: _validate_overlap_delta(s, [a])):
+        if exempt:
+            check(clash)
+        else:
+            with pytest.raises(ScheduleError, match="overlap but are not"):
+                check(clash)
+
+
+# ----------------------------------------------------------------------
+# Eq. 5 validators vs their pair-loop form
+# ----------------------------------------------------------------------
+def _message(key, a, b):
+    return (f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "
+            f"{b.stream}[{b.index}] overlap but are not allowed to")
+
+
+def _overlaps(a, b):
+    return periodic_overlap(a.offset_ns, a.duration_ns, a.period_ns,
+                            b.offset_ns, b.duration_ns, b.period_ns)
+
+
+def _pair_loop(schedule):
+    """``_validate_overlap`` as a loop over ``may_overlap`` and
+    ``periodic_overlap``: its first error, or None."""
+    streams = {s.name: s for s in schedule.streams}
+    by_link = {}
+    for (_, key), frames in schedule.slots.items():
+        by_link.setdefault(key, []).extend(frames)
+    for key, frames in by_link.items():
+        for a, b in itertools.combinations(frames, 2):
+            if a.stream != b.stream and _overlaps(a, b) and not may_overlap(
+                streams[a.stream], streams[b.stream]
+            ):
+                return _message(key, a, b)
+    return None
+
+
+def _pair_loop_delta(schedule, changed):
+    """``_validate_overlap_delta`` the same way."""
+    streams = {s.name: s for s in schedule.streams}
+    for stream in changed:
+        for link in stream.path:
+            for other in schedule.slots_by_link.get(link.key, ()):
+                if other.stream == stream.name or may_overlap(
+                    stream, streams[other.stream]
+                ):
+                    continue
+                for slot in schedule.slots[(stream.name, link.key)]:
+                    if _overlaps(slot, other):
+                        a, b = sorted((slot, other), key=lambda f: (
+                            f.offset_ns, f.stream, f.index
+                        ))
+                        return _message(link.key, a, b)
+    return None
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def packed_schedule_with_one_overlap(draw):
+    """Two to eight streams of mixed classes, one or two frames each,
+    laid end to end inside the smallest gcd so that nothing overlaps;
+    then one slot is moved onto another stream's."""
+    topo = _topo()
+    streams, slots, cursor = [], {}, 0
+    for i in range(draw(st.integers(2, 8))):
+        period = draw(st.sampled_from(PERIODS))
+        stream = _stream(topo, f"s{i}", period, draw(st.sampled_from(KINDS)))
+        frames = []
+        for index in range(draw(st.integers(1, 2))):
+            duration = draw(st.integers(1, 3))
+            frames.append(FrameSlot(
+                stream.name, LINK, index, cursor, period, duration
+            ))
+            cursor += duration + draw(st.integers(0, 1))
+        streams.append(stream)
+        slots[(stream.name, LINK)] = frames
+    mover, target = draw(st.permutations(streams))[:2]
+    index = draw(st.integers(0, len(slots[(mover.name, LINK)]) - 1))
+    onto = draw(st.sampled_from(slots[(target.name, LINK)]))
+    moved = dict(slots)
+    moved[(mover.name, LINK)] = list(slots[(mover.name, LINK)])
+    moved[(mover.name, LINK)][index] = FrameSlot(
+        mover.name, LINK, index, onto.offset_ns,
+        mover.period_ns, slots[(mover.name, LINK)][index].duration_ns,
+    )
+    clean = NetworkSchedule(topology=topo, streams=streams, slots=slots)
+    planted = NetworkSchedule(topology=topo, streams=streams, slots=moved)
+    return clean, planted, mover, target
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(packed_schedule_with_one_overlap())
+def test_overlap_validators_match_their_pair_loops(case):
+    clean, planted, mover, target = case
+    assert _pair_loop(clean) is None
+    assert _verdict(_validate_overlap, clean) is None
+    assert _verdict(_validate_overlap_delta, clean, clean.streams) is None
+
+    expected = _pair_loop(planted)
+    if not may_overlap(mover, target):
+        assert expected is not None
+    assert _verdict(_validate_overlap, planted) == expected
+    for changed in ([mover], [target, mover], planted.streams):
+        assert _verdict(_validate_overlap_delta, planted, changed) == (
+            _pair_loop_delta(planted, changed)
+        )
+        assert (_pair_loop_delta(planted, changed) is None) == (
+            expected is None
+        )
