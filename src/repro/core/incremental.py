@@ -25,7 +25,13 @@ Every operation *derives* a **new** schedule from its input — the outer
 copies, only the per-link slot lists the edit touches are rebuilt, every
 other list is shared with the input, and the input itself is never
 written to — so an edit costs what it touches plus three C-level
-copies, not a walk over the network.  The result is re-validated unless
+copies, not a walk over the network.  Prudent reservation is part of
+"what it touches": Alg. 1 is planned for the streams the edit places,
+against one possibility per live ECT stream (:func:`_live_ect`), never
+for the population.  What is still O(network) per edit is exactly those
+three shallow copies and, when a new ECT crosses sharing streams, the
+one scan that puts them in ``streams`` order
+(:func:`affected_sharing_streams`).  The result is re-validated unless
 the caller defers that (``validate_result=False`` — the admission
 service's constructive rung, the one loop over these primitives, applies
 a whole batch and delta-validates once); admission failure raises
@@ -34,7 +40,7 @@ a whole batch and delta-validates once); admission failure raises
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
@@ -51,12 +57,16 @@ def _place(
     stream: Stream, frames, occupancy: _Occupancy, slots: _SlotTable
 ) -> None:
     """Place ``stream`` earliest-fit and enter its slots, per link in
-    frame order, at the end of ``slots`` and of the occupancy."""
+    frame order, at the end of ``slots`` and of the occupancy.  The
+    per-link lists are new ones: ``slots`` is a shallow copy whose
+    lists the input schedule still owns."""
+    placed: _SlotTable = {}
     for slot in _place_stream(stream, frames, occupancy):
         occupancy.add(slot)
-        slots.setdefault((slot.stream, slot.link), []).append(slot)
-    for link in stream.path:
-        slots[(stream.name, link.key)].sort(key=lambda s: s.index)
+        placed.setdefault((slot.stream, slot.link), []).append(slot)
+    for link_slots in placed.values():
+        link_slots.sort(key=lambda s: s.index)
+    slots.update(placed)
 
 
 def _derived(
@@ -78,6 +88,17 @@ def _derived(
     if validate_result:
         validate(result)
     return result
+
+
+def _live_ect(schedule: NetworkSchedule) -> List[Stream]:
+    """One scheduled possibility per live ECT stream, in ``ect_streams``
+    order: everything Alg. 1 reads of an ECT (route, period, length),
+    in the order the whole-population plan meets the parents."""
+    return [
+        possibility
+        for ect in schedule.ect_streams
+        for possibility in schedule.possibilities_of(ect.name)[:1]
+    ]
 
 
 def affected_sharing_streams(
@@ -134,7 +155,7 @@ def add_shared_tct_stream(
     adds only *its own* extra slots; every existing stream's slot list
     (extras included) is unchanged.  That makes online admission sound:
     freeze everything, compute the candidate's reservation against the
-    full population, and place its base+extra frames earliest-fit.
+    live ECT streams, and place its base+extra frames earliest-fit.
     """
     if stream.type != StreamType.DET:
         raise ValueError("online TCT admission takes a deterministic stream")
@@ -142,13 +163,11 @@ def add_shared_tct_stream(
     if stream.name in schedule.streams_by_name:
         raise ValueError(f"stream {stream.name!r} already scheduled")
 
-    # only a sharing candidate's extras depend on the ECT possibilities
-    # on its links; then the plan must see the whole population, though
-    # only the candidate's rows of it are used
-    population = [stream]
-    if stream.share and schedule.ect_streams:
-        population = list(schedule.streams) + population
-    plan = prudent_reservation(population, mode=reservation_mode)
+    # the candidate's rows only; a non-sharing one takes no extras
+    plan = prudent_reservation(
+        [stream], reservation_mode,
+        against=_live_ect(schedule) if stream.share else (),
+    )
     frames = build_frames([stream], plan, guard_margin_ns)
     occupancy = _Occupancy.over(schedule)
     occupancy.streams[stream.name] = stream
@@ -169,20 +188,30 @@ def add_ect_stream(
     guard_margin_ns: int = 0,
     reservation_mode: str = "paper",
     validate_result: bool = True,
+    affected: Optional[List[Stream]] = None,
 ) -> NetworkSchedule:
     """Admit one ECT stream into a mostly-frozen schedule.
 
     Slots of streams unrelated to the new ECT never move.  Sharing TCT
     streams crossed by the new ECT need more reservation, and extras on
     one link shift the Eq. 7 pairing, so those streams are re-placed
-    from scratch around everything else.
+    from scratch around everything else.  A caller that already holds
+    ``affected_sharing_streams(schedule, ect)`` hands it in as
+    ``affected``.
     """
     if any(e.name == ect.name for e in schedule.ect_streams):
         raise ValueError(f"ECT stream {ect.name!r} already scheduled")
     possibilities = expand_ect(ect, schedule.topology)
-    streams = schedule.streams + possibilities
-    plan_after = prudent_reservation(streams, mode=reservation_mode)
-    affected = affected_sharing_streams(schedule, ect)
+    for possibility in possibilities:
+        if possibility.name in schedule.streams_by_name:
+            raise ValueError(f"stream {possibility.name!r} already scheduled")
+    if affected is None:
+        affected = affected_sharing_streams(schedule, ect)
+    # the rows to place, against every ECT live afterwards
+    plan_after = prudent_reservation(
+        affected + possibilities, reservation_mode,
+        against=_live_ect(schedule) + possibilities[:1],
+    )
 
     occupancy = _Occupancy.over(schedule)
     for possibility in possibilities:
@@ -204,8 +233,9 @@ def add_ect_stream(
     except _PlacementFailure as exc:
         raise InfeasibleError(f"cannot admit {ect.name}: {exc}") from exc
     return _derived(
-        schedule, streams, slots, schedule.ect_streams + [ect],
-        occupancy, validate_result, additions=1,
+        schedule, schedule.streams + possibilities, slots,
+        schedule.ect_streams + [ect], occupancy, validate_result,
+        additions=1,
     )
 
 

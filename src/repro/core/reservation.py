@@ -43,7 +43,7 @@ upstream slot that may carry the same frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.stream import Stream, StreamType
 
@@ -93,7 +93,9 @@ class ReservationPlan:
 
 
 def prudent_reservation(
-    streams: Sequence[Stream], mode: str = "paper"
+    streams: Sequence[Stream],
+    mode: str = "paper",
+    against: Optional[Sequence[Stream]] = None,
 ) -> ReservationPlan:
     """Run prudent reservation over a mixed stream set.
 
@@ -105,12 +107,21 @@ def prudent_reservation(
     Extras are computed against *ECT streams*, i.e. the distinct parents
     of the probabilistic streams, not against each possibility — all
     possibilities of one parent describe the same single event source.
+
+    The plan has one row per stream in ``streams`` and link of its path.
+    A row depends on its own stream and on the ECT parents crossing its
+    link, on no other row — so a caller that needs a few rows passes
+    just those streams, and in ``against`` the probabilistic streams to
+    plan them against (one possibility per parent is enough).  By
+    default those are the ones in ``streams`` itself: the offline,
+    whole-population plan.  A row's extra windows run parent by parent,
+    in the order the parents first appear in ``against``.
     """
     if mode not in RESERVATION_MODES:
         raise ValueError(f"unknown reservation mode {mode!r}")
     ect_by_link: Dict[Tuple[str, str], List[Stream]] = {}
     seen_parent_on_link = set()
-    for stream in streams:
+    for stream in streams if against is None else against:
         if stream.type != StreamType.PROB:
             continue
         for link in stream.path:

@@ -43,6 +43,7 @@ from repro.check.sanitizer import make_lock
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
 from repro.core.heuristic import schedule_heuristic
+from repro.core.probabilistic import possibility_names
 from repro.core.schedule import (
     CertifiedInfeasibleError,
     InfeasibleError,
@@ -572,12 +573,15 @@ class AdmissionService:
         worth a solve.
         """
         name = request.stream_name
-        pending = {r.stream_name for r in batch_so_far}
+        pending = {n for r in batch_so_far for n in _claimed_names(r)}
         scheduled = schedule.streams_by_name.get(name)
         is_ect = any(e.name == name for e in schedule.ect_streams)
         if isinstance(request, (AdmitTct, AdmitEct)):
-            if scheduled is not None or is_ect or name in pending:
+            if is_ect:
                 return f"stream name {name!r} already in use"
+            for taken in _claimed_names(request):
+                if taken in schedule.streams_by_name or taken in pending:
+                    return f"stream name {taken!r} already in use"
             try:
                 if isinstance(request, AdmitTct):
                     request.requirement.resolve(schedule.topology)
@@ -819,6 +823,14 @@ class AdmissionService:
         self._metrics.counter("deployments.emitted").inc()
         if self._on_deploy is not None:
             self._on_deploy(deployment)
+
+
+def _claimed_names(request: AdmissionRequest) -> List[str]:
+    """The names ``request`` takes or touches: its own and, as an ECT is
+    scheduled under its possibilities' names, an ECT admit's of those."""
+    if isinstance(request, AdmitEct):
+        return [request.stream_name] + possibility_names(request.ect)
+    return [request.stream_name]
 
 
 def _call_with_timeout(

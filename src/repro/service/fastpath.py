@@ -348,6 +348,7 @@ def _apply_batch(
                 guard_margin_ns=guard_margin_ns,
                 reservation_mode=reservation_mode,
                 validate_result=False,
+                affected=affected,
             )
             changed.update(s.name for s in affected)
             changed.update(

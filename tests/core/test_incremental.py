@@ -1,12 +1,22 @@
 """Online (incremental) scheduling tests."""
 
+import dataclasses
 import random
+from unittest import mock
 
 import pytest
 
+from repro.core import incremental
 from repro.core.baselines import schedule_etsn
-from repro.core.incremental import add_ect_stream, add_tct_stream, remove_stream
+from repro.core.incremental import (
+    add_ect_stream,
+    add_shared_tct_stream,
+    add_tct_stream,
+    remove_stream,
+)
+from repro.core.reservation import prudent_reservation
 from repro.core.schedule import InfeasibleError, validate
+from repro.experiments import line_of_rings
 from repro.model.stream import EctStream, Priorities, Stream, TctRequirement
 from repro.model.units import milliseconds
 from tests.conftest import MTU_WIRE_NS
@@ -127,6 +137,24 @@ class TestAddEct:
         with pytest.raises(ValueError):
             add_ect_stream(mid, ect)
 
+    def test_taken_possibility_name_rejected_and_input_untouched(
+        self, star_topology
+    ):
+        """ECT ``alarm`` is scheduled as ``alarm#ps1..``: beside a TCT
+        of that name the possibility's slots once landed in the TCT's
+        slot lists — lists the *input* schedule owns."""
+        before = schedule_etsn(
+            star_topology, [_tct(star_topology, "alarm#ps1", src="D2")], []
+        )
+        frozen = {k: list(v) for k, v in before.slots.items()}
+        with pytest.raises(ValueError, match="'alarm#ps1' already scheduled"):
+            add_ect_stream(before, EctStream(
+                "alarm", "D2", "D3", min_interevent_ns=milliseconds(16),
+                length_bytes=1500, possibilities=4,
+            ))
+        assert before.slots == frozen
+        validate(before)
+
     def test_second_ect_stream(self, two_switch_topology):
         before = schedule_etsn(
             two_switch_topology,
@@ -142,6 +170,49 @@ class TestAddEct:
         validate(after)
         assert len(after.ect_streams) == 2
         assert len(after.probabilistic_streams()) == 8
+
+
+class TestReservationWork:
+    """Alg. 1 is planned for the streams an edit places, against one
+    possibility per live ECT: a count of streams, not a wall clock, and
+    it does not know how large the rest of the network is."""
+
+    @staticmethod
+    def _handed_to_alg1(background):
+        topo = line_of_rings(4, 4, 2)
+        ect = EctStream("e", "R0S0D0", "R0S1D0", milliseconds(16), 1500,
+                        possibilities=4)
+        schedule = schedule_etsn(
+            topo, [_tct(topo, "sh", "R0S0D1", "R0S1D0", share=True)], [ect]
+        )
+        for i in range(background):
+            # between the two devices of one switch of rings 1-3
+            ring, switch, direction = 1 + i % 3, i // 3 % 4, i // 12 % 2
+            schedule = add_tct_stream(schedule, _tct(
+                topo, f"bg{i}", f"R{ring}S{switch}D{direction}",
+                f"R{ring}S{switch}D{1 - direction}",
+                period=milliseconds(16), length=100 + 37 * (i % 8),
+            ), validate_result=False)
+        handed = []
+
+        def counting(streams, mode="paper", against=None):
+            handed.append((len(streams), len(against)))
+            return prudent_reservation(streams, mode, against)
+
+        with mock.patch.object(incremental, "prudent_reservation", counting):
+            add_ect_stream(schedule, dataclasses.replace(
+                ect, name="e2", source="R0S0D1"
+            ))
+            add_shared_tct_stream(schedule, _tct(
+                topo, "sh2", "R0S0D1", "R0S1D0", share=True
+            ))
+        return handed
+
+    def test_streams_planned_do_not_grow_with_the_network(self):
+        # ``sh`` re-placed + 4 possibilities, against ``e`` and ``e2``;
+        # then ``sh2`` alone against ``e``
+        assert self._handed_to_alg1(40) == [(5, 2), (1, 1)]
+        assert self._handed_to_alg1(2000) == [(5, 2), (1, 1)]
 
 
 class TestRemove:

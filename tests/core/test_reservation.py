@@ -1,10 +1,21 @@
 """Prudent reservation tests (paper Alg. 1)."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import incremental
+from repro.core.heuristic import schedule_heuristic
 from repro.core.probabilistic import expand_ect
-from repro.core.reservation import prudent_reservation, total_extra_slots
-from repro.model.stream import EctStream, Priorities, Stream
+from repro.core.reservation import (
+    RESERVATION_MODES,
+    prudent_reservation,
+    total_extra_slots,
+)
+from repro.core.schedule import InfeasibleError
+from repro.model.stream import EctStream, Priorities, Stream, StreamType
 from repro.model.units import milliseconds
 from tests.conftest import MTU_WIRE_NS
 
@@ -170,3 +181,149 @@ class TestRobustMode:
 
         with _pytest.raises(ValueError):
             prudent_reservation([], mode="magic")
+
+    def test_extra_windows_follow_the_ect_parents_first_appearance(
+        self, two_switch_topology
+    ):
+        """The order of a row's extra windows is part of the plan (frame
+        ``base + k`` takes ``extra_durations[k]``): per link, one run of
+        windows per ECT parent, the parents in the order their first
+        possibility appears among the streams."""
+        topo = two_switch_topology
+        s = _tct(topo, "t1", "D1", "D4", share=True, length=400,
+                 period=milliseconds(8))
+        short = EctStream("short", "D2", "D4", milliseconds(16), 200,
+                          possibilities=2)
+        long = EctStream("long", "D2", "D3", milliseconds(4), 3000,
+                         possibilities=2)
+        (shared,) = [l for l in s.path if l.key == ("SW1", "SW2")]
+        pad = 2 * s.transmission_ns(shared)
+        windows = {}
+        for ect, events in ((short, 1), (long, 3)):
+            block = expand_ect(ect, topo)[0].transmission_ns(shared)
+            windows[ect.name] = [block + pad] * events
+        assert windows["short"] != windows["long"]
+        for first, second in ((short, long), (long, short)):
+            probs = expand_ect(first, topo) + expand_ect(second, topo)
+            plan = prudent_reservation([s] + probs, mode="robust")
+            assert plan.extra_durations_on(s, shared.key) == (
+                windows[first.name] + windows[second.name]
+            )
+            # interleaving the possibilities does not reorder the parents
+            mixed = prudent_reservation(
+                [probs[0], probs[2], s, probs[3], probs[1]], mode="robust"
+            )
+            assert (mixed.extra_durations_on(s, shared.key)
+                    == plan.extra_durations_on(s, shared.key))
+
+
+# ----------------------------------------------------------------------
+# the online primitives plan locally; the rows are the whole plan's
+# ----------------------------------------------------------------------
+DEVICES = ["D1", "D2", "D3", "D4"]
+
+_STEP = st.tuples(
+    st.sampled_from(["ect", "share", "tct", "remove-ect", "resolve"]),
+    st.permutations(DEVICES).map(lambda devices: tuple(devices[:2])),
+    st.sampled_from([200, 1500, 3000]),
+    st.sampled_from([4, 8, 16]),
+)
+
+
+def _planned(edit, schedule, *args, **kwargs):
+    """Run one online edit; its result (``None`` when nothing fits) and
+    the one reservation plan it computed on the way."""
+    plans = []
+
+    def recording(*a, **k):
+        plans.append(prudent_reservation(*a, **k))
+        return plans[-1]
+
+    with mock.patch.object(incremental, "prudent_reservation", recording):
+        try:
+            result = edit(schedule, *args, validate_result=False, **kwargs)
+        except InfeasibleError:
+            result = None
+    (plan,) = plans
+    return result, plan
+
+
+def _assert_rows_of_the_whole_plan(local, population):
+    whole = prudent_reservation(population, mode=local.mode)
+    assert local.counts
+    for key in local.counts:
+        assert local.counts[key] == whole.counts[key]
+        assert local.extras[key] == whole.extras[key]
+        # list equality: the windows and their order
+        assert (local.extra_durations.get(key, [])
+                == whole.extra_durations.get(key, []))
+    assert set(local.extras) == set(local.counts)
+    assert set(local.extra_durations) <= set(local.counts)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(RESERVATION_MODES),
+       steps=st.lists(_STEP, max_size=6))
+@example(mode="robust", steps=[
+    ("ect", ("D1", "D3"), 3000, 4), ("share", ("D2", "D4"), 200, 8),
+    ("remove-ect", ("D1", "D2"), 200, 4), ("share", ("D1", "D4"), 200, 16),
+    ("resolve", ("D1", "D2"), 200, 4), ("share", ("D2", "D3"), 1500, 4),
+    ("ect", ("D2", "D4"), 200, 16),
+])
+def test_online_plans_are_rows_of_the_whole_population_plan(
+    two_switch_topology, mode, steps
+):
+    """Beside two live ECT of different lengths and periods — and after
+    an ECT removal, and after a full re-solve has re-ordered the slot
+    table — what ``add_ect_stream`` / ``add_shared_tct_stream`` plan for
+    the streams they place is, row for row and window for window, what
+    Alg. 1 over the whole population says about those streams."""
+    topo = two_switch_topology  # only read
+    schedule = schedule_heuristic(
+        topo,
+        [_tct(topo, "seed-sh", "D1", "D4", share=True, length=800,
+              period=milliseconds(8)),
+         _tct(topo, "seed", "D2", "D3", share=False, length=400,
+              period=milliseconds(4))],
+        [EctStream("ea", "D2", "D4", milliseconds(16), 1500, possibilities=4),
+         EctStream("eb", "D1", "D3", milliseconds(8), 300, possibilities=2)],
+        reservation_mode=mode,
+    )
+    for i, (kind, (src, dst), length, period_ms) in enumerate(steps):
+        result = None
+        if kind == "ect":
+            ect = EctStream(f"e{i}", src, dst, milliseconds(period_ms),
+                            length, possibilities=2)
+            result, plan = _planned(
+                incremental.add_ect_stream, schedule, ect,
+                reservation_mode=mode,
+            )
+            _assert_rows_of_the_whole_plan(
+                plan, schedule.streams + expand_ect(ect, topo)
+            )
+        elif kind in ("share", "tct"):
+            stream = _tct(topo, f"t{i}", src, dst, share=kind == "share",
+                          length=length, period=milliseconds(period_ms))
+            result, plan = _planned(
+                incremental.add_shared_tct_stream, schedule, stream,
+                reservation_mode=mode,
+            )
+            _assert_rows_of_the_whole_plan(plan, schedule.streams + [stream])
+        elif kind == "remove-ect" and schedule.ect_streams:
+            result = incremental.remove_stream(
+                schedule, schedule.ect_streams[0].name, validate_result=False
+            )
+        elif kind == "resolve":
+            # what the service's ``full`` rung does with a snapshot
+            try:
+                result = schedule_heuristic(
+                    topo,
+                    [s for s in schedule.streams if s.type == StreamType.DET],
+                    schedule.ect_streams, reservation_mode=mode,
+                )
+            except InfeasibleError:
+                pass
+        if result is not None:
+            schedule = result

@@ -18,7 +18,7 @@ import copy
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.heuristic import schedule_heuristic
@@ -119,14 +119,19 @@ def _ect(draw, name):
 
 @st.composite
 def _requests(draw):
-    """Admits under fresh names; removes mostly of a name admitted
-    earlier (TCT or ECT, possibly refused or already removed), now and
-    then of one that never was."""
+    """Admits under fresh names — a TCT now and then under the name a
+    later ECT's possibility will want (that ECT admit must fail and
+    leave its input alone); removes mostly of a name admitted earlier
+    (TCT or ECT, possibly refused or already removed), now and then of
+    one that never was."""
     requests, names = [], []
     for i in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(["tct", "tct", "ect", "remove"]))
         if kind == "tct":
-            requests.append(AdmitTct(draw(_tct(f"t{i}"))))
+            name = draw(st.sampled_from(
+                [f"t{i}", f"t{i}", f"e{i + 1}#ps1", f"e{i + 2}#ps2"]
+            ))
+            requests.append(AdmitTct(draw(_tct(name))))
         elif kind == "ect":
             requests.append(AdmitEct(draw(_ect(f"e{i}"))))
         else:
@@ -152,6 +157,18 @@ def _apply_one(schedule, request):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_requests(), st.booleans(), st.integers(1, 3))
+@example([
+    AdmitTct(TctRequirement(
+        name="e1#ps1", source="D2", destination="D3",
+        period_ns=milliseconds(16), length_bytes=100,
+        priority=Priorities.NSH_PL,
+    )),
+    AdmitEct(EctStream(
+        name="e1", source="D2", destination="D3",
+        min_interevent_ns=milliseconds(16), length_bytes=200,
+        possibilities=2,
+    )),
+], False, 1)
 def test_edits_carry_the_index_and_never_touch_their_input(
     requests, seeded, batch_size
 ):

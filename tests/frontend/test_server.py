@@ -260,6 +260,13 @@ class TestGracefulDrain:
             for index in range(5):
                 client.send(_tct(f"q{index}"), index)
             assert backend.entered.wait(timeout=10)
+            # q0 is in the backend; the drain owes q1..q4 a decision
+            # only once the server has read them off the socket
+            depth = frontend.metrics.gauge("frontend.queue.depth")
+            deadline = time.monotonic() + 10
+            while depth.value < 4:
+                assert time.monotonic() < deadline, "requests never queued"
+                time.sleep(0.01)
 
             stopper = threading.Thread(target=thread.stop)
             stopper.start()

@@ -1,6 +1,7 @@
 """AdmissionService: ladder climbing, batching, timeouts, and the
 500-request storm acceptance criterion."""
 
+import copy
 import random
 import time
 
@@ -161,6 +162,35 @@ class TestScreening:
         assert "already in use" in decision.reason
         assert service.metrics.counter(
             f"rungs.{RUNG_FASTPATH}.attempts").value == attempts_before
+
+    def test_ect_under_a_taken_possibility_name_leaves_the_store_alone(
+        self, service
+    ):
+        """ECT ``e1`` is scheduled as ``e1#ps1..``; beside a TCT of that
+        name the request once climbed the whole ladder, was rejected —
+        and left the possibility's slots in the *published* snapshot."""
+        assert service.submit(_tct("e1#ps1", src="D2")).accepted
+        published = service.store.snapshot()
+        before = copy.deepcopy(published.schedule)
+        decision = service.submit(_ect("e1"))
+        assert not decision.accepted
+        assert decision.reason == "stream name 'e1#ps1' already in use"
+        assert decision.attempts == {}
+        assert service.store.snapshot() is published
+        after = service.store.schedule
+        assert list(after.slots.items()) == list(before.slots.items())
+        assert after.streams == before.streams
+        assert after.ect_streams == before.ect_streams == []
+        validate(after)
+
+    def test_possibility_names_are_claimed_within_a_batch(self, service):
+        ect_first = service.submit_many([_ect("e1"), _tct("e1#ps2")])
+        assert [d.accepted for d in ect_first] == [True, False]
+        assert "'e1#ps2' already in use" in ect_first[1].reason
+        tct_first = service.submit_many([_tct("e2#ps1"), _ect("e2")])
+        assert [d.accepted for d in tct_first] == [True, False]
+        assert "'e2#ps1' already in use" in tct_first[1].reason
+        validate(service.store.schedule)
 
     def test_unroutable_request_rejected(self, service):
         decision = service.submit(_tct("ghost-route", src="D1", dst="nowhere"))

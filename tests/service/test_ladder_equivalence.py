@@ -20,8 +20,9 @@ import time
 import pytest
 
 from repro.core import schedule_etsn
-from repro.experiments import simulation_workload
-from repro.model.stream import Priorities, TctRequirement
+from repro.core.schedule import validate
+from repro.experiments import line_of_rings, simulation_workload
+from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
 from repro.obs import EventLog, filter_events
 from repro.serialization import schedule_to_dict
@@ -30,6 +31,7 @@ from repro.service import (
     RUNG_FULL,
     RUNG_HEURISTIC,
     AdmissionService,
+    AdmitEct,
     AdmitTct,
     Remove,
     RungConfig,
@@ -51,6 +53,15 @@ LADDER_DECISIONS = (
     "ffffffffffffffffffffffffffffffffffffffffffffFfffFffffffffffffffffffFfF"
     "fFfFffFfFffffFfffffffffffffffFffffFfffffffFFffffff"
 )
+#: seed -> (0-based indexes of the rejected operations, all others
+#: accepted by the constructive rung; digest of the final schedule)
+FASTPATH_PINS = {
+    1: ([80, 95, 98, 131, 148, 159, 170, 187, 194, 205, 218, 307, 316, 349,
+         360, 389],
+        "0f939d468fea6e9584048db332546e1e5c7a6b23d73bc7c614e5f52d4d0c51b2"),
+    7: ([128, 199, 250, 315, 320, 355, 364],
+        "18d34585d59f22d2bfe92f0ef19ac8bb346eeca85ac060435ae6af212be3b01e"),
+}
 _LETTERS = {RUNG_FASTPATH: "f", RUNG_FULL: "F", RUNG_HEURISTIC: "h"}
 
 
@@ -136,6 +147,73 @@ class TestPinnedToParent:
         counters = service.metrics.to_dict()["counters"]
         assert counters["fastpath.fallthroughs"] == 57
         assert counters["rungs.full.attempts"] == 57
+
+    @pytest.mark.parametrize("seed", sorted(FASTPATH_PINS))
+    def test_first_400_fastpath_ops(self, seed):
+        """bench's ``FastpathOps`` script on ``line_of_rings(4, 4, 2)``,
+        steering towards 60 live streams: grow, then remove / admit in
+        turn; 5 % of the churn admits are ECT streams, each removed by
+        the next operation, 5 % carry a 1 ns deadline.  Recorded before
+        prudent reservation went local to the streams an edit places."""
+        topology = line_of_rings(4, 4, 2)
+        rings = [[d.name for d in topology.devices
+                  if d.name.startswith(f"R{ring}S")] for ring in range(4)]
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(topology)),
+            ServiceConfig(rungs=(RungConfig(RUNG_FASTPATH),)),
+        )
+        rng = random.Random(seed)
+        live, live_ect, decisions = [], [], []
+        grown, remove_next = 0, True
+
+        def tct(name, e2e_ns=None):
+            src, dst = rng.sample(rng.choice(rings), 2)
+            return _tct(name, src, dst, rng.choice((4, 8, 16)),
+                        rng.randrange(100, 801), rng.random() < 0.15,
+                        e2e_ns=e2e_ns)
+
+        def ect(name):
+            src, dst = rng.sample(rng.choice(rings), 2)
+            return AdmitEct(EctStream(
+                name=name, source=src, destination=dst,
+                min_interevent_ns=milliseconds(16),
+                length_bytes=rng.randrange(100, 801), possibilities=4,
+            ))
+
+        for count in range(1, 401):
+            growing = len(live) < 60 and grown < 180
+            if growing:
+                grown += 1
+                request = tct(f"g{count}")
+            elif remove_next:
+                request = Remove(live_ect[0] if live_ect
+                                 else live[rng.randrange(len(live))])
+            else:
+                draw = rng.random()
+                if draw < 0.05:
+                    request = ect(f"c{count}")
+                else:
+                    request = tct(f"c{count}", 1 if draw < 0.10 else None)
+            if not growing:
+                remove_next = not remove_next
+            decision = service.submit(request)
+            decisions.append(decision)
+            if not decision.accepted:
+                continue
+            if isinstance(request, Remove):
+                live.remove(request.name)
+                if request.name in live_ect:
+                    live_ect.remove(request.name)
+            else:
+                live.append(request.stream_name)
+                if isinstance(request, AdmitEct):
+                    live_ect.append(request.stream_name)
+        rejected, digest = FASTPATH_PINS[seed]
+        assert _letters(decisions) == "".join(
+            "x" if i in rejected else "f" for i in range(400)
+        )
+        assert _digest(service) == digest
+        validate(service.store.schedule)
 
 
 def _saturated(service):
