@@ -2,7 +2,8 @@
 
 Implements the standard modern architecture: two-watched-literal unit
 propagation, first-UIP conflict analysis with clause learning, VSIDS-style
-activity ordering, phase saving, and Luby restarts.  A theory object may
+activity ordering (an indexed binary heap keeps the unassigned variables
+in branching order), phase saving, and Luby restarts.  A theory object may
 be attached; after every propagation fixpoint the solver feeds newly
 assigned literals to it and treats a returned conflict exactly like a
 falsified clause.
@@ -41,7 +42,14 @@ class SolverStats:
 
 
 class Theory(Protocol):
-    """What the SAT core needs from a theory solver."""
+    """What the SAT core needs from a theory solver.
+
+    Invariant both sides rely on: every ``on_assign`` that returns
+    ``None`` records exactly one assertion in the theory and a
+    conflicting one records none, so the theory's assertion stack is as
+    deep as the core's list of forwarded literals and the count handed
+    to ``on_backtrack`` *is* the depth to pop to.
+    """
 
     def on_assign(self, lit: int) -> Optional[List[int]]:
         """Notify that ``lit`` became true.
@@ -100,6 +108,12 @@ class SatSolver:
         self._phase: List[bool] = [False]
         self._activity: List[float] = [0.0]
         self._activity_inc = 1.0
+        # Branching order, built at solve() entry: a binary max-heap of
+        # variables keyed (activity desc, var asc) that holds at least
+        # every unassigned variable; _heap_pos[var] is its index there,
+        # -1 when absent.
+        self._heap: List[int] = []
+        self._heap_pos: List[int] = []
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -185,7 +199,9 @@ class SatSolver:
         """Preload saved phases and VSIDS activities (warm start).
 
         Only steers the search order — any values are sound.  Unknown
-        variable numbers are ignored.
+        variable numbers are ignored.  Activities are read when
+        :meth:`solve` builds its branching order, so seeding may happen
+        any time before that call.
         """
         for var, phase in phases.items():
             if 1 <= var <= self._num_vars:
@@ -225,8 +241,12 @@ class SatSolver:
             return
         keep = self._trail_lim[level]
         for lit in reversed(self._trail[keep:]):
-            self._values[abs(lit)] = UNASSIGNED
-            self._reasons[abs(lit)] = None
+            var = abs(lit)
+            self._values[var] = UNASSIGNED
+            self._reasons[var] = None
+            if self._heap_pos[var] < 0:
+                self._heap.append(var)
+                self._heap_up(len(self._heap) - 1)
         del self._trail[keep:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -320,16 +340,22 @@ class SatSolver:
     # conflict analysis
     # ------------------------------------------------------------------
     def _bump(self, var: int) -> None:
-        self._activity[var] += self._activity_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._activity_inc
+        if activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self._activity_inc *= 1e-100
+            # Small activities may have underflowed into a tie, which
+            # the variable number now breaks: re-establish the order.
+            self._heap_build(self._heap)
+        elif self._heap_pos[var] >= 0:
+            self._heap_up(self._heap_pos[var])
 
     def _analyze(self, conflict: List[int]) -> Tuple[List[int], int]:
         """First-UIP learning; returns (learned clause, backjump level)."""
         learned: List[int] = [0]  # slot 0 for the asserting literal
-        seen = [False] * (self._num_vars + 1)
+        seen = set()  # variables, not a per-conflict O(vars) array
         counter = 0
         lit_iter: Optional[int] = None
         index = len(self._trail) - 1
@@ -340,19 +366,19 @@ class SatSolver:
                 if lit_iter is not None and lit == lit_iter:
                     continue
                 var = abs(lit)
-                if seen[var] or self._levels[var] == 0:
+                if var in seen or self._levels[var] == 0:
                     continue
-                seen[var] = True
+                seen.add(var)
                 self._bump(var)
                 if self._levels[var] == self.decision_level:
                     counter += 1
                 else:
                     learned.append(lit)
-            while not seen[abs(self._trail[index])]:
+            while abs(self._trail[index]) not in seen:
                 index -= 1
             pivot = self._trail[index]
             index -= 1
-            seen[abs(pivot)] = False
+            seen.discard(abs(pivot))
             counter -= 1
             if counter == 0:
                 learned[0] = -pivot
@@ -373,20 +399,75 @@ class SatSolver:
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
+    def _heap_build(self, variables: Sequence[int]) -> None:
+        """Make ``variables`` the heap: a list sorted by the key is one."""
+        activity = self._activity
+        self._heap = sorted(variables, key=lambda var: (-activity[var], var))
+        self._heap_pos = [-1] * (self._num_vars + 1)
+        for index, var in enumerate(self._heap):
+            self._heap_pos[var] = index
+
+    def _heap_up(self, index: int) -> None:
+        heap, pos, activity = self._heap, self._heap_pos, self._activity
+        var = heap[index]
+        key = activity[var]
+        while index > 0:
+            parent_index = (index - 1) >> 1
+            parent = heap[parent_index]
+            parent_key = activity[parent]
+            if parent_key > key or (parent_key == key and parent < var):
+                break
+            heap[index] = parent
+            pos[parent] = index
+            index = parent_index
+        heap[index] = var
+        pos[var] = index
+
+    def _heap_pop(self) -> int:
+        """Remove and return the variable that sorts first."""
+        heap, pos, activity = self._heap, self._heap_pos, self._activity
+        top = heap[0]
+        pos[top] = -1
+        var = heap.pop()
+        size = len(heap)
+        if size == 0:
+            return top
+        key = activity[var]
+        index = 0
+        child_index = 1
+        while child_index < size:
+            child = heap[child_index]
+            child_key = activity[child]
+            if child_index + 1 < size:
+                other = heap[child_index + 1]
+                other_key = activity[other]
+                if other_key > child_key or (
+                    other_key == child_key and other < child
+                ):
+                    child_index += 1
+                    child, child_key = other, other_key
+            if key > child_key or (key == child_key and var < child):
+                break
+            heap[index] = child
+            pos[child] = index
+            index = child_index
+            child_index = 2 * index + 1
+        heap[index] = var
+        pos[var] = index
+        return top
+
     def _decide(self) -> bool:
-        best = 0
-        best_activity = -1.0
-        for var in range(1, self._num_vars + 1):
-            if self._values[var] == UNASSIGNED and self._activity[var] > best_activity:
-                best = var
-                best_activity = self._activity[var]
-        if best == 0:
-            return False
-        self.num_decisions += 1
-        self._trail_lim.append(len(self._trail))
-        lit = best if self._phase[best] else -best
-        self._assign(lit, None)
-        return True
+        """Branch on the unassigned variable of highest activity, the
+        lowest-numbered one on a tie; False when none is left."""
+        values = self._values
+        while self._heap:
+            var = self._heap_pop()
+            if values[var] == UNASSIGNED:
+                self.num_decisions += 1
+                self._trail_lim.append(len(self._trail))
+                self._assign(var if self._phase[var] else -var, None)
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # main loop
@@ -399,6 +480,12 @@ class SatSolver:
 
     def solve(self) -> bool:
         """Decide satisfiability.  The model is readable via :meth:`value`."""
+        # Built here, not as variables are allocated, so that activities
+        # seeded after the formula was built are honoured.
+        self._heap_build([
+            var for var in range(1, self._num_vars + 1)
+            if self._values[var] == UNASSIGNED
+        ])
         if self._root_conflict:
             return self._conclude_unsat()
         restart_count = 0

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.smt.proof import Certificate, ProofLog
 from repro.smt.sat import SatSolver, SolverStats
-from repro.smt.terms import Atom
+from repro.smt.terms import ZERO, Atom
 from repro.smt.theory import DifferenceLogic
 from repro.smt.warmstart import WarmStartState
 
@@ -58,31 +58,27 @@ class _DlTheoryAdapter:
 
     def __init__(self, dl: DifferenceLogic) -> None:
         self._dl = dl
-        self._atom_of_var: Dict[int, Atom] = {}
-        self._depths: List[int] = []  # DL stack depth before each assertion
+        # literal -> atom; the negative polarity is filled in the first
+        # time that literal is asserted, not on every assignment
+        self._atom_of_lit: Dict[int, Atom] = {}
 
     def register(self, var: int, atom: Atom) -> None:
-        self._atom_of_var[var] = atom
+        self._atom_of_lit[var] = atom
 
     def relevant(self, var: int) -> bool:
-        return var in self._atom_of_var
+        return var in self._atom_of_lit
 
     def on_assign(self, lit: int) -> Optional[List[int]]:
-        atom = self._atom_of_var[abs(lit)]
-        if lit < 0:
-            atom = atom.negate()
-        depth_before = self._dl.num_asserted
-        conflict = self._dl.assert_atom(atom, token=lit)
-        if conflict is not None:
-            return conflict
-        self._depths.append(depth_before)
-        return None
+        atom = self._atom_of_lit.get(lit)
+        if atom is None:
+            atom = self._atom_of_lit[lit] = self._atom_of_lit[-lit].negate()
+        return self._dl.assert_atom(atom, token=lit)
 
     def on_backtrack(self, num_assigned: int) -> None:
-        if num_assigned < len(self._depths):
-            depth = self._depths[num_assigned]
-            del self._depths[num_assigned:]
-            self._dl.backtrack_to(depth)
+        # One recorded edge per successful on_assign (the Theory
+        # protocol's invariant): the count kept is the depth to pop to.
+        assert num_assigned <= self._dl.num_asserted, "theory stack too shallow"
+        self._dl.backtrack_to(num_assigned)
 
     @property
     def last_conflict_cycle(self):
@@ -117,7 +113,6 @@ class DlSmtSolver:
         self._input_clauses: List[List[int]] = []
         self._num_clauses = 0
         self._warm_lemmas = 0
-        self._checked: Optional[SmtResult] = None
 
     # ------------------------------------------------------------------
     def int_var(self, name: str) -> str:
@@ -146,7 +141,6 @@ class DlSmtSolver:
         """Assert the disjunction of ``atoms``."""
         if not atoms:
             raise ValueError("empty clause is trivially unsatisfiable")
-        self._checked = None
         lits = [self._literal(a) for a in atoms]
         self._num_clauses += 1
         if self._proof is not None:
@@ -199,7 +193,6 @@ class DlSmtSolver:
                 lits.append(sign * var)
             else:
                 if lits:
-                    self._checked = None
                     self._sat.add_clause(lits)
                     injected += 1
         self._warm_lemmas = injected
@@ -240,8 +233,6 @@ class DlSmtSolver:
         model: Optional[Dict[str, int]] = None
         if sat:
             values = self._dl.model()
-            from repro.smt.terms import ZERO
-
             model = {
                 name: values.get(name, 0)
                 for name in self._int_vars
@@ -263,5 +254,4 @@ class DlSmtSolver:
                 model=dict(model) if model is not None else None,
                 proof=None if sat else list(self._proof.steps),
             )
-        self._checked = SmtResult(sat, model, stats, solver_stats, certificate)
-        return self._checked
+        return SmtResult(sat, model, stats, solver_stats, certificate)

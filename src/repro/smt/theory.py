@@ -84,11 +84,12 @@ class DifferenceLogic:
         solver in the conflicting state — the offending edge is *not*
         recorded when a conflict is returned.
         """
-        self._ensure(atom.x)
-        self._ensure(atom.y)
+        pi = self._pi
+        if atom.x not in pi or atom.y not in pi:  # first sight of a name
+            self._ensure(atom.x)
+            self._ensure(atom.y)
         # x - y <= c  ==>  edge  y -> x  weight c
         edge = _Edge(atom.y, atom.x, atom.c, token)
-        pi = self._pi
         if pi[edge.head] - pi[edge.tail] <= edge.weight:
             self._record(edge)
             return None
