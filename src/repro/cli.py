@@ -43,8 +43,10 @@ Commands
     than the allowed margin (default 20 %) — the CI trajectory gate.
 ``check``
     Static analysis: ``check lint`` runs the repo-invariant AST linter,
-    ``check proof`` / ``check model`` verify saved solver certificates
-    (see :mod:`repro.check`).
+    ``check proof`` / ``check model`` verify saved solver certificates,
+    ``check flow`` is the interprocedural lock-order analysis and
+    ``check units`` the time-unit dimensional analysis (see
+    :mod:`repro.check`).
 ``cluster``
     Sharded multi-tenant admission (:mod:`repro.cluster`):
     ``cluster status`` prints the switch-cluster partition,
@@ -59,6 +61,12 @@ Commands
     report with deadline-miss probabilities (Wilson 95 % CIs) and
     latency percentiles, and ``campaign example-spec`` prints a
     ready-to-edit spec.
+``frontend``
+    ``frontend serve`` runs the asyncio JSONL socket server over one
+    admission service or a cluster (:mod:`repro.frontend`).
+``loadgen``
+    Drive a running frontend with shape-mixed admission load and
+    report sent/ok/cached/busy counts and RTT quantiles.
 
 ``serve`` and ``admit`` accept ``--trace FILE`` to record admission
 spans (request -> rung -> solve) as JSON-lines, and ``--certify`` to
@@ -83,13 +91,6 @@ FIGURES = {
     "fig15": (fig15, lambda d, s: fig15.Fig15Config(duration_ns=d, seed=s)),
     "fig16": (fig16, lambda d, s: fig16.Fig16Config(duration_ns=d, seed=s)),
 }
-
-
-def _add_warm_start_flag(parser) -> None:
-    """The warm-start toggle shared by the serving commands."""
-    parser.add_argument("--no-warm-start", action="store_true",
-                        help="disable SMT solver warm-starting across "
-                             "consecutive solves on one snapshot")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify every solver verdict with the "
                             "repro.check certificate checker "
                             "(requires --backend smt)")
-    _add_warm_start_flag(admit)
 
     serve = sub.add_parser(
         "serve", help="serve a JSON-lines admission request stream"
@@ -174,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify every solver verdict with the "
                             "repro.check certificate checker "
                             "(requires --backend smt)")
-    _add_warm_start_flag(serve)
 
     metrics = sub.add_parser(
         "metrics", help="run a demo admission and export its metrics"
@@ -240,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cserve.add_argument("--backend", default="heuristic",
                         choices=("heuristic", "smt"),
                         help="backend for the full re-solve rung")
-    _add_warm_start_flag(cserve)
     cserve.add_argument("--metrics-out",
                         help="write the cluster metrics JSON here")
     cserve.add_argument("--audit", action="store_true",
@@ -465,12 +463,6 @@ def _dump_events(path, events) -> None:
     save_events(path, events.events())
 
 
-def _warm_start(args) -> bool:
-    """``ServiceConfig.warm_start`` from the shared flag; commands
-    without it (``cluster status``/``admit``) keep the default."""
-    return not getattr(args, "no_warm_start", False)
-
-
 def _open_requests(path: str):
     """The request source: a file handle, or stdin for ``-``.
 
@@ -503,8 +495,7 @@ def _run_admit(args) -> int:
     _check_certify(args)
     service = AdmissionService(
         store,
-        config=ServiceConfig(backend=args.backend, certify=args.certify,
-                             warm_start=_warm_start(args)),
+        config=ServiceConfig(backend=args.backend, certify=args.certify),
         tracer=tracer,
     )
     decision = service.submit(_admit_request(args))
@@ -545,7 +536,6 @@ def _run_serve(args) -> int:
         max_batch=args.max_batch,
         emit_deployments=args.emit_deployments,
         certify=args.certify,
-        warm_start=_warm_start(args),
     ), tracer=tracer, events=events)
 
     decisions = []
@@ -704,8 +694,7 @@ def _load_cluster(args, tracer=None, events=None):
     partition = partition_topology(topology, args.shards, seeds=seeds)
     from repro.service import ServiceConfig
 
-    config = ServiceConfig(backend=getattr(args, "backend", "heuristic"),
-                           warm_start=_warm_start(args))
+    config = ServiceConfig(backend=getattr(args, "backend", "heuristic"))
     return ClusterCoordinator(
         partition=partition,
         config=config,

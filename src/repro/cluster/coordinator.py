@@ -6,11 +6,10 @@ One :class:`ClusterCoordinator` fronts a fleet of per-shard
 :class:`~repro.cluster.partition.NetworkPartition`:
 
 * **Shard-local requests** (the common case — industrial cells mostly
-  talk within themselves) are routed to their shard and admitted fully
-  in parallel on a thread pool; shards never contend on a shared store,
-  which is where the throughput multiple over the single-store service
-  comes from — each shard's incremental solve walks a schedule a
-  fraction of the global size.
+  talk within themselves) are routed to their shard and admitted on a
+  thread pool; shards never contend on a shared store, but they do
+  share one GIL — since admission became edit-proportional (PR 14) the
+  cluster measures 0.94x a single store, not a multiple of it.
 * **Cross-shard requests** split into per-shard route segments at the
   partition's boundary links and go through the two-phase publish of
   :mod:`repro.cluster.twophase`: prepare pins each shard's CAS version
@@ -43,8 +42,9 @@ one shard cannot be expressed as a single source→destination
 sub-admit.
 
 Stream names are unique **cluster-wide**, not merely per shard: an
-admit claims its name under the coordinator lock and is rejected with
-``name_in_use`` when any shard already holds it (or a concurrent admit
+admit claims its name (an ECT admit also its possibilities' names, under
+which it is scheduled) under the coordinator lock and is rejected with
+``name_in_use`` when any shard already holds one (or a concurrent admit
 is in flight for it) — otherwise two same-named streams on different
 shards would corrupt the stitched global view and a ``Remove`` would
 retire both.
@@ -74,7 +74,12 @@ from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.export import cluster_to_prometheus
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import fastpath as fastpath_module
-from repro.service.admission import AdmissionService, ServiceConfig, empty_schedule
+from repro.service.admission import (
+    AdmissionService,
+    ServiceConfig,
+    claimed_names,
+    empty_schedule,
+)
 from repro.service.metrics import MetricsRegistry
 from repro.service.requests import (
     AdmissionRequest,
@@ -306,14 +311,15 @@ class ClusterCoordinator:
                 request = requests[index]
                 self._metrics.counter("cluster.requests_total").inc()
                 if isinstance(request, (AdmitTct, AdmitEct)):
-                    problem = self._claim_name(request.stream_name)
+                    names = claimed_names(request)
+                    problem = self._claim_names(names)
                     if problem is not None:
                         self._metrics.counter(
                             "cluster.rejected_name_in_use"
                         ).inc()
                         decisions[index] = self._reject(request, problem)
                         continue
-                    claimed.append(request.stream_name)
+                    claimed.extend(names)
                 placement = self._place(request)
                 if placement.reject_reason is not None:
                     decisions[index] = self._reject(
@@ -486,26 +492,28 @@ class ClusterCoordinator:
             return _Placement(reject_reason=REASON_REENTRANT)
         return _Placement(shards=shards)
 
-    def _claim_name(self, name: str) -> Optional[str]:
-        """Atomically claim an admit's stream name, cluster-wide.
+    def _claim_names(self, names: Sequence[str]) -> Optional[str]:
+        """Atomically claim the names an admit takes, cluster-wide: its
+        own and, for an ECT, its possibilities' (all or none).
 
-        Returns a rejection reason when any shard already holds the
-        name or another in-flight admit claimed it; on ``None`` the
-        name stays claimed until the wave releases it.
+        Returns a rejection reason when any shard already holds one of
+        them or another in-flight admit claimed it; on ``None`` they
+        stay claimed until the wave releases them.
         """
         with self._lock:
-            if name in self._inflight_names:
-                return (
-                    f"{REASON_NAME_IN_USE}: stream name {name!r} has a "
-                    f"concurrent admit in flight"
-                )
-            for shard_name, runtime in sorted(self._runtimes.items()):
-                if self._holds_stream(runtime, name):
+            for name in names:
+                if name in self._inflight_names:
                     return (
-                        f"{REASON_NAME_IN_USE}: stream name {name!r} is "
-                        f"already admitted on {shard_name}"
+                        f"{REASON_NAME_IN_USE}: stream name {name!r} has "
+                        f"a concurrent admit in flight"
                     )
-            self._inflight_names.add(name)
+                for shard_name, runtime in sorted(self._runtimes.items()):
+                    if self._holds_stream(runtime, name):
+                        return (
+                            f"{REASON_NAME_IN_USE}: stream name {name!r} "
+                            f"is already admitted on {shard_name}"
+                        )
+            self._inflight_names.update(names)
             return None
 
     @staticmethod

@@ -47,8 +47,6 @@ def schedule_etsn(
     guard_margin_ns: int = 0,
     reservation_mode: str = "paper",
     proof: bool = False,
-    warm_start=None,
-    warm_state_sink=None,
 ) -> NetworkSchedule:
     """Joint E-TSN schedule (paper Sec. III/IV).
 
@@ -57,11 +55,6 @@ def schedule_etsn(
 
     ``proof=True`` (SMT backend only) turns on certificate logging and
     independent verification — see :func:`repro.core.schedule_smt`.
-
-    ``warm_start`` / ``warm_state_sink`` (SMT backend only) reuse
-    formula-independent solver state across consecutive solves — see
-    :func:`repro.core.schedule_smt`; both are ignored by the heuristic
-    backend, which has no solver state to carry.
     """
     kwargs = dict(
         guard_margin_ns=guard_margin_ns, reservation_mode=reservation_mode
@@ -72,11 +65,6 @@ def schedule_etsn(
                 f"proof certificates require backend='smt', got {backend!r}"
             )
         kwargs["proof"] = True
-    if backend == "smt":
-        if warm_start is not None:
-            kwargs["warm_start"] = warm_start
-        if warm_state_sink is not None:
-            kwargs["warm_state_sink"] = warm_state_sink
     return _backend(backend)(topology, tct_streams, ect_streams, **kwargs)
 
 

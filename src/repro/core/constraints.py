@@ -15,7 +15,7 @@ last sending instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.reservation import ReservationPlan
 from repro.model.frame import FrameVar, build_frame_vars
@@ -23,7 +23,6 @@ from repro.model.stream import Priorities, Stream, StreamType, may_overlap
 from repro.model.topology import Topology
 from repro.smt.solver import DlSmtSolver
 from repro.smt.terms import Atom, diff_le, var_ge, var_le
-from repro.smt.warmstart import WarmStartState
 
 
 @dataclass
@@ -58,18 +57,12 @@ def build_constraints(
     plan: ReservationPlan,
     guard_margin_ns: int = 0,
     proof: bool = False,
-    warm_start: Optional[WarmStartState] = None,
 ) -> ConstraintSystem:
     """Assemble the full Eq. 1-7 formula for ``streams``.
 
     ``proof=True`` builds the solver with certificate logging, so the
     eventual :class:`~repro.smt.solver.SmtResult` carries a
     machine-checkable proof (UNSAT) or model witness (SAT).
-
-    ``warm_start`` injects formula-independent state from a previous
-    solve after the formula is built (ignored under ``proof=True`` —
-    injected lemmas are not input clauses and would corrupt the
-    certificate).
     """
     for stream in streams:
         Priorities.check(stream)  # Eq. 6, by construction rather than search
@@ -82,8 +75,6 @@ def build_constraints(
     _add_e2e_constraints(solver, streams, frames)
     num_overlap = _add_overlap_constraints(solver, streams_by_name, frames)
     _add_adjacent_link_constraints(solver, streams, frames)
-    if warm_start is not None:
-        solver.apply_warm_state(warm_start)
     return ConstraintSystem(solver=solver, frames=frames, num_overlap_clauses=num_overlap)
 
 

@@ -245,8 +245,9 @@ def remove_stream(
     """Retire a TCT stream or an ECT stream (with all its possibilities).
 
     Removing an ECT stream leaves the other streams' extra reservations
-    in place (they are still valid, just more generous than needed); a
-    periodic offline re-run reclaims them.
+    in place (they are still valid, just more generous than needed);
+    they stay until a later ECT admit or ``full`` re-solve touches the
+    stream.
     """
     ect_streams = schedule.ect_streams
     if any(e.name == name for e in ect_streams):

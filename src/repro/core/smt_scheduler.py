@@ -14,7 +14,7 @@ Pipeline (paper Fig. 5, inside the CNC):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.check.proof import verify_certificate
 from repro.core.constraints import build_constraints
@@ -29,7 +29,6 @@ from repro.core.schedule import (
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Stream
 from repro.model.topology import Topology
-from repro.smt.warmstart import WarmStartState
 
 
 def schedule_smt(
@@ -40,8 +39,6 @@ def schedule_smt(
     guard_margin_ns: int = 0,
     reservation_mode: str = "paper",
     proof: bool = False,
-    warm_start: Optional[WarmStartState] = None,
-    warm_state_sink: Optional[Callable[[WarmStartState], None]] = None,
 ) -> NetworkSchedule:
     """Compute a joint E-TSN schedule with the SMT backend.
 
@@ -58,12 +55,6 @@ def schedule_smt(
     that fails to check raises
     :class:`~repro.check.proof.CertificateError` — that is a solver
     bug, not an admission verdict.
-
-    ``warm_start`` seeds the solver with formula-independent state from
-    a previous solve on the same snapshot (theory lemmas, branching
-    heuristics, potentials; no-op under ``proof=True``);
-    ``warm_state_sink`` receives this solve's exported state — on SAT
-    *and* UNSAT — so the caller can cache it for the next solve.
     """
     streams: List[Stream] = list(tct_streams)
     ects = list(ect_streams)
@@ -72,12 +63,9 @@ def schedule_smt(
 
     plan = prudent_reservation(streams, mode=reservation_mode)
     system = build_constraints(
-        topology, streams, plan, guard_margin_ns, proof=proof,
-        warm_start=warm_start,
+        topology, streams, plan, guard_margin_ns, proof=proof
     )
     result = system.solver.check()
-    if warm_state_sink is not None:
-        warm_state_sink(system.solver.export_warm_state())
     if not result.sat:
         message = (
             f"SMT scheduler: no schedule exists for {len(streams)} streams "

@@ -77,9 +77,6 @@ def add_frontend_parser(subparsers) -> None:
                             "here on shutdown")
     serve.add_argument("--trace", metavar="FILE",
                        help="write admission spans here as JSON-lines")
-    from repro.cli import _add_warm_start_flag
-
-    _add_warm_start_flag(serve)
 
 
 def add_loadgen_parser(subparsers) -> None:
@@ -138,7 +135,7 @@ def run_frontend(args) -> int:
 
 
 def _run_frontend_serve(args) -> int:
-    from repro.cli import _load_schedule, _make_tracer, _warm_start
+    from repro.cli import _load_schedule, _make_tracer
     from repro.frontend.server import (
         ClusterBackend,
         Frontend,
@@ -155,9 +152,7 @@ def _run_frontend_serve(args) -> int:
     )
 
     tracer = _make_tracer(args.trace)
-    config = ServiceConfig(
-        backend=args.backend, warm_start=_warm_start(args)
-    )
+    config = ServiceConfig(backend=args.backend)
     coordinator = None
     if args.cluster:
         if not args.topology:

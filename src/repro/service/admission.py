@@ -10,8 +10,8 @@
   (:mod:`repro.service.fastpath`: earliest-fit around the frozen
   schedule, or a conclusive analytic reject that ends the climb), then
   a re-solve with the configured backend, then — for the SMT backend —
-  a re-solve with :func:`schedule_heuristic`; each re-solve rung with
-  its own wall-clock timeout and bounded retry/backoff;
+  a re-solve with :func:`schedule_heuristic`; each re-solve rung is
+  one cold attempt under its own wall-clock timeout;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -65,7 +65,6 @@ from repro.service.requests import (
     Remove,
 )
 from repro.service.store import ScheduleStore, StaleVersionError
-from repro.smt.warmstart import WarmStartCache
 
 #: Ladder rung names, in climb order.  ``RUNG_FASTPATH`` (re-exported
 #: from :mod:`repro.service.fastpath`) is the constructive rung: bounded
@@ -97,16 +96,15 @@ class RungTimeout(RuntimeError):
 class RungConfig:
     """Budget of one ladder rung.
 
-    ``retries`` re-runs apply to timeouts and unexpected solver errors;
-    a deterministic :class:`InfeasibleError` is final for the rung, so
-    it climbs immediately.  The budget is for *search*: the constructive
-    rung has none and runs inline whatever ``timeout_s`` says.
+    A rung is attempted once: the backends are deterministic functions
+    of (snapshot, request), so a timeout, an infeasible verdict or an
+    unexpected solver error is recorded and the climb moves on.  The
+    budget is for *search*: the constructive rung has none and runs
+    inline whatever ``timeout_s`` says.
     """
 
     name: str
     timeout_s: Optional[float] = 30.0
-    retries: int = 0
-    backoff_s: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,6 @@ class ServiceConfig:
     #: accepts and never rejects on its own — its analytic rejects
     #: climb on to the proof-logging solver.  Requires ``backend='smt'``.
     certify: bool = False
-    #: reuse formula-independent DPLL(T) state (theory lemmas, branching
-    #: heuristics, potentials) across consecutive full-rung SMT solves
-    #: on one snapshot; invalidated on every publish.  No-op for the
-    #: heuristic backend and under ``certify``.
-    warm_start: bool = True
     rungs: Tuple[RungConfig, ...] = (
         RungConfig(RUNG_FASTPATH),
         RungConfig(RUNG_FULL),
@@ -192,7 +185,6 @@ class AdmissionService:
         config: Optional[ServiceConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.perf_counter,
-        sleep: Callable[[float], None] = time.sleep,
         on_deploy: Optional[Callable[[Deployment], None]] = None,
         tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
@@ -206,7 +198,6 @@ class AdmissionService:
             )
         self._metrics = metrics if metrics is not None else store.metrics
         self._clock = clock
-        self._sleep = sleep
         self._on_deploy = on_deploy
         # Disabled tracing is the no-op singleton, not None: the spans
         # below cost one call each either way, no branching on hot paths.
@@ -223,13 +214,6 @@ class AdmissionService:
         self._batch_counter = 0
         self._last_deployment: Optional[Deployment] = None
         self._rungs = _effective_rungs(self._config)
-        self._warm_cache: Optional[WarmStartCache] = (
-            WarmStartCache()
-            if (self._config.backend == "smt"
-                and self._config.warm_start
-                and not self._config.certify)
-            else None
-        )
 
     # -- public surface ------------------------------------------------
     @property
@@ -472,14 +456,6 @@ class AdmissionService:
                 # signal the bounded rebase loop to retry on a fresh
                 # snapshot.
                 return None
-            if self._warm_cache is not None:
-                # the published snapshot obsoletes every cached solver
-                # state — the next full solve starts from the new base
-                dropped = self._warm_cache.invalidate()
-                if dropped:
-                    self._metrics.counter(
-                        "warmstart.invalidations"
-                    ).inc(dropped)
             self._emit_deployment(schedule)
 
         ordered = []
@@ -573,13 +549,13 @@ class AdmissionService:
         worth a solve.
         """
         name = request.stream_name
-        pending = {n for r in batch_so_far for n in _claimed_names(r)}
+        pending = {n for r in batch_so_far for n in claimed_names(r)}
         scheduled = schedule.streams_by_name.get(name)
         is_ect = any(e.name == name for e in schedule.ect_streams)
         if isinstance(request, (AdmitTct, AdmitEct)):
             if is_ect:
                 return f"stream name {name!r} already in use"
-            for taken in _claimed_names(request):
+            for taken in claimed_names(request):
                 if taken in schedule.streams_by_name or taken in pending:
                     return f"stream name {taken!r} already in use"
             try:
@@ -642,67 +618,62 @@ class AdmissionService:
         def count(what: str) -> None:
             self._metrics.counter(f"rungs.{rung.name}.{what}").inc()
 
-        for attempt in range(rung.retries + 1):
-            count("attempts")
-            started = self._clock()
-            try:
-                with self._tracer.span(
-                    "admission.rung", rung=rung.name, attempt=attempt
-                ) as rung_span:
-                    def solve() -> NetworkSchedule:
-                        # may run on the timeout watchdog's worker
-                        # thread, whose span stack cannot see this one:
-                        # the parent is named explicitly
-                        with self._tracer.span(
-                            "solve", parent=rung_span, rung=rung.name
-                        ):
-                            return solver()
+        count("attempts")
+        started = self._clock()
+        try:
+            with self._tracer.span(
+                "admission.rung", rung=rung.name
+            ) as rung_span:
+                def solve() -> NetworkSchedule:
+                    # may run on the timeout watchdog's worker thread,
+                    # whose span stack cannot see this one: the parent
+                    # is named explicitly
+                    with self._tracer.span(
+                        "solve", parent=rung_span, rung=rung.name
+                    ):
+                        return solver()
 
-                    try:
-                        result = _call_with_timeout(
-                            solve, rung.timeout_s, self._metrics,
-                            self._events, rung.name,
-                        )
-                    except RungTimeout as exc:
-                        count("timeouts")
-                        attempts[rung.name] = str(exc)
-                        rung_span.set(outcome="timeout")
-                    except (InfeasibleError, ScheduleError, StreamError,
-                            ValueError) as exc:
-                        # deterministic verdict: retrying cannot change it
-                        count("failures")
-                        attempts[rung.name] = str(exc)
-                        rung_span.set(outcome="infeasible")
-                        if isinstance(exc, CertifiedInfeasibleError):
-                            # the rejection's UNSAT proof replayed cleanly
-                            self._metrics.counter(
-                                "certificates.verified_unsat"
-                            ).inc()
-                            rung_span.set(certified=True)
-                        if isinstance(exc, ConclusiveReject):
-                            raise
-                        return None
-                    except Exception as exc:  # noqa: BLE001 - keep the service up
-                        count("errors")
-                        attempts[rung.name] = f"{type(exc).__name__}: {exc}"
-                        rung_span.set(outcome="error")
-                        if isinstance(exc, CertificateError):
-                            # a verdict failed independent checking: a
-                            # solver bug — surfaced loudly, never
-                            # silently admitted
-                            self._metrics.counter("certificates.failed").inc()
-                            rung_span.set(certified=False)
-                    else:
-                        count("successes")
-                        rung_span.set(outcome="success")
-                        self._harvest_solver_stats(result)
-                        return result
-            finally:
-                self._metrics.histogram(
-                    f"latency.rung.{rung.name}_ms"
-                ).observe((self._clock() - started) * 1e3)
-            if attempt < rung.retries and rung.backoff_s:
-                self._sleep(rung.backoff_s * (2 ** attempt))
+                try:
+                    result = _call_with_timeout(
+                        solve, rung.timeout_s, self._metrics,
+                        self._events, rung.name,
+                    )
+                except RungTimeout as exc:
+                    count("timeouts")
+                    attempts[rung.name] = str(exc)
+                    rung_span.set(outcome="timeout")
+                except (InfeasibleError, ScheduleError, StreamError,
+                        ValueError) as exc:
+                    count("failures")
+                    attempts[rung.name] = str(exc)
+                    rung_span.set(outcome="infeasible")
+                    if isinstance(exc, CertifiedInfeasibleError):
+                        # the rejection's UNSAT proof replayed cleanly
+                        self._metrics.counter(
+                            "certificates.verified_unsat"
+                        ).inc()
+                        rung_span.set(certified=True)
+                    if isinstance(exc, ConclusiveReject):
+                        raise
+                except Exception as exc:  # noqa: BLE001 - keep the service up
+                    count("errors")
+                    attempts[rung.name] = f"{type(exc).__name__}: {exc}"
+                    rung_span.set(outcome="error")
+                    if isinstance(exc, CertificateError):
+                        # a verdict failed independent checking: a
+                        # solver bug — surfaced loudly, never silently
+                        # admitted
+                        self._metrics.counter("certificates.failed").inc()
+                        rung_span.set(certified=False)
+                else:
+                    count("successes")
+                    rung_span.set(outcome="success")
+                    self._harvest_solver_stats(result)
+                    return result
+        finally:
+            self._metrics.histogram(
+                f"latency.rung.{rung.name}_ms"
+            ).observe((self._clock() - started) * 1e3)
         return None
 
     def _harvest_solver_stats(self, result: NetworkSchedule) -> None:
@@ -784,24 +755,9 @@ class AdmissionService:
                 schedule.topology, tct, ects, max_restarts=restarts, **kwargs
             )
         else:
-            warm_state = None
-            warm_sink = None
-            cache = self._warm_cache
-            if cache is not None:
-                # keyed on the snapshot identity: every publish builds a
-                # new schedule object, so a hit always means "same base
-                # formula shape" — and the publish path invalidates
-                # explicitly too
-                warm_state = cache.get(schedule)
-                self._metrics.counter(
-                    "warmstart.hits" if warm_state is not None
-                    else "warmstart.misses"
-                ).inc()
-                warm_sink = lambda state: cache.put(schedule, state)  # noqa: E731
             result = schedule_etsn(
                 schedule.topology, tct, ects, backend=backend,
-                proof=self._config.certify,
-                warm_start=warm_state, warm_state_sink=warm_sink, **kwargs
+                proof=self._config.certify, **kwargs
             )
         result.meta["resolved_by"] = rung_name
         return result
@@ -825,7 +781,7 @@ class AdmissionService:
             self._on_deploy(deployment)
 
 
-def _claimed_names(request: AdmissionRequest) -> List[str]:
+def claimed_names(request: AdmissionRequest) -> List[str]:
     """The names ``request`` takes or touches: its own and, as an ECT is
     scheduled under its possibilities' names, an ECT admit's of those."""
     if isinstance(request, AdmitEct):

@@ -122,11 +122,6 @@ class SatSolver:
         self._theory_trail: List[tuple] = []
         self._theory_head = 0  # trail entries examined so far
         self._root_conflict = False
-        #: Theory-conflict lemmas in the order derived.  Unlike CDCL
-        #: learned clauses (resolvents of *this* formula), these are
-        #: valid in the theory itself and may be replayed into a future
-        #: solve over the same atoms — the warm-start harvest point.
-        self.theory_lemmas: List[List[int]] = []
         self.num_conflicts = 0
         self.num_decisions = 0
         self.num_restarts = 0
@@ -190,25 +185,6 @@ class SatSolver:
             return True
         self._attach(clause)
         return True
-
-    def seed_heuristics(
-        self,
-        phases: Dict[int, bool],
-        activities: Dict[int, float],
-    ) -> None:
-        """Preload saved phases and VSIDS activities (warm start).
-
-        Only steers the search order — any values are sound.  Unknown
-        variable numbers are ignored.  Activities are read when
-        :meth:`solve` builds its branching order, so seeding may happen
-        any time before that call.
-        """
-        for var, phase in phases.items():
-            if 1 <= var <= self._num_vars:
-                self._phase[var] = phase
-        for var, activity in activities.items():
-            if 1 <= var <= self._num_vars:
-                self._activity[var] = activity
 
     def _attach(self, clause: List[int]) -> None:
         self._clauses.append(clause)
@@ -326,7 +302,6 @@ class SatSolver:
                 # assertion, so its stack already matches _theory_trail.
                 self._theory_head = pos
                 lemma = [-l for l in conflict_lits]
-                self.theory_lemmas.append(list(lemma))
                 if self._proof is not None:
                     self._proof.add_lemma(
                         lemma,

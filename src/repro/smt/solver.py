@@ -14,7 +14,6 @@ from repro.smt.proof import Certificate, ProofLog
 from repro.smt.sat import SatSolver, SolverStats
 from repro.smt.terms import ZERO, Atom
 from repro.smt.theory import DifferenceLogic
-from repro.smt.warmstart import WarmStartState
 
 
 class SmtResult:
@@ -112,7 +111,6 @@ class DlSmtSolver:
         # so the certificate can carry the formula the checker replays.
         self._input_clauses: List[List[int]] = []
         self._num_clauses = 0
-        self._warm_lemmas = 0
 
     # ------------------------------------------------------------------
     def int_var(self, name: str) -> str:
@@ -148,85 +146,6 @@ class DlSmtSolver:
         self._sat.add_clause(lits)
 
     # ------------------------------------------------------------------
-    # warm start
-    # ------------------------------------------------------------------
-    def apply_warm_state(self, state: WarmStartState) -> int:
-        """Inject formula-independent state from a previous solve.
-
-        Must run after the formula is built (atoms are matched by
-        canonical form against this solver's atom table) and before
-        :meth:`check`.  Three pieces apply:
-
-        * theory lemmas whose atoms all exist here are added as
-          (redundant, theory-valid) clauses;
-        * saved phases and VSIDS activities seed the branching order;
-        * the previous feasible potential seeds the difference-logic
-          core, provided nothing has been asserted yet.
-
-        Skipped entirely under proof logging — injected lemmas are not
-        input clauses and would corrupt the certificate's CNF.  Returns
-        the number of lemmas injected.
-        """
-        if self._proof is not None:
-            return 0
-        if state.potentials and self._dl.num_asserted == 0:
-            self._dl.seed_potential(state.potentials)
-        phases: Dict[int, bool] = {}
-        activities: Dict[int, float] = {}
-        for atom, phase in state.phases.items():
-            var = self._vars_of_atom.get(atom)
-            if var is not None:
-                phases[var] = phase
-        for atom, activity in state.activities.items():
-            var = self._vars_of_atom.get(atom)
-            if var is not None:
-                activities[var] = activity
-        self._sat.seed_heuristics(phases, activities)
-        injected = 0
-        for clause in state.lemmas:
-            lits: List[int] = []
-            for atom in clause:
-                canonical, sign = atom.canonical()
-                var = self._vars_of_atom.get(canonical)
-                if var is None:
-                    break
-                lits.append(sign * var)
-            else:
-                if lits:
-                    self._sat.add_clause(lits)
-                    injected += 1
-        self._warm_lemmas = injected
-        return injected
-
-    def export_warm_state(self) -> WarmStartState:
-        """Snapshot the formula-independent state after a solve."""
-        atom_of_var = {var: atom for atom, var in self._vars_of_atom.items()}
-        lemmas: List[List[Atom]] = []
-        for clause in self._sat.theory_lemmas:
-            atoms: List[Atom] = []
-            for lit in clause:
-                atom = atom_of_var.get(abs(lit))
-                if atom is None:
-                    break
-                atoms.append(atom if lit > 0 else atom.negate())
-            else:
-                if atoms:
-                    lemmas.append(atoms)
-        phases: Dict[Atom, bool] = {}
-        activities: Dict[Atom, float] = {}
-        for atom, var in self._vars_of_atom.items():
-            phases[atom] = self._sat._phase[var]
-            activity = self._sat._activity[var]
-            if activity:
-                activities[atom] = activity
-        return WarmStartState(
-            lemmas=lemmas,
-            phases=phases,
-            activities=activities,
-            potentials=dict(self._dl._pi),
-        )
-
-    # ------------------------------------------------------------------
     def check(self) -> SmtResult:
         """Run the DPLL(T) search."""
         sat = self._sat.solve()
@@ -242,7 +161,6 @@ class DlSmtSolver:
         stats = {
             "atoms": len(self._vars_of_atom),
             "clauses": self._num_clauses,
-            "warm_lemmas": self._warm_lemmas,
         }
         stats.update(solver_stats.to_dict())
         certificate = None

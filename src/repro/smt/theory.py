@@ -55,22 +55,6 @@ class DifferenceLogic:
             self._pi[name] = 0
             self._out[name] = []
 
-    def seed_potential(self, potentials: Dict[str, int]) -> None:
-        """Preload the feasible potential before any assertion.
-
-        With an empty constraint graph *every* integer potential is
-        feasible, so seeding is sound only while nothing is asserted;
-        the repair loop then starts from a near-solution instead of
-        from all-zeros.  Raises :class:`ValueError` once edges exist.
-        """
-        if self._edges:
-            raise ValueError(
-                "seed_potential is only sound before the first assertion"
-            )
-        for name, value in potentials.items():
-            self._ensure(name)
-            self._pi[name] = value
-
     @property
     def num_asserted(self) -> int:
         """Current assertion-stack depth (for backtracking bookkeeping)."""

@@ -182,6 +182,32 @@ class TestNameUniqueness:
         assert not second.accepted
         assert second.reason.startswith(REASON_NAME_IN_USE)
 
+    def test_ect_possibility_name_is_claimed_too(
+        self, coordinator
+    ):
+        """An ECT is scheduled under its possibilities' names, so an
+        admit claims those cluster-wide as well as its own."""
+        assert coordinator.submit(_tct("e#ps1", "D7", "D8")).accepted
+        decision = coordinator.submit(_ect("e", "D1", "D2"))
+        assert not decision.accepted
+        assert decision.reason.startswith(REASON_NAME_IN_USE)
+        assert "'e#ps1'" in decision.reason
+        assert coordinator.shard_store("shard0").version == 0
+        stitched = coordinator.global_schedule()
+        assert [s.name for s in stitched.streams] == ["e#ps1"]
+        # the rejected admit released every name it claimed
+        assert coordinator.submit(Remove("e#ps1")).accepted
+        assert coordinator.submit(_ect("e", "D1", "D2")).accepted
+
+    def test_ect_and_its_possibility_name_in_one_batch(self, coordinator):
+        first, second = coordinator.submit_many([
+            _ect("e", "D1", "D2"),
+            _tct("e#ps1", "D7", "D8"),
+        ])
+        assert first.accepted
+        assert not second.accepted
+        assert second.reason.startswith(REASON_NAME_IN_USE)
+
     def test_remove_frees_the_name_cluster_wide(self, coordinator):
         assert coordinator.submit(_tct("dup", "D1", "D4")).accepted
         assert coordinator.submit(Remove("dup")).accepted

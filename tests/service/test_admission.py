@@ -320,47 +320,33 @@ class TestTimeoutsAndRetries:
         assert service.metrics.counter(
             f"rungs.{RUNG_FULL}.timeouts").value == 1
 
-    def test_bounded_retry_with_backoff(self, star_topology, monkeypatch):
-        sleeps = []
-        config = ServiceConfig(rungs=(
-            RungConfig(RUNG_FULL, timeout_s=None, retries=2, backoff_s=0.01),
-        ))
-        service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)), config=config,
-            sleep=sleeps.append)
-        calls = {"n": 0}
-        real = service._resolve
-
-        def flaky(*args):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient backend hiccup")
-            return real(*args)
-
-        monkeypatch.setattr(service, "_resolve", flaky)
-        decision = service.submit(_tct("a"))
-        assert decision.accepted
-        assert decision.rung == RUNG_FULL
-        assert calls["n"] == 3
-        assert sleeps == [0.01, 0.02]  # exponential backoff
-        assert service.metrics.counter(f"rungs.{RUNG_FULL}.errors").value == 2
-
-    def test_retries_do_not_apply_to_infeasible(self, star_topology, monkeypatch):
-        config = ServiceConfig(rungs=(
-            RungConfig(RUNG_FULL, timeout_s=None, retries=3, backoff_s=0.01),
+    def test_backend_error_is_recorded_climb_goes_on(
+        self, star_topology, monkeypatch
+    ):
+        config = ServiceConfig(backend="smt", rungs=(
+            RungConfig(RUNG_FULL, timeout_s=None),
+            RungConfig(RUNG_HEURISTIC, timeout_s=None),
         ))
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)), config=config)
-        calls = {"n": 0}
+        calls = []
+        real = service._resolve
 
-        def always_infeasible(*args):
-            calls["n"] += 1
-            raise InfeasibleError("deterministically full")
+        def broken_full(schedule, batch, rung_name):
+            calls.append(rung_name)
+            if rung_name == RUNG_FULL:
+                raise RuntimeError("backend hiccup")
+            return real(schedule, batch, rung_name)
 
-        monkeypatch.setattr(service, "_resolve", always_infeasible)
+        monkeypatch.setattr(service, "_resolve", broken_full)
         decision = service.submit(_tct("a"))
-        assert not decision.accepted
-        assert calls["n"] == 1  # no point retrying a deterministic verdict
+        assert decision.accepted
+        assert decision.rung == RUNG_HEURISTIC
+        assert decision.attempts[RUNG_FULL] == "RuntimeError: backend hiccup"
+        assert calls == [RUNG_FULL, RUNG_HEURISTIC]  # one attempt per rung
+        counters = service.metrics.to_dict()["counters"]
+        assert counters[f"rungs.{RUNG_FULL}.errors"] == 1
+        assert counters[f"rungs.{RUNG_FULL}.attempts"] == 1
 
 
 class TestDeploymentEmission:

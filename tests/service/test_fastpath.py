@@ -24,9 +24,7 @@ from repro.service import (
     AdmitEct,
     AdmitTct,
     Remove,
-    RungConfig,
     ScheduleStore,
-    ServiceConfig,
     empty_schedule,
 )
 from repro.service import fastpath
@@ -242,28 +240,3 @@ def test_fastpath_never_contradicts_the_smt_solver(scenario):
     else:
         with pytest.raises(InfeasibleError):
             smt_solve()
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4))
-def test_warm_cache_invalidated_on_every_publish(names):
-    """Every CAS publish clears the warm-start cache — no solve can
-    ever reuse state from a superseded snapshot."""
-    service = AdmissionService(
-        ScheduleStore(empty_schedule(_star())),
-        # full-SMT-only ladder so every decision exercises the cache
-        config=ServiceConfig(
-            backend="smt", rungs=(RungConfig("full", timeout_s=None),),
-        ),
-    )
-    admitted = set()
-    for name in names:
-        decision = service.submit(
-            _tct(name) if name not in admitted else Remove(name)
-        )
-        if decision.accepted:
-            admitted.symmetric_difference_update({name})
-            assert len(service._warm_cache) == 0, (
-                "publish left stale warm-start state behind"
-            )

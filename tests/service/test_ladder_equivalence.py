@@ -22,6 +22,7 @@ import pytest
 from repro.core import schedule_etsn
 from repro.core.schedule import validate
 from repro.experiments import line_of_rings, simulation_workload
+from repro.experiments import testbed_workload as make_testbed_workload
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
 from repro.obs import EventLog, filter_events
@@ -53,6 +54,10 @@ LADDER_DECISIONS = (
     "ffffffffffffffffffffffffffffffffffffffffffffFfffFffffffffffffffffffFfF"
     "fFfFffFfFffffFfffffffffffffffFffffFfffffffFFffffff"
 )
+#: recorded at ebc3749, warm-start cache and rung retries still present;
+#: without ``meta``, whose ``solver_stats`` lost the ``warm_lemmas`` key
+SMT_LADDER_DIGEST = "ecf35569c2dfae7d79d631dad3f069fbad0b2f8763701c4734105a6b6835d770"
+SMT_LADDER_DECISIONS = "fFfffffffffffffffffffffffffffffffffffFfffFfff"
 #: seed -> (0-based indexes of the rejected operations, all others
 #: accepted by the constructive rung; digest of the final schedule)
 FASTPATH_PINS = {
@@ -86,17 +91,42 @@ def _seeded_service(load):
     return service, [d.name for d in workload.topology.devices]
 
 
+def _ladder_ops(service, devices, target, seeds, operations):
+    """bench's ``LadderOps`` draw: random-pair admits, removes with
+    probability ``live / (2 * target)``; ``seeds`` maps the 1-based
+    operation count at which the generator is (re)seeded to its seed."""
+    live, decisions = [], []
+    for count in range(1, operations + 1):
+        if count in seeds:
+            rng = random.Random(seeds[count])
+        if live and rng.random() < len(live) / (2 * target):
+            request = Remove(live[rng.randrange(len(live))])
+        else:
+            src, dst = rng.sample(devices, 2)
+            request = _tct(
+                f"a{count}", src, dst, rng.choice((5, 10, 20)),
+                rng.randrange(200, 1501), rng.random() < 0.2,
+            )
+        decision = service.submit(request)
+        decisions.append(decision)
+        if decision.accepted and isinstance(request, Remove):
+            live.remove(request.name)
+        elif decision.accepted:
+            live.append(request.stream_name)
+    return decisions
+
+
 def _letters(decisions):
     return "".join(
         _LETTERS[d.rung] if d.accepted else "x" for d in decisions
     )
 
 
-def _digest(service):
-    canonical = json.dumps(
-        schedule_to_dict(service.store.schedule),
-        sort_keys=True, separators=(",", ":"),
-    )
+def _digest(service, meta=True):
+    document = schedule_to_dict(service.store.schedule)
+    if not meta:
+        del document["meta"]
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -123,30 +153,41 @@ class TestPinnedToParent:
         """bench's ``LadderOps`` script: 150 warm-up operations drawn at
         seed 0, then seed 1, steering towards 60 live admitted streams."""
         service, devices = _seeded_service(0.5)
-        rng = random.Random(0)
-        live, decisions = [], []
-        for count in range(1, 401):
-            if count == 151:
-                rng = random.Random(1)
-            if live and rng.random() < len(live) / 120:
-                request = Remove(live[rng.randrange(len(live))])
-            else:
-                src, dst = rng.sample(devices, 2)
-                request = _tct(
-                    f"a{count}", src, dst, rng.choice((5, 10, 20)),
-                    rng.randrange(200, 1501), rng.random() < 0.2,
-                )
-            decision = service.submit(request)
-            decisions.append(decision)
-            if decision.accepted and isinstance(request, Remove):
-                live.remove(request.name)
-            elif decision.accepted:
-                live.append(request.stream_name)
+        decisions = _ladder_ops(service, devices, 60, {1: 0, 151: 1}, 400)
         assert _letters(decisions) == LADDER_DECISIONS
         assert _digest(service) == LADDER_DIGEST
         counters = service.metrics.to_dict()["counters"]
         assert counters["fastpath.fallthroughs"] == 57
         assert counters["rungs.full.attempts"] == 57
+
+    def test_first_45_smt_ladder_ops_at_seed_7(self):
+        """The ``LadderOps`` draw at seed 7 on the Fig. 10 testbed
+        (``testbed_workload(0.25, 6)``), steering towards 14 live
+        streams, with the SMT backend under the ``full`` rung: the 2nd,
+        38th and 42nd operations defeat earliest-fit and are placed by
+        one cold DPLL(T) solve each."""
+        workload = make_testbed_workload(0.25, 6)
+        base = schedule_etsn(workload.topology, workload.tct_streams,
+                             workload.ect_streams)
+        service = AdmissionService(
+            ScheduleStore(base),
+            ServiceConfig(backend="smt", rungs=(
+                RungConfig(RUNG_FASTPATH),
+                RungConfig(RUNG_FULL, timeout_s=None),
+                RungConfig(RUNG_HEURISTIC, timeout_s=None),
+            )),
+        )
+        devices = [d.name for d in workload.topology.devices]
+        decisions = _ladder_ops(service, devices, 14, {1: 7}, 45)
+        assert _letters(decisions) == SMT_LADDER_DECISIONS
+        assert _digest(service, meta=False) == SMT_LADDER_DIGEST
+        counters = service.metrics.to_dict()["counters"]
+        assert counters["rungs.full.attempts"] == 3
+        # the 42nd operation's search, as the published snapshot kept it
+        stats = service.store.schedule.meta["solver_stats"]
+        assert (stats["conflicts"], stats["decisions"],
+                stats["theory_checks"]) == (461, 354804, 419871)
+        validate(service.store.schedule)
 
     @pytest.mark.parametrize("seed", sorted(FASTPATH_PINS))
     def test_first_400_fastpath_ops(self, seed):

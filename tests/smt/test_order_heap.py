@@ -81,6 +81,15 @@ def check_heap(sat):
             assert sat._values[var] != UNASSIGNED
 
 
+def _seed_heuristics(solver, phases, activities):
+    """Preload saved phases and VSIDS activities before ``solve()``
+    builds its branching order; any values are sound."""
+    for var, phase in phases.items():
+        solver._phase[var] = phase
+    for var, activity in activities.items():
+        solver._activity[var] = activity
+
+
 def _lockstep(run):
     """``run(cls)`` solves one formula on a SAT core of class ``cls`` and
     returns ``(core, answer)``.  The heap solver and the scan reference
@@ -128,7 +137,7 @@ def test_lockstep_on_random_cnf(cnf):
             solver.new_var()
         for clause in clauses:
             solver.add_clause(clause)
-        solver.seed_heuristics(phases, activities)
+        _seed_heuristics(solver, phases, activities)
 
     _lockstep_cnf(build)
 
@@ -192,7 +201,7 @@ class TestNamedCases:
             solver.add_clause([5, -6])  # deciding -5 conflicts
             activities = {var: var * 4e-250 for var in range(1, 5)}
             activities.update({5: 3e100, 6: 2e100})
-            solver.seed_heuristics({}, activities)
+            _seed_heuristics(solver, {}, activities)
 
         heap = _lockstep_cnf(build)
         assert heap.num_conflicts == 1
@@ -206,7 +215,7 @@ class TestNamedCases:
                 solver.new_var()
             solver.add_clause([1, 2, 3])
             solver.add_clause([-4, 5, 6])
-            solver.seed_heuristics({5: True}, {5: 2.0, 3: 1.0})
+            _seed_heuristics(solver, {5: True}, {5: 2.0, 3: 1.0})
 
         heap = _lockstep_cnf(build)
         assert heap.decided[:2] == [5, -3]
@@ -227,7 +236,7 @@ class TestNamedCases:
         solver = HeapSolver()
         a, b = solver.new_var(), solver.new_var()
         solver.add_clause([b])
-        solver.seed_heuristics({}, {a: -5.0})
+        _seed_heuristics(solver, {}, {a: -5.0})
         assert solver.solve()
         assert solver.decided == [-a]
         assert solver.value(a) is False
