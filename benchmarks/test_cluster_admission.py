@@ -9,16 +9,17 @@ while every incremental primitive cost O(network).  Now that an
 admission costs what its own links carry (the snapshot carries its
 occupancy index), the single store recovered that multiple on its own:
 474 -> ~3100 admits/s, against ~3000 for the cluster, whose coordinator
-adds routing, name claims and a pool hop per batch.
+adds routing and name claims per batch (it runs every shard's
+sub-batch on the caller's thread; a thread pool over GIL-bound shards
+added only a hand-off).
 
-What sharding still buys is not throughput on one core: isolation (a
-shard's solver climb or store contention stalls only its own cell),
-and cross-shard streams admitted by a two-phase publish without a
-global lock.  So the gates are: neither arm slower than its committed
-``BENCH_cluster.json`` figure (the ``repro bench diff`` gate, at CI's
-margin), the cluster within 0.8x of the single store on the shard-local
-storm, every request of that storm on the shard-local path, and — as
-before — a cross-shard admit through the two-phase publish inside the
+What sharding still buys is not throughput on one core: shard-sized
+stores and locks, and cross-shard streams published to every involved
+shard or to none under per-shard locks.  So the gates are: neither arm
+slower than its committed ``BENCH_cluster.json`` figure (the ``repro
+bench diff`` gate, at CI's margin), the cluster within 0.8x of the
+single store on the shard-local storm, every request of that storm on
+the shard-local path, and — as before — a cross-shard admit inside the
 measured flow with the stitched global schedule passing the GCL audit:
 sharding must not cost correctness.
 """
@@ -110,23 +111,21 @@ def test_cluster_throughput_multiple(benchmark, emit, bench_record):
     requests = _local_workload()
     committed = json.loads(COMMITTED.read_text())
 
-    # warm-up pass (imports, pools), then best-of-3 for both arms
+    # warm-up pass (imports), then best-of-3 for both arms
     _run_single(requests[: 2 * STREAMS_PER_RING])
     single_s = min(_run_single(requests) for _ in range(3))
     trials = [_run_cluster(requests) for _ in range(3)]
-    for _, coordinator in trials[:-1]:
-        coordinator.shutdown()
     cluster_s = min(elapsed for elapsed, _ in trials)
     coordinator = trials[-1][1]
 
     # deterministic partitioning evidence, immune to runner load: every
-    # admit of the local workload took the parallel shard-local path
+    # admit of the local workload took the shard-local path
     assert coordinator.metrics.counter(
         "cluster.requests_local"
     ).value == len(requests)
     assert coordinator.metrics.counter("cluster.requests_cross").value == 0
 
-    # the two-phase path works inside the same cluster, and the
+    # the cross-shard path works inside the same cluster, and the
     # stitched global schedule still audits clean
     cross = coordinator.submit(_tct("crosser", "R0S1D0", "R3S1D1"))
     assert cross.accepted and cross.rung == "twophase"
@@ -187,4 +186,3 @@ def test_cluster_throughput_multiple(benchmark, emit, bench_record):
         coordinator.submit(Remove("bench"))
 
     benchmark(admit_remove_cycle)
-    coordinator.shutdown()

@@ -65,7 +65,6 @@ def _run(cache: bool, total: int):
         )
     finally:
         thread.stop()
-        coordinator.shutdown()
     return report, frontend.metrics.to_dict()
 
 
@@ -164,4 +163,3 @@ def test_frontend_loadgen_throughput(benchmark, emit, bench_record):
         benchmark(cached_roundtrip)
     finally:
         thread.stop()
-        coordinator.shutdown()

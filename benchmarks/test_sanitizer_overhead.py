@@ -66,7 +66,6 @@ def _run(requests, sanitize):
         started = time.perf_counter()
         decisions = coordinator.submit_many(requests)
         elapsed = time.perf_counter() - started
-        coordinator.shutdown()
     finally:
         os.environ.pop(ENV_VAR, None)
     return elapsed, decisions

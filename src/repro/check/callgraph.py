@@ -110,7 +110,7 @@ class Acquisition:
     ordered: bool = False
     #: True for a bare ``.acquire()`` inside a loop with no matching
     #: release in the same loop body: successive iterations pile up
-    #: instances of the same lock class (the two-phase commit pattern).
+    #: instances of the same lock class (the sorted shard-lock pattern).
     accumulates: bool = False
 
 
@@ -581,8 +581,8 @@ def lock_identity(
     """The class-attribute identity of a lock expression, or ``None``.
 
     ``self._lock`` → ``Owner._lock`` (when ``_lock`` is a known lock
-    attribute of the enclosing class), ``participant.lock`` →
-    ``Participant.lock`` via the receiver's inferred type.  Identity is
+    attribute of the enclosing class), ``runtime.lock`` →
+    ``_ShardRuntime.lock`` via the receiver's inferred type.  Identity is
     per *field*, not per instance: every ``ScheduleStore`` shares the
     id ``ScheduleStore._lock``, matching the sanitizer's grouping.
     """

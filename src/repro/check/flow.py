@@ -23,10 +23,10 @@ Findings:
     re-acquisition self-deadlocks a non-reentrant ``threading.Lock``),
     or a bare ``.acquire()`` in a loop that piles up instances of one
     lock class.  The loop form is *allowed* when the iteration is
-    provably ordered — ``for p in self._participants:`` where
-    ``_participants`` was assigned from ``sorted(...)`` — which turns
-    the two-phase commit's sorted-shard-locks discipline from a comment
-    into a checked invariant; such sites are reported in
+    provably ordered — ``for name in sorted(...):``, or a walk over an
+    attribute assigned from ``sorted(...)`` — which turns the cluster
+    coordinator's sorted-shard-locks discipline from a comment into a
+    checked invariant; such sites are reported in
     :attr:`FlowReport.ordered_sites`, not as findings.
 
 Suppress a finding by appending ``# repro: flow-ok[rule]`` (or a bare

@@ -18,7 +18,7 @@ particular interleaving.  This module covers that gap at runtime:
 
   - re-entrant acquisition of the same (non-reentrant) lock object;
   - acquiring a lock of an ordered *group* out of key order, e.g. the
-    two-phase commit's shard locks (``group="cluster.shards"``,
+    cluster coordinator's shard locks (``group="cluster.shards"``,
     ``key=<shard name>``), which must be taken in ascending key order
     — the sorted-locks discipline, enforced;
   - an edge inversion: acquiring ``A`` while holding ``B`` after some
@@ -167,8 +167,8 @@ class OrderedLock:
     def release(self) -> None:
         stack = _stack()
         # remove the most recent entry for this object; out-of-LIFO
-        # release is legal for threading.Lock and used by the two-phase
-        # rollback path, so only membership is enforced
+        # release is legal for threading.Lock, so only membership is
+        # enforced
         for index in range(len(stack) - 1, -1, -1):
             if stack[index] is self:
                 del stack[index]

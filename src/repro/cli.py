@@ -26,7 +26,7 @@ Commands
     ``repro trace tree out.jsonl`` renders the trace forest as an
     indented tree, and ``repro trace cluster`` runs a deterministic
     2-shard cross-shard admission and renders its single distributed
-    trace (coordinator → shard batches → rungs → solves → two-phase
+    trace (coordinator → shard batches → rungs → solves → cross-shard
     prepare/commit).
 ``slo``
     Evaluate latency SLO targets (p-quantile ≤ objective with an error
@@ -234,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _cluster_common(cserve)
     cserve.add_argument("--requests", default="-",
                         help="JSONL request file, or '-' for stdin")
-    cserve.add_argument("--workers", type=int,
-                        help="thread-pool size (default: one per shard)")
     cserve.add_argument("--backend", default="heuristic",
                         choices=("heuristic", "smt"),
                         help="backend for the full re-solve rung")
@@ -700,7 +698,6 @@ def _load_cluster(args, tracer=None, events=None):
         config=config,
         tracer=tracer,
         events=events,
-        max_workers=getattr(args, "workers", None),
     )
 
 
@@ -709,7 +706,6 @@ def _run_cluster(args) -> int:
         coordinator = _load_cluster(args)
         print(coordinator.partition.describe())
         print(json.dumps(coordinator.status(), indent=2))
-        coordinator.shutdown()
         return 0
     if args.cluster_command == "admit":
         from repro.serialization import decision_to_dict
@@ -718,7 +714,6 @@ def _run_cluster(args) -> int:
         decision = coordinator.submit(_admit_request(args))
         print(json.dumps(decision_to_dict(decision)))
         coordinator.audit()
-        coordinator.shutdown()
         return 0 if decision.accepted else 1
     return _run_cluster_serve(args)
 
@@ -757,7 +752,6 @@ def _run_cluster_serve(args) -> int:
             except (ValueError, json.JSONDecodeError) as exc:
                 print(f"error: requests line {lineno}: {exc}",
                       file=sys.stderr)
-                coordinator.shutdown()
                 return 2
             if len(chunk) >= _CLUSTER_SERVE_CHUNK:
                 flush()
@@ -779,7 +773,6 @@ def _run_cluster_serve(args) -> int:
             handle.write(coordinator.prometheus())
     _dump_trace(args.trace, tracer)
     _dump_events(args.events, events)
-    coordinator.shutdown()
     if args.fail_on_reject and any(not d.accepted for d in decisions):
         return 1
     return 0
@@ -812,11 +805,10 @@ def _run_trace_cluster(args) -> int:
     """One deterministic 2-shard admission batch, rendered as a tree.
 
     Three requests — one local to each shard, one crossing the border —
-    under a fixed tick clock and a single-worker pool, so the rendered
-    forest is byte-stable (the CI golden check diffs it).  The
-    cross-shard request demonstrates the acceptance property: one
-    ``trace_id`` spanning coordinator, shard batches, rungs, solves,
-    and the two-phase prepare/commit.
+    under a fixed tick clock, so the rendered forest is byte-stable (the
+    CI golden check diffs it).  The cross-shard request demonstrates the
+    acceptance property: one ``trace_id`` spanning coordinator, shard
+    batches, rungs, solves, and the cross-shard prepare/commit.
     """
     import itertools
 
@@ -835,7 +827,6 @@ def _run_trace_cluster(args) -> int:
     coordinator = ClusterCoordinator(
         partition=partition,
         tracer=tracer,
-        max_workers=1,          # serial shard batches: stable span order
         clock=lambda: 0.0,      # latency histograms stay deterministic
     )
 
@@ -851,7 +842,6 @@ def _run_trace_cluster(args) -> int:
         tct("local-b", "D10", "D12"),     # stays inside shard1
         tct("cross-x", "D1", "D12"),      # spans both shards
     ])
-    coordinator.shutdown()
     spans = tracer.spans()
     if args.out:
         from repro.serialization import save_trace

@@ -2,13 +2,15 @@
 
 The layer between the single-node admission service and the solvers:
 :mod:`repro.cluster.partition` cuts the network into switch-cluster
-shards, :mod:`repro.cluster.coordinator` runs one admission service per
-shard (shard-local streams admit fully in parallel), and
-:mod:`repro.cluster.twophase` gives cross-shard streams an atomic
-prepare/commit publish over the per-shard store CAS versions.
+shards, and :mod:`repro.cluster.coordinator` runs one admission service
+per shard, deciding each request on its caller's thread — a
+shard-local request under its shard's lock, a cross-shard request
+under every involved shard's lock (taken in sorted order), solved
+segment by segment and published to all of them or to none.
 """
 
 from repro.cluster.coordinator import (
+    REASON_CAS_EXHAUSTED,
     REASON_CROSS_ECT,
     REASON_NAME_IN_USE,
     REASON_REENTRANT,
@@ -25,29 +27,11 @@ from repro.cluster.partition import (
     partition_by_assignment,
     partition_topology,
 )
-from repro.cluster.twophase import (
-    REASON_CAS_EXHAUSTED,
-    STATE_ABORTED,
-    STATE_COMMITTED,
-    STATE_COMMITTING,
-    STATE_IDLE,
-    STATE_PREPARED,
-    STATE_PREPARING,
-    CrossShardPublish,
-    Participant,
-    PrepareFailure,
-    PublishOutcome,
-    TwoPhaseStateError,
-)
 
 __all__ = [
     "ClusterCoordinator",
-    "CrossShardPublish",
     "NetworkPartition",
-    "Participant",
     "PartitionError",
-    "PrepareFailure",
-    "PublishOutcome",
     "REASON_CAS_EXHAUSTED",
     "REASON_CROSS_ECT",
     "REASON_NAME_IN_USE",
@@ -56,14 +40,7 @@ __all__ = [
     "REASON_UNROUTABLE",
     "RUNG_TWOPHASE",
     "RouteSegment",
-    "STATE_ABORTED",
-    "STATE_COMMITTED",
-    "STATE_COMMITTING",
-    "STATE_IDLE",
-    "STATE_PREPARED",
-    "STATE_PREPARING",
     "Shard",
-    "TwoPhaseStateError",
     "partition_by_assignment",
     "partition_topology",
 ]

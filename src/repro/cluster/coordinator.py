@@ -3,19 +3,24 @@
 One :class:`ClusterCoordinator` fronts a fleet of per-shard
 :class:`~repro.service.admission.AdmissionService` +
 :class:`~repro.service.store.ScheduleStore` pairs, one per shard of a
-:class:`~repro.cluster.partition.NetworkPartition`:
+:class:`~repro.cluster.partition.NetworkPartition`.  Every request is
+decided on the caller's thread:
 
 * **Shard-local requests** (the common case — industrial cells mostly
-  talk within themselves) are routed to their shard and admitted on a
-  thread pool; shards never contend on a shared store, but they do
-  share one GIL — since admission became edit-proportional (PR 14) the
-  cluster measures 0.94x a single store, not a multiple of it.
+  talk within themselves) are routed to their shard and admitted under
+  that shard's lock, one shard sub-batch after the other.  The shards
+  share one GIL, so a thread pool over them bought no parallelism, only
+  a hand-off per sub-batch.
 * **Cross-shard requests** split into per-shard route segments at the
-  partition's boundary links and go through the two-phase publish of
-  :mod:`repro.cluster.twophase`: prepare pins each shard's CAS version
-  and solves the segments against the pinned snapshots, commit
-  publishes all shards via ``expected_version`` CAS, and any conflict
-  aborts and rolls back already-published shards.
+  partition's boundary links and run lock → solve → publish: take every
+  involved shard's lock in sorted shard-name order (the one global lock
+  order, so concurrent callers cannot deadlock), solve each segment
+  against its shard's live schedule, and publish every shard with an
+  ``expected_version`` CAS — or nothing, when any segment fails.  The
+  locks are held throughout, so a stale version can only come from a
+  writer that bypassed the coordinator; the shards already published
+  are then rolled back and the request is rejected as
+  ``cross_shard_cas_exhausted``.
 * The **merged global view** (:meth:`ClusterCoordinator.global_schedule`)
   stitches the per-shard snapshots back into one
   :class:`~repro.core.schedule.NetworkSchedule` over the global
@@ -50,16 +55,14 @@ shards would corrupt the stitched global view and a ``Remove`` would
 retire both.
 
 All traffic for a shard must flow through the coordinator: its
-per-shard locks are what let an aborting cross-shard commit roll back
-with a guaranteed CAS, and its name claims are what keep stream names
-unique across shards.
+per-shard locks are what make a cross-shard publish all-or-nothing,
+and its name claims are what keep stream names unique across shards.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +72,6 @@ from repro.core.schedule import NetworkSchedule
 from repro.model.stream import Stream, StreamError, TctRequirement
 from repro.model.topology import TopologyError
 from repro.check.sanitizer import make_lock
-from repro.obs.context import TraceContext
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.export import cluster_to_prometheus
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -88,13 +90,12 @@ from repro.service.requests import (
     Decision,
     Remove,
 )
-from repro.service.store import ScheduleStore
-from repro.cluster.partition import NetworkPartition, partition_topology
-from repro.cluster.twophase import (
-    CrossShardPublish,
-    Participant,
-    PrepareFailure,
+from repro.service.store import (
+    ScheduleStore,
+    StaleVersionError,
+    StoreSnapshot,
 )
+from repro.cluster.partition import NetworkPartition, partition_topology
 
 #: Decision.rung value for accepted cross-shard requests.
 RUNG_TWOPHASE = "twophase"
@@ -105,11 +106,18 @@ REASON_UNROUTABLE = "unroutable"
 REASON_UNKNOWN_STREAM = "unknown_stream"
 REASON_NAME_IN_USE = "name_in_use"
 REASON_REENTRANT = "reentrant_route_unsupported"
+#: a cross-shard publish found a shard's version moved under its lock
+REASON_CAS_EXHAUSTED = "cross_shard_cas_exhausted"
+
+
+class _Rejected(Exception):
+    """A cross-shard request rejected before any shard is locked."""
 
 
 @dataclass
 class _ShardRuntime:
-    """One shard's store/service pair and its commit lock."""
+    """One shard's store/service pair and the lock the coordinator holds
+    while it writes to the shard's store."""
 
     shard_name: str
     store: ScheduleStore
@@ -128,10 +136,6 @@ class _Placement:
     def is_local(self) -> bool:
         return len(self.shards) == 1 and self.reject_reason is None
 
-    @property
-    def is_cross(self) -> bool:
-        return len(self.shards) > 1 and self.reject_reason is None
-
 
 class ClusterCoordinator:
     """Routes admission traffic across a sharded store fleet."""
@@ -145,8 +149,6 @@ class ClusterCoordinator:
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
-        max_workers: Optional[int] = None,
-        max_commit_attempts: int = 4,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if partition is None:
@@ -162,7 +164,6 @@ class ClusterCoordinator:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._events = events if events is not None else NULL_EVENT_LOG
         self._clock = clock
-        self._max_commit_attempts = max_commit_attempts
         self._runtimes: Dict[str, _ShardRuntime] = {}
         for shard in partition.shards:
             store = ScheduleStore(empty_schedule(shard.topology))
@@ -178,16 +179,13 @@ class ClusterCoordinator:
                     group="cluster.shards", key=shard.name,
                 ),
             )
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers or len(partition.shards),
-            thread_name_prefix="repro-cluster",
-        )
         self._metrics.gauge("cluster.shards").set(len(partition.shards))
         self._lock = make_lock("ClusterCoordinator._lock")
         self._request_counter = 0
         #: names claimed by admits between placement and decision,
-        #: guarded by ``_lock`` — closes the window in which two
-        #: concurrent admits could land the same name on two shards.
+        #: guarded by ``_lock`` — closes the window in which two admits
+        #: of one wave (or of two concurrent callers) could land the
+        #: same name on two shards.
         self._inflight_names: set = set()
 
     # -- public surface ------------------------------------------------
@@ -235,21 +233,20 @@ class ClusterCoordinator:
         return [shard.name for shard in self._partition.shards]
 
     def submit(self, request: AdmissionRequest) -> Decision:
-        """Decide one request (local fast path or two-phase)."""
+        """Decide one request (shard-local or cross-shard)."""
         return self.submit_many([request])[0]
 
     def submit_many(
         self, requests: Sequence[AdmissionRequest]
     ) -> List[Decision]:
-        """Decide a request batch; shard-local work runs in parallel.
+        """Decide a request batch on the caller's thread.
 
-        Decisions come back in submission order.  Requests for
-        different shards admit concurrently on the pool; requests for
-        the same shard keep their relative order; cross-shard requests
-        run after the local wave (their CAS would otherwise duel the
-        very batches submitted next to them).  A repeated stream name
-        splits the batch into sequential waves, so a remove (or
-        re-admit) sees the effect of the earlier request it follows.
+        Decisions come back in submission order.  Each shard's local
+        requests go to its service as one sub-batch, keeping their
+        relative order; cross-shard requests run after the local wave,
+        one at a time.  A repeated stream name splits the batch into
+        sequential waves, so a remove (or re-admit) sees the effect of
+        the earlier request it follows.
         """
         started = self._clock()
         with self._tracer.span(
@@ -258,8 +255,7 @@ class ClusterCoordinator:
             decisions: List[Optional[Decision]] = [None] * len(requests)
             local_total = cross_total = 0
             for wave in self._waves(requests):
-                local, cross = self._run_wave(requests, wave, decisions,
-                                              batch_span)
+                local, cross = self._run_wave(requests, wave, decisions)
                 local_total += local
                 cross_total += cross
             batch_span.set(local=local_total, cross=cross_total)
@@ -300,7 +296,6 @@ class ClusterCoordinator:
         requests: Sequence[AdmissionRequest],
         wave: List[int],
         decisions: List[Optional[Decision]],
-        batch_span,
     ) -> Tuple[int, int]:
         """Place and decide one wave; returns (local, cross) counts."""
         by_shard: Dict[str, List[int]] = {}
@@ -330,32 +325,29 @@ class ClusterCoordinator:
                 else:
                     cross.append(index)
 
-            # The pool workers' thread-local span stacks are empty, so
-            # without an explicit hand-over every shard batch would
-            # start a disconnected trace; capturing the batch span's
-            # context here and re-entering it in the worker keeps the
-            # whole fan-out under one trace_id.
-            context = TraceContext.of(batch_span)
-            futures = {}
             for shard_name, indices in by_shard.items():
                 self._metrics.counter(
                     "cluster.requests_local"
                 ).inc(len(indices))
-                futures[shard_name] = self._pool.submit(
-                    self._run_shard_batch,
-                    shard_name,
-                    [requests[i] for i in indices],
-                    context,
-                )
-            for shard_name, indices in by_shard.items():
-                for i, decision in zip(indices, futures[shard_name].result()):
+                runtime = self._runtimes[shard_name]
+                started = self._clock()
+                with self._tracer.span(
+                    "cluster.shard_batch", shard=shard_name,
+                    size=len(indices),
+                ):
+                    with runtime.lock:
+                        answers = runtime.service.submit_many(
+                            [requests[i] for i in indices]
+                        )
+                self._metrics.histogram(
+                    "cluster.latency.shard_batch_ms"
+                ).observe((self._clock() - started) * 1e3)
+                for i, decision in zip(indices, answers):
                     decisions[i] = decision
 
             for index in cross:
                 self._metrics.counter("cluster.requests_cross").inc()
-                decisions[index] = self._submit_cross(
-                    requests[index], batch_span
-                )
+                decisions[index] = self._submit_cross(requests[index])
         finally:
             # claims cover placement through publish; once the wave's
             # decisions are in, the stores themselves hold the names
@@ -408,8 +400,8 @@ class ClusterCoordinator:
         """Synthesize and audit the GCL of the stitched global view.
 
         Raises :class:`~repro.core.gcl_audit.GclAuditError` if any gate
-        program contradicts the stitched schedule — the invariant a
-        two-phase abort must never break.  Returns ``None`` while the
+        program contradicts the stitched schedule — the invariant an
+        aborted cross-shard publish must never break.  Returns ``None`` while the
         cluster is empty (there is no GCL for an empty schedule).
 
         The audit covers per-link gate consistency, which is exact
@@ -449,7 +441,8 @@ class ClusterCoordinator:
         }
 
     def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+        """Nothing to release: the coordinator owns no threads.  Kept
+        so callers written against the pooled coordinator still run."""
 
     # -- placement -----------------------------------------------------
     def _place(self, request: AdmissionRequest) -> _Placement:
@@ -523,110 +516,131 @@ class ClusterCoordinator:
             e.name == name for e in schedule.ect_streams
         )
 
-    # -- local path ----------------------------------------------------
-    def _run_shard_batch(
-        self,
-        shard_name: str,
-        requests: List[AdmissionRequest],
-        context: Optional[TraceContext] = None,
-    ) -> List[Decision]:
-        """Run one shard's sub-batch on a pool worker.
-
-        ``context`` is the coordinator batch span's trace context; the
-        worker re-enters it so the shard batch (and every admission
-        span the shard service opens beneath it) joins the caller's
-        trace instead of rooting a new one.
-        """
-        runtime = self._runtime(shard_name)
-        started = self._clock()
-        with self._tracer.use_context(context):
-            with self._tracer.span(
-                "cluster.shard_batch", shard=shard_name, size=len(requests)
-            ):
-                with runtime.lock:
-                    decisions = runtime.service.submit_many(requests)
-        self._metrics.histogram("cluster.latency.shard_batch_ms").observe(
-            (self._clock() - started) * 1e3
-        )
-        return decisions
-
     # -- cross-shard path ----------------------------------------------
-    def _submit_cross(
-        self, request: AdmissionRequest, parent_span
-    ) -> Decision:
-        """Admit or remove one cross-shard stream via two-phase publish."""
+    def _submit_cross(self, request: AdmissionRequest) -> Decision:
+        """Admit or remove one cross-shard stream on every involved
+        shard or on none: lock → solve → publish.
+
+        The involved shards' locks are taken in sorted shard-name order
+        and held until every shard has published, so each segment is
+        solved against the live schedule its publish will replace.  A
+        failing segment publishes nothing.  A stale version means a
+        writer bypassed the coordinator (see :meth:`shard_service`):
+        the shards already published are rolled back under the same
+        locks and the request is rejected.
+        """
         started = self._clock()
         attempts: Dict[str, str] = {}
-        if isinstance(request, AdmitTct):
-            # Screen the *global* route before the two-phase machinery
-            # spins up: the wire-time floor over the whole path is a
-            # necessary condition regardless of how the e2e budget is
-            # split across shard segments (store-and-forward can only
-            # add latency), so a conclusive reject here saves a
-            # prepare/abort round across every participant shard.
-            reason = None
-            try:
-                stream = request.requirement.resolve(
-                    self._partition.topology
-                )
-                reason = fastpath_module.screen_route(stream)
-            except (StreamError, ValueError, KeyError):
-                pass  # routing problems get their structured reason below
-            if reason is not None:
-                self._metrics.counter("cluster.fastpath_rejects").inc()
-                attempts["fastpath"] = reason
-                return self._reject(request, reason, attempts=attempts)
         try:
-            participants = self._participants_for(request, attempts)
-        except PrepareFailure as exc:
+            per_shard = self._split(request, attempts)
+        except _Rejected as exc:
             return self._reject(request, str(exc), attempts=attempts)
-        publish = CrossShardPublish(
-            participants,
-            metrics=self._metrics,
-            tracer=self._tracer,
-            parent_span=parent_span,
-            events=self._events,
-        )
-        outcome = publish.execute(max_attempts=self._max_commit_attempts)
+        shards = sorted(per_shard)
+        snapshots: Dict[str, StoreSnapshot] = {}
+        solved: Dict[str, NetworkSchedule] = {}
+        published: Dict[str, int] = {}
+        reason: Optional[str] = None
+        held: List[_ShardRuntime] = []
+        try:
+            for name in sorted(per_shard):  # sorted: the global lock order
+                runtime = self._runtimes[name]
+                runtime.lock.acquire()
+                held.append(runtime)
+            with self._tracer.span(
+                "cluster.prepare", shards=",".join(shards)
+            ) as span:
+                for runtime in held:
+                    name = runtime.shard_name
+                    snapshots[name] = runtime.store.snapshot()
+                    # the segment's rung and solve spans nest beneath
+                    # it: the trace shows which shard each solve ran for
+                    with self._tracer.span("cluster.segment", shard=name):
+                        outcome, tried = runtime.service.solve_against(
+                            snapshots[name].schedule, per_shard[name]
+                        )
+                    for rung, why in tried.items():
+                        attempts[f"{name}.{rung}"] = why
+                    if outcome is None:
+                        why = "; ".join(
+                            f"{rung}: {why}" for rung, why in tried.items()
+                        ) or "sub-solve failed"
+                        span.set(outcome="infeasible", shard=name)
+                        self._abort(why, phase="prepare", shard=name,
+                                    shards=shards)
+                        reason = f"{name}: {why}"
+                        break
+                    attempts[f"{name}.rung"], solved[name] = outcome
+                else:
+                    span.set(outcome="prepared")
+            if reason is None:
+                with self._tracer.span(
+                    "cluster.commit", shards=",".join(shards)
+                ) as span:
+                    for runtime in held:
+                        name = runtime.shard_name
+                        try:
+                            published[name] = runtime.store.publish(
+                                solved[name],
+                                expected_version=snapshots[name].version,
+                            ).version
+                        except StaleVersionError:
+                            self._metrics.counter(
+                                "cluster.twophase.commit_conflicts"
+                            ).inc()
+                            span.set(outcome="stale", shard=name)
+                            self._rollback(published, snapshots)
+                            self._abort("stale_version", phase="commit",
+                                        shard=name, shards=shards)
+                            reason = REASON_CAS_EXHAUSTED
+                            break
+                    else:
+                        span.set(outcome="committed")
+        finally:
+            for runtime in reversed(held):
+                runtime.lock.release()
         self._metrics.histogram("cluster.latency.cross_ms").observe(
             (self._clock() - started) * 1e3
         )
-        if not outcome.committed:
-            return self._reject(request, outcome.reason, attempts=attempts)
-        return self._decide_cross(request, outcome.versions, attempts)
+        if reason is not None:
+            return self._reject(request, reason, attempts=attempts)
+        return self._decide_cross(request, published, attempts)
 
-    def _participants_for(
+    def _split(
         self, request: AdmissionRequest, attempts: Dict[str, str]
-    ) -> List[Participant]:
-        """One participant per involved shard, each with a solve
-        closure over that shard's sub-requests."""
-        per_shard: Dict[str, List[AdmissionRequest]] = {}
+    ) -> Dict[str, List[AdmissionRequest]]:
+        """Each involved shard's sub-requests.
+
+        Raises :class:`_Rejected` when the request fails before any
+        shard is locked.  Placement sends only ``AdmitTct`` and
+        ``Remove`` here (a cross-shard ECT is rejected earlier).
+        """
         if isinstance(request, Remove):
-            for name, runtime in sorted(self._runtimes.items()):
-                if self._holds_stream(runtime, request.name):
-                    per_shard[name] = [Remove(request.name)]
-        elif isinstance(request, AdmitTct):
-            for segment_request, shard_name in self._segment_requests(
-                request.requirement, attempts
-            ):
-                per_shard.setdefault(shard_name, []).append(segment_request)
-        else:
-            raise PrepareFailure(REASON_CROSS_ECT)
-        participants = []
-        for shard_name, sub_requests in per_shard.items():
-            runtime = self._runtime(shard_name)
-            participants.append(Participant(
-                name=shard_name,
-                store=runtime.store,
-                solve=self._solver_for(runtime, sub_requests, attempts),
-                lock=runtime.lock,
-            ))
-        return participants
+            return {
+                name: [request]
+                for name, runtime in sorted(self._runtimes.items())
+                if self._holds_stream(runtime, request.name)
+            }
+        # Screen the *global* route first: the wire-time floor over the
+        # whole path is a necessary condition however the e2e budget is
+        # split across shard segments (store-and-forward can only add
+        # latency), so a conclusive reject here saves locking and
+        # solving every involved shard.
+        reason = None
+        try:
+            stream = request.requirement.resolve(self._partition.topology)
+            reason = fastpath_module.screen_route(stream)
+        except (StreamError, ValueError, KeyError):
+            pass  # routing problems get their structured reason below
+        if reason is not None:
+            self._metrics.counter("cluster.fastpath_rejects").inc()
+            attempts["fastpath"] = reason
+            raise _Rejected(reason)
+        return self._segment_requests(request.requirement, attempts)
 
     def _segment_requests(
         self, requirement: TctRequirement, attempts: Dict[str, str]
-    ) -> List[Tuple[AdmitTct, str]]:
-        """Split a TCT requirement into one per-shard segment admit.
+    ) -> Dict[str, List[AdmissionRequest]]:
+        """Split a TCT requirement into one segment admit per shard.
 
         Each segment keeps the stream's name, period, length and
         priority; the endpoints and the deadline change — a segment
@@ -651,7 +665,7 @@ class ClusterCoordinator:
         ]
         budgets[-1] += e2e - sum(budgets)  # rounding dust: exact sum
         if min(budgets) <= 0:
-            raise PrepareFailure(
+            raise _Rejected(
                 f"e2e budget {e2e}ns cannot cover {len(segments)} shard "
                 f"segments over {total_hops} hops"
             )
@@ -659,49 +673,48 @@ class ClusterCoordinator:
             f"{segment.shard}:{budget}ns"
             for segment, budget in zip(segments, budgets)
         ) + " (store-and-forward at borders)"
-        return [
-            (
-                AdmitTct(replace(
-                    requirement,
-                    source=segment.source,
-                    destination=segment.destination,
-                    e2e_ns=budget,
-                )),
-                segment.shard,
-            )
+        return {
+            segment.shard: [AdmitTct(replace(
+                requirement,
+                source=segment.source,
+                destination=segment.destination,
+                e2e_ns=budget,
+            ))]
             for segment, budget in zip(segments, budgets)
-        ]
+        }
 
-    def _solver_for(
+    def _rollback(
         self,
-        runtime: _ShardRuntime,
-        sub_requests: List[AdmissionRequest],
-        attempts: Dict[str, str],
-    ):
-        def solve(pinned: NetworkSchedule) -> NetworkSchedule:
-            # a child of cluster.prepare via the thread stack; the rung
-            # and solve spans of the sub-solve nest beneath it, so the
-            # trace shows which shard each prepare-phase solve ran for
-            with self._tracer.span(
-                "cluster.segment", shard=runtime.shard_name,
-            ):
-                outcome, rung_attempts = runtime.service.solve_against(
-                    pinned, sub_requests
-                )
-            for rung, why in rung_attempts.items():
-                attempts[f"{runtime.shard_name}.{rung}"] = why
-            if outcome is None:
-                raise PrepareFailure(
-                    "; ".join(
-                        f"{rung}: {why}"
-                        for rung, why in rung_attempts.items()
-                    ) or "sub-solve failed"
-                )
-            rung, schedule = outcome
-            attempts[f"{runtime.shard_name}.rung"] = rung
-            return schedule
+        published: Dict[str, int],
+        snapshots: Dict[str, StoreSnapshot],
+    ) -> None:
+        """Republish each published shard's pre-commit schedule.
 
-        return solve
+        The shard locks are still held, so the expected version is
+        exactly what this commit created and the CAS cannot fail; a
+        failure here would mean a second bypassing write and is raised
+        rather than papered over.
+        """
+        with self._tracer.span(
+            "cluster.rollback", shards=",".join(published)
+        ):
+            for name in reversed(list(published)):
+                snapshot = snapshots[name]
+                self._runtimes[name].store.publish(
+                    snapshot.schedule, expected_version=published[name]
+                )
+                if self._events.enabled:
+                    self._events.emit(
+                        "twophase.rollback", shard=name,
+                        rolled_back_version=published[name],
+                        restored_version=snapshot.version,
+                    )
+                self._metrics.counter("cluster.twophase.rollbacks").inc()
+
+    def _abort(self, reason: str, **attributes) -> None:
+        self._metrics.counter("cluster.twophase.aborts").inc()
+        if self._events.enabled:
+            self._events.emit("twophase.abort", reason=reason, **attributes)
 
     # -- decisions -----------------------------------------------------
     def _next_request_id(self) -> int:

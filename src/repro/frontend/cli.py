@@ -46,9 +46,6 @@ def add_frontend_parser(subparsers) -> None:
                        help="number of shards with --cluster")
     serve.add_argument("--seeds", metavar="SW[,SW...]",
                        help="comma-separated seed switches with --cluster")
-    serve.add_argument("--workers", type=int,
-                       help="cluster thread-pool size "
-                            "(default: one per shard)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
@@ -153,7 +150,6 @@ def _run_frontend_serve(args) -> int:
 
     tracer = _make_tracer(args.trace)
     config = ServiceConfig(backend=args.backend)
-    coordinator = None
     if args.cluster:
         if not args.topology:
             print("error: --cluster requires --topology", file=sys.stderr)
@@ -163,13 +159,11 @@ def _run_frontend_serve(args) -> int:
         with open(args.topology) as handle:
             topology = topology_from_dict(json.load(handle))
         seeds = args.seeds.split(",") if args.seeds else None
-        coordinator = ClusterCoordinator(
+        backend = ClusterBackend(ClusterCoordinator(
             partition=partition_topology(topology, args.shards, seeds=seeds),
             config=config,
             tracer=tracer,
-            max_workers=args.workers,
-        )
-        backend = ClusterBackend(coordinator)
+        ))
     else:
         if args.state:
             schedule = _load_schedule(args.state)
@@ -205,9 +199,6 @@ def _run_frontend_serve(args) -> int:
         asyncio.run(serve_until_stopped(frontend, on_started=announce))
     except KeyboardInterrupt:  # pragma: no cover - signal path races
         pass
-    finally:
-        if coordinator is not None:
-            coordinator.shutdown()
     if args.metrics_out:
         payload = frontend.metrics.to_dict()
         backend_metrics = backend.metrics.to_dict()

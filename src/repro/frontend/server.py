@@ -18,8 +18,8 @@ up under event-triggered load:
 * **Batch coalescing, tuned per shard** — a single dispatcher drains
   up to ``max_batch x shard_count`` queued requests per backend call,
   so one executor hop and one service write-lock acquisition amortize
-  over a whole burst, and a sharded cluster receives enough work per
-  call to fan all shards out in parallel.
+  over a whole burst, and a sharded cluster receives a full sub-batch
+  for every shard per call.
 * **Decision cache** (:mod:`repro.frontend.cache`) — deterministic
   rejections are replayed for repeated canonical shapes
   (:func:`repro.service.shape.canonical_shape`) pinned to the exact

@@ -9,8 +9,8 @@ numbers:
   clocks and a ring-buffered in-process exporter; the disabled
   :data:`NULL_TRACER` is a no-op cheap enough for solver hot paths.
 * :mod:`repro.obs.context` — :class:`TraceContext`, the (trace_id,
-  span_id) pair that carries a trace across thread pools and the
-  cluster's two-phase publish (``tracer.use_context``).
+  span_id) pair that carries a trace across thread hand-offs such as
+  the frontend's executor hop (``tracer.use_context``).
 * :mod:`repro.obs.histogram` — the log-bucketed mergeable
   :class:`Histogram` behind every latency metric, and
   :func:`nearest_rank`, the repo's single percentile implementation.

@@ -5,9 +5,9 @@ its ``trace_id`` and ``span_id`` — detached from the span object
 itself.  It deliberately exposes exactly the attributes
 ``Tracer._start`` reads off a ``parent``, so a context can stand in
 for a span anywhere a parent is accepted: hand the context of the
-coordinator's batch span to a thread-pool worker and every span the
-worker opens joins the same trace, even though the worker's own
-thread-local span stack is empty.
+frontend's batch span to an executor thread and every span the
+backend opens there joins the same trace, even though the thread's
+own thread-local span stack is empty.
 
 Two propagation styles are supported by :class:`~repro.obs.Tracer`:
 
@@ -15,9 +15,9 @@ Two propagation styles are supported by :class:`~repro.obs.Tracer`:
 * **Ambient** — ``with tracer.use_context(ctx):`` installs the context
   as the thread's fallback parent; spans opened with no explicit
   parent and an empty stack attach to it instead of becoming roots.
-  This is what carries a cluster admission across the coordinator's
-  ``ThreadPoolExecutor`` fan-out without threading a parent argument
-  through every shard-service signature.
+  This is what carries a frontend batch across its executor hop into
+  the service or cluster backend without threading a parent argument
+  through every backend signature.
 
 Contexts serialize to/from plain dicts (:meth:`TraceContext.to_dict`),
 so they can cross process boundaries in JSON if a future frontend

@@ -20,9 +20,11 @@ kind                        attributes
 ``admission.cas_exhausted`` ``attempts``, ``requests``
 ``solver.abandoned``        ``timeout_s`` — a solver thread outlived
                             its rung budget and was orphaned
-``twophase.rollback``       ``shard``, ``streams`` — a prepared shard
-                            was republished after a failed commit
-``twophase.abort``          ``reason``, ``attempt``, ``shards``
+``twophase.rollback``       ``shard``, ``rolled_back_version``,
+                            ``restored_version`` — a shard published by
+                            an aborted cross-shard commit got its
+                            pre-commit schedule back
+``twophase.abort``          ``reason``, ``phase``, ``shard``, ``shards``
 ==========================  ============================================
 
 Events serialize one-per-line (JSONL) via :func:`save_events` /

@@ -276,14 +276,13 @@ class AdmissionService:
         """Screen and solve ``requests`` against an arbitrary base
         schedule *without publishing* anything.
 
-        This is the prepare half of a two-phase cross-shard publish
-        (:mod:`repro.cluster.twophase`): the coordinator pins a store
-        snapshot, solves against the pin here, and publishes later via
-        CAS.  Returns ``((rung, new schedule), attempts)`` on success or
-        ``(None, attempts)`` where ``attempts`` carries per-rung (or
-        screening) failure reasons.  Touches no service state beyond
-        metrics/tracing, so it is safe to call concurrently with
-        :meth:`submit_many`.
+        This is the solve step of a cross-shard publish: the cluster
+        coordinator, holding the shard's lock, solves a segment against
+        the shard's current schedule here and publishes the result via
+        CAS once every involved shard has solved.  Returns ``((rung, new
+        schedule), attempts)`` on success or ``(None, attempts)`` where
+        ``attempts`` carries per-rung (or screening) failure reasons.
+        Touches no service state beyond metrics and tracing.
         """
         viable: List[AdmissionRequest] = []
         attempts: Dict[str, str] = {}
@@ -668,7 +667,10 @@ class AdmissionService:
                 else:
                     count("successes")
                     rung_span.set(outcome="success")
-                    self._harvest_solver_stats(result)
+                    if rung.name != RUNG_FASTPATH:
+                        # a constructive accept runs no solver; its
+                        # meta is the snapshot's, stats and all
+                        self._harvest_solver_stats(result)
                     return result
         finally:
             self._metrics.histogram(

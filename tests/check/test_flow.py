@@ -172,8 +172,8 @@ def test_shipped_tree_is_clean():
 def test_shipped_tree_lock_hierarchy_is_what_we_designed():
     """The may-hold-before graph on src is the documented hierarchy:
     coordinator/shard locks above service locks above store locks
-    above leaf instrument locks — and the two-phase commit loop is a
-    checked ordered site, not a finding."""
+    above leaf instrument locks — and the coordinator's sorted
+    shard-lock loop is a checked ordered site, not a finding."""
     report = analyze_flow(["src/repro"])
     edges = {(e.held.rsplit(".", 2)[-2] + "." + e.held.rsplit(".", 1)[-1],
               e.acquired.rsplit(".", 2)[-2] + "." +
@@ -182,9 +182,9 @@ def test_shipped_tree_lock_hierarchy_is_what_we_designed():
     assert ("_ShardRuntime.lock", "AdmissionService._write_lock") in edges
     assert ("AdmissionService._write_lock", "ScheduleStore._lock") in edges
     assert ("ScheduleStore._lock", "Gauge._lock") in edges
-    assert ("Participant.lock", "ScheduleStore._lock") in edges
-    # the sorted-shard-locks discipline in two-phase commit
+    assert ("_ShardRuntime.lock", "ScheduleStore._lock") in edges
+    # the sorted-shard-locks discipline of a cross-shard publish
     assert any(
-        site.function.endswith("CrossShardPublish.commit")
+        site.function.endswith("ClusterCoordinator._submit_cross")
         for site in report.ordered_sites
     )

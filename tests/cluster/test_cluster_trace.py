@@ -1,8 +1,8 @@
 """Distributed trace propagation across the cluster coordinator.
 
 The acceptance property of the observability layer: ONE cluster
-admission batch — including its thread-pool shard fan-out and the
-two-phase cross-shard publish — yields ONE trace tree under a single
+admission batch — including its per-shard sub-batches and the
+cross-shard prepare/commit — yields ONE trace tree under a single
 ``trace_id``, and ``repro trace cluster`` renders it byte-stably
 (pinned by a golden file).  Regenerate the golden with::
 
@@ -40,14 +40,13 @@ def traced_coordinator():
         simulation_topology(), 2, seeds=["SW1", "SW4"]
     )
     coordinator = ClusterCoordinator(partition=partition, tracer=tracer)
-    yield coordinator, tracer
-    coordinator.shutdown()
+    return coordinator, tracer
 
 
 class TestSingleTraceTree:
     def test_batch_fanout_shares_one_trace_id(self, traced_coordinator):
-        """Shard batches run on pool threads, yet every span — batch,
-        shard batch, rung, solve — carries the coordinator's trace."""
+        """Every span of a two-shard batch — batch, shard batch, rung,
+        solve — carries the coordinator's trace."""
         coordinator, tracer = traced_coordinator
         decisions = coordinator.submit_many([
             _tct("a", "D1", "D4"),        # shard0-local
@@ -64,9 +63,9 @@ class TestSingleTraceTree:
     def test_cross_shard_two_phase_joins_the_same_trace(
         self, traced_coordinator
     ):
-        """The two-phase publish (prepare, per-shard segment solves,
+        """The cross-shard publish (prepare, per-shard segment solves,
         commit) continues the batch's trace rather than starting new
-        ones — the tentpole acceptance criterion."""
+        ones."""
         coordinator, tracer = traced_coordinator
         decision = coordinator.submit(_tct("x", "D1", "D12"))
         assert decision.accepted
@@ -136,8 +135,5 @@ class TestDisabledTracerStaysFree:
             simulation_topology(), 2, seeds=["SW1", "SW4"]
         )
         coordinator = ClusterCoordinator(partition=partition)
-        try:
-            assert coordinator.submit(_tct("x", "D1", "D12")).accepted
-            assert coordinator.tracer.spans() == []
-        finally:
-            coordinator.shutdown()
+        assert coordinator.submit(_tct("x", "D1", "D12")).accepted
+        assert coordinator.tracer.spans() == []

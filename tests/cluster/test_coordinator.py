@@ -1,4 +1,4 @@
-"""ClusterCoordinator: routing, parallel shard admission, stitching."""
+"""ClusterCoordinator: routing, shard admission, stitching."""
 
 import pytest
 
@@ -45,9 +45,7 @@ def _ect(name, src, dst, period_ms=16, length=512):
 def coordinator():
     topo = simulation_topology()
     partition = partition_topology(topo, 2, seeds=["SW1", "SW4"])
-    coordinator = ClusterCoordinator(partition=partition)
-    yield coordinator
-    coordinator.shutdown()
+    return ClusterCoordinator(partition=partition)
 
 
 class TestLocalPath:
@@ -231,17 +229,14 @@ class TestReentrantRoutes:
             topo, {"SW1": 0, "SW3": 0, "SW2": 1}
         )
         coordinator = ClusterCoordinator(partition=partition)
-        try:
-            decision = coordinator.submit(_tct("re", "DA", "DB"))
-            assert not decision.accepted
-            assert decision.reason == REASON_REENTRANT
-            assert coordinator.metrics.counter(
-                "cluster.rejected_reentrant"
-            ).value == 1
-            for name in coordinator.shard_names():
-                assert coordinator.shard_store(name).version == 0
-        finally:
-            coordinator.shutdown()
+        decision = coordinator.submit(_tct("re", "DA", "DB"))
+        assert not decision.accepted
+        assert decision.reason == REASON_REENTRANT
+        assert coordinator.metrics.counter(
+            "cluster.rejected_reentrant"
+        ).value == 1
+        for name in coordinator.shard_names():
+            assert coordinator.shard_store(name).version == 0
 
 
 class TestRejections:

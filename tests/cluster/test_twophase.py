@@ -1,55 +1,28 @@
-"""Two-phase cross-shard publish: commit, abort, rollback, starvation.
+"""Cross-shard publish: all involved shards or none.
 
-Unit tests drive :class:`CrossShardPublish` with fabricated participants
-over toy stores; the integration tests force an abort on a real
-:class:`ClusterCoordinator` and prove the no-half-commit invariant with
-a GCL audit of the stitched global schedule.
+The coordinator locks every involved shard in sorted order, solves each
+segment against the shard's live schedule and publishes them all.  The
+tests drive a real :class:`ClusterCoordinator` on the Fig. 13 network
+split in two, and force the two ways a publish can fail: a segment
+that does not fit, and a writer that bypasses the coordinator through
+``shard_service(...)`` while the cross-shard request is being solved.
+The no-half-commit invariant is checked with a GCL audit of the
+stitched global schedule.
 """
-
-import threading
 
 import pytest
 
 from repro.cluster import (
     REASON_CAS_EXHAUSTED,
     RUNG_TWOPHASE,
-    STATE_ABORTED,
-    STATE_COMMITTED,
-    STATE_PREPARED,
     ClusterCoordinator,
-    CrossShardPublish,
-    Participant,
-    PrepareFailure,
-    TwoPhaseStateError,
     partition_topology,
 )
-from repro.core.schedule import NetworkSchedule
 from repro.experiments import simulation_topology
 from repro.model.stream import Priorities, TctRequirement
 from repro.model.units import milliseconds
-from repro.service import AdmitTct, ScheduleStore, empty_schedule
-from repro.service.metrics import MetricsRegistry
-
-
-def _marked(pinned: NetworkSchedule, marker: str) -> NetworkSchedule:
-    """A fresh schedule distinguishable from its pinned base."""
-    return NetworkSchedule(
-        topology=pinned.topology,
-        streams=list(pinned.streams),
-        slots=dict(pinned.slots),
-        ect_streams=list(pinned.ect_streams),
-        meta={"marker": marker},
-    )
-
-
-def _participant(name, topology, solve=None):
-    store = ScheduleStore(empty_schedule(topology))
-    return Participant(
-        name=name,
-        store=store,
-        solve=solve or (lambda pinned: _marked(pinned, name)),
-        lock=threading.Lock(),
-    )
+from repro.obs import EventLog, filter_events
+from repro.service import AdmitTct
 
 
 def _tct(name, src, dst, period_ms=8, length=1000):
@@ -60,127 +33,160 @@ def _tct(name, src, dst, period_ms=8, length=1000):
     ))
 
 
+@pytest.fixture
+def coordinator():
+    partition = partition_topology(
+        simulation_topology(), 2, seeds=["SW1", "SW4"]
+    )
+    return ClusterCoordinator(
+        partition=partition, events=EventLog(clock=lambda: 0)
+    )
+
+
+def _wrap_solve(monkeypatch, coordinator, shard, before):
+    """Call ``before(schedule, requests)`` ahead of every segment solve
+    on ``shard``; a non-``None`` return replaces the solve's answer."""
+    service = coordinator.shard_service(shard)
+    real = service.solve_against
+
+    def solve_against(schedule, requests):
+        answer = before(schedule, requests)
+        return real(schedule, requests) if answer is None else answer
+
+    monkeypatch.setattr(service, "solve_against", solve_against)
+
+
+def _bypass(monkeypatch, coordinator, shard, request):
+    """Admit ``request`` straight into ``shard``'s service from inside
+    its next segment solve — the one writer the shard locks do not
+    stop.  Returns the list the bypassing decision lands in."""
+    fired = []
+
+    def before(schedule, requests):
+        if not fired:
+            fired.append(coordinator.shard_service(shard).submit(request))
+
+    _wrap_solve(monkeypatch, coordinator, shard, before)
+    return fired
+
+
+def _events(coordinator, kind):
+    return [e.attributes for e in filter_events(
+        coordinator.events.events(), kind=kind
+    )]
+
+
 class TestCrossShardPublish:
-    def test_clean_commit_publishes_every_shard(self, star_topology):
-        a = _participant("a", star_topology)
-        b = _participant("b", star_topology)
-        metrics = MetricsRegistry()
-        publish = CrossShardPublish([b, a], metrics=metrics)
-        assert publish.shards == ["a", "b"]  # sorted = global lock order
-        outcome = publish.execute()
-        assert outcome.committed
-        assert outcome.attempts == 1
-        assert outcome.versions == {"a": 1, "b": 1}
-        assert publish.state == STATE_COMMITTED
-        assert a.store.schedule.meta["marker"] == "a"
-        assert b.store.schedule.meta["marker"] == "b"
-        assert metrics.counter("cluster.twophase.prepares").value == 1
-        assert metrics.counter("cluster.twophase.commits").value == 1
+    def test_clean_commit_publishes_every_shard(self, coordinator):
+        decision = coordinator.submit(_tct("x", "D1", "D12"))
+        assert decision.accepted and decision.rung == RUNG_TWOPHASE
+        assert decision.batch_size == 2
+        assert decision.store_version == 1
+        for name in ("shard0", "shard1"):
+            assert coordinator.shard_store(name).version == 1
+        counters = coordinator.metrics.to_dict()["counters"]
+        assert counters["cluster.requests_cross"] == 1
+        assert counters["cluster.admitted_cross"] == 1
+        assert "cluster.twophase.aborts" not in counters
 
-    def test_stale_shard_aborts_and_rolls_back_published(self, star_topology):
-        a = _participant("a", star_topology)
-        b = _participant("b", star_topology)
-        pinned_a = a.store.schedule
-        metrics = MetricsRegistry()
-        publish = CrossShardPublish([a, b], metrics=metrics)
-        publish.prepare()
-        assert publish.state == STATE_PREPARED
-        # a local admission lands on b between prepare and commit; the
-        # commit publishes a first (sorted order), then hits the stale
-        # version on b and must roll a back
-        b.store.publish(_marked(b.store.schedule, "local-admit"))
-        assert publish.commit() is False
-        assert publish.state == STATE_ABORTED
-        # a was published then rolled back to the exact pinned schedule
-        assert a.store.schedule is pinned_a
-        assert a.store.version == 2  # publish + rollback both version
-        # b kept the conflicting local admission, never saw the marker
-        assert b.store.schedule.meta["marker"] == "local-admit"
-        assert metrics.counter("cluster.twophase.commit_conflicts").value == 1
-        assert metrics.counter("cluster.twophase.rollbacks").value == 1
-        assert metrics.counter("cluster.twophase.aborts").value == 1
+    def test_segment_solves_hold_every_involved_shard_lock(
+        self, coordinator, monkeypatch
+    ):
+        locks = [coordinator._runtimes[name].lock
+                 for name in coordinator.shard_names()]
+        held = []
+        for name in coordinator.shard_names():
+            _wrap_solve(
+                monkeypatch, coordinator, name,
+                lambda schedule, requests: held.append(
+                    [lock.locked() for lock in locks]
+                ),
+            )
+        assert coordinator.submit(_tct("x", "D1", "D12")).accepted
+        assert held == [[True, True], [True, True]]
+        assert not any(lock.locked() for lock in locks)
 
-    def test_execute_retries_then_reports_cas_exhaustion(self, star_topology):
-        a = _participant("a", star_topology)
+    def test_prepare_failure_aborts_without_publishing(
+        self, coordinator, monkeypatch
+    ):
+        # shard0's segment solves; shard1's does not fit
+        _wrap_solve(
+            monkeypatch, coordinator, "shard1",
+            lambda schedule, requests: (None, {"fastpath": "no capacity"}),
+        )
+        decision = coordinator.submit(_tct("x", "D1", "D12"))
+        assert not decision.accepted
+        assert decision.reason == "shard1: fastpath: no capacity"
+        assert decision.attempts["shard0.rung"] == "fastpath"
+        assert decision.attempts["shard1.fastpath"] == "no capacity"
+        for name in ("shard0", "shard1"):
+            assert coordinator.shard_store(name).version == 0
+        assert coordinator.metrics.counter(
+            "cluster.twophase.aborts"
+        ).value == 1
+        assert _events(coordinator, "twophase.abort") == [{
+            "reason": "fastpath: no capacity", "phase": "prepare",
+            "shard": "shard1", "shards": ["shard0", "shard1"],
+        }]
 
-        def hostile_solve(pinned):
-            # every prepare triggers a fresh conflicting publish on a,
-            # so every commit attempt goes stale
-            a.store.publish(_marked(a.store.schedule, "hostile"))
-            return _marked(pinned, "b")
+    def test_stale_shard_aborts_and_rolls_back_published(
+        self, coordinator, monkeypatch
+    ):
+        before = coordinator.shard_store("shard0").schedule
+        # shard1 is published second (sorted order), so shard0 has
+        # already published when shard1's CAS finds the bypassing write
+        fired = _bypass(monkeypatch, coordinator, "shard1",
+                        _tct("conflict", "D7", "D12"))
+        decision = coordinator.submit(_tct("x", "D1", "D12"))
+        assert fired[0].accepted
+        assert not decision.accepted
+        assert decision.reason == REASON_CAS_EXHAUSTED
+        # shard0 was published then rolled back to its exact schedule
+        assert coordinator.shard_store("shard0").schedule is before
+        assert coordinator.shard_store("shard0").version == 2
+        # shard1 kept the bypassing admit and never saw the crosser
+        assert coordinator.shard_store("shard1").version == 1
+        assert [s.name for s in
+                coordinator.shard_store("shard1").schedule.streams] == [
+            "conflict"
+        ]
+        counters = coordinator.metrics.to_dict()["counters"]
+        assert counters["cluster.twophase.commit_conflicts"] == 1
+        assert counters["cluster.twophase.rollbacks"] == 1
+        assert counters["cluster.twophase.aborts"] == 1
+        assert _events(coordinator, "twophase.rollback") == [{
+            "shard": "shard0", "rolled_back_version": 1,
+            "restored_version": 0,
+        }]
+        assert _events(coordinator, "twophase.abort") == [{
+            "reason": "stale_version", "phase": "commit",
+            "shard": "shard1", "shards": ["shard0", "shard1"],
+        }]
 
-        b = _participant("b", star_topology, solve=hostile_solve)
-        metrics = MetricsRegistry()
-        publish = CrossShardPublish([a, b], metrics=metrics)
-        outcome = publish.execute(max_attempts=3)
-        assert not outcome.committed
-        assert outcome.reason == REASON_CAS_EXHAUSTED
-        assert outcome.attempts == 3
-        assert outcome.versions == {}
-        assert metrics.counter("cluster.twophase.retries").value == 3
-        assert metrics.counter("cluster.twophase.cas_exhausted").value == 1
-        # b never kept anything: every attempt aborted before b published
-        assert b.store.version == 0
-
-    def test_prepare_failure_aborts_without_publishing(self, star_topology):
-        def refusing_solve(pinned):
-            raise PrepareFailure("no capacity")
-
-        a = _participant("a", star_topology, solve=refusing_solve)
-        b = _participant("b", star_topology)
-        metrics = MetricsRegistry()
-        publish = CrossShardPublish([a, b], metrics=metrics)
-        outcome = publish.execute()
-        assert not outcome.committed
-        assert "a" in outcome.reason and "no capacity" in outcome.reason
-        assert a.store.version == 0 and b.store.version == 0
-        assert publish.state == STATE_ABORTED
-        assert metrics.counter("cluster.twophase.aborts").value == 1
-
-    def test_lifecycle_enforced(self, star_topology):
-        a = _participant("a", star_topology)
-        publish = CrossShardPublish([a])
-        with pytest.raises(TwoPhaseStateError):
-            publish.commit()
-        publish.prepare()
-        with pytest.raises(TwoPhaseStateError):
-            publish.prepare()
-        with pytest.raises(ValueError):
-            CrossShardPublish([])
-        with pytest.raises(ValueError):
-            CrossShardPublish([a, _participant("a", star_topology)])
-        with pytest.raises(ValueError):
-            CrossShardPublish([a]).execute(max_attempts=0)
+    def test_stale_commit_is_rejected_without_retry(
+        self, coordinator, monkeypatch
+    ):
+        solves = []
+        _bypass(monkeypatch, coordinator, "shard1",
+                _tct("conflict", "D7", "D12"))
+        _wrap_solve(monkeypatch, coordinator, "shard0",
+                    lambda schedule, requests: solves.append(requests))
+        decision = coordinator.submit(_tct("x", "D1", "D12"))
+        assert decision.reason == REASON_CAS_EXHAUSTED
+        assert len(solves) == 1
 
 
 class TestCoordinatorAbort:
     """The acceptance invariant: an aborted cross-shard publish leaves
     no half-committed schedule, proven by auditing the stitched GCL."""
 
-    @pytest.fixture
-    def coordinator(self):
-        topo = simulation_topology()
-        partition = partition_topology(topo, 2, seeds=["SW1", "SW4"])
-        coordinator = ClusterCoordinator(partition=partition)
-        yield coordinator
-        coordinator.shutdown()
-
-    def test_abort_leaves_no_half_commit(self, coordinator):
+    def test_abort_leaves_no_half_commit(self, coordinator, monkeypatch):
         # seed both shards so the audit has gates to check either way
         assert coordinator.submit(_tct("loc0", "D1", "D4")).accepted
         assert coordinator.submit(_tct("loc1", "D10", "D12")).accepted
-
-        request = _tct("crosser", "D1", "D12")
-        attempts = {}
-        participants = coordinator._participants_for(request, attempts)
-        publish = CrossShardPublish(
-            participants, metrics=coordinator.metrics
-        )
-        publish.prepare()
-        # a shard-local admission lands on shard1 — the shard the commit
-        # publishes *second* — so shard0 publishes and must roll back
-        assert coordinator.submit(_tct("conflict", "D7", "D12")).accepted
-        assert publish.commit() is False
+        _bypass(monkeypatch, coordinator, "shard1",
+                _tct("conflict", "D7", "D12"))
+        assert not coordinator.submit(_tct("crosser", "D1", "D12")).accepted
 
         # no shard holds any trace of the aborted stream
         for name in coordinator.shard_names():
@@ -193,22 +199,14 @@ class TestCoordinatorAbort:
         # the stitched GCL still audits clean after the abort
         assert coordinator.audit() is not None
 
-        metrics = coordinator.metrics
-        assert metrics.counter("cluster.twophase.rollbacks").value >= 1
-        assert metrics.counter("cluster.twophase.aborts").value >= 1
-
-    def test_retry_after_abort_commits_clean(self, coordinator):
+    def test_retry_after_abort_commits_clean(self, coordinator, monkeypatch):
         assert coordinator.submit(_tct("loc0", "D1", "D4")).accepted
         request = _tct("crosser", "D1", "D12")
-        participants = coordinator._participants_for(request, {})
-        publish = CrossShardPublish(
-            participants, metrics=coordinator.metrics
-        )
-        publish.prepare()
-        assert coordinator.submit(_tct("conflict", "D7", "D12")).accepted
-        assert publish.commit() is False
+        _bypass(monkeypatch, coordinator, "shard1",
+                _tct("conflict", "D7", "D12"))
+        assert not coordinator.submit(request).accepted
 
-        # the coordinator's own retry path re-prepares and lands it
+        # the caller's resubmission locks, solves and lands it
         decision = coordinator.submit(request)
         assert decision.accepted
         assert decision.rung == RUNG_TWOPHASE

@@ -147,6 +147,11 @@ class TestBackpressure:
                     sent += 1
                     busy_expected = 1
             assert busy_expected, "queue never filled"
+            # release only once every line is ingested: an overflow
+            # still in the socket when the backend drains finds room
+            ingested = frontend.metrics.counter("frontend.requests_total")
+            while ingested.value < sent and time.monotonic() < deadline:
+                time.sleep(0.001)
             backend.release.set()
             responses = [client.recv() for _ in range(sent)]
             # responses stay in request order even across the rejection

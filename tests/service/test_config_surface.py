@@ -24,13 +24,12 @@ SERVING_FLAGS = {
     ),
     ("cluster", "serve"): (
         "--audit --backend --events --fail-on-reject --metrics-out "
-        "--prometheus-out --requests --seeds --shards --topology --trace "
-        "--workers"
+        "--prometheus-out --requests --seeds --shards --topology --trace"
     ),
     ("frontend", "serve"): (
         "--backend --cache-size --cluster --drain-grace-s --host "
         "--max-batch --max-pipeline --max-queue --metrics-out --no-cache "
-        "--port --seeds --shards --state --topology --trace --workers"
+        "--port --seeds --shards --state --topology --trace"
     ),
 }
 
@@ -57,3 +56,15 @@ def test_serving_command_flags(command):
         if s.startswith("--") and s != "--help"
     )
     assert " ".join(flags) == SERVING_FLAGS[command]
+
+
+@pytest.mark.parametrize("command", [("cluster", "serve"),
+                                     ("frontend", "serve")])
+def test_workers_flag_is_gone(command, capsys):
+    """The coordinator owns no thread pool, so there is nothing to size."""
+    with pytest.raises(SystemExit) as exit_info:
+        _build_parser().parse_args(
+            [*command, "--topology", "topo.json", "--workers", "2"]
+        )
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err

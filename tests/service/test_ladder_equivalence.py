@@ -257,6 +257,45 @@ class TestPinnedToParent:
         validate(service.store.schedule)
 
 
+class TestSolverCounters:
+    def test_counters_sum_the_solves_that_ran(self, monkeypatch):
+        """The first five ``LadderOps`` at seed 7 on the Fig. 10
+        testbed: the 2nd climbs to one certified SMT solve, the three
+        after it are constructive accepts of a snapshot whose ``meta``
+        still carries that solve's stats and certificate — which must
+        not be counted again."""
+        ran = []
+        real = admission_module.schedule_etsn
+
+        def recorded(*args, **kwargs):
+            result = real(*args, **kwargs)
+            ran.append(result.meta)
+            return result
+
+        monkeypatch.setattr(admission_module, "schedule_etsn", recorded)
+        workload = make_testbed_workload(0.25, 6)
+        base = schedule_etsn(workload.topology, workload.tct_streams,
+                             workload.ect_streams)
+        service = AdmissionService(
+            ScheduleStore(base),
+            ServiceConfig(backend="smt", certify=True, rungs=(
+                RungConfig(RUNG_FASTPATH),
+                RungConfig(RUNG_FULL, timeout_s=None),
+            )),
+        )
+        devices = [d.name for d in workload.topology.devices]
+        decisions = _ladder_ops(service, devices, 14, {1: 7}, 5)
+        assert _letters(decisions) == "fFfff"
+        assert len(ran) == 1
+        counters = service.metrics.to_dict()["counters"]
+        assert counters["solver.decisions"] == sum(
+            meta["solver_stats"]["decisions"] for meta in ran
+        )
+        assert counters["certificates.verified_sat"] == sum(
+            bool(meta["certificate"]["verified"]) for meta in ran
+        )
+
+
 def _saturated(service):
     """Three seeds leave one free slot on SW1->D3; the probe's earliest
     fit there busts its deadline and no necessary condition trips, so

@@ -187,6 +187,47 @@ class TestServeCommand:
         assert decisions[0]["accepted"] is True
         assert decisions[0]["store_version"] == 1
 
+    def test_name_clash_reject_leaves_the_saved_store_alone(
+        self, capsys, tmp_path
+    ):
+        """A TCT named like an ECT's first possibility, then that ECT,
+        one request per batch: the screen refuses the ECT, and the state
+        saved afterwards holds the TCT alone and revalidates on load.  A
+        rejected admit once wrote its slots into the published
+        snapshot."""
+        from repro.experiments import line_of_rings
+        from repro.serialization import schedule_from_dict
+
+        topo_path = self._topology_file(
+            tmp_path, line_of_rings(rings=1, ring_size=3,
+                                    devices_per_switch=1),
+        )
+        route = {"source": "R0S0D0", "destination": "R0S1D0",
+                 "length_bytes": 300}
+        requests = self._requests_file(tmp_path, [
+            {"op": "admit-tct", "name": "e1#ps1",
+             "period_ns": milliseconds(16), **route},
+            {"op": "admit-ect", "name": "e1", "possibilities": 4,
+             "min_interevent_ns": milliseconds(16), **route},
+        ])
+        state_path = tmp_path / "state.json"
+        code = main([
+            "serve", "--topology", str(topo_path),
+            "--requests", str(requests), "--max-batch", "1",
+            "--save-state", str(state_path),
+            "--metrics-out", str(tmp_path / "metrics.json"),
+        ])
+        assert code == 0
+        admitted, clash = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert admitted["accepted"]
+        assert not clash["accepted"] and clash["attempts"] == {}
+        assert clash["reason"] == "stream name 'e1#ps1' already in use"
+        state = schedule_from_dict(json.loads(state_path.read_text()))
+        assert [s.name for s in state.streams] == ["e1#ps1"]
+
 
 class TestTraceFlag:
     def _serve_traced(self, capsys, tmp_path, star_topology):
