@@ -58,10 +58,13 @@ class _Occupancy:
 
     :meth:`earliest_fit` reads a link through flat *rows* ``(offset,
     duration, gcd with the candidate's period)``, one per slot the
-    candidate may not overlap.  A link's rows belong to one candidate
-    stream and are dropped by the next :meth:`add` or :meth:`release`
-    on that link — entering the candidate's own slots does that on every
-    link of its path, so rows never outlive one stream's placement.
+    candidate may not overlap.  Rows depend on the candidate only
+    through its *class* (:func:`_row_class`: what ``may_overlap`` and
+    the gcd read of it), so every candidate of one class shares them.
+    A link's rows of one class cover its slots up to a high-water mark;
+    :meth:`add` only appends slots, and the next read extends the rows
+    from the mark.  :meth:`release` rebuilds a link's slot list and
+    drops every class's rows on it.
     """
 
     def __init__(
@@ -73,8 +76,8 @@ class _Occupancy:
         self.by_link = {} if by_link is None else by_link
         #: links whose list this occupancy made, and so may append to
         self._own: Set[Tuple[str, str]] = set()
-        #: link -> (candidate stream, its rows on that link)
-        self._rows: Dict[Tuple[str, str], Tuple[Stream, list]] = {}
+        #: link -> candidate class -> (its rows, slots of the link they cover)
+        self._rows: Dict[Tuple[str, str], Dict[tuple, list]] = {}
 
     @classmethod
     def over(cls, schedule: NetworkSchedule) -> "_Occupancy":
@@ -88,7 +91,6 @@ class _Occupancy:
             self.by_link[link] = list(self.by_link.get(link, ()))
             self._own.add(link)
         self.by_link[link].append(slot)
-        self._rows.pop(link, None)
 
     def release(self, streams: Sequence[Stream]) -> None:
         """Drop every slot of ``streams`` from the links they cross."""
@@ -109,26 +111,33 @@ class _Occupancy:
     def _rows_against(
         self, stream: Stream, frame: FrameVar
     ) -> List[Tuple[int, int, int]]:
-        """The rows of ``frame.link`` for ``stream``, in slot order: the
-        Eq. 5 exemption is decided once per placed stream, the gcd once
-        per slot — not once per probe."""
-        cached = self._rows.get(frame.link)
-        if cached is not None and cached[0] is stream:
-            return cached[1]
-        exempt: Dict[str, bool] = {}
-        rows = []
-        for slot in self.by_link.get(frame.link, ()):
-            exempted = exempt.get(slot.stream)
-            if exempted is None:
-                exempted = exempt[slot.stream] = may_overlap(
-                    stream, self.streams[slot.stream]
-                )
-            if not exempted:
-                rows.append((
-                    slot.offset_ns, slot.duration_ns,
-                    math.gcd(frame.period_ns, slot.period_ns),
-                ))
-        self._rows[frame.link] = (stream, rows)
+        """The rows of ``frame.link`` for ``stream``'s class, in slot
+        order, first extended over the slots added since the last read:
+        the Eq. 5 exemption is decided once per placed stream per
+        extension, the gcd once per slot — not once per probe."""
+        slots = self.by_link.get(frame.link, ())
+        by_class = self._rows.get(frame.link)
+        if by_class is None:
+            by_class = self._rows[frame.link] = {}
+        key = _row_class(stream, frame.period_ns)
+        entry = by_class.get(key)
+        if entry is None:
+            entry = by_class[key] = [[], 0]
+        rows, covered = entry
+        if covered < len(slots):
+            exempt: Dict[str, bool] = {}
+            for slot in slots[covered:]:
+                exempted = exempt.get(slot.stream)
+                if exempted is None:
+                    exempted = exempt[slot.stream] = may_overlap(
+                        stream, self.streams[slot.stream]
+                    )
+                if not exempted:
+                    rows.append((
+                        slot.offset_ns, slot.duration_ns,
+                        math.gcd(frame.period_ns, slot.period_ns),
+                    ))
+            entry[1] = len(slots)
         return rows
 
     def earliest_fit(
@@ -180,6 +189,14 @@ class _Occupancy:
                 stream.name, never_clear_message(duration, *unclearable)
             )
         return phi
+
+
+def _row_class(stream: Stream, period_ns: int) -> tuple:
+    """Everything :func:`may_overlap` and the row gcd read of a
+    candidate frame: two candidates of one class have the same rows."""
+    if stream.is_probabilistic:
+        return (period_ns, True, stream.parent)
+    return (period_ns, False, stream.share)
 
 
 def _try_place(
@@ -273,7 +290,9 @@ def schedule_heuristic(
 ) -> NetworkSchedule:
     """Compute a joint E-TSN schedule with the incremental backend.
 
-    Raises :class:`InfeasibleError` after the restart budget is spent.
+    Raises :class:`InfeasibleError` once the restart budget is spent or
+    a stream fails at the head of the order, where no restart can help;
+    the message says which, and how many restarts ran.
     """
     streams: List[Stream] = list(tct_streams)
     ects = list(ect_streams)
@@ -290,7 +309,8 @@ def schedule_heuristic(
         max_restarts = 2 * len(streams) + 4
 
     last_failure = ""
-    for _ in range(max_restarts + 1):
+    stopped = f"the budget of {max_restarts} restarts ran out"
+    for restarts in range(max_restarts + 1):
         occupancy = _Occupancy(streams_by_name)
         slots: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]] = {}
         failed: Optional[str] = None
@@ -323,9 +343,13 @@ def schedule_heuristic(
         # Promote the failed stream to the front and retry, unless it
         # already led the order (then more restarts cannot help).
         if order[0].name == failed:
+            stopped = (
+                f"stopped after {restarts} of {max_restarts} restarts: "
+                f"{failed} failed at the head of the order"
+            )
             break
         order.sort(key=lambda s: s.name != failed)
     raise InfeasibleError(
-        f"heuristic scheduler: could not place all {len(streams)} streams "
-        f"after {max_restarts} restarts (last failure: {last_failure})"
+        f"heuristic scheduler: could not place all {len(streams)} streams; "
+        f"{stopped} (last failure: {last_failure})"
     )

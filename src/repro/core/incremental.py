@@ -2,23 +2,34 @@
 
 Sec. VII-C motivates *online* scheduling: links fail, applications come
 and go, and recomputing the whole network schedule on every change is too
-slow.  This module adds streams to an existing :class:`NetworkSchedule`
-without moving any already-granted slot:
+slow.  This module edits an existing :class:`NetworkSchedule` and moves
+only the slots an edit has to move.  One primitive does every edit:
+
+* :func:`repair` — release a set of streams, drop the ones that leave,
+  plan prudent reservation for the released and new ones against the
+  ECT streams live afterwards, and place them earliest-fit, in the
+  given order, around every slot that stays (the incremental step of
+  Steiner's backtracking approach [18]).
+
+The rest are calls to it:
 
 * :func:`add_tct_stream` / :func:`add_shared_tct_stream` — admit one
-  new TCT stream; existing slots are frozen, the new stream (with its
-  own prudent-reservation extras when it shares slots with ECT) is
-  placed earliest-fit around them (the incremental step of Steiner's
-  backtracking approach [18]).
-* :func:`add_ect_stream` — admit one new ECT stream.  Its probabilistic
-  possibilities are placed around the frozen schedule.  TCT streams that
+  new TCT stream; nothing is released, the new stream (with its own
+  prudent-reservation extras when it shares slots with ECT) is placed
+  around the frozen schedule.
+* :func:`add_ect_stream` — admit one new ECT stream.  TCT streams that
   share their slots with the new ECT need fresh prudent-reservation
   extras, and appending extras on one link shifts the adjacent-link
-  pairing (paper Fig. 8) — so exactly those streams are *re-placed*;
-  every other stream's slots are frozen.
-* :func:`remove_stream` — retire a stream and release its slots.  The
+  pairing (paper Fig. 8) — so exactly those streams are released and
+  re-placed, then the possibilities; every other slot is frozen.
+* :func:`remove_stream` — drop a stream and release nothing else.  The
   extras an ECT stream induced on sharing TCT streams stay in place
-  (still valid, just more generous than needed) until a re-solve.
+  (still valid, just more generous than needed) until something
+  re-places the sharer.
+* the admission service's ``full`` rung releases the *ring* of a batch
+  — the deterministic streams with a slot on a link an admitted route
+  crosses (:func:`deterministic_crossing`) — and re-places it with the
+  newcomers, tightest first, before it re-solves the whole network.
 
 Every operation *derives* a **new** schedule from its input — the outer
 ``slots`` dict, the ``streams`` list and the two index maps are shallow
@@ -27,20 +38,20 @@ other list is shared with the input, and the input itself is never
 written to — so an edit costs what it touches plus three C-level
 copies, not a walk over the network.  Prudent reservation is part of
 "what it touches": Alg. 1 is planned for the streams the edit places,
-against one possibility per live ECT stream (:func:`_live_ect`), never
-for the population.  What is still O(network) per edit is exactly those
-three shallow copies and, when a new ECT crosses sharing streams, the
-one scan that puts them in ``streams`` order
-(:func:`affected_sharing_streams`).  The result is re-validated unless
-the caller defers that (``validate_result=False`` — the admission
-service's constructive rung, the one loop over these primitives, applies
-a whole batch and delta-validates once); admission failure raises
+against one possibility per live ECT stream, never for the population.
+What is still O(network) per edit is exactly those three shallow copies
+and, when an edit releases streams, the one scan that puts them in
+``streams`` order (:func:`deterministic_crossing`).  The result is
+re-validated unless the caller defers that (``validate_result=False``
+— the admission service's constructive rung, the one loop over these
+primitives, applies a whole batch and delta-validates once, and so does
+the ``full`` rung's ring); admission failure raises
 :class:`InfeasibleError` (admission control semantics).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
@@ -49,6 +60,7 @@ from repro.core.reservation import prudent_reservation
 from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Priorities, Stream, StreamType
+from repro.model.topology import Link
 
 _SlotTable = Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]]
 
@@ -90,15 +102,25 @@ def _derived(
     return result
 
 
-def _live_ect(schedule: NetworkSchedule) -> List[Stream]:
-    """One scheduled possibility per live ECT stream, in ``ect_streams``
-    order: everything Alg. 1 reads of an ECT (route, period, length),
-    in the order the whole-population plan meets the parents."""
-    return [
-        possibility
-        for ect in schedule.ect_streams
-        for possibility in schedule.possibilities_of(ect.name)[:1]
-    ]
+def deterministic_crossing(
+    schedule: NetworkSchedule,
+    links: Iterable[Link],
+    keep: Callable[[Stream], bool],
+) -> List[Stream]:
+    """The deterministic streams with a slot on any of ``links`` that
+    ``keep`` accepts, in ``streams`` order."""
+    by_name = schedule.streams_by_name
+    by_link = schedule.slots_by_link
+    crossing = {
+        slot.stream for link in links for slot in by_link.get(link.key, ())
+    }
+    chosen = {
+        name for name in crossing
+        if by_name[name].type == StreamType.DET and keep(by_name[name])
+    }
+    if not chosen:
+        return []
+    return [s for s in schedule.streams if s.name in chosen]
 
 
 def affected_sharing_streams(
@@ -112,20 +134,76 @@ def affected_sharing_streams(
     these — need re-placement when ``ect`` is admitted.  In ``streams``
     order, the order they are re-placed in.
     """
+    return deterministic_crossing(
+        schedule, ect.route(schedule.topology), lambda s: s.share
+    )
+
+
+def repair(
+    schedule: NetworkSchedule,
+    place: Sequence[Stream],
+    drop: Iterable[str] = (),
+    ects: Sequence[EctStream] = (),
+    guard_margin_ns: int = 0,
+    reservation_mode: str = "paper",
+    validate_result: bool = True,
+    additions: int = 0,
+) -> NetworkSchedule:
+    """Release ``place``, re-plan it and re-place it around the rest.
+
+    Every stream of ``place`` that ``schedule`` already holds loses its
+    slots; the streams named in ``drop`` leave (an ECT stream with all
+    its possibilities); the specs in ``ects`` join, their possibilities
+    being among ``place``.  Alg. 1 is planned for ``place`` alone,
+    against one possibility per ECT stream live afterwards, and the
+    streams are placed earliest-fit in the given order around every
+    slot that stays — those keep their slot-list objects.  Raises
+    :class:`InfeasibleError` naming the first stream that does not fit,
+    or ``KeyError`` for a name in ``drop`` the schedule does not hold.
+    """
     by_name = schedule.streams_by_name
-    by_link = schedule.slots_by_link
-    crossing = {
-        slot.stream
-        for link in ect.route(schedule.topology)
-        for slot in by_link.get(link.key, ())
-    }
-    affected = {
-        name for name in crossing
-        if by_name[name].type == StreamType.DET and by_name[name].share
-    }
-    if not affected:
-        return []
-    return [s for s in schedule.streams if s.name in affected]
+    ect_streams = schedule.ect_streams
+    victims: List[Stream] = []
+    for name in drop:
+        if any(e.name == name for e in ect_streams):
+            victims.extend(schedule.possibilities_of(name))
+            ect_streams = [e for e in ect_streams if e.name != name]
+        elif name in by_name:
+            victims.append(by_name[name])
+        else:
+            raise KeyError(f"no stream named {name!r}")
+    released = [s for s in place if s.name in by_name] + victims
+    occupancy = _Occupancy.over(schedule)
+    occupancy.release(released)
+    slots = dict(schedule.slots)
+    for stream in released:
+        for link in stream.path:
+            slots.pop((stream.name, link.key), None)
+    for stream in victims:
+        del occupancy.streams[stream.name]
+    for stream in place:
+        occupancy.streams.setdefault(stream.name, stream)
+    against: List[Stream] = []
+    if any(s.share for s in place):
+        # the live ECT, in the order the whole-population plan meets
+        # them; only sharing rows read them
+        against = [
+            possibility
+            for ect in ect_streams
+            for possibility in schedule.possibilities_of(ect.name)[:1]
+        ] + [next(s for s in place if s.parent == ect.name) for ect in ects]
+    plan = prudent_reservation(place, reservation_mode, against=against)
+    try:
+        frames = build_frames(place, plan, guard_margin_ns)
+        for stream in place:
+            _place(stream, frames, occupancy, slots)
+    except _PlacementFailure as exc:
+        raise InfeasibleError(str(exc)) from exc
+    # the name index is in ``streams`` order, and deletion keeps it
+    return _derived(
+        schedule, list(occupancy.streams.values()), slots,
+        ect_streams + list(ects), occupancy, validate_result, additions,
+    )
 
 
 def add_tct_stream(
@@ -163,23 +241,14 @@ def add_shared_tct_stream(
     if stream.name in schedule.streams_by_name:
         raise ValueError(f"stream {stream.name!r} already scheduled")
 
-    # the candidate's rows only; a non-sharing one takes no extras
-    plan = prudent_reservation(
-        [stream], reservation_mode,
-        against=_live_ect(schedule) if stream.share else (),
-    )
-    frames = build_frames([stream], plan, guard_margin_ns)
-    occupancy = _Occupancy.over(schedule)
-    occupancy.streams[stream.name] = stream
-    slots = dict(schedule.slots)
     try:
-        _place(stream, frames, occupancy, slots)
-    except _PlacementFailure as exc:
+        return repair(
+            schedule, [stream], guard_margin_ns=guard_margin_ns,
+            reservation_mode=reservation_mode,
+            validate_result=validate_result, additions=1,
+        )
+    except InfeasibleError as exc:
         raise InfeasibleError(f"cannot admit {stream.name}: {exc}") from exc
-    return _derived(
-        schedule, schedule.streams + [stream], slots, schedule.ect_streams,
-        occupancy, validate_result, additions=1,
-    )
 
 
 def add_ect_stream(
@@ -207,36 +276,17 @@ def add_ect_stream(
             raise ValueError(f"stream {possibility.name!r} already scheduled")
     if affected is None:
         affected = affected_sharing_streams(schedule, ect)
-    # the rows to place, against every ECT live afterwards
-    plan_after = prudent_reservation(
-        affected + possibilities, reservation_mode,
-        against=_live_ect(schedule) + possibilities[:1],
-    )
-
-    occupancy = _Occupancy.over(schedule)
-    for possibility in possibilities:
-        occupancy.streams[possibility.name] = possibility
-    # drop the affected streams' slots; they are re-placed below
-    occupancy.release(affected)
-    slots = dict(schedule.slots)
-    for stream in affected:
-        for link in stream.path:
-            del slots[(stream.name, link.key)]
     try:
-        frames = build_frames(
-            affected + possibilities, plan_after, guard_margin_ns
-        )
         # re-place the sharing streams first (tighter), then the
         # possibilities (they may overlap the sharing streams anyway)
-        for stream in affected + possibilities:
-            _place(stream, frames, occupancy, slots)
-    except _PlacementFailure as exc:
+        return repair(
+            schedule, affected + possibilities, ects=[ect],
+            guard_margin_ns=guard_margin_ns,
+            reservation_mode=reservation_mode,
+            validate_result=validate_result, additions=1,
+        )
+    except InfeasibleError as exc:
         raise InfeasibleError(f"cannot admit {ect.name}: {exc}") from exc
-    return _derived(
-        schedule, schedule.streams + possibilities, slots,
-        schedule.ect_streams + [ect], occupancy, validate_result,
-        additions=1,
-    )
 
 
 def remove_stream(
@@ -246,26 +296,9 @@ def remove_stream(
 
     Removing an ECT stream leaves the other streams' extra reservations
     in place (they are still valid, just more generous than needed);
-    they stay until a later ECT admit or ``full`` re-solve touches the
-    stream.
+    they stay until something re-places the stream: a later ECT admit
+    that crosses it, a ``full`` rung whose ring releases it (its extras
+    are then planned against the ECT streams still live), or a whole
+    re-solve.
     """
-    ect_streams = schedule.ect_streams
-    if any(e.name == name for e in ect_streams):
-        victims = schedule.possibilities_of(name)
-        ect_streams = [e for e in ect_streams if e.name != name]
-    elif name in schedule.streams_by_name:
-        victims = [schedule.streams_by_name[name]]
-    else:
-        raise KeyError(f"no stream named {name!r}")
-    occupancy = _Occupancy.over(schedule)
-    occupancy.release(victims)
-    slots = dict(schedule.slots)
-    for stream in victims:
-        del occupancy.streams[stream.name]
-        for link in stream.path:
-            slots.pop((stream.name, link.key), None)
-    # the name index is in ``streams`` order and deletion keeps it
-    return _derived(
-        schedule, list(occupancy.streams.values()), slots, ect_streams,
-        occupancy, validate_result,
-    )
+    return repair(schedule, [], drop=[name], validate_result=validate_result)

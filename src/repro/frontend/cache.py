@@ -27,13 +27,17 @@ Not every decision is replayable.  :func:`cacheable` admits only
   a fresh name would be wrong;
 * a *transient* rejection (rung timeout, CAS exhaustion) is wall-clock
   dependent — a fresh attempt on the same snapshot could legitimately
-  decide differently.
+  decide differently;
+* a rejection that *climbed a re-solve rung* (an attempt keyed
+  ``full`` or ``heuristic``, or ``<shard>.full`` from the cluster) is
+  name-dependent too: the heuristic places streams tightest first and
+  breaks ties on ``(period, e2e)`` by name, so the same shape under
+  another name can be placed in another order and fit.
 
-What remains — screening rejects, analytic fast-path rejects, and
-deterministic infeasibility verdicts — is exactly the class for which
-"cached decision never disagrees with a fresh
-:meth:`AdmissionService.submit` on the same snapshot" holds (the
-hypothesis property in ``tests/frontend``).
+What remains — screening rejects and the constructive rung's conclusive
+analytic rejects — is exactly the class for which "cached decision
+never disagrees with a fresh :meth:`AdmissionService.submit` on the
+same snapshot" holds (the hypothesis property in ``tests/frontend``).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Tuple
 
+from repro.service.admission import RUNG_FULL, RUNG_HEURISTIC
 from repro.service.metrics import MetricsRegistry
 from repro.service.requests import Decision
 
@@ -61,11 +66,19 @@ _UNCACHEABLE_MARKERS = (
     "server_busy",           # frontend backpressure, never a verdict
 )
 
+#: Rungs whose verdict depends on the stream's name (placement order).
+_RESOLVE_RUNGS = (RUNG_FULL, RUNG_HEURISTIC)
+
 
 def cacheable(decision: Decision) -> bool:
     """True when ``decision`` is a deterministic, name-independent
     rejection — the only class the cache may replay."""
     if decision.accepted:
+        return False
+    if any(
+        rung.rsplit(".", 1)[-1] in _RESOLVE_RUNGS
+        for rung in decision.attempts
+    ):
         return False
     texts = [decision.reason or ""]
     texts.extend(decision.attempts.values())

@@ -11,7 +11,10 @@
   schedule, or a conclusive analytic reject that ends the climb), then
   a re-solve with the configured backend, then — for the SMT backend —
   a re-solve with :func:`schedule_heuristic`; each re-solve rung is
-  one cold attempt under its own wall-clock timeout;
+  one cold attempt under its own wall-clock timeout.  A heuristic
+  re-solve of a TCT-only batch first repairs the batch's *ring* (the
+  streams on its admitted routes' links, re-placed around the frozen
+  rest) and re-solves the whole network only when that fails;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -36,13 +39,16 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.check.proof import CertificateError
 from repro.check.sanitizer import make_lock
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
-from repro.core.heuristic import schedule_heuristic
+from repro.core.heuristic import _placement_order, schedule_heuristic
+from repro.core.incremental import deterministic_crossing, repair
 from repro.core.probabilistic import possibility_names
 from repro.core.schedule import (
     CertifiedInfeasibleError,
@@ -50,8 +56,9 @@ from repro.core.schedule import (
     NetworkSchedule,
     ScheduleError,
     validate,
+    validate_delta,
 )
-from repro.model.stream import StreamError, StreamType
+from repro.model.stream import Stream, StreamError, StreamType
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import fastpath as fastpath_module
@@ -721,7 +728,8 @@ class AdmissionService:
             raise ConclusiveReject(result.reason)
         raise InfeasibleError(result.reason)
 
-    # rungs 2/3: re-solve the target stream set from scratch -----------
+    # rungs 2/3: repair the batch's ring, or re-solve the target stream
+    # set from scratch --------------------------------------------------
     def _resolve(
         self,
         schedule: NetworkSchedule,
@@ -729,18 +737,20 @@ class AdmissionService:
         rung_name: str,
     ) -> NetworkSchedule:
         removals = {r.name for r in batch if isinstance(r, Remove)}
-        ects = [e for e in schedule.ect_streams if e.name not in removals]
+        admitted = [
+            r.requirement.resolve(schedule.topology)
+            for r in batch if isinstance(r, AdmitTct)
+        ]
+        new_ects = [r.ect for r in batch if isinstance(r, AdmitEct)]
+        ects = [
+            e for e in schedule.ect_streams if e.name not in removals
+        ] + new_ects
         # probabilistic possibilities are regenerated from the ECT specs
         # by the solver, so only the deterministic population carries over
         tct = [
             s for s in schedule.streams
             if s.type == StreamType.DET and s.name not in removals
-        ]
-        for request in batch:
-            if isinstance(request, AdmitTct):
-                tct.append(request.requirement.resolve(schedule.topology))
-            elif isinstance(request, AdmitEct):
-                ects.append(request.ect)
+        ] + admitted
         backend = (
             self._config.backend if rung_name == RUNG_FULL else "heuristic"
         )
@@ -749,6 +759,14 @@ class AdmissionService:
             reservation_mode=self._config.reservation_mode,
         )
         if backend == "heuristic":
+            if not new_ects:
+                try:
+                    result = self._repair_ring(schedule, admitted, removals)
+                except (InfeasibleError, ScheduleError):
+                    pass  # the whole re-solve below decides
+                else:
+                    result.meta["resolved_by"] = rung_name
+                    return result
             restarts = max(
                 self._config.heuristic_min_restarts,
                 2 * (len(tct) + sum(e.possibilities for e in ects)) + 4,
@@ -762,6 +780,42 @@ class AdmissionService:
                 proof=self._config.certify, **kwargs
             )
         result.meta["resolved_by"] = rung_name
+        return result
+
+    def _repair_ring(
+        self,
+        schedule: NetworkSchedule,
+        admitted: List[Stream],
+        removals: Set[str],
+    ) -> NetworkSchedule:
+        """Release the batch's ring — every deterministic stream with a
+        slot on a link an admitted route crosses — and re-place it with
+        the newcomers, tightest first, around the frozen rest.
+
+        Probabilistic slots stay frozen, so every live ECT keeps its
+        guarantee.  The result is checked like a constructive accept:
+        ``validate_delta`` over what moved, a full ``validate`` under
+        ``certify``.
+        """
+        links = [link for stream in admitted for link in stream.path]
+        ring = deterministic_crossing(
+            schedule, links, lambda s: s.name not in removals
+        )
+        place = _placement_order(ring + admitted)
+        result = repair(
+            schedule, place, drop=removals,
+            guard_margin_ns=self._config.guard_margin_ns,
+            reservation_mode=self._config.reservation_mode,
+            validate_result=False,
+        )
+        if self._config.certify:
+            validate(result)
+        else:
+            validate_delta(result, [s.name for s in place])
+        # a repair runs no solver: the snapshot's search stats and
+        # certificate are not this result's to report
+        result.meta.pop("solver_stats", None)
+        result.meta.pop("certificate", None)
         return result
 
     # -- deployment emission -------------------------------------------

@@ -10,6 +10,7 @@ form, written with ``may_overlap`` and ``periodic_overlap``.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -225,7 +226,7 @@ def test_unclearable_row_fails_once_the_rows_before_it_are_clear(
     assert got == _restart_scan(streams, slots, streams["new"], frame, 0)
 
 
-def test_rows_are_dropped_by_an_add_or_release_on_their_link():
+def test_rows_follow_an_add_or_release_on_their_link():
     topo = _topo()
     streams = {name: _stream(topo, name, 60) for name in ("new", "s0", "s1")}
     frame = FrameVar("new", LINK, 0, 60, 10)
@@ -236,6 +237,68 @@ def test_rows_are_dropped_by_an_add_or_release_on_their_link():
     occupancy.release([streams["s0"]])
     assert occupancy.earliest_fit(streams["new"], frame, 0, 1) == 0
     assert occupancy.earliest_fit(streams["new"], frame, 5, 1) == 20
+
+
+@st.composite
+def occupancy_history(draw):
+    """Placed streams of every class, and a sequence of steps: enter one
+    more slot, release a stream, or read the rows for a candidate of a
+    drawn class."""
+    topo = _topo()
+    streams = {}
+    for i in range(draw(st.integers(1, 6))):
+        name = f"s{i}"
+        streams[name] = _stream(topo, name, draw(st.sampled_from(PERIODS)),
+                                draw(st.sampled_from(KINDS)))
+    for i, kind in enumerate(KINDS):
+        for period in PERIODS:
+            name = f"c{i}_{period}"
+            streams[name] = _stream(topo, name, period, kind)
+    steps = []
+    for _ in range(draw(st.integers(1, 25))):
+        step = draw(st.sampled_from(("add", "add", "read", "release")))
+        name = draw(st.sampled_from(sorted(streams)))
+        if step == "add":
+            period = streams[name].period_ns
+            duration = draw(st.integers(1, 12))
+            offset = draw(st.integers(0, period - duration))
+            steps.append(("add", FrameSlot(name, LINK, 0, offset, period,
+                                           duration)))
+        else:
+            steps.append((step, name))
+    return streams, steps
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(occupancy_history())
+def test_rows_after_any_history_equal_rows_rebuilt_from_scratch(case):
+    """Rows are kept per candidate class and extended from a high-water
+    mark: after any interleaving of adds, releases and reads, the rows
+    a candidate reads equal the rows a fresh occupancy over the same
+    slots builds for it, and every candidate of one class reads the
+    same rows."""
+    streams, steps = case
+    occupancy = _Occupancy(streams)
+    for step, arg in steps:
+        if step == "add":
+            occupancy.add(arg)
+        elif step == "release":
+            occupancy.release([streams[arg]])
+        else:
+            candidate = streams[arg]
+            frame = FrameVar(arg, LINK, 0, candidate.period_ns, 5)
+            fresh = _Occupancy(streams, {
+                LINK: list(occupancy.by_link.get(LINK, ()))
+            })
+            rows = occupancy._rows_against(candidate, frame)
+            assert rows == fresh._rows_against(candidate, frame)
+            assert rows == [
+                (s.offset_ns, s.duration_ns,
+                 math.gcd(candidate.period_ns, s.period_ns))
+                for s in occupancy.by_link.get(LINK, ())
+                if not may_overlap(candidate, streams[s.stream])
+            ]
 
 
 # ----------------------------------------------------------------------

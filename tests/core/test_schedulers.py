@@ -178,3 +178,43 @@ class TestScheduleModel:
         schedule = schedule_heuristic(topo, [s1], [s2])
         text = schedule.describe()
         assert "s1" in text and "s2#ps1" in text and "extra" in text
+
+
+class TestHeuristicOrderAndVerdictText:
+    """The re-solve's placement order breaks ``(period, e2e)`` ties by
+    name, and its reject says how many restarts ran and why it stopped."""
+
+    def _tied(self, topo, first):
+        # D1->D3 and D2->D3 meet on SW1->D3: the short frame placed
+        # first leaves room for the long one inside 250 us, not the
+        # other way round
+        period = 250_000
+        return [_tct(topo, first, "D1", "D3", length=800, period=period),
+                _tct(topo, "b", "D2", "D3", length=1200, period=period)]
+
+    def test_one_pass_verdict_depends_on_the_name_tie_break(
+        self, star_topology
+    ):
+        validate(schedule_heuristic(
+            star_topology, self._tied(star_topology, "a"), max_restarts=0
+        ))
+        with pytest.raises(InfeasibleError,
+                           match="the budget of 0 restarts ran out"):
+            schedule_heuristic(
+                star_topology, self._tied(star_topology, "c"),
+                max_restarts=0,
+            )
+        # a restart promotes the stream that failed, and then it fits
+        validate(schedule_heuristic(
+            star_topology, self._tied(star_topology, "c"), max_restarts=1
+        ))
+
+    def test_reject_reports_the_restarts_that_ran(self, star_topology):
+        hog = _tct(star_topology, "hog", "D1", "D3", length=80 * 1500,
+                   period=milliseconds(5))
+        with pytest.raises(InfeasibleError) as info:
+            schedule_heuristic(star_topology, [hog], max_restarts=128)
+        message = str(info.value)
+        assert "stopped after 0 of 128 restarts: hog failed at the head" \
+            in message
+        assert "after 128 restarts" not in message

@@ -46,6 +46,43 @@ class TestCacheable:
         ))
         assert not cacheable(_reject("cas_exhausted"))
 
+    def test_rejects_that_climbed_a_resolve_rung_are_not_cacheable(self):
+        # the re-solve places streams in (period, e2e, name) order: the
+        # same shape under another name can fit (test_ladder_equivalence
+        # replays one such reject from the saturating ladder script)
+        infeasible = ("heuristic scheduler: could not place all 9 streams; "
+                      "the budget of 22 restarts ran out (last failure: …)")
+        for attempts in (
+            {"fastpath": "constructive placement failed: …",
+             "full": infeasible},
+            {"full": infeasible, "heuristic": infeasible},
+            {"heuristic": infeasible},
+            {"shard1.fastpath": "constructive placement failed: …",
+             "shard1.full": infeasible},
+        ):
+            assert not cacheable(_reject(
+                f"all ladder rungs failed ({infeasible})", attempts
+            ))
+
+    def test_screening_and_conclusive_analytic_rejects_stay_cacheable(self):
+        assert cacheable(_reject(
+            DETERMINISTIC.reason, {"fastpath": DETERMINISTIC.reason}
+        ))
+        assert cacheable(_reject(
+            "link-capacity: deterministic streams alone need 1.2x of "
+            "link <SW1,D3>",
+            {"fastpath": "constructive placement failed: …"},
+        ))
+        assert cacheable(_reject(
+            "unroutable request: no path", {"screen": "s: no path"}
+        ))
+        # a cross-shard segment that the full rung *placed* does not
+        # make a later conclusive reject name-dependent
+        assert cacheable(_reject(
+            DETERMINISTIC.reason,
+            {"shard0.rung": "full", "shard1.fastpath": DETERMINISTIC.reason},
+        ))
+
     def test_attempt_details_are_checked_too(self):
         # the headline reason looks deterministic but a rung attempt
         # records a timeout: a retry could climb further and differ

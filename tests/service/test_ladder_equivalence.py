@@ -7,11 +7,20 @@ present) *before* ``src/`` was touched: SHA-256 of the canonical JSON of
 One letter per decision: ``f`` accepted by the constructive rung, ``F``
 by the full re-solve, ``h`` by the heuristic rung, ``x`` rejected.
 
+The ``full`` rung now repairs the batch's ring before it re-solves the
+whole network, which moves other slots than the whole re-solve did, so
+``LADDER_DIGEST``, ``LADDER_DECISIONS`` and the ladder's counters were
+re-recorded after that change.  What it must not move is a verdict:
+the ``*_VERDICTS`` pins, one SHA-256 over every decision's ``(op,
+stream, accepted)``, were recorded at 9fc8fb9 (whole re-solve only)
+before ``src/`` was touched, and pass on both commits.
+
 The rest pins what the single rung driver owes: no replayed solver, the
 heuristic rung as the SMT backend's fallback, and the abandoned-solver
 accounting on a sequential timeout.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -23,6 +32,7 @@ from repro.core import schedule_etsn
 from repro.core.schedule import validate
 from repro.experiments import line_of_rings, simulation_workload
 from repro.experiments import testbed_workload as make_testbed_workload
+from repro.frontend.cache import cacheable
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
 from repro.obs import EventLog, filter_events
@@ -45,15 +55,31 @@ from tests.conftest import MTU_WIRE_NS
 
 MIX_DIGEST = "0a6fd5aa46781f3dccc1c8c147bca78809f7313534390aaacb4b64629493423a"
 MIX_DECISIONS = "f" * 35 + "x"
-LADDER_DIGEST = "52a20200936996b4a7d85b935147c2b8072406d82de5a12c617c6f702794053a"
+#: recorded after the ring repair landed (see the module docstring)
+LADDER_DIGEST = "2065d1fcc02419bbbc96ee24c166eea17be741e3bf5d2a2dbbf80d0beffb5951"
 LADDER_DECISIONS = (
     "fffFffffffffffffFfffffffffFffffffFfffffffffffFffFffFffffffffffFfffffff"
     "ffFfFffffFfFfFFffffffFffffFFffFffFffffffffffffffFfffffffffFfFFfffffffF"
     "fFfffffffffffffffFffffffffFfffffFfffffffffffFffffffffFfffffffffFffFfff"
-    "ffffffFffFffffffffffffffFffffFFFffFffFfFfFfffffffffffFfffFffffffffffff"
-    "ffffffffffffffffffffffffffffffffffffffffffffFfffFffffffffffffffffffFfF"
-    "fFfFffFfFffffFfffffffffffffffFffffFfffffffFFffffff"
+    "ffffffFfffffffffffffffffFffffFFFffFffFfFfFfffffffffffFfffFffffffffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffFfffFffffffffffffffffffFff"
+    "fFfFffFffffffffffffffffffffffFffffFfffffffFFffffff"
 )
+#: recorded at 9fc8fb9, before the ring repair
+LADDER_VERDICTS = (
+    "7bd73af150632b862c4c04f8bc2b669a2c669b07ff6b2ee0de2a0471fe99d5c0"
+)
+#: the saturating ``LadderOps`` draw (target 400, seed 1, no warm-up):
+#: verdict digest and 0-based indexes of the rejects, recorded at 9fc8fb9
+SATURATING_VERDICTS = (
+    "d800093b5c7814a2fb012451d67870f33bf819fdc8b9dcf19be343c2fc2229ed"
+)
+SATURATING_REJECTS = [
+    193, 204, 206, 210, 214, 221, 223, 228, 255, 256, 259, 270, 274, 278,
+    286, 289, 297, 301, 302, 303, 307, 313, 316, 326, 332, 344, 345, 351,
+    359, 361, 384, 386, 387, 393, 403, 409, 411, 414, 423, 434, 442, 446,
+    447, 449,
+]
 #: recorded at ebc3749, warm-start cache and rung retries still present;
 #: without ``meta``, whose ``solver_stats`` lost the ``warm_lemmas`` key
 SMT_LADDER_DIGEST = "ecf35569c2dfae7d79d631dad3f069fbad0b2f8763701c4734105a6b6835d770"
@@ -91,10 +117,12 @@ def _seeded_service(load):
     return service, [d.name for d in workload.topology.devices]
 
 
-def _ladder_ops(service, devices, target, seeds, operations):
+def _ladder_ops(service, devices, target, seeds, operations, watch=None):
     """bench's ``LadderOps`` draw: random-pair admits, removes with
     probability ``live / (2 * target)``; ``seeds`` maps the 1-based
-    operation count at which the generator is (re)seeded to its seed."""
+    operation count at which the generator is (re)seeded to its seed.
+    ``watch(request, snapshot, decision)`` sees every operation with
+    the schedule it was decided against."""
     live, decisions = [], []
     for count in range(1, operations + 1):
         if count in seeds:
@@ -107,7 +135,10 @@ def _ladder_ops(service, devices, target, seeds, operations):
                 f"a{count}", src, dst, rng.choice((5, 10, 20)),
                 rng.randrange(200, 1501), rng.random() < 0.2,
             )
+        snapshot = service.store.schedule
         decision = service.submit(request)
+        if watch is not None:
+            watch(request, snapshot, decision)
         decisions.append(decision)
         if decision.accepted and isinstance(request, Remove):
             live.remove(request.name)
@@ -120,6 +151,13 @@ def _letters(decisions):
     return "".join(
         _LETTERS[d.rung] if d.accepted else "x" for d in decisions
     )
+
+
+def _verdicts(decisions):
+    digest = hashlib.sha256()
+    for d in decisions:
+        digest.update(json.dumps([d.op, d.stream, d.accepted]).encode())
+    return digest.hexdigest()
 
 
 def _digest(service, meta=True):
@@ -154,11 +192,26 @@ class TestPinnedToParent:
         seed 0, then seed 1, steering towards 60 live admitted streams."""
         service, devices = _seeded_service(0.5)
         decisions = _ladder_ops(service, devices, 60, {1: 0, 151: 1}, 400)
+        assert _verdicts(decisions) == LADDER_VERDICTS
         assert _letters(decisions) == LADDER_DECISIONS
         assert _digest(service) == LADDER_DIGEST
         counters = service.metrics.to_dict()["counters"]
-        assert counters["fastpath.fallthroughs"] == 57
-        assert counters["rungs.full.attempts"] == 57
+        assert counters["fastpath.fallthroughs"] == 53
+        assert counters["rungs.full.attempts"] == 53
+        validate(service.store.schedule)
+
+    def test_saturating_ladder_ops_keep_their_verdicts(self, saturated_run):
+        """The ``LadderOps`` draw at seed 1 steering towards 400 live
+        streams, no warm-up: the network saturates and 44 operations
+        are rejected; ``full`` places 97 admits at 9fc8fb9, 101 with
+        the ring repair."""
+        decisions = saturated_run["decisions"]
+        assert [i for i, d in enumerate(decisions)
+                if not d.accepted] == SATURATING_REJECTS
+        assert _verdicts(decisions) == SATURATING_VERDICTS
+        assert sum(d.accepted and d.op != "remove"
+                   for d in decisions) == 313
+        validate(saturated_run["service"].store.schedule)
 
     def test_first_45_smt_ladder_ops_at_seed_7(self):
         """The ``LadderOps`` draw at seed 7 on the Fig. 10 testbed
@@ -255,6 +308,35 @@ class TestPinnedToParent:
         )
         assert _digest(service) == digest
         validate(service.store.schedule)
+
+
+@pytest.fixture(scope="module")
+def saturated_run():
+    """One pass of the saturating script (about a minute), shared by
+    its verdict pin and the cache case replayed from it."""
+    service, devices = _seeded_service(0.5)
+    run = {"service": service}
+
+    def watch(request, snapshot, decision):
+        if request.stream_name == "a257":
+            run["a257"] = (request, snapshot, decision)
+
+    run["decisions"] = _ladder_ops(service, devices, 400, {1: 1}, 450, watch)
+    return run
+
+
+def test_a_reject_that_climbed_full_depends_on_the_name(saturated_run):
+    """Operation 256 (``a257``) of the saturating script is rejected
+    after climbing ``full``; the same requirement under a name that
+    sorts first is accepted on the same snapshot.  Such a reject must
+    not be replayed for a same-shaped request by the frontend cache."""
+    service = saturated_run["service"]
+    request, snapshot, decision = saturated_run["a257"]
+    assert not decision.accepted and RUNG_FULL in decision.attempts
+    twin = AdmitTct(dataclasses.replace(request.requirement, name="0a257"))
+    outcome, _ = service.solve_against(snapshot, [twin])
+    assert outcome is not None and outcome[0] == RUNG_FULL
+    assert not cacheable(decision)
 
 
 class TestSolverCounters:

@@ -1,0 +1,346 @@
+"""The ``full`` rung's ring repair.
+
+Before it re-solves the whole network, the heuristic ``full`` rung
+releases the *ring* of a TCT-only batch — every deterministic stream
+with a slot on a link an admitted route crosses — and re-places it
+with the newcomers, tightest first, around the frozen rest.  Whatever
+the ring does, the rung must publish a schedule the independent
+validator accepts, and when the ring fails the rung must be exactly
+today's whole re-solve.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.heuristic import schedule_heuristic
+from repro.core.incremental import (
+    add_ect_stream,
+    add_shared_tct_stream,
+    remove_stream,
+)
+from repro.core.reservation import prudent_reservation
+from repro.core.schedule import (
+    InfeasibleError,
+    ScheduleError,
+    validate,
+    validate_delta,
+)
+from repro.experiments import line_of_rings
+from repro.model.stream import EctStream, Priorities, StreamType, TctRequirement
+from repro.model.units import milliseconds
+from repro.serialization import schedule_to_dict
+from repro.service import (
+    RUNG_FASTPATH,
+    RUNG_FULL,
+    RUNG_HEURISTIC,
+    AdmissionService,
+    AdmitEct,
+    AdmitTct,
+    Remove,
+    RungConfig,
+    ScheduleStore,
+    ServiceConfig,
+    empty_schedule,
+)
+
+TOPOLOGY = line_of_rings(1, 2, 2)
+DEVICES = sorted(d.name for d in TOPOLOGY.devices)
+
+
+def _requirement(name, src, dst, period_ms, length, share):
+    return TctRequirement(
+        name=name, source=src, destination=dst,
+        period_ns=milliseconds(period_ms), length_bytes=length,
+        priority=Priorities.SH_PL if share else Priorities.NSH_PH,
+        share=share,
+    )
+
+
+endpoints = st.permutations(DEVICES).map(lambda devices: devices[:2])
+#: endpoints, period (ms), length (bytes, up to three frames), sharing
+tct_specs = st.tuples(
+    endpoints, st.sampled_from((1, 2)), st.integers(200, 4500),
+    st.booleans(),
+)
+ect_specs = st.tuples(endpoints, st.integers(100, 400))
+
+
+@st.composite
+def ring_case(draw):
+    """A state grown by the online primitives — TCT, sharing TCT beside
+    live ECT, removals, and ECT removals that leave stale extras on
+    their sharers — and a batch of one or two TCT admits, maybe with a
+    remove."""
+    schedule = empty_schedule(TOPOLOGY)
+    for step in range(draw(st.integers(8, 40))):
+        kind = draw(st.sampled_from(("tct", "tct", "tct", "ect", "remove")))
+        try:
+            if kind == "tct":
+                (src, dst), period, length, share = draw(tct_specs)
+                stream = _requirement(
+                    f"t{step}", src, dst, period, length, share
+                ).resolve(TOPOLOGY)
+                schedule = add_shared_tct_stream(schedule, stream)
+            elif kind == "ect":
+                (src, dst), length = draw(ect_specs)
+                schedule = add_ect_stream(schedule, EctStream(
+                    name=f"e{step}", source=src, destination=dst,
+                    min_interevent_ns=milliseconds(2), length_bytes=length,
+                    possibilities=2,
+                ))
+            else:
+                names = sorted(
+                    [s.name for s in schedule.tct_streams()]
+                    + [e.name for e in schedule.ect_streams]
+                )
+                if names:
+                    schedule = remove_stream(
+                        schedule, draw(st.sampled_from(names))
+                    )
+        except InfeasibleError:
+            continue
+    batch = []
+    for index in range(draw(st.integers(1, 2))):
+        (src, dst), period, length, share = draw(tct_specs)
+        batch.append(AdmitTct(_requirement(
+            f"n{index}", src, dst, period, length, share
+        )))
+    names = sorted(
+        [s.name for s in schedule.tct_streams()]
+        + [e.name for e in schedule.ect_streams]
+    )
+    if schedule.ect_streams and draw(st.booleans()):
+        # an ECT leaving with the batch: its sharers in the ring lose
+        # the extras it induced
+        names = [e.name for e in schedule.ect_streams]
+    if names and draw(st.booleans()):
+        batch.append(Remove(draw(st.sampled_from(names))))
+    return schedule, batch
+
+
+def _live_ect(schedule, removals):
+    return [
+        schedule.possibilities_of(ect.name)[0]
+        for ect in schedule.ect_streams if ect.name not in removals
+    ]
+
+
+def _whole_resolve(schedule, batch, removals):
+    """Today's whole re-solve of the same stream set, as the rung ran it
+    before the ring: its schedule, or its rejection text."""
+    tct = [
+        s for s in schedule.streams
+        if s.type == StreamType.DET and s.name not in removals
+    ] + [r.requirement.resolve(TOPOLOGY) for r in batch
+         if isinstance(r, AdmitTct)]
+    ects = [e for e in schedule.ect_streams if e.name not in removals]
+    restarts = max(128, 2 * (len(tct) + 2 * len(ects)) + 4)
+    try:
+        return schedule_heuristic(TOPOLOGY, tct, ects, max_restarts=restarts)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+def _document(schedule):
+    document = schedule_to_dict(schedule)
+    document["meta"].pop("resolved_by", None)
+    return document
+
+
+def _outcome(result):
+    """A rejection text as it is, a schedule as its document."""
+    return result if isinstance(result, str) else _document(result)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(ring_case())
+def test_ring_or_whole_resolve(case):
+    schedule, batch = case
+    admitted = [r.requirement.resolve(TOPOLOGY) for r in batch
+                if isinstance(r, AdmitTct)]
+    removals = {r.name for r in batch if isinstance(r, Remove)}
+    service = AdmissionService(ScheduleStore(schedule))
+    try:
+        ring = service._repair_ring(schedule, admitted, removals)
+    except (InfeasibleError, ScheduleError):
+        ring = None
+    try:
+        result = service._resolve(schedule, batch, RUNG_FULL)
+    except InfeasibleError as exc:
+        result = str(exc)
+
+    if ring is None:
+        assert _outcome(result) == _outcome(
+            _whole_resolve(schedule, batch, removals)
+        )
+        return
+
+    assert result.slots == ring.slots
+    validate(result)
+    admitted_links = {link.key for s in admitted for link in s.path}
+    expected = {
+        s.name for s in schedule.streams
+        if s.type == StreamType.DET and s.name not in removals
+        and any(link.key in admitted_links for link in s.path)
+    }
+    moved = expected | {s.name for s in admitted}
+    validate_delta(result, moved)
+    dropped = set(removals) | {
+        p.name for name in removals for p in schedule.possibilities_of(name)
+    }
+    released = set()
+    for (name, link), frames in schedule.slots.items():
+        if name in dropped:
+            assert (name, link) not in result.slots
+        elif result.slots[(name, link)] is not frames:
+            released.add(name)
+    # every stream outside the ring keeps its slot-list objects, and
+    # the ring is the deterministic streams on the admitted links
+    assert released == expected
+    live = _live_ect(schedule, removals)
+    by_name = result.streams_by_name
+    for name in released:
+        stream = by_name[name]
+        if not stream.share:
+            continue
+        plan = prudent_reservation([stream], against=live)
+        for link in stream.path:
+            extras = sum(f.extra for f in result.slots[(name, link.key)])
+            assert extras == plan.extras[(name, link.key)]
+
+
+def _tied_pair(name):
+    """Two streams into D3 meeting on SW1->D3, tied on ``(period,
+    e2e)``: the 800-byte one (``name``) must go first to fit in 250 us."""
+    return tuple(
+        AdmitTct(TctRequirement(
+            name=stream, source=source, destination="D3",
+            period_ns=250_000, length_bytes=length,
+        ))
+        for stream, source, length in (("b", "D2", 1200), (name, "D1", 800))
+    )
+
+
+def test_ring_fails_and_the_whole_resolve_accepts(star_topology):
+    """``b`` is live, ``c`` ties with it and sorts after it: the ring
+    re-places ``b`` first and ``c`` no longer fits, so the rung falls
+    back to the whole re-solve, whose restart promotes ``c`` — and the
+    published schedule is exactly that re-solve's."""
+    service = AdmissionService(ScheduleStore(empty_schedule(star_topology)))
+    live, newcomer = _tied_pair("c")
+    assert service.submit(live).rung == RUNG_FASTPATH
+    snapshot = service.store.schedule
+    admitted = [newcomer.requirement.resolve(star_topology)]
+    with pytest.raises(InfeasibleError):
+        service._repair_ring(snapshot, admitted, set())
+
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    whole = schedule_heuristic(
+        star_topology, [snapshot.stream("b")] + admitted, max_restarts=128
+    )
+    assert _document(service.store.schedule) == _document(whole)
+
+
+def test_ring_accepts_when_the_newcomer_sorts_first(star_topology):
+    """The same pair with the newcomer named ``a``: the ring places it
+    before ``b``, the rung publishes a repair, and ``b`` moved."""
+    service = AdmissionService(ScheduleStore(empty_schedule(star_topology)))
+    live, newcomer = _tied_pair("a")
+    assert service.submit(live).rung == RUNG_FASTPATH
+    before = service.store.schedule
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    after = service.store.schedule
+    validate(after)
+    assert after.meta["resolved_by"] == RUNG_FULL
+    key = ("b", ("SW1", "D3"))
+    assert after.slots[key] != before.slots[key]
+
+
+def test_ect_batches_go_straight_to_the_whole_resolve(
+    star_topology, monkeypatch
+):
+    service = AdmissionService(
+        ScheduleStore(empty_schedule(star_topology)),
+        ServiceConfig(rungs=(RungConfig(RUNG_FULL),)),
+    )
+    calls = []
+    monkeypatch.setattr(
+        service, "_repair_ring", lambda *args: calls.append(args)
+    )
+    decision = service.submit(AdmitEct(EctStream(
+        name="e", source="D1", destination="D3",
+        min_interevent_ns=milliseconds(4), length_bytes=300,
+        possibilities=2,
+    )))
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == []
+
+
+class TestReleasedSharersLoseStaleExtras:
+    """A sharer the ring releases is planned against the ECT streams
+    live afterwards, so extras induced by an ECT that has left go."""
+
+    def _state(self, topology):
+        sharer = TctRequirement(
+            name="s", source="D1", destination="D3",
+            period_ns=milliseconds(4), length_bytes=1500,
+            priority=Priorities.SH_PL, share=True,
+        ).resolve(topology)
+        schedule = add_shared_tct_stream(empty_schedule(topology), sharer)
+        schedule = add_ect_stream(schedule, EctStream(
+            name="e", source="D2", destination="D3",
+            min_interevent_ns=milliseconds(4), length_bytes=300,
+            possibilities=2,
+        ))
+        newcomer = _requirement("n", "D2", "D3", 4, 800, False)
+        return schedule, newcomer.resolve(topology)
+
+    @staticmethod
+    def _extras(schedule):
+        return sum(f.extra for f in schedule.slots[("s", ("SW1", "D3"))])
+
+    def test_extras_left_by_an_earlier_ect_removal(self, star_topology):
+        with_ect, newcomer = self._state(star_topology)
+        stale = remove_stream(with_ect, "e")
+        assert self._extras(stale) == self._extras(with_ect) > 0
+        service = AdmissionService(ScheduleStore(stale))
+        repaired = service._repair_ring(stale, [newcomer], set())
+        validate(repaired)
+        assert self._extras(repaired) == 0
+
+    def test_extras_of_an_ect_leaving_with_the_batch(self, star_topology):
+        with_ect, newcomer = self._state(star_topology)
+        service = AdmissionService(ScheduleStore(with_ect))
+        repaired = service._repair_ring(with_ect, [newcomer], {"e"})
+        validate(repaired)
+        assert self._extras(repaired) == 0
+        assert not repaired.ect_streams
+        assert not repaired.probabilistic_streams()
+
+
+def test_a_ring_reports_no_solver_stats_of_its_snapshot(star_topology):
+    """Behind the SMT backend the ring runs in the heuristic rung, on a
+    snapshot whose meta may still carry an earlier solve's stats and
+    certificate: they are not the ring's to report, and must not be
+    folded into ``solver.*`` again."""
+    base = empty_schedule(star_topology)
+    base.meta["solver_stats"] = {"decisions": 7}
+    base.meta["certificate"] = {"verified": True}
+    service = AdmissionService(ScheduleStore(base), ServiceConfig(
+        backend="smt",
+        rungs=(RungConfig(RUNG_FASTPATH), RungConfig(RUNG_HEURISTIC)),
+    ))
+    live, newcomer = _tied_pair("a")
+    assert service.submit(live).rung == RUNG_FASTPATH
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_HEURISTIC
+    meta = service.store.schedule.meta
+    assert "solver_stats" not in meta and "certificate" not in meta
+    counters = service.metrics.to_dict()["counters"]
+    assert "solver.decisions" not in counters
+    assert "certificates.verified_sat" not in counters
