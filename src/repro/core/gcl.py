@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schedule import NetworkSchedule
@@ -56,6 +57,13 @@ class GateWindow:
         return self.end_ns - self.start_ns
 
 
+#: One open interval as ``(start, end, owner)``.
+Window = Tuple[int, int, Optional[str]]
+#: One queue's finalized gate program as parallel lists: window starts,
+#: window ends and window owners, sorted by start.
+Gate = Tuple[List[int], List[int], List[Optional[str]]]
+
+
 @dataclass
 class PortGcl:
     """The gate program of one egress port."""
@@ -63,7 +71,7 @@ class PortGcl:
     link: Tuple[str, str]
     cycle_ns: int
     windows: Dict[int, List[GateWindow]] = field(default_factory=dict)
-    _starts: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+    _gates: Dict[int, Gate] = field(default_factory=dict, repr=False)
 
     def add_window(self, queue: int, window: GateWindow) -> None:
         if not 0 <= queue <= 7:
@@ -74,7 +82,7 @@ class PortGcl:
                 f"{self.cycle_ns}"
             )
         self.windows.setdefault(queue, []).append(window)
-        self._starts.pop(queue, None)
+        self._gates.pop(queue, None)
 
     def finalize(self) -> None:
         """Sort, coalesce, and index the windows; call after building.
@@ -84,30 +92,54 @@ class PortGcl:
         a frame may span the internal boundary (no phantom guard band).
         """
         for queue, wins in self.windows.items():
-            wins.sort(key=lambda w: w.start_ns)
-            for a, b in zip(wins, wins[1:]):
-                if a.end_ns > b.start_ns:
-                    raise ValueError(
-                        f"queue {queue} on {self.link}: windows "
-                        f"[{a.start_ns},{a.end_ns}) and "
-                        f"[{b.start_ns},{b.end_ns}) overlap"
-                    )
-            merged: List[GateWindow] = []
-            for window in wins:
-                if (merged
-                        and merged[-1].end_ns == window.start_ns
-                        and merged[-1].owner == window.owner):
-                    merged[-1] = GateWindow(
-                        merged[-1].start_ns, window.end_ns, owner=window.owner
-                    )
-                else:
-                    merged.append(window)
-            self.windows[queue] = merged
-            self._starts[queue] = [w.start_ns for w in merged]
+            self._load(queue, [(w.start_ns, w.end_ns, w.owner) for w in wins])
+
+    def _load(self, queue: int, pieces: List[Window]) -> None:
+        """Sort, check, coalesce and index ``pieces`` as the whole
+        program of ``queue``."""
+        pieces.sort(key=itemgetter(0))
+        starts: List[int] = []
+        ends: List[int] = []
+        owners: List[Optional[str]] = []
+        last_start = last_end = -1
+        for start, end, owner in pieces:
+            if end > self.cycle_ns:
+                raise ValueError(
+                    f"window [{start},{end}) exceeds cycle {self.cycle_ns}"
+                )
+            if start < last_end:
+                raise ValueError(
+                    f"queue {queue} on {self.link}: windows "
+                    f"[{last_start},{last_end}) and [{start},{end}) overlap"
+                )
+            if start == last_end and owners[-1] == owner:
+                ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
+                owners.append(owner)
+            last_start, last_end = start, end
+        self.windows[queue] = [
+            GateWindow(start, end, owner=owner)
+            for start, end, owner in zip(starts, ends, owners)
+        ]
+        self._gates[queue] = (starts, ends, owners)
 
     # ------------------------------------------------------------------
     # runtime queries (local-clock nanoseconds)
     # ------------------------------------------------------------------
+    def gate(self, queue: int) -> Optional[Gate]:
+        """The finalized program of ``queue``, or ``None`` if it never
+        opens; finalizes first if windows were added since."""
+        wins = self.windows.get(queue)
+        if not wins:
+            return None
+        gate = self._gates.get(queue)
+        if gate is None or len(gate[0]) != len(wins):
+            self.finalize()
+            gate = self._gates[queue]
+        return gate
+
     def state_at(self, queue: int, local_ns: int) -> Tuple[bool, Optional[str], int]:
         """Gate state of ``queue`` at a local time.
 
@@ -115,23 +147,19 @@ class PortGcl:
         the absolute local time the state next changes (window end if
         open, next window start if closed; never in the past).
         """
-        wins = self.windows.get(queue)
-        if not wins:
+        gate = self.gate(queue)
+        if gate is None:
             return (False, None, local_ns + self.cycle_ns)
-        starts = self._starts.get(queue)
-        if starts is None or len(starts) != len(wins):
-            self.finalize()
-            starts = self._starts[queue]
+        starts, ends, owners = gate
         tau = local_ns % self.cycle_ns
         base = local_ns - tau
         idx = bisect_right(starts, tau) - 1
-        if idx >= 0 and tau < wins[idx].end_ns:
-            window = wins[idx]
-            return (True, window.owner, base + window.end_ns)
+        if idx >= 0 and tau < ends[idx]:
+            return (True, owners[idx], base + ends[idx])
         nxt = idx + 1
-        if nxt < len(wins):
-            return (False, None, base + wins[nxt].start_ns)
-        return (False, None, base + self.cycle_ns + wins[0].start_ns)
+        if nxt < len(starts):
+            return (False, None, base + starts[nxt])
+        return (False, None, base + self.cycle_ns + starts[0])
 
     def is_always_closed(self, queue: int) -> bool:
         return not self.windows.get(queue)
@@ -198,6 +226,16 @@ def _cyclic_occurrences(
     return result
 
 
+def _slot_pieces(slots, cycle_ns: int) -> List[Tuple[int, int]]:
+    """In-cycle intervals of every slot of one slot list."""
+    pieces: List[Tuple[int, int]] = []
+    for slot in slots:
+        pieces.extend(_cyclic_occurrences(
+            slot.offset_ns, slot.duration_ns, slot.period_ns, cycle_ns
+        ))
+    return pieces
+
+
 # ----------------------------------------------------------------------
 # synthesis
 # ----------------------------------------------------------------------
@@ -219,68 +257,65 @@ def build_gcl(
     cycle = schedule.hyperperiod_ns
     streams = {s.name: s for s in schedule.streams}
 
-    ports: Dict[Tuple[str, str], PortGcl] = {}
+    # (start, end, owner) pieces per port and queue, in first-use order
+    programs: Dict[Tuple[str, str], Dict[int, List[Window]]] = {}
     tct_busy: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
     nonshared_busy: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
     ect_windows: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
 
-    def port_for(link_key: Tuple[str, str]) -> PortGcl:
-        if link_key not in ports:
-            ports[link_key] = PortGcl(link=link_key, cycle_ns=cycle)
-        return ports[link_key]
-
     for (stream_name, link_key), slots in schedule.slots.items():
         stream = streams[stream_name]
-        port = port_for(link_key)
-        for slot in slots:
-            pieces = _cyclic_occurrences(
-                slot.offset_ns, slot.duration_ns, slot.period_ns, cycle
-            )
-            if stream.type == StreamType.PROB:
-                # Probabilistic slots become EP reservations only in the
-                # strict mode; in plain etsn the EP complement covers them.
-                if mode == "etsn-strict":
-                    ect_windows.setdefault(link_key, []).extend(pieces)
-                continue
-            if stream_name in proxies:
-                for start, end in pieces:
-                    port.add_window(
-                        Priorities.EP,
-                        GateWindow(start, end, owner=proxies[stream_name]),
-                    )
-                tct_busy.setdefault(link_key, []).extend(pieces)
-                continue
-            for start, end in pieces:
-                port.add_window(
-                    stream.priority, GateWindow(start, end, owner=stream_name)
+        queues = programs.setdefault(link_key, {})
+        if stream.type == StreamType.PROB:
+            # Probabilistic slots become EP reservations only in the
+            # strict mode; in plain etsn the EP complement covers them.
+            if mode == "etsn-strict":
+                ect_windows.setdefault(link_key, []).extend(
+                    _slot_pieces(slots, cycle)
                 )
-            tct_busy.setdefault(link_key, []).extend(pieces)
-            if not stream.share:
-                nonshared_busy.setdefault(link_key, []).extend(pieces)
-            elif mode == "etsn-strict":
-                # Shared TCT windows double as EP windows (slot sharing).
-                ect_windows.setdefault(link_key, []).extend(pieces)
+            continue
+        pieces = _slot_pieces(slots, cycle)
+        proxy = proxies.get(stream_name)
+        if proxy is not None:
+            queue, owner = Priorities.EP, proxy
+        else:
+            queue, owner = stream.priority, stream_name
+        queues.setdefault(queue, []).extend(
+            [(start, end, owner) for start, end in pieces]
+        )
+        tct_busy.setdefault(link_key, []).extend(pieces)
+        if proxy is not None:
+            continue
+        if not stream.share:
+            nonshared_busy.setdefault(link_key, []).extend(pieces)
+        elif mode == "etsn-strict":
+            # Shared TCT windows double as EP windows (slot sharing).
+            ect_windows.setdefault(link_key, []).extend(pieces)
 
     # Ports on the paths of ECT streams but without any scheduled DET
     # stream still need EP/BE programs.
     for ect in schedule.ect_streams:
         for link in ect.route(schedule.topology):
-            port_for(link.key)
+            programs.setdefault(link.key, {})
 
-    for link_key, port in ports.items():
-        busy = tct_busy.get(link_key, [])
+    ports: Dict[Tuple[str, str], PortGcl] = {}
+    for link_key, queues in programs.items():
+        be_open = complement_intervals(tct_busy.get(link_key, []), cycle)
         if mode == "etsn":
             ep_open = complement_intervals(nonshared_busy.get(link_key, []), cycle)
         elif mode == "etsn-strict":
             ep_open = merge_intervals(ect_windows.get(link_key, []))
         elif mode == "avb":
-            ep_open = complement_intervals(busy, cycle)
+            ep_open = be_open
         else:  # period: EP windows were added per proxy slot above
             ep_open = []
-        for start, end in ep_open:
-            port.add_window(Priorities.EP, GateWindow(start, end, owner=None))
-        for start, end in complement_intervals(busy, cycle):
-            port.add_window(Priorities.BE, GateWindow(start, end, owner=None))
-        port.finalize()
+        for queue, gaps in ((Priorities.EP, ep_open), (Priorities.BE, be_open)):
+            if gaps:
+                queues.setdefault(queue, []).extend(
+                    [(start, end, None) for start, end in gaps]
+                )
+        port = ports[link_key] = PortGcl(link=link_key, cycle_ns=cycle)
+        for queue, pieces in queues.items():
+            port._load(queue, pieces)
 
     return NetworkGcl(mode=mode, cycle_ns=cycle, ports=ports)

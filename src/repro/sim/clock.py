@@ -38,6 +38,8 @@ class Clock:
 
     def local(self, global_ns: int) -> int:
         """Local reading at a global instant."""
+        if not self._drift_ppb:
+            return global_ns + self._offset_ns
         drift = (global_ns - self._ref_ns) * self._drift_ppb // 1_000_000_000
         return global_ns + self._offset_ns + drift
 
@@ -52,6 +54,8 @@ class Clock:
         local clock skip values — the latest instant reading no later
         than ``local_ns`` is returned.
         """
+        if not self._drift_ppb:
+            return local_ns - self._offset_ns
         # Newton iteration: the error contracts by |drift|/1e9 per step,
         # so a few steps settle every physical drift; extreme drifts
         # (approaching clock rate) fall through to exact bisection

@@ -13,6 +13,7 @@ immediately, whenever that is.  The latency clock starts at the event.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.model.frame import FrameSlot
@@ -58,30 +59,28 @@ class TtTalker:
             k += 1
 
     def _schedule_message(self, k: int) -> None:
-        period = self._stream.period_ns
-        first_local = self._slots[0].offset_ns + k * period
-        created = self._clock.to_global(first_local)
-        frames: List[SimFrame] = []
+        stream = self._stream
+        start_local = k * stream.period_ns
+        created = self._clock.to_global(self._slots[0].offset_ns + start_local)
+        count = len(self._payloads)
         for j, payload in enumerate(self._payloads):
-            frames.append(
-                SimFrame(
-                    stream=self._stream.name,
-                    priority=self._stream.priority,
-                    message_id=k,
-                    frame_index=j,
-                    frames_in_message=len(self._payloads),
-                    payload_bytes=payload,
-                    created_ns=created,
-                    path=self._stream.path,
-                )
+            frame = SimFrame(
+                stream=stream.name,
+                priority=stream.priority,
+                message_id=k,
+                frame_index=j,
+                frames_in_message=count,
+                payload_bytes=payload,
+                created_ns=created,
+                path=stream.path,
             )
-        for j, frame in enumerate(frames):
-            inject_local = self._slots[j].offset_ns + k * period
-            inject_global = self._clock.to_global(inject_local)
             if j == 0:
-                self._sim.at(inject_global, lambda f=frame: self._inject_first(f))
+                self._sim.at(created, partial(self._inject_first, frame))
             else:
-                self._sim.at(inject_global, lambda f=frame: self._port.enqueue(f))
+                inject_global = self._clock.to_global(
+                    self._slots[j].offset_ns + start_local
+                )
+                self._sim.at(inject_global, partial(self._port.enqueue, frame))
 
     def _inject_first(self, frame: SimFrame) -> None:
         self._recorder.on_inject(self._stream.name, frame.message_id)

@@ -21,22 +21,18 @@ class Simulator:
     """The event loop.  All times are absolute integer nanoseconds."""
 
     def __init__(self) -> None:
-        self._now = 0
+        #: current simulation time in nanoseconds; only the loop moves it
+        self.now = 0
         self._seq = 0
         self._heap: List[Tuple[int, int, Callable[[], None]]] = []
         self._running = False
         self.num_events = 0
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     def at(self, time_ns: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute time ``time_ns``."""
-        if time_ns < self._now:
+        if time_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ns} ns; now is {self._now} ns"
+                f"cannot schedule at {time_ns} ns; now is {self.now} ns"
             )
         heapq.heappush(self._heap, (time_ns, self._seq, callback))
         self._seq += 1
@@ -45,20 +41,22 @@ class Simulator:
         """Schedule ``callback`` after a relative delay."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay {delay_ns} ns")
-        self.at(self._now + delay_ns, callback)
+        self.at(self.now + delay_ns, callback)
 
     def run_until(self, end_ns: int) -> None:
         """Process events with time <= ``end_ns``; leave later ones queued."""
         if self._running:
             raise SimulationError("run_until() re-entered from a callback")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
         try:
-            while self._heap and self._heap[0][0] <= end_ns:
-                time_ns, _, callback = heapq.heappop(self._heap)
-                self._now = time_ns
+            while heap and heap[0][0] <= end_ns:
+                time_ns, _, callback = pop(heap)
+                self.now = time_ns
                 self.num_events += 1
                 callback()
-            self._now = max(self._now, end_ns)
+            self.now = max(self.now, end_ns)
         finally:
             self._running = False
 
@@ -74,7 +72,7 @@ class Simulator:
         try:
             while self._heap:
                 time_ns, _, callback = heapq.heappop(self._heap)
-                self._now = time_ns
+                self.now = time_ns
                 self.num_events += 1
                 callback()
         finally:

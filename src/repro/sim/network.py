@@ -99,6 +99,7 @@ class TsnSimulation:
         self._config = config
         self._sim = Simulator()
         self._tracer = config.tracer if config.tracer is not None else NULL_TRACER
+        self._tracing = self._tracer.enabled
         self._recorder = LatencyRecorder()
         self._clocks: Dict[str, Clock] = {}
         self._ports: Dict[Tuple[str, str], EgressPort] = {}
@@ -236,20 +237,27 @@ class TsnSimulation:
 
     # ------------------------------------------------------------------
     def _deliver(self, frame: SimFrame, arrival_ns: int) -> None:
-        link = frame.current_link
-        loss = self._config.link_loss.get(link.key, 0.0)
-        if loss and self._loss_rngs[link.key].random() < loss:
-            self.frames_lost += 1
-            if self._tracer.enabled:
-                self._trace_arrival("frame.drop", frame, arrival_ns)
-            return
-        if self._tracer.enabled:
+        hop = frame.hop
+        path = frame.path
+        if self._loss_rngs:
+            key = path[hop].key
+            loss = self._config.link_loss.get(key, 0.0)
+            if loss and self._loss_rngs[key].random() < loss:
+                self.frames_lost += 1
+                if self._tracing:
+                    self._trace_arrival("frame.drop", frame, arrival_ns)
+                return
+        if self._tracing:
             self._trace_arrival("frame.deliver", frame, arrival_ns)
-        if frame.is_last_hop:
+        hop += 1
+        if hop == len(path):
             self._recorder.on_deliver(frame, arrival_ns)
             return
-        onward = frame.advanced()
-        self._ports[onward.current_link.key].enqueue(onward)
+        # the frame travels on: nothing else holds it, so it moves one
+        # hop in place instead of being copied (``SimFrame.advanced``)
+        frame.hop = hop
+        link = path[hop]
+        self._ports[link.src, link.dst].enqueue(frame)
 
     def _trace_arrival(self, event: str, frame: SimFrame, ts_ns: int) -> None:
         link = frame.current_link

@@ -22,7 +22,9 @@ it would in hardware.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_right
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.gcl import PortGcl
 from repro.model.topology import Link
@@ -33,6 +35,13 @@ from repro.sim.engine import Simulator
 from repro.sim.frames import SimFrame
 
 DeliverFn = Callable[[SimFrame, int], None]
+
+#: strict priority, per bitmask of non-empty queues: the queues in the
+#: order they are offered the link, highest PCP first
+_BY_PRIORITY = tuple(
+    tuple(queue for queue in range(7, -1, -1) if mask >> queue & 1)
+    for mask in range(256)
+)
 
 
 class PortStats:
@@ -62,13 +71,22 @@ class EgressPort:
     ) -> None:
         self._sim = sim
         self._link = link
-        self._gcl = gcl
         self._clock = clock
         self._deliver = deliver
         self._shapers = shapers or {}
         self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracing = self._tracer.enabled
         self._link_label = f"{link.src}->{link.dst}"
-        self._queues: Dict[int, List[SimFrame]] = {q: [] for q in range(8)}
+        self._queues: List[List[SimFrame]] = [[] for _ in range(8)]
+        self._nonempty = 0  # bit q set: queue q holds frames
+        self._backlog = 0
+        #: per queue, the finalized gate program (``None``: never opens)
+        self._gates = [gcl.gate(queue) for queue in range(8)]
+        self._cycle_ns = gcl.cycle_ns
+        #: payload bytes -> (wire bytes, wire time on this link)
+        self._wire: Dict[int, Tuple[int, int]] = {}
+        #: frames on the wire, oldest first: one link never reorders
+        self._in_flight: Deque[SimFrame] = deque()
         self._busy_until = 0
         self._wake_at: Optional[int] = None
         self.stats = PortStats()
@@ -76,72 +94,101 @@ class EgressPort:
     # ------------------------------------------------------------------
     def enqueue(self, frame: SimFrame) -> None:
         """A frame arrived for this port (from a talker or switch fabric)."""
-        if self._tracer.enabled:
+        if self._tracing:
             self._trace_frame("frame.enqueue", frame)
-        queue = self._queues[frame.priority]
-        queue.append(frame)
-        backlog = self.queued_frames()
-        if backlog > self.stats.max_backlog_frames:
-            self.stats.max_backlog_frames = backlog
+        fifo = self._queues[frame.priority]
+        if not fifo:
+            self._nonempty |= 1 << frame.priority
+        fifo.append(frame)
+        self._backlog += 1
+        if self._backlog > self.stats.max_backlog_frames:
+            self.stats.max_backlog_frames = self._backlog
         shaper = self._shapers.get(frame.priority)
         if shaper is not None and self._sim.now >= self._busy_until:
             shaper.on_wait_start(self._sim.now)
         self._try_transmit()
 
     def queued_frames(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._backlog
 
     # ------------------------------------------------------------------
     def _try_transmit(self) -> None:
         now = self._sim.now
-        if now < self._busy_until:
-            return  # _on_tx_done will re-invoke
+        if now < self._busy_until or not self._nonempty:
+            return  # _on_tx_done / enqueue will re-invoke
         local = self._clock.local(now)
-        wake_local: List[int] = []
-        wake_global: List[int] = []
-        for queue_id in range(7, -1, -1):
-            fifo = self._queues[queue_id]
-            if not fifo:
-                continue
-            is_open, owner, boundary_local = self._gcl.state_at(queue_id, local)
-            if not is_open:
-                wake_local.append(boundary_local)
-                continue
-            index = self._select_frame(fifo, owner)
-            if index is None:
-                wake_local.append(boundary_local)
-                continue
-            frame = fifo[index]
-            duration = self._link.transmission_ns(frame.wire_bytes)
-            if local + duration > boundary_local:
-                # Guard band: would overrun the window; a shorter frame of
-                # the same queue cannot jump it (FIFO per stream), so wait.
-                self.stats.guard_band_blocks += 1
-                wake_local.append(boundary_local)
-                continue
-            shaper = self._shapers.get(queue_id)
-            if shaper is not None and not shaper.can_send(now):
-                self.stats.cbs_blocks += 1
-                wake_global.append(shaper.eligible_at(now))
-                continue
-            self._transmit(queue_id, index, frame, duration)
-            return
+        cycle = self._cycle_ns
+        tau = local % cycle
+        base = local - tau
+        # earliest local gate change and earliest shaper eligibility
+        wake_local: Optional[int] = None
+        wake_global: Optional[int] = None
+        queues = self._queues
+        for queue_id in _BY_PRIORITY[self._nonempty]:
+            gate = self._gates[queue_id]
+            if gate is None:
+                boundary = local + cycle
+            else:
+                starts, ends, owners = gate
+                index = bisect_right(starts, tau) - 1
+                if index < 0 or tau >= ends[index]:
+                    # closed until the next window opens
+                    index += 1
+                    boundary = base + (starts[index] if index < len(starts)
+                                       else cycle + starts[0])
+                else:
+                    boundary = base + ends[index]
+                    fifo = queues[queue_id]
+                    position = self._select(fifo, owners[index])
+                    if position >= 0:
+                        frame = fifo[position]
+                        wire = self._wire.get(frame.payload_bytes)
+                        if wire is None:
+                            wire = self._wire[frame.payload_bytes] = (
+                                frame.wire_bytes,
+                                self._link.transmission_ns(frame.wire_bytes),
+                            )
+                        shaper = self._shapers.get(queue_id)
+                        if local + wire[1] > boundary:
+                            # Guard band: would overrun the window; a
+                            # shorter frame of the same queue cannot jump
+                            # it (FIFO per stream), so wait.
+                            self.stats.guard_band_blocks += 1
+                        elif shaper is not None and not shaper.can_send(now):
+                            self.stats.cbs_blocks += 1
+                            eligible = shaper.eligible_at(now)
+                            if wake_global is None or eligible < wake_global:
+                                wake_global = eligible
+                            continue
+                        else:
+                            self._transmit(queue_id, position, frame, wire)
+                            return
+            if wake_local is None or boundary < wake_local:
+                wake_local = boundary
         self._schedule_wake(wake_local, wake_global)
 
     @staticmethod
-    def _select_frame(fifo: List[SimFrame], owner: Optional[str]) -> Optional[int]:
+    def _select(fifo: List[SimFrame], owner: Optional[str]) -> int:
+        """Position of the frame an ``owner``'s window serves: the head
+        of the queue for an unowned window, else the owner's oldest
+        frame; -1 if there is none."""
         if owner is None:
             return 0
-        for index, frame in enumerate(fifo):
+        for position, frame in enumerate(fifo):
             if frame.stream == owner:
-                return index
-        return None
+                return position
+        return -1
 
-    def _transmit(self, queue_id: int, index: int, frame: SimFrame, duration: int) -> None:
+    def _transmit(self, queue_id: int, position: int, frame: SimFrame,
+                  wire: Tuple[int, int]) -> None:
         now = self._sim.now
+        wire_bytes, duration = wire
         fifo = self._queues[queue_id]
-        fifo.pop(index)
-        if self._tracer.enabled:
+        del fifo[position]
+        if not fifo:
+            self._nonempty &= ~(1 << queue_id)
+        self._backlog -= 1
+        if self._tracing:
             # The dequeue instant IS the transmission start under strict
             # priority (selection happens at gate evaluation); one event
             # carries both, with the wire time as an attribute.
@@ -153,12 +200,17 @@ class EgressPort:
             if not fifo:
                 shaper.on_queue_empty(now)
         self._busy_until = now + duration
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += frame.wire_bytes
-        self.stats.busy_ns += duration
-        arrival = now + duration + self._link.propagation_ns
-        self._sim.at(arrival, lambda f=frame, t=arrival: self._deliver(f, t))
+        stats = self.stats
+        stats.frames_sent += 1
+        stats.bytes_sent += wire_bytes
+        stats.busy_ns += duration
+        self._in_flight.append(frame)
+        self._sim.at(self._busy_until + self._link.propagation_ns, self._arrive)
         self._sim.at(self._busy_until, self._on_tx_done)
+
+    def _arrive(self) -> None:
+        """The oldest frame on the wire reached the far end."""
+        self._deliver(self._in_flight.popleft(), self._sim.now)
 
     def _trace_frame(self, event: str, frame: SimFrame, **extra) -> None:
         """Record one per-hop frame event, stamped with simulated time."""
@@ -181,12 +233,17 @@ class EgressPort:
                 shaper.on_wait_start(now)
         self._try_transmit()
 
-    def _schedule_wake(self, wake_local: List[int], wake_global: List[int]) -> None:
-        candidates = [self._clock.to_global(t) for t in wake_local]
-        candidates.extend(wake_global)
-        if not candidates:
+    def _schedule_wake(self, wake_local: Optional[int],
+                       wake_global: Optional[int]) -> None:
+        if wake_local is not None:
+            # to_global is monotone: the earliest local boundary is the
+            # earliest global one
+            wake_local = self._clock.to_global(wake_local)
+            if wake_global is None or wake_local < wake_global:
+                wake_global = wake_local
+        if wake_global is None:
             return
-        wake = max(min(candidates), self._sim.now + 1)
+        wake = max(wake_global, self._sim.now + 1)
         if self._wake_at is not None and self._wake_at <= wake and self._wake_at > self._sim.now:
             return  # an earlier (or equal) wake is already pending
         self._wake_at = wake

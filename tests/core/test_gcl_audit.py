@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from repro.core.baselines import schedule_avb, schedule_etsn, schedule_period
 from repro.core.gcl import GateWindow, build_gcl
 from repro.core.gcl_audit import GclAuditError, audit_gcl
-from repro.model.stream import EctStream, Priorities, Stream
+from repro.core.schedule import NetworkSchedule
+from repro.experiments import simulation_workload
+from repro.model.frame import FrameSlot
+from repro.model.stream import EctStream, Priorities, Stream, StreamType
 from repro.model.topology import Topology
 from repro.model.units import milliseconds
 
@@ -260,3 +263,206 @@ def test_every_synthesized_gcl_audits_clean(case):
         return
     gcl = build_gcl(schedule, mode=mode)
     audit_gcl(schedule, gcl)
+
+
+class TestGapsBetweenInstants:
+    """A probe audit (start, middle, last instant of each slot) misses
+    edits that fall between its probes; the audit checks whole slots.
+
+    ``tct1``'s first slot on <D3,SW1> of the Fig. 13 schedule at load 0.5
+    is ``[0, 123040)``: its probes would be 0, 61520 and 123039."""
+
+    LINK = ("D3", "SW1")
+    CUT = (20506, 41013)
+
+    def _fig13(self):
+        workload = simulation_workload(0.5, 1)
+        schedule = schedule_etsn(workload.topology, workload.tct_streams,
+                                 workload.ect_streams)
+        first = schedule.slots[("tct1", self.LINK)][0]
+        assert (first.offset_ns, first.end_ns) == (0, 123040)
+        return schedule, build_gcl(schedule, mode="etsn")
+
+    def test_hole_inside_a_slot_detected(self):
+        schedule, gcl = self._fig13()
+        port = gcl.port(self.LINK)
+        queue = schedule.stream("tct1").priority
+        _carve(port, queue, *self.CUT)
+        with pytest.raises(
+            GclAuditError,
+            match=rf"tct1\[0\] on \('D3', 'SW1'\): queue {queue} "
+                  rf"gate closed at {self.CUT[0]} inside its slot",
+        ):
+            audit_gcl(schedule, gcl)
+
+    def test_be_window_inside_a_slot_detected(self):
+        schedule, gcl = self._fig13()
+        port = gcl.port(self.LINK)
+        port.add_window(Priorities.BE, GateWindow(*self.CUT))
+        port.finalize()
+        with pytest.raises(
+            GclAuditError,
+            match=rf"BE gate open at {self.CUT[0]} inside TCT slot of tct1",
+        ):
+            audit_gcl(schedule, gcl)
+
+
+# ----------------------------------------------------------------------
+# audit_gcl against an instant-by-instant reference on small cycles
+# ----------------------------------------------------------------------
+#: every slot sits inside one BASE-long stretch of its period, so slots
+#: of different streams that are disjoint modulo BASE never collide.
+BASE = 24
+LINKS = (("D1", "SW1"), ("SW1", "D2"))
+
+
+def _reference(schedule, gcl, proxies):
+    """The audit's checks 1-3, probing every gate instant of every slot
+    occurrence through ``PortGcl.state_at``: the first failure's
+    message, or ``None``."""
+    streams = {s.name: s for s in schedule.streams}
+    cycle = gcl.cycle_ns
+    for (name, link_key), slots in schedule.slots.items():
+        stream = streams[name]
+        prob = stream.type == StreamType.PROB
+        if prob and gcl.mode != "etsn-strict":
+            continue
+        port = gcl.port(link_key)
+        instants = [
+            (slot, t % cycle)
+            for slot in slots
+            for k in range(cycle // slot.period_ns)
+            for t in range(slot.offset_ns + k * slot.period_ns,
+                           slot.offset_ns + k * slot.period_ns
+                           + slot.duration_ns)
+        ]
+        if prob:
+            queue, owner = Priorities.EP, None
+        elif name in proxies:
+            queue, owner = Priorities.EP, proxies[name]
+        else:
+            queue, owner = stream.priority, name
+        for slot, t in instants:
+            is_open, window_owner, _ = port.state_at(queue, t)
+            where = f"{slot.stream}[{slot.index}] on {link_key}"
+            if not is_open:
+                return f"{where}: queue {queue} gate closed at {t} inside its slot"
+            if owner is not None and window_owner not in (owner, None):
+                return (f"{where}: window at {t} owned by "
+                        f"{window_owner!r}, expected {owner!r}")
+        if prob or name in proxies:
+            continue
+        closed = [(Priorities.BE, "BE gate open at {} inside TCT slot of")]
+        if not stream.share:
+            closed.insert(0, (Priorities.EP,
+                              "EP gate open at {} inside non-shared slot of"))
+        for queue, text in closed:
+            for slot, t in instants:
+                if port.state_at(queue, t)[0]:
+                    return f"{text.format(t)} {slot.stream} on {link_key}"
+    return None
+
+
+def _carve(port, queue, start, end, owner=None, reopen=False):
+    """Close ``queue`` on ``[start, end)``; with ``reopen``, open it
+    there again for ``owner``."""
+    kept = []
+    for w in port.windows.get(queue, []):
+        if w.start_ns < start:
+            kept.append(GateWindow(w.start_ns, min(w.end_ns, start), w.owner))
+        if w.end_ns > end:
+            kept.append(GateWindow(max(w.start_ns, end), w.end_ns, w.owner))
+    if reopen:
+        kept.append(GateWindow(start, end, owner))
+    port.windows[queue] = kept
+    port.finalize()
+
+
+@st.composite
+def small_programs(draw):
+    """A hand-built schedule on a BASE or 2*BASE cycle, its mode, and up
+    to three edits of the synthesized program: a hole cut into a queue,
+    a queue opened (leak), or a stretch handed to another owner."""
+    topo = Topology()
+    topo.add_switch("SW1")
+    for device in ("D1", "D2"):
+        topo.add_device(device)
+        topo.add_link(device, "SW1")
+    path = tuple(topo.link(*key) for key in LINKS)
+    streams = []
+    for i in range(draw(st.integers(1, 4))):
+        share = draw(st.booleans())
+        period = draw(st.sampled_from([BASE, 2 * BASE]))
+        streams.append(Stream(
+            name=f"t{i}", path=path, e2e_ns=period,
+            priority=draw(st.sampled_from(
+                [Priorities.SH_PL, Priorities.SH_PH] if share
+                else [Priorities.NSH_PL, Priorities.NSH_PH])),
+            length_bytes=100, period_ns=period, share=share,
+        ))
+    if draw(st.booleans()):
+        streams.append(Stream(
+            name="e#ps0", path=path, e2e_ns=2 * BASE, priority=Priorities.EP,
+            length_bytes=100, period_ns=2 * BASE, type=StreamType.PROB,
+            parent="e",
+        ))
+    slots = {}
+    for key in LINKS:
+        # disjoint (possibly touching) stretches of [0, BASE), dealt out
+        # to the streams; a stream's stretches on one link become its
+        # consecutive frame slots there
+        cuts = sorted(draw(st.sets(st.integers(0, BASE), min_size=2,
+                                   max_size=10)))
+        for start, end in zip(cuts, cuts[1:]):
+            if draw(st.integers(0, 3)) == 0:
+                continue  # leave a gap
+            stream = draw(st.sampled_from(streams))
+            shift = draw(st.sampled_from(range(0, stream.period_ns, BASE)))
+            frames = slots.setdefault((stream.name, key), [])
+            frames.append(FrameSlot(
+                stream=stream.name, link=key, index=len(frames),
+                offset_ns=start + shift, period_ns=stream.period_ns,
+                duration_ns=end - start,
+            ))
+    mode = draw(st.sampled_from(["etsn", "etsn-strict", "avb", "period"]))
+    meta = {"ect_proxies": {"t0": "e"}} if mode == "period" else {}
+    schedule = NetworkSchedule(topology=topo, streams=streams, slots=slots,
+                               meta=meta)
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(["hole", "leak", "owner"]),
+        st.sampled_from(LINKS),
+        st.sampled_from([Priorities.EP, Priorities.BE, Priorities.SH_PL,
+                         Priorities.SH_PH, Priorities.NSH_PL,
+                         Priorities.NSH_PH]),
+        st.integers(0, 2 * BASE - 1),
+        st.integers(1, 6),
+        st.sampled_from(["intruder", "t0", "t1"]),
+    ), max_size=3))
+    return schedule, mode, edits
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_programs())
+def test_audit_agrees_with_instant_by_instant_reference(case):
+    schedule, mode, edits = case
+    proxies = schedule.meta.get("ect_proxies", {})
+    gcl = build_gcl(schedule, mode=mode, ect_proxies=proxies)
+    for kind, link, queue, start, length, owner in edits:
+        end = min(start + length, gcl.cycle_ns)
+        if start >= end or link not in gcl.ports:
+            continue
+        port = gcl.port(link)
+        if kind == "hole":
+            _carve(port, queue, start, end)
+        elif kind == "leak":
+            _carve(port, queue, start, end, reopen=True)
+        else:
+            _carve(port, queue, start, end, owner=owner, reopen=True)
+    expected = _reference(schedule, gcl, proxies)
+    try:
+        audit_gcl(schedule, gcl)
+    except GclAuditError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
