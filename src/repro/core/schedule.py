@@ -331,6 +331,11 @@ def validate_delta(schedule: NetworkSchedule, changed_names) -> None:
     what :func:`validate` would, at a cost proportional to the edit
     instead of the whole schedule.
 
+    "Untouched" is about slots, not about what the edit released: a
+    stream re-placed onto exactly the slots it had (same stream, equal
+    slot lists) satisfies every constraint it satisfied before, so a
+    caller may leave it out of ``changed_names``.
+
     Unlike :func:`validate` this trusts the schedule's derived indexes
     (to find the changed streams and their link neighbours).
     """
@@ -352,35 +357,79 @@ def validate_delta(schedule: NetworkSchedule, changed_names) -> None:
     _validate_alignment(schedule, streams)
 
 
+def moved_streams(
+    before: NetworkSchedule, after: NetworkSchedule, streams
+) -> List[str]:
+    """The names of ``streams`` (streams of ``after``) that ``after``
+    does not hold exactly as ``before`` did: new to ``before``, another
+    stream under the name, or another slot list on some link.  The rest
+    are untouched in the sense of :func:`validate_delta`."""
+    old = before.streams_by_name
+    return [
+        stream.name for stream in streams
+        if old.get(stream.name) is not stream or any(
+            after.slots.get((stream.name, link.key))
+            != before.slots.get((stream.name, link.key))
+            for link in stream.path
+        )
+    ]
+
+
 def _validate_overlap_delta(schedule: NetworkSchedule, changed) -> None:
-    """Eq. 5 restricted to pairs with at least one changed stream:
-    each changed stream's slots against its links' occupancy."""
+    """Eq. 5 restricted to pairs with at least one changed stream, each
+    pair once: per link, every changed stream's slots against the
+    link's unchanged slots and against the slots of the changed streams
+    before it.  A violation names its two slots in slot-table order, as
+    :func:`validate` does."""
     by_name = schedule.streams_by_name
-    by_link = schedule.slots_by_link
+    slots = schedule.slots
+    movers: Dict[Tuple[str, str], List[Stream]] = {}
     for stream in changed:
         for link in stream.path:
-            own = schedule.slots[(stream.name, link.key)]
-            for other in by_link.get(link.key, ()):
-                for slot in own:
-                    # periodic_overlap(), inline; who may overlap whom is
-                    # only asked of the few pairs that do
-                    g = math.gcd(slot.period_ns, other.period_ns)
-                    r = (other.offset_ns - slot.offset_ns) % g
-                    if (
-                        r < slot.duration_ns or r > g - other.duration_ns
-                    ) and not (
-                        other.stream == stream.name  # sequencing + window
-                        or may_overlap(stream, by_name[other.stream])
-                    ):
-                        a, b = sorted((slot, other), key=lambda f: (
-                            f.offset_ns, f.stream, f.index
-                        ))
-                        raise ScheduleError(
-                            f"link <{link.key[0]},{link.key[1]}>: "
-                            f"{a.stream}[{a.index}] and "
-                            f"{b.stream}[{b.index}] overlap but are not "
-                            f"allowed to"
-                        )
+            movers.setdefault(link.key, []).append(stream)
+    for key, streams in movers.items():
+        frames = schedule.slots_by_link.get(key, ())
+        if len(streams) == 1:
+            # no copy: _overlapping_pair() exempts the stream's own
+            # slots as it exempts any pair of one stream
+            fixed = frames
+        else:
+            names = {s.name for s in streams}
+            fixed = [f for f in frames if f.stream not in names]
+        earlier: List[FrameSlot] = []
+        for stream in streams:
+            own = slots[(stream.name, key)]
+            pair = _overlapping_pair(stream, own, fixed, by_name) or (
+                _overlapping_pair(stream, own, earlier, by_name)
+            )
+            if pair is not None:
+                a, b = sorted(pair, key=frames.index)
+                raise ScheduleError(
+                    f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "
+                    f"{b.stream}[{b.index}] overlap but are not allowed to"
+                )
+            earlier.extend(own)
+
+
+def _overlapping_pair(stream: Stream, own, others, by_name):
+    """The first (own slot, other slot) pair that overlaps but may not,
+    or ``None``; pairs of ``stream`` with itself are exempt (sequencing
+    and the window checks cover them)."""
+    gcd = math.gcd
+    for slot in own:
+        offset, period = slot.offset_ns, slot.period_ns
+        duration = slot.duration_ns
+        for other in others:
+            # periodic_overlap(), inline; who may overlap whom is only
+            # asked of the few pairs that do
+            g = gcd(period, other.period_ns)
+            r = (other.offset_ns - offset) % g
+            if (r < duration or r > g - other.duration_ns) and not (
+                other.stream == stream.name
+                or may_overlap(stream, by_name[other.stream])
+            ):
+                return slot, other
+    return None
 
 
 def _validate_completeness(schedule: NetworkSchedule, streams=None) -> None:

@@ -11,17 +11,23 @@ After solving, :class:`FrameSlot` records the concrete offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Optional, Sequence, Tuple
 
 from repro.model.stream import Stream, StreamType
 from repro.model.topology import Link
 
 
-@dataclass(frozen=True)
-class FrameVar:
+_new_record = tuple.__new__
+
+
+class FrameVar(namedtuple(
+    "FrameVar", "stream link index period_ns duration_ns extra"
+)):
     """An unscheduled frame: identity plus the constants ``T`` and ``L``.
 
+    stream, link
+        The stream's name and the link's ``<v_a, v_b>`` key.
     index
         ``j`` — position in ``F_{s,<a,b>}`` (0-based).
     period_ns
@@ -33,25 +39,35 @@ class FrameVar:
         True for frames added by prudent reservation: they repeat with the
         stream's period but carry payload only when ECT displaced an
         earlier slot.
+
+    An immutable, hashable record — a validated tuple, built per frame
+    per placement, so it costs a tuple rather than a dataclass.  Every
+    way in (the constructor, ``_make``, ``_replace``, unpickling)
+    re-checks it.
     """
 
-    stream: str
-    link: Tuple[str, str]
-    index: int
-    period_ns: int
-    duration_ns: int
-    extra: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"{self.var_name}: negative frame index")
-        if self.duration_ns <= 0:
-            raise ValueError(f"{self.var_name}: duration must be positive")
-        if self.period_ns < self.duration_ns:
+    def __new__(
+        cls, stream: str, link: Tuple[str, str], index: int,
+        period_ns: int, duration_ns: int, extra: bool = False,
+    ) -> "FrameVar":
+        record = (stream, link, index, period_ns, duration_ns, extra)
+        if index < 0 or duration_ns <= 0 or period_ns < duration_ns:
+            name = _new_record(cls, record).var_name
+            if index < 0:
+                raise ValueError(f"{name}: negative frame index")
+            if duration_ns <= 0:
+                raise ValueError(f"{name}: duration must be positive")
             raise ValueError(
-                f"{self.var_name}: frame of {self.duration_ns} ns cannot fit "
-                f"in period {self.period_ns} ns"
+                f"{name}: frame of {duration_ns} ns cannot fit "
+                f"in period {period_ns} ns"
             )
+        return _new_record(cls, record)
+
+    @classmethod
+    def _make(cls, iterable) -> "FrameVar":
+        return cls(*iterable)
 
     @property
     def var_name(self) -> str:
@@ -61,38 +77,43 @@ class FrameVar:
 
     def scheduled(self, offset_ns: int) -> "FrameSlot":
         """Bind a concrete offset, producing a :class:`FrameSlot`."""
-        return FrameSlot(
-            stream=self.stream,
-            link=self.link,
-            index=self.index,
-            offset_ns=offset_ns,
-            period_ns=self.period_ns,
-            duration_ns=self.duration_ns,
-            extra=self.extra,
-        )
+        if offset_ns < 0:
+            # the rest was checked when this frame was built
+            raise ValueError(f"{self.stream}[{self.index}]: negative offset")
+        stream, link, index, period_ns, duration_ns, extra = self
+        return _new_record(FrameSlot, (
+            stream, link, index, offset_ns, period_ns, duration_ns, extra
+        ))
 
 
-@dataclass(frozen=True)
-class FrameSlot:
+class FrameSlot(namedtuple(
+    "FrameSlot", "stream link index offset_ns period_ns duration_ns extra"
+)):
     """A scheduled frame: ``(φ, T, L)`` with ``φ`` concrete.
 
     The slot occupies ``[offset, offset + duration)`` and repeats every
-    ``period`` for the lifetime of the schedule.
+    ``period`` for the lifetime of the schedule.  An immutable, hashable
+    record like :class:`FrameVar`, checked on every way in.
     """
 
-    stream: str
-    link: Tuple[str, str]
-    index: int
-    offset_ns: int
-    period_ns: int
-    duration_ns: int
-    extra: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.offset_ns < 0:
-            raise ValueError(f"{self.stream}[{self.index}]: negative offset")
-        if self.duration_ns <= 0:
-            raise ValueError(f"{self.stream}[{self.index}]: duration must be positive")
+    def __new__(
+        cls, stream: str, link: Tuple[str, str], index: int,
+        offset_ns: int, period_ns: int, duration_ns: int,
+        extra: bool = False,
+    ) -> "FrameSlot":
+        if offset_ns < 0:
+            raise ValueError(f"{stream}[{index}]: negative offset")
+        if duration_ns <= 0:
+            raise ValueError(f"{stream}[{index}]: duration must be positive")
+        return _new_record(cls, (
+            stream, link, index, offset_ns, period_ns, duration_ns, extra
+        ))
+
+    @classmethod
+    def _make(cls, iterable) -> "FrameSlot":
+        return cls(*iterable)
 
     @property
     def end_ns(self) -> int:
@@ -150,7 +171,8 @@ def build_frame_vars(
     reservation mode's event-sized windows); when absent, extras inherit
     the largest message-frame size (the paper's Alg. 1 sizing).
     """
-    base = stream.frames_per_period()
+    payload_wire = stream.wire_bytes_per_frame()
+    base = len(payload_wire)
     if count < base:
         raise ValueError(
             f"{stream.name} on {link}: count {count} below the "
@@ -163,7 +185,6 @@ def build_frame_vars(
             f"{stream.name} on {link}: {len(extra_durations_ns)} extra "
             f"durations for {count - base} extra frames"
         )
-    payload_wire = stream.wire_bytes_per_frame()
     # Probabilistic slots carry a non-preemption blocking pad: when the
     # reserved slot overlaps a shared TCT slot (superposition), a TCT
     # frame may already be on the wire when the event's frame arrives,
@@ -176,6 +197,7 @@ def build_frame_vars(
         from repro.model.units import ETHERNET_MTU_BYTES, wire_bytes
 
         blocking_pad = link.transmission_ns(wire_bytes(ETHERNET_MTU_BYTES))
+    name, key, period_ns = stream.name, link.key, stream.period_ns
     frames = []
     for j in range(count):
         if j < base:
@@ -188,14 +210,5 @@ def build_frame_vars(
         remainder = duration % link.time_unit_ns
         if remainder:
             duration += link.time_unit_ns - remainder
-        frames.append(
-            FrameVar(
-                stream=stream.name,
-                link=link.key,
-                index=j,
-                period_ns=stream.period_ns,
-                duration_ns=duration,
-                extra=j >= base,
-            )
-        )
+        frames.append(FrameVar(name, key, j, period_ns, duration, j >= base))
     return frames

@@ -55,6 +55,7 @@ from repro.core.schedule import (
     InfeasibleError,
     NetworkSchedule,
     ScheduleError,
+    moved_streams,
     validate,
     validate_delta,
 )
@@ -794,8 +795,9 @@ class AdmissionService:
 
         Probabilistic slots stay frozen, so every live ECT keeps its
         guarantee.  The result is checked like a constructive accept:
-        ``validate_delta`` over what moved, a full ``validate`` under
-        ``certify``.
+        ``validate_delta`` over what moved — the newcomers and the ring
+        streams not back on their old slots — and a full ``validate``
+        under ``certify``.
         """
         links = [link for stream in admitted for link in stream.path]
         ring = deterministic_crossing(
@@ -811,7 +813,7 @@ class AdmissionService:
         if self._config.certify:
             validate(result)
         else:
-            validate_delta(result, [s.name for s in place])
+            validate_delta(result, moved_streams(schedule, result, place))
         # a repair runs no solver: the snapshot's search stats and
         # certificate are not this result's to report
         result.meta.pop("solver_stats", None)

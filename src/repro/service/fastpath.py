@@ -37,15 +37,14 @@ its re-solve rungs.  :func:`_apply_batch` is the only loop over the
 incremental primitives — there is no separate incremental rung to fail
 the same way a second time.
 
-All arithmetic is exact: integer nanoseconds and
-:class:`fractions.Fraction` densities, never floats.
+All arithmetic is exact integers, never floats: nanoseconds, and
+densities scaled by one common period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.incremental import (
@@ -59,6 +58,7 @@ from repro.core.schedule import (
     InfeasibleError,
     NetworkSchedule,
     ScheduleError,
+    moved_streams,
     validate_delta,
 )
 from repro.model.stream import Stream, StreamError, StreamType, may_overlap
@@ -222,13 +222,15 @@ def _capacity_reject(
     removed: Set[str],
 ) -> Optional[str]:
     """Per-link density bound over two pairwise-non-overlapping
-    families (exact :class:`Fraction` arithmetic)."""
+    families.  Exact integers: a stream busy ``b`` ns per period ``T``
+    has density ``b / T``, counted here as ``b * (H / T)`` against the
+    link's capacity ``H``, one common period of every stream involved."""
     streams = schedule.streams_by_name
     by_link = schedule.slots_by_link
     candidate_links = {link.key for probe in probes for link in probe.path}
-    det: Dict[Tuple[str, str], Fraction] = {}
-    nonshared: Dict[Tuple[str, str], Fraction] = {}
-    prob: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
+    # link -> (stream, its busy ns per period there), the probes last
+    demand: Dict[Tuple[str, str], List[Tuple[Stream, int]]] = {}
+    periods = {probe.period_ns for probe in probes}
     for link_key in candidate_links:
         busy_ns: Dict[str, int] = {}
         for slot in by_link.get(link_key, ()):
@@ -236,53 +238,41 @@ def _capacity_reject(
                 busy_ns[slot.stream] = (
                     busy_ns.get(slot.stream, 0) + slot.duration_ns
                 )
-        for name, total_ns in busy_ns.items():
-            stream = streams[name]
-            load = Fraction(total_ns, stream.period_ns)
-            if stream.type == StreamType.DET:
-                det[link_key] = det.get(link_key, Fraction(0)) + load
-                if not stream.share:
-                    nonshared[link_key] = (
-                        nonshared.get(link_key, Fraction(0)) + load
-                    )
-            else:
-                per_parent = prob.setdefault(link_key, {})
-                parent = stream.parent or name
-                # possibilities of one parent are interchangeable here;
-                # keep the densest representative
-                if load > per_parent.get(parent, Fraction(0)):
-                    per_parent[parent] = load
-
+        entries = [
+            (streams[name], total_ns) for name, total_ns in busy_ns.items()
+        ]
+        demand[link_key] = entries
+        periods.update(stream.period_ns for stream, _ in entries)
     for probe in probes:
         for link in probe.path:
-            load = Fraction(sum(_wire_ns(probe, link)), probe.period_ns)
-            key = link.key
-            if probe.type == StreamType.DET:
-                det[key] = det.get(key, Fraction(0)) + load
-                if not probe.share:
-                    nonshared[key] = (
-                        nonshared.get(key, Fraction(0)) + load
-                    )
-            else:
-                per_parent = prob.setdefault(key, {})
-                parent = probe.parent or probe.name
-                if load > per_parent.get(parent, Fraction(0)):
-                    per_parent[parent] = load
+            demand[link.key].append((probe, sum(_wire_ns(probe, link))))
+    capacity = lcm(*periods)
 
     for key in candidate_links:
-        det_load = det.get(key, Fraction(0))
-        if det_load > 1:
+        det = nonshared = 0
+        per_parent: Dict[str, int] = {}
+        for stream, busy in demand[key]:
+            load = busy * (capacity // stream.period_ns)
+            if stream.type == StreamType.DET:
+                det += load
+                if not stream.share:
+                    nonshared += load
+            else:
+                # possibilities of one parent are interchangeable here;
+                # keep the densest representative
+                parent = stream.parent or stream.name
+                if load > per_parent.get(parent, 0):
+                    per_parent[parent] = load
+        if det > capacity:
             return (
                 f"link-capacity: deterministic streams alone need "
-                f"{float(det_load):.3f}x of link <{key[0]},{key[1]}>"
+                f"{det / capacity:.3f}x of link <{key[0]},{key[1]}>"
             )
-        mixed = nonshared.get(key, Fraction(0)) + sum(
-            prob.get(key, {}).values(), Fraction(0)
-        )
-        if mixed > 1:
+        mixed = nonshared + sum(per_parent.values())
+        if mixed > capacity:
             return (
                 f"link-capacity: non-sharing streams plus one possibility "
-                f"per ECT need {float(mixed):.3f}x of link "
+                f"per ECT need {mixed / capacity:.3f}x of link "
                 f"<{key[0]},{key[1]}>"
             )
     return None
@@ -350,7 +340,8 @@ def _apply_batch(
                 validate_result=False,
                 affected=affected,
             )
-            changed.update(s.name for s in affected)
+            # a sharer back on its old slots is untouched
+            changed.update(moved_streams(schedule, current, affected))
             changed.update(
                 s.name for s in current.possibilities_of(request.ect.name)
             )

@@ -11,7 +11,9 @@ that honest:
 * :func:`validate` never reads an index, so neither a stale nor a
   corrupted one can change its verdict;
 * :func:`validate_delta`, which does trust them, reaches
-  :func:`validate`'s verdict on every constraint class.
+  :func:`validate`'s verdict on every constraint class — with one
+  changed stream or several, and with a re-placed stream that landed
+  on its old slots left out.
 """
 
 import copy
@@ -32,13 +34,21 @@ from repro.core.schedule import (
     InfeasibleError,
     NetworkSchedule,
     ScheduleError,
+    moved_streams,
     validate,
     validate_delta,
 )
 from repro.model.stream import EctStream, Priorities, Stream, TctRequirement
 from repro.model.topology import Topology
 from repro.model.units import milliseconds
-from repro.service import AdmitEct, AdmitTct, Remove, fastpath
+from repro.service import (
+    AdmissionService,
+    AdmitEct,
+    AdmitTct,
+    Remove,
+    ScheduleStore,
+    fastpath,
+)
 
 DEVICES = ["D1", "D2", "D3", "D4"]
 PERIODS = [milliseconds(4), milliseconds(8), milliseconds(16)]
@@ -221,7 +231,7 @@ class TestValidateNeverReadsAnIndex:
         upstream = schedule.slots[("s1", ("D1", "SW1"))][0]
         # the index still holds the honest slot: Eq. 7 breaks in
         # ``slots`` only
-        slots[0] = dataclasses.replace(slots[0], offset_ns=upstream.offset_ns)
+        slots[0] = slots[0]._replace(offset_ns=upstream.offset_ns)
         assert slots[0] not in schedule.slots_by_link[("SW1", "D3")]
         with pytest.raises(ScheduleError, match="Eq. 7"):
             validate(schedule)
@@ -261,9 +271,7 @@ def _rebuilt(schedule, slots=None, streams=None):
 
 def _moved(schedule, key, index, offset_ns):
     slots = {k: list(v) for k, v in schedule.slots.items()}
-    slots[key][index] = dataclasses.replace(
-        slots[key][index], offset_ns=offset_ns
-    )
+    slots[key][index] = slots[key][index]._replace(offset_ns=offset_ns)
     return _rebuilt(schedule, slots)
 
 
@@ -378,3 +386,82 @@ def test_delta_and_full_validation_agree_on_the_occurrence_time():
 def test_delta_validation_rejects_a_name_the_schedule_lacks(admitted):
     with pytest.raises(ScheduleError, match=r"\['ghost'\] are not in"):
         validate_delta(admitted, {"new", "ghost"})
+
+
+# ----------------------------------------------------------------------
+# (d) several changed streams: each pair once, unmoved streams left out
+# ----------------------------------------------------------------------
+def _one_frame(topo, name, source, destination, period_ms=8):
+    return Stream(
+        name=name, path=tuple(topo.shortest_path(source, destination)),
+        e2e_ns=milliseconds(period_ms), priority=Priorities.NSH_PL,
+        length_bytes=1500, period_ns=milliseconds(period_ms),
+    )
+
+
+def _same_verdict(planted, changed):
+    """validate and validate_delta raise the very same message."""
+    with pytest.raises(ScheduleError) as full:
+        validate(planted)
+    with pytest.raises(ScheduleError) as delta:
+        validate_delta(planted, changed)
+    assert "overlap but are not allowed to" in str(full.value)
+    assert str(delta.value) == str(full.value)
+
+
+@pytest.fixture
+def two_admitted():
+    """``u`` (D2 -> D3) in the base; two one-frame streams D2 -> D1
+    admitted online one after the other, named by the test."""
+    def build(first, second):
+        topo = _topology(time_unit_ns=1000)
+        base = schedule_heuristic(topo, [_one_frame(topo, "u", "D2", "D3")])
+        schedule = add_tct_stream(base, _one_frame(topo, first, "D2", "D1"))
+        return add_tct_stream(schedule, _one_frame(topo, second, "D2", "D1"))
+    return build
+
+
+@pytest.mark.parametrize("first, second", [("a", "b"), ("b", "a")])
+def test_an_overlap_between_two_changed_streams(two_admitted, first, second):
+    """The later-placed stream moves onto the earlier one's slot on
+    their first link; with the names in either order the delta check
+    finds the pair once and names it as validate() does."""
+    admitted = two_admitted(first, second)
+    changed = {first, second}
+    validate_delta(admitted, changed)
+    taken = admitted.slots[(first, UP)][0]
+    _same_verdict(_moved(admitted, (second, UP), 0, taken.offset_ns), changed)
+
+
+@pytest.mark.parametrize("mover", ["a", "b"])
+def test_an_overlap_between_a_changed_and_an_unchanged_stream(
+    two_admitted, mover
+):
+    admitted = two_admitted("a", "b")
+    taken = admitted.slots[("u", UP)][0]
+    _same_verdict(
+        _moved(admitted, (mover, UP), 0, taken.offset_ns), {"a", "b"}
+    )
+
+
+def test_an_unmoved_ring_stream_is_left_out_of_the_changed_set():
+    """``t`` (4 ms) is released by the ring of ``n`` (8 ms) on their
+    shared links and, placed first again, lands on its old slots: it is
+    not among the moved streams, and an overlap planted against it is
+    still found from ``n``'s side."""
+    topo = _topology(time_unit_ns=1000)
+    base = schedule_heuristic(topo, [_one_frame(topo, "t", "D1", "D3", 4)])
+    newcomer = _one_frame(topo, "n", "D1", "D4")
+    ring = AdmissionService(ScheduleStore(base))._repair_ring(
+        base, [newcomer], set()
+    )
+    key = ("t", ("D1", "SW1"))
+    assert ring.slots[key] == base.slots[key]
+    assert ring.slots[key] is not base.slots[key]  # released, re-placed
+    moved = moved_streams(base, ring, [base.stream("t"), newcomer])
+    assert moved == ["n"]
+    validate(ring)
+    validate_delta(ring, moved)
+    taken = ring.slots[key][0]
+    planted = _moved(ring, ("n", ("D1", "SW1")), 0, taken.offset_ns)
+    _same_verdict(planted, moved)

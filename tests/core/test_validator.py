@@ -23,7 +23,7 @@ def _schedule(paper_example):
 
 def _shift_slot(schedule, stream_name, link_key, index, new_offset):
     slots = schedule.slots[(stream_name, link_key)]
-    slots[index] = dataclasses.replace(slots[index], offset_ns=new_offset)
+    slots[index] = slots[index]._replace(offset_ns=new_offset)
 
 
 class TestTamperDetection:
@@ -43,8 +43,8 @@ class TestTamperDetection:
         slots = schedule.slots[("s1", ("D1", "SW1"))]
         # swap frames 0 and 1 in time
         a, b = slots[0], slots[1]
-        slots[0] = dataclasses.replace(a, offset_ns=b.offset_ns)
-        slots[1] = dataclasses.replace(b, offset_ns=a.offset_ns)
+        slots[0] = a._replace(offset_ns=b.offset_ns)
+        slots[1] = b._replace(offset_ns=a.offset_ns)
         with pytest.raises(ScheduleError):
             validate(schedule)
 

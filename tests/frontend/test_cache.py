@@ -1,7 +1,11 @@
 """DecisionCache: epoch-pinned replay, LRU bounds, cacheability rules."""
 
+import pytest
+
+from repro.frontend import protocol
 from repro.frontend.cache import DecisionCache, cacheable
-from repro.service import MetricsRegistry
+from repro.model.stream import TctRequirement
+from repro.service import AdmitTct, MetricsRegistry, canonical_shape
 from repro.service.requests import Decision
 
 
@@ -145,3 +149,37 @@ class TestDecisionCache:
         counters = metrics.counters_with_prefix("frontend.cache")
         assert counters["hits"] == 1
         assert counters["misses"] == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a cache hit replays the first requester's decision as it is: its "
+    "stream, request_id, batch_id and reason text; fixed once reasons "
+    "are structured witnesses that render per name"
+))
+def test_a_cache_hit_answers_with_the_requesters_identity():
+    def admit(name):
+        return AdmitTct(TctRequirement(
+            name=name, source="D1", destination="D4",
+            period_ns=1_000_000, length_bytes=1500, e2e_ns=1,
+        ))
+
+    first, second = admit("first"), admit("second")
+    assert canonical_shape(first) == canonical_shape(second)
+    cache = DecisionCache(capacity=8)
+    assert cache.store(1, canonical_shape(first), Decision(
+        request_id=7, op="admit-tct", stream="first", accepted=False,
+        reason=(
+            "e2e-floor: first needs at least 246960 ns of wire time over "
+            "2 hops but the budget is 1 ns"
+        ),
+        batch_id=3,
+    ))
+    hit = cache.lookup(1, canonical_shape(second))
+    assert hit is not None
+    replay = protocol.decode_response(
+        protocol.encode_decision(hit, request_id="second-wire-id", cached=True)
+    )["decision"]
+    assert replay["stream"] == "second"
+    assert replay["request_id"] != 7
+    assert replay["batch_id"] != 3
+    assert replay["reason"].startswith("e2e-floor: second needs")

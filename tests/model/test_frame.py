@@ -1,5 +1,8 @@
 """Frame model tests: (φ, T, L) instances and periodic interval math."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,6 +61,53 @@ class TestFrameSlot:
     def test_rejects_negative_offset(self):
         with pytest.raises(ValueError):
             FrameSlot("s", ("A", "B"), 0, -1, 100, 5)
+
+
+AB = ("A", "B")
+
+
+class TestRecordsStayStrict:
+    """The records are cheap tuples, but every way in checks them."""
+
+    @pytest.mark.parametrize("build, witness", [
+        (lambda: FrameVar("s", AB, -1, 100, 10), "negative frame index"),
+        (lambda: FrameVar("s", AB, 0, 100, 0), "duration must be positive"),
+        (lambda: FrameVar("s", AB, 0, 100, -5), "duration must be positive"),
+        (lambda: FrameVar("s", AB, 0, 5, 10), "cannot fit in period"),
+        (lambda: FrameSlot("s", AB, 0, -1, 100, 5), "negative offset"),
+        (lambda: FrameSlot("s", AB, 0, 0, 100, 0),
+         "duration must be positive"),
+        (lambda: FrameVar("s", AB, 0, 100, 10).scheduled(-1),
+         "negative offset"),
+        (lambda: FrameSlot("s", AB, 0, 0, 100, 5)._replace(offset_ns=-1),
+         "negative offset"),
+        (lambda: FrameVar("s", AB, 0, 100, 10)._replace(duration_ns=200),
+         "cannot fit in period"),
+    ])
+    def test_every_check_raises(self, build, witness):
+        with pytest.raises(ValueError, match=witness):
+            build()
+
+    def test_immutable(self):
+        slot = FrameSlot("s", AB, 0, 0, 100, 5)
+        with pytest.raises(AttributeError):
+            slot.offset_ns = 7
+        with pytest.raises(AttributeError):
+            FrameVar("s", AB, 0, 100, 5).extra = True
+
+    def test_equality_hashing_and_copies(self):
+        slot = FrameSlot("s", AB, 1, 20, 100, 5, extra=True)
+        twin = FrameSlot(stream="s", link=AB, index=1, offset_ns=20,
+                         period_ns=100, duration_ns=5, extra=True)
+        assert slot == twin and hash(slot) == hash(twin)
+        assert slot != slot._replace(offset_ns=21)
+        assert len({slot, twin, slot._replace(offset_ns=21)}) == 2
+        for clone in (copy.deepcopy(slot), pickle.loads(pickle.dumps(slot))):
+            assert clone == slot and type(clone) is FrameSlot
+        assert repr(slot) == (
+            "FrameSlot(stream='s', link=('A', 'B'), index=1, offset_ns=20, "
+            "period_ns=100, duration_ns=5, extra=True)"
+        )
 
 
 class TestBuildFrameVars:

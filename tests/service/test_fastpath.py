@@ -11,13 +11,23 @@ never decides something the solver ladder would decide differently —
   the same target set must raise :class:`InfeasibleError`.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import schedule_etsn
-from repro.core.schedule import InfeasibleError, validate
-from repro.model.stream import EctStream, Priorities, TctRequirement
+from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
+from repro.model.frame import FrameSlot
+from repro.model.stream import (
+    EctStream,
+    Priorities,
+    Stream,
+    StreamType,
+    TctRequirement,
+)
+from repro.model.topology import Topology
 from repro.model.units import MBPS_100, milliseconds
 from repro.service import (
     AdmissionService,
@@ -204,8 +214,6 @@ def fastpath_scenario(draw):
 
 
 def _star():
-    from repro.model.topology import Topology
-
     topo = Topology()
     topo.add_switch("SW1")
     for device in DEVICES:
@@ -240,3 +248,172 @@ def test_fastpath_never_contradicts_the_smt_solver(scenario):
     else:
         with pytest.raises(InfeasibleError):
             smt_solve()
+
+
+# ----------------------------------------------------------------------
+# the capacity screen in integers says what exact fractions say
+# ----------------------------------------------------------------------
+def _fraction_capacity_reject(schedule, probes, removed):
+    """The capacity screen as it was written with ``Fraction`` densities:
+    the reference the integer screen must match, verdict and text."""
+    streams = schedule.streams_by_name
+    by_link = schedule.slots_by_link
+    candidate_links = {link.key for probe in probes for link in probe.path}
+    det, nonshared, prob = {}, {}, {}
+
+    def add(key, stream, load):
+        if stream.type == StreamType.DET:
+            det[key] = det.get(key, Fraction(0)) + load
+            if not stream.share:
+                nonshared[key] = nonshared.get(key, Fraction(0)) + load
+        else:
+            per_parent = prob.setdefault(key, {})
+            parent = stream.parent or stream.name
+            if load > per_parent.get(parent, Fraction(0)):
+                per_parent[parent] = load
+
+    for key in candidate_links:
+        busy_ns = {}
+        for slot in by_link.get(key, ()):
+            if slot.stream not in removed:
+                busy_ns[slot.stream] = (
+                    busy_ns.get(slot.stream, 0) + slot.duration_ns
+                )
+        for name, total_ns in busy_ns.items():
+            stream = streams[name]
+            add(key, stream, Fraction(total_ns, stream.period_ns))
+    for probe in probes:
+        for link in probe.path:
+            wire = sum(fastpath._wire_ns(probe, link))
+            add(link.key, probe, Fraction(wire, probe.period_ns))
+    for key in candidate_links:
+        det_load = det.get(key, Fraction(0))
+        if det_load > 1:
+            return (
+                f"link-capacity: deterministic streams alone need "
+                f"{float(det_load):.3f}x of link <{key[0]},{key[1]}>"
+            )
+        mixed = nonshared.get(key, Fraction(0)) + sum(
+            prob.get(key, {}).values(), Fraction(0)
+        )
+        if mixed > 1:
+            return (
+                f"link-capacity: non-sharing streams plus one possibility "
+                f"per ECT need {float(mixed):.3f}x of link "
+                f"<{key[0]},{key[1]}>"
+            )
+    return None
+
+
+_DEVICES = ("D1", "D2", "D3")
+_PERIODS_NS = (1_000_000, 2_000_000, 3_000_000, 5_000_000)
+
+
+def _star():
+    topo = Topology()
+    topo.add_switch("SW1")
+    for device in _DEVICES:
+        topo.add_device(device)
+        topo.add_link(device, "SW1", bandwidth_bps=MBPS_100)
+    return topo
+
+
+def _stream(topo, name, kind, endpoints, period_ns, length=1500):
+    """``kind``: ``"det"``, ``"shared"`` or a parent ECT's name."""
+    deterministic = kind in ("det", "shared")
+    return Stream(
+        name=name, path=tuple(topo.shortest_path(*endpoints)),
+        e2e_ns=period_ns, priority=Priorities.NSH_PL, length_bytes=length,
+        period_ns=period_ns,
+        type=StreamType.DET if deterministic else StreamType.PROB,
+        share=kind == "shared", parent=None if deterministic else kind,
+    )
+
+
+def _capacity_case_schedule(topo, existing):
+    """A slot table (never validated: the screen reads only densities)
+    with one slot per duration on every link of each stream's route."""
+    streams, slots = [], {}
+    for name, kind, endpoints, period_ns, durations in existing:
+        stream = _stream(topo, name, kind, endpoints, period_ns)
+        streams.append(stream)
+        for link in stream.path:
+            slots[(name, link.key)] = [
+                FrameSlot(name, link.key, j, 0, period_ns, duration)
+                for j, duration in enumerate(durations)
+            ]
+    return NetworkSchedule(topology=topo, streams=streams, slots=slots)
+
+
+_kinds = st.sampled_from(["det", "shared", "e0", "e1"])
+#: three routes, two of them meeting on SW1->D3
+_endpoints = st.sampled_from([("D1", "D3"), ("D2", "D3"), ("D1", "D2")])
+
+
+def _busy_ns(period_ns):
+    """A slot of 5-45 % of the period, give or take an odd nanosecond."""
+    return st.builds(
+        lambda percent, jitter: period_ns * percent // 100 + jitter,
+        st.sampled_from((5, 10, 20, 30, 45)), st.integers(1, 999),
+    )
+
+
+@st.composite
+def _capacity_case(draw):
+    existing = []
+    for i in range(draw(st.integers(0, 8))):
+        period_ns = draw(st.sampled_from(_PERIODS_NS))
+        existing.append((
+            f"s{i}", draw(_kinds), draw(_endpoints), period_ns,
+            draw(st.lists(_busy_ns(period_ns), min_size=1, max_size=2)),
+        ))
+    probes = [
+        (f"p{i}", draw(_kinds), draw(_endpoints),
+         draw(st.sampled_from(_PERIODS_NS)), draw(st.integers(64, 4500)))
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    names = [e[0] for e in existing]
+    removed = draw(st.sets(st.sampled_from(names))) if names else set()
+    return existing, probes, removed
+
+
+#: one case per text: the deterministic streams alone overflow D1->SW1;
+#: the deterministic load fits but a possibility on top of it does not
+_DET_OVERFLOW = (
+    [("s0", "det", ("D1", "D3"), 1_000_000, [950_000])],
+    [("p0", "det", ("D1", "D3"), 1_000_000, 1500)], set(),
+)
+_MIXED_OVERFLOW = (
+    [("s0", "det", ("D1", "D3"), 1_000_000, [300_000]),
+     ("s1", "e0", ("D1", "D3"), 1_000_000, [600_000])],
+    [("p0", "det", ("D1", "D3"), 1_000_000, 1500)], set(),
+)
+
+
+def _both_screens(case):
+    existing, probe_specs, removed = case
+    topo = _star()
+    schedule = _capacity_case_schedule(topo, existing)
+    probes = [_stream(topo, *spec) for spec in probe_specs]
+    return (
+        fastpath._capacity_reject(schedule, probes, removed),
+        _fraction_capacity_reject(schedule, probes, removed),
+    )
+
+
+@pytest.mark.parametrize("case, text", [
+    (_DET_OVERFLOW, "link-capacity: deterministic streams alone need 1.07"),
+    (_MIXED_OVERFLOW, "link-capacity: non-sharing streams plus one"),
+])
+def test_integer_capacity_screen_fires_both_texts(case, text):
+    integer, reference = _both_screens(case)
+    assert integer == reference
+    assert integer.startswith(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_capacity_case())
+def test_integer_capacity_screen_matches_exact_fractions(case):
+    integer, reference = _both_screens(case)
+    assert integer == reference
+    event(str(reference and reference.split(" need")[0]))
