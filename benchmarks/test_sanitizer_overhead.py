@@ -4,12 +4,12 @@ The sanitizer's contract (ISSUE: repro.check v2): with
 ``REPRO_SANITIZE_LOCKS`` unset, ``make_lock`` returns a bare
 ``threading.Lock`` — nothing to measure; with it set, the wrapped
 cluster admission flow must stay within 2x of the plain run.  Both
-arms run the same shard-local workload through a 2-shard coordinator,
-which exercises every sanitized lock: shard runtime locks (ordered
-group), the per-shard service write locks, and the store CAS locks.
+arms run the same workload through a 2-shard coordinator, which
+exercises every sanitized lock on the admission path: the service
+write lock and the store CAS lock.
 
-Wall-clock multiples are hostage to runner load, so like the cluster
-benchmark the floor is env-tunable (``REPRO_SANITIZER_OVERHEAD_MAX``,
+Wall-clock multiples are hostage to runner load, so the floor is
+env-tunable (``REPRO_SANITIZER_OVERHEAD_MAX``,
 default 2.0) and the functional assertions — sanitized run decides
 everything, identical decisions — stay deterministic.
 """

@@ -581,8 +581,8 @@ def lock_identity(
     """The class-attribute identity of a lock expression, or ``None``.
 
     ``self._lock`` → ``Owner._lock`` (when ``_lock`` is a known lock
-    attribute of the enclosing class), ``runtime.lock`` →
-    ``_ShardRuntime.lock`` via the receiver's inferred type.  Identity is
+    attribute of the enclosing class), ``store._lock`` →
+    ``ScheduleStore._lock`` via the receiver's inferred type.  Identity is
     per *field*, not per instance: every ``ScheduleStore`` shares the
     id ``ScheduleStore._lock``, matching the sanitizer's grouping.
     """

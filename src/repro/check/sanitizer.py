@@ -17,10 +17,9 @@ particular interleaving.  This module covers that gap at runtime:
   raises :class:`LockOrderViolation` — instead of deadlocking — on:
 
   - re-entrant acquisition of the same (non-reentrant) lock object;
-  - acquiring a lock of an ordered *group* out of key order, e.g. the
-    cluster coordinator's shard locks (``group="cluster.shards"``,
-    ``key=<shard name>``), which must be taken in ascending key order
-    — the sorted-locks discipline, enforced;
+  - acquiring a lock of an ordered *group* (``make_lock(name,
+    group=..., key=...)``) out of ascending key order — the
+    sorted-locks discipline, enforced;
   - an edge inversion: acquiring ``A`` while holding ``B`` after some
     thread was observed acquiring ``B`` while holding ``A``.
 

@@ -25,9 +25,9 @@ Commands
     per-rung latency distributions (count / mean / p50 / p99),
     ``repro trace tree out.jsonl`` renders the trace forest as an
     indented tree, and ``repro trace cluster`` runs a deterministic
-    2-shard cross-shard admission and renders its single distributed
-    trace (coordinator → shard batches → rungs → solves → cross-shard
-    prepare/commit).
+    2-shard admission batch (one local stream per shard, one crossing
+    the border) and renders its single trace (coordinator batch →
+    admission batch → requests → rungs → solves).
 ``slo``
     Evaluate latency SLO targets (p-quantile ≤ objective with an error
     budget) against a live demo run or a saved metrics JSON; exit 1 on
@@ -35,7 +35,7 @@ Commands
 ``events``
     Inspect a structured event journal written by ``--events``:
     ``repro events tail FILE`` prints the last N events, ``repro
-    events query FILE --kind twophase.`` filters by kind prefix /
+    events query FILE --kind admission.`` filters by kind prefix /
     trace id / stream.
 ``bench``
     ``repro bench diff BASELINE CURRENT`` compares two BENCH_*.json
@@ -48,11 +48,12 @@ Commands
     ``check units`` the time-unit dimensional analysis (see
     :mod:`repro.check`).
 ``cluster``
-    Sharded multi-tenant admission (:mod:`repro.cluster`):
+    Partitioned admission (:mod:`repro.cluster`):
     ``cluster status`` prints the switch-cluster partition,
     ``cluster admit`` decides one request against a fresh cluster, and
-    ``cluster serve`` drives a JSONL request stream across the shards
-    (``--audit`` gcl-audits the stitched global schedule afterwards).
+    ``cluster serve`` drives a JSONL request stream through it
+    (``--audit`` validates and gcl-audits the global schedule
+    afterwards).
 ``campaign``
     Monte Carlo robustness campaigns (:mod:`repro.campaign`):
     ``campaign run`` fans a loss x clock-error x load x FRER matrix
@@ -189,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "clock so the output is reproducible")
 
     cluster = sub.add_parser(
-        "cluster", help="sharded multi-tenant admission (repro.cluster)"
+        "cluster", help="partitioned admission (repro.cluster)"
     )
     cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
 
@@ -229,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="probabilistic possibilities N for --ect")
 
     cserve = cluster_sub.add_parser(
-        "serve", help="serve a JSONL request stream across the shards"
+        "serve", help="serve a JSONL request stream through the cluster"
     )
     _cluster_common(cserve)
     cserve.add_argument("--requests", default="-",
@@ -240,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cserve.add_argument("--metrics-out",
                         help="write the cluster metrics JSON here")
     cserve.add_argument("--audit", action="store_true",
-                        help="gcl-audit the stitched global schedule "
+                        help="validate and gcl-audit the global schedule "
                              "after the run")
     cserve.add_argument("--fail-on-reject", action="store_true",
                         help="exit 1 if any request was rejected")
@@ -251,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the structured event journal here as "
                              "JSON-lines")
     cserve.add_argument("--prometheus-out", metavar="FILE",
-                        help="write per-shard + cluster Prometheus text "
+                        help="write the cluster's Prometheus text "
                              "exposition here after the run")
 
     trace = sub.add_parser("trace", help="inspect a span trace (JSONL)")
@@ -270,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="append each span's duration in ms")
     tcluster = trace_sub.add_parser(
         "cluster",
-        help="run a deterministic 2-shard cross-shard admission and "
-             "render its single distributed trace tree",
+        help="run a deterministic 2-shard admission batch and render "
+             "its single trace tree",
     )
     tcluster.add_argument("--durations", action="store_true",
                           help="append each span's duration in ms "
@@ -719,8 +720,8 @@ def _run_cluster(args) -> int:
 
 
 #: `cluster serve` submits streamed requests in chunks of this many:
-#: big enough to amortize the cross-shard wave machinery, small enough
-#: that an unbounded pipe never accumulates in memory.
+#: big enough to amortize the per-call batch span and metrics, small
+#: enough that an unbounded pipe never accumulates in memory.
 _CLUSTER_SERVE_CHUNK = 256
 
 
@@ -742,8 +743,8 @@ def _run_cluster_serve(args) -> int:
             print(json.dumps(decision_to_dict(decision)))
         chunk.clear()
 
-    # stream incrementally in bounded chunks — the coordinator fans
-    # each chunk across shards; an unbounded pipe never accumulates
+    # stream incrementally in bounded chunks, so an unbounded pipe
+    # never accumulates
     handle = _open_requests(args.requests)
     try:
         for lineno, line in _iter_request_lines(handle):
@@ -806,9 +807,9 @@ def _run_trace_cluster(args) -> int:
 
     Three requests — one local to each shard, one crossing the border —
     under a fixed tick clock, so the rendered forest is byte-stable (the
-    CI golden check diffs it).  The cross-shard request demonstrates the
-    acceptance property: one ``trace_id`` spanning coordinator, shard
-    batches, rungs, solves, and the cross-shard prepare/commit.
+    CI golden check diffs it).  One ``trace_id`` spans the coordinator
+    batch, the admission batch, its requests, rungs and solves; the
+    cross-shard request is an ordinary admit inside it.
     """
     import itertools
 

@@ -1,13 +1,11 @@
-"""Topology partitioning for sharded admission.
+"""Topology partitioning for the cluster view.
 
 E-TSN's admission problem decomposes along the network: prudent
 reservation (paper Alg. 1) is per-link, and the SMT formulation only
 couples frames that traverse a common egress port.  This module cuts
 the switch graph into **shards** — connected switch clusters plus their
-attached devices — so each shard can run its own
-:class:`~repro.service.admission.AdmissionService` over a private
-sub-topology, and only streams whose routes cross a shard boundary need
-any cross-shard coordination.
+attached devices — and gives every directed link one owning shard, so
+traffic and stream populations can be reported per shard.
 
 The partitioner is a deterministic multi-seed region growing over the
 switch graph: seeds are spread greedily by hop distance (a farthest-
@@ -23,7 +21,7 @@ shard-local routing can never sneak through a neighbouring shard, but a
 cross-shard route segment can legally terminate on one.  The directed
 half of a boundary link is owned by the shard of its *source* node —
 the egress gate lives there — so every directed link in the network has
-exactly one scheduling owner.
+exactly one owner.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """repro.frontend: the async network face of the admission runtime.
 
 An asyncio JSONL socket server (:class:`Frontend`) in front of an
-:class:`~repro.service.admission.AdmissionService` or a sharded
+:class:`~repro.service.admission.AdmissionService` or a
 :class:`~repro.cluster.coordinator.ClusterCoordinator`, with bounded
-intake and explicit ``server_busy`` backpressure, per-shard-tuned batch
-coalescing, an epoch-pinned decision cache, trace propagation, and a
+intake and explicit ``server_busy`` backpressure, batch coalescing, an
+epoch-pinned decision cache, trace propagation, and a
 load generator (:mod:`repro.frontend.loadgen`) that drives it hard
 enough to mean something.
 """

@@ -9,8 +9,8 @@ can answer a repeated shape from a cache without touching the solver —
 proven on.
 
 :class:`DecisionCache` therefore keys every entry on
-``(epoch, canonical shape)`` where the epoch is the store version (or
-the tuple of shard store versions in cluster mode).  A publish bumps
+``(epoch, canonical shape)`` where the epoch is the store version.  A
+publish bumps
 the epoch, so stale entries can never hit; :meth:`invalidate` clears
 them eagerly on every observed publish so memory is reclaimed and the
 ``frontend.cache.invalidations`` counter tracks churn.
@@ -21,18 +21,17 @@ Not every decision is replayable.  :func:`cacheable` admits only
 * an *accept* publishes a new snapshot, which invalidates the very
   epoch it was proven on — by construction an accept entry could never
   be served, so none is stored;
-* a *name-dependent* rejection (``name_in_use``, "already in use", a
-  concurrent in-flight claim) depends on the one field the shape
-  deliberately ignores — replaying it for a same-shaped request under
-  a fresh name would be wrong;
+* a *name-dependent* rejection ("already in use", "already touched")
+  depends on the one field the shape deliberately ignores — replaying
+  it for a same-shaped request under a fresh name would be wrong;
 * a *transient* rejection (rung timeout, CAS exhaustion) is wall-clock
   dependent — a fresh attempt on the same snapshot could legitimately
   decide differently;
 * a rejection that *climbed a re-solve rung* (an attempt keyed
-  ``full`` or ``heuristic``, or ``<shard>.full`` from the cluster) is
-  name-dependent too: the heuristic places streams tightest first and
-  breaks ties on ``(period, e2e)`` by name, so the same shape under
-  another name can be placed in another order and fit.
+  ``full`` or ``heuristic``) is name-dependent too: the heuristic
+  places streams tightest first and breaks ties on ``(period, e2e)``
+  by name, so the same shape under another name can be placed in
+  another order and fit.
 
 What remains — screening rejects and the constructive rung's conclusive
 analytic rejects — is exactly the class for which "cached decision
@@ -56,10 +55,7 @@ __all__ = ["DecisionCache", "cacheable"]
 #: against ``Decision.reason`` plus every per-rung attempt detail.
 _UNCACHEABLE_MARKERS = (
     "already in use",        # screening: name collision
-    "name_in_use",           # cluster-wide name claim
-    "in flight",             # concurrent claim on the same name
     "already touched",       # batch-mate name interaction
-    "already admitted",      # cluster name claim detail
     "cas_exhausted",         # lost CAS races: contention, not shape
     "rebase",                # ditto
     "exceeded",              # rung wall-clock budgets ("solve exceeded")
@@ -75,10 +71,7 @@ def cacheable(decision: Decision) -> bool:
     rejection — the only class the cache may replay."""
     if decision.accepted:
         return False
-    if any(
-        rung.rsplit(".", 1)[-1] in _RESOLVE_RUNGS
-        for rung in decision.attempts
-    ):
+    if any(rung in _RESOLVE_RUNGS for rung in decision.attempts):
         return False
     texts = [decision.reason or ""]
     texts.extend(decision.attempts.values())

@@ -15,11 +15,10 @@ up under event-triggered load:
   bound.  Per-connection response queues are bounded too: a client
   that stops reading stops being read from (TCP flow control does the
   rest).
-* **Batch coalescing, tuned per shard** — a single dispatcher drains
+* **Batch coalescing, sized per shard** — a single dispatcher drains
   up to ``max_batch x shard_count`` queued requests per backend call,
   so one executor hop and one service write-lock acquisition amortize
-  over a whole burst, and a sharded cluster receives a full sub-batch
-  for every shard per call.
+  over a whole burst.
 * **Decision cache** (:mod:`repro.frontend.cache`) — deterministic
   rejections are replayed for repeated canonical shapes
   (:func:`repro.service.shape.canonical_shape`) pinned to the exact
@@ -135,25 +134,22 @@ class ServiceBackend:
 
 
 class ClusterBackend:
-    """A sharded :class:`ClusterCoordinator` as a frontend backend."""
+    """A :class:`ClusterCoordinator` as a frontend backend."""
 
     kind = "cluster"
 
     def __init__(self, coordinator) -> None:
         self._coordinator = coordinator
-        self._shard_names = tuple(sorted(coordinator.shard_names()))
-        self._stores = tuple(
-            coordinator.shard_store(name) for name in self._shard_names
-        )
+        self._store = coordinator.store
+        self._shard_count = len(coordinator.shard_names())
 
     @property
     def shard_count(self) -> int:
-        return len(self._shard_names)
+        return self._shard_count
 
-    def epoch(self) -> Tuple[int, ...]:
-        """The tuple of shard store versions — any shard's publish
-        changes it (versions are monotonic, so no ABA)."""
-        return tuple(store.version for store in self._stores)
+    def epoch(self) -> int:
+        """The store version — bumped by every CAS publish."""
+        return self._store.version
 
     def submit_many(
         self, requests: Sequence[AdmissionRequest]

@@ -15,20 +15,20 @@ numbers:
   :class:`Histogram` behind every latency metric, and
   :func:`nearest_rank`, the repo's single percentile implementation.
 * :mod:`repro.obs.events` — the bounded structured event journal
-  (:class:`EventLog`) recording admission decisions, CAS retries,
-  rollbacks, and solver abandonments as queryable JSONL.
+  (:class:`EventLog`) recording admission decisions, CAS retries and
+  solver abandonments as queryable JSONL.
 * :mod:`repro.obs.slo` — latency objectives with error budgets
   evaluated from histogram buckets (:func:`evaluate_slos`).
 * :mod:`repro.obs.bench` — benchmark regression tracking over the
   committed ``BENCH_*.json`` baselines (:func:`diff_benchmarks`).
 * :mod:`repro.obs.export` — Prometheus text exposition (native
-  histogram format, per-shard cluster merge), trace summaries and
-  tree rendering, and per-hop frame-journey reconstruction.
+  histogram format), trace summaries and tree rendering, and per-hop
+  frame-journey reconstruction.
 
 Instrumentation lives with the instrumented code: the SAT/SMT cores
 expose :class:`~repro.smt.sat.SolverStats`, the admission service opens
 a span per request with child spans per fallback rung, the cluster
-coordinator propagates one trace across its shard fan-out, and the
+coordinator's batch span parents the admission spans beneath it, and the
 simulator's egress ports emit per-frame enqueue/transmit/deliver
 events.
 """
@@ -52,7 +52,6 @@ from repro.obs.events import (
     save_events,
 )
 from repro.obs.export import (
-    cluster_to_prometheus,
     format_span_summary,
     frame_journeys,
     per_hop_delays,
@@ -90,7 +89,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "children_of",
-    "cluster_to_prometheus",
     "collect_throughput_metrics",
     "diff_benchmarks",
     "evaluate_slos",

@@ -1,7 +1,7 @@
 """Benchmark regression tracking over the committed BENCH_*.json files.
 
 The benchmark suite emits machine-readable ``BENCH_admission.json`` /
-``BENCH_cluster.json`` payloads (timestamp-free, diffable); committing
+``BENCH_frontend.json`` payloads (timestamp-free, diffable); committing
 them turns each PR's throughput into a trajectory.  This module makes
 that trajectory *enforced*: :func:`diff_benchmarks` compares a fresh
 payload against the committed baseline and flags any throughput metric

@@ -20,11 +20,6 @@ kind                        attributes
 ``admission.cas_exhausted`` ``attempts``, ``requests``
 ``solver.abandoned``        ``timeout_s`` — a solver thread outlived
                             its rung budget and was orphaned
-``twophase.rollback``       ``shard``, ``rolled_back_version``,
-                            ``restored_version`` — a shard published by
-                            an aborted cross-shard commit got its
-                            pre-commit schedule back
-``twophase.abort``          ``reason``, ``phase``, ``shard``, ``shards``
 ==========================  ============================================
 
 Events serialize one-per-line (JSONL) via :func:`save_events` /
@@ -188,7 +183,7 @@ def filter_events(
     """Events matching every given criterion, in journal order.
 
     ``kind`` may be an exact kind or a ``prefix.`` (trailing dot) to
-    select a family, e.g. ``"twophase."``; ``attr_equals`` matches
+    select a family, e.g. ``"admission."``; ``attr_equals`` matches
     attribute values exactly.
     """
     selected = []

@@ -9,10 +9,6 @@ formats:
   (cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``) with
   ``_p50``/``_p99``/``_p999``/``_min``/``_max`` companion gauges so the
   percentiles are scrapeable without PromQL quantile estimation.
-* :func:`cluster_to_prometheus` — the same exposition over a whole
-  cluster: every shard's registry is labelled ``shard="..."`` and the
-  families are merged so each (HELP, TYPE) appears exactly once —
-  per-rung, per-shard admission latency in a single scrape.
 * :func:`summarize_spans` / :func:`format_span_summary` — per-span-name
   latency distributions (count, mean, p50, p99) from a span list, with
   a dedicated per-rung breakdown for admission traces — the table
@@ -38,7 +34,6 @@ from repro.obs.histogram import nearest_rank
 from repro.obs.trace import Span
 
 __all__ = [
-    "cluster_to_prometheus",
     "format_span_summary",
     "frame_journeys",
     "per_hop_delays",
@@ -204,28 +199,6 @@ def to_prometheus(
     """
     return _render_exposition([(dict(labels or {}), registry.to_dict())],
                               namespace)
-
-
-def cluster_to_prometheus(
-    shard_snapshots: Mapping[str, Dict],
-    cluster_snapshot: Optional[Dict] = None,
-    namespace: str = "repro",
-) -> str:
-    """One exposition over a whole cluster's registries.
-
-    ``shard_snapshots`` maps shard name → that shard's registry
-    ``to_dict()`` payload; every sample gets a ``shard`` label.  The
-    coordinator's own (unlabelled) registry snapshot rides along when
-    given, so cluster.* counters and per-shard rung latencies share one
-    scrape with each metric family declared exactly once.
-    """
-    snapshots: List[Tuple[Dict[str, object], Dict]] = [
-        ({"shard": name}, data)
-        for name, data in sorted(shard_snapshots.items())
-    ]
-    if cluster_snapshot is not None:
-        snapshots.append(({}, cluster_snapshot))
-    return _render_exposition(snapshots, namespace)
 
 
 # ----------------------------------------------------------------------

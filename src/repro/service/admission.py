@@ -276,35 +276,6 @@ class AdmissionService:
             self._metrics.gauge("events.dropped").set(self._events.dropped)
         return decisions
 
-    def solve_against(
-        self,
-        schedule: NetworkSchedule,
-        requests: Sequence[AdmissionRequest],
-    ) -> Tuple[Optional[Tuple[str, NetworkSchedule]], Dict[str, str]]:
-        """Screen and solve ``requests`` against an arbitrary base
-        schedule *without publishing* anything.
-
-        This is the solve step of a cross-shard publish: the cluster
-        coordinator, holding the shard's lock, solves a segment against
-        the shard's current schedule here and publishes the result via
-        CAS once every involved shard has solved.  Returns ``((rung, new
-        schedule), attempts)`` on success or ``(None, attempts)`` where
-        ``attempts`` carries per-rung (or screening) failure reasons.
-        Touches no service state beyond metrics and tracing.
-        """
-        viable: List[AdmissionRequest] = []
-        attempts: Dict[str, str] = {}
-        for request in requests:
-            problem = self._screen(request, schedule, viable)
-            if problem is not None:
-                attempts["screen"] = f"{request.stream_name}: {problem}"
-                return None, attempts
-            viable.append(request)
-        if not viable:
-            attempts["screen"] = "no requests to solve"
-            return None, attempts
-        return self._climb_ladder(schedule, viable)[:2]
-
     def enqueue(self, request: AdmissionRequest) -> None:
         """Queue a request for the next :meth:`drain`."""
         with self._queue_lock:

@@ -171,20 +171,23 @@ def test_shipped_tree_is_clean():
 
 def test_shipped_tree_lock_hierarchy_is_what_we_designed():
     """The may-hold-before graph on src is the documented hierarchy:
-    coordinator/shard locks above service locks above store locks
-    above leaf instrument locks — and the coordinator's sorted
-    shard-lock loop is a checked ordered site, not a finding."""
+    the service's write lock above the store lock above leaf instrument
+    locks.  The cluster coordinator holds no lock of its own, so no
+    lock is ever taken above the write lock and no ordered site is
+    left to check."""
     report = analyze_flow(["src/repro"])
     edges = {(e.held.rsplit(".", 2)[-2] + "." + e.held.rsplit(".", 1)[-1],
               e.acquired.rsplit(".", 2)[-2] + "." +
               e.acquired.rsplit(".", 1)[-1])
              for e in report.edges}
-    assert ("_ShardRuntime.lock", "AdmissionService._write_lock") in edges
     assert ("AdmissionService._write_lock", "ScheduleStore._lock") in edges
     assert ("ScheduleStore._lock", "Gauge._lock") in edges
-    assert ("_ShardRuntime.lock", "ScheduleStore._lock") in edges
-    # the sorted-shard-locks discipline of a cross-shard publish
-    assert any(
-        site.function.endswith("ClusterCoordinator._submit_cross")
-        for site in report.ordered_sites
-    )
+    assert ("ScheduleStore._lock", "Counter._lock") in edges
+    holders = {held for held, _ in edges}
+    assert holders == {
+        "AdmissionService._write_lock", "AdmissionService._queue_lock",
+        "ScheduleStore._lock",
+    }
+    assert not any(acquired == "AdmissionService._write_lock"
+                   for _, acquired in edges)
+    assert report.ordered_sites == []

@@ -35,15 +35,21 @@ class TestClusterCli:
                      "--period-us", "8000"]) == 0
         decision = json.loads(capsys.readouterr().out)
         assert decision["accepted"]
-        assert decision["rung"] == "twophase"
+        assert decision["rung"] == "fastpath"
 
-    def test_admit_rejection_exits_nonzero(self, topology_file, capsys):
-        # a cross-shard ECT is a structured rejection -> exit 1
+    def test_admit_cross_shard_ect(self, topology_file, capsys):
         assert main(["cluster", "admit", *_cluster_args(topology_file),
                      "--ect", "--name", "alarm", "--source", "D1",
-                     "--dest", "D12", "--period-us", "16000"]) == 1
+                     "--dest", "D12", "--period-us", "16000"]) == 0
+        assert json.loads(capsys.readouterr().out)["accepted"]
+
+    def test_admit_rejection_exits_nonzero(self, topology_file, capsys):
+        # a 1 ns budget is a structured rejection -> exit 1
+        assert main(["cluster", "admit", *_cluster_args(topology_file),
+                     "--name", "x", "--source", "D1", "--dest", "D12",
+                     "--period-us", "8000", "--e2e-us", "0.001"]) == 1
         decision = json.loads(capsys.readouterr().out)
-        assert decision["reason"] == "cross_shard_ect_unsupported"
+        assert decision["reason"].startswith("e2e-floor")
 
     def test_serve_storm_with_audit_and_metrics(
         self, topology_file, tmp_path, capsys
@@ -78,9 +84,9 @@ class TestClusterCli:
     def test_serve_fail_on_reject(self, topology_file, tmp_path, capsys):
         requests = tmp_path / "requests.jsonl"
         requests.write_text(json.dumps(
-            {"op": "admit-ect", "name": "alarm", "source": "D1",
-             "destination": "D12", "min_interevent_ns": 16_000_000,
-             "length_bytes": 512}
+            {"op": "admit-tct", "name": "x", "source": "D1",
+             "destination": "D12", "period_ns": 8_000_000,
+             "length_bytes": 512, "e2e_ns": 1}
         ))
         assert main(["cluster", "serve", *_cluster_args(topology_file),
                      "--requests", str(requests),

@@ -1,24 +1,21 @@
-"""The coordinator rewrite changed no cluster decision and no slot.
+"""The cluster decides and places exactly what one store does.
 
-The digests below were recorded at the parent commit of the inline
-coordinator (shard thread pool and the two-phase publish state machine
-still present) *before* ``src/`` was touched.  Each is one SHA-256 over
-a seeded ~400-operation script: for every operation its ``(op, stream,
+``PINS`` holds one SHA-256 per layout of a seeded ~400-operation
+script run through a plain :class:`AdmissionService` on
+``partition.topology``: for every operation its ``(op, stream,
 accepted, rung, reason, attempts)``, and after every ``submit`` /
-``submit_many`` call each shard's store version and slot table.
+``submit_many`` call the store version and slot table.  The digests
+were recorded at the parent of the change that made the cluster a view
+over one store, before ``src/`` was touched, and the single-store run
+passes on both commits.  The same script through a
+:class:`ClusterCoordinator` over each partition must produce the same
+digest: the cluster decides and places exactly what one store does.
 
 The script mixes local, cross-shard and removed admits, unknown
 removes, name clashes, possibility-name clashes in both directions,
-cross-shard ECT (a structured reject), route-level deadline rejects,
-cross-shard admits whose segment fails on one shard and, where the
+cross-shard ECTs, route-level deadline rejects and, where the
 partition has one, a re-entrant route; about a third of the calls are
 ``submit_many`` batches of two to four operations.
-
-The ``full`` rung has since learnt to repair a batch's ring before it
-re-solves a shard, which moves other slots: ``PINS`` was re-recorded
-after that change.  ``VERDICT_PINS``, one SHA-256 over every decision's
-``(op, stream, accepted)``, was recorded at 9fc8fb9 (whole re-solve
-only) before ``src/`` was touched, and passes on both commits.
 """
 
 import hashlib
@@ -28,18 +25,22 @@ import random
 import pytest
 
 from repro.cluster import ClusterCoordinator, partition_topology
+from repro.core.schedule import validate
 from repro.experiments import line_of_rings, simulation_topology
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
-from repro.service import AdmitEct, AdmitTct, Remove
+from repro.service import (
+    AdmissionService,
+    AdmitEct,
+    AdmitTct,
+    Remove,
+    ScheduleStore,
+    empty_schedule,
+)
 
 PINS = {
-    "fig13": "1474d491360467a4de9b716cac937436f46ea3efc2bdf528fa15fa469dd2191f",
-    "rings": "82303d4f14424d8179719e91ef9329c0f458bdb48436710f2e6b4c67c04cd6a3",
-}
-VERDICT_PINS = {
-    "fig13": "860bcf1ce465d0c8b0567fffd8bf6f420b95c6be6bc512e0c9c5eabc9dc6cf5a",
-    "rings": "8446ecc3df41e80c93cd9d3a7198d5606b13d3fc6bb25f17d488172b04baa2cb",
+    "fig13": "670da22ee57447b5ccd50cdc1ab52704b2d0d31541caa6bb756cecab6350c5cc",
+    "rings": "cc3b8469bb063fd02391e2645e54140c3babedfed775f4f3a51a4fbfea292d92",
 }
 
 
@@ -55,6 +56,10 @@ def _rings():
 PARTITIONS = {"fig13": _fig13, "rings": _rings}
 
 
+def _shards_crossed(partition, path):
+    return [s.shard for s in partition.split_route(path)]
+
+
 def _reentrant_pairs(partition):
     topology = partition.topology
     devices = [d.name for d in topology.devices]
@@ -63,8 +68,9 @@ def _reentrant_pairs(partition):
         for destination in devices:
             if source == destination:
                 continue
-            path = topology.shortest_path(source, destination)
-            order = [s.shard for s in partition.split_route(path)]
+            order = _shards_crossed(
+                partition, topology.shortest_path(source, destination)
+            )
             if len(order) != len(set(order)):
                 pairs.append((source, destination))
     return pairs
@@ -90,7 +96,7 @@ def _ect(name, src, dst, length):
 
 class _Script:
     """A seeded operation draw that steers towards ``target`` live
-    streams and feeds back on what the cluster accepted."""
+    streams and feeds back on what was accepted."""
 
     def __init__(self, partition, seed, target=40):
         self.rng = random.Random(seed)
@@ -129,9 +135,7 @@ class _Script:
             e2e_ns = rng.choice((1, 300_000, 400_000, 600_000))
             return _tct(f"t{count}", src, dst, 4, 800, e2e_ns=e2e_ns)
         if pick < 0.36:
-            # 20 frames: each segment pays the pipeline fill again, so a
-            # 4 ms deadline can clear the route's floor and still fail
-            # a segment's hop-proportional share of it
+            # 20 frames under a deadline a few hops can just about meet
             e2e_ns = rng.choice((None, milliseconds(4)))
             return _tct(f"h{count}", src, dst, 32, 30_000, e2e_ns=e2e_ns)
         return _tct(
@@ -166,12 +170,13 @@ def _slot_table(schedule):
     ]
 
 
-def run_script(partition, seed, operations=400):
-    """Drive the script; return ``(digest, decisions)``."""
-    coordinator = ClusterCoordinator(partition=partition)
+def run_script(partition, seed, admission, store, operations=400):
+    """Drive the script through ``admission`` (anything with ``submit``
+    and ``submit_many``) publishing to ``store``; return ``(digest,
+    requests, decisions)``."""
     script = _Script(partition, seed)
     digest = hashlib.sha256()
-    decisions = []
+    requests, decisions = [], []
     count = 0
     while count < operations:
         size = 1 if script.rng.random() < 0.65 else script.rng.randrange(2, 5)
@@ -180,43 +185,79 @@ def run_script(partition, seed, operations=400):
             count += 1
             batch.append(script.draw(count))
         if len(batch) == 1:
-            answers = [coordinator.submit(batch[0])]
+            answers = [admission.submit(batch[0])]
         else:
-            answers = coordinator.submit_many(batch)
+            answers = admission.submit_many(batch)
         for request, decision in zip(batch, answers):
             script.observe(request, decision)
+            requests.append(request)
             decisions.append(decision)
             digest.update(json.dumps([
                 decision.op, decision.stream, decision.accepted,
                 decision.rung, decision.reason,
                 sorted(decision.attempts.items()),
             ]).encode())
-        for name in coordinator.shard_names():
-            store = coordinator.shard_store(name)
-            digest.update(json.dumps(
-                [name, store.version, _slot_table(store.schedule)]
-            ).encode())
-    return digest.hexdigest(), decisions
+        digest.update(json.dumps(
+            [store.version, _slot_table(store.schedule)]
+        ).encode())
+    return digest.hexdigest(), requests, decisions
+
+
+def _single_store(partition):
+    store = ScheduleStore(empty_schedule(partition.topology))
+    return AdmissionService(store), store
+
+
+def _route(partition, request):
+    topology = partition.topology
+    if isinstance(request, AdmitEct):
+        return request.ect.route(topology)
+    requirement = request.requirement
+    return topology.shortest_path(requirement.source, requirement.destination)
+
+
+@pytest.mark.parametrize("layout", sorted(PINS))
+def test_single_store_script_is_pinned_to_parent(layout):
+    partition = PARTITIONS[layout]()
+    service, store = _single_store(partition)
+    digest, requests, decisions = run_script(partition, 1, service, store)
+    assert digest == PINS[layout]
+    validate(store.schedule)
+    # the script reaches every path it is meant to cover
+    crossed = [
+        _shards_crossed(partition, _route(partition, request))
+        for request, decision in zip(requests, decisions)
+        if decision.accepted and not isinstance(request, Remove)
+    ]
+    assert any(len(set(order)) > 1 for order in crossed)
+    if layout == "rings":
+        assert any(len(order) != len(set(order)) for order in crossed)
+    accepted_ects = [
+        request for request, decision in zip(requests, decisions)
+        if decision.accepted and isinstance(request, AdmitEct)
+    ]
+    assert any(
+        len(set(_shards_crossed(partition, _route(partition, request)))) > 1
+        for request in accepted_ects
+    )
+    reasons = " ".join(d.reason or "" for d in decisions)
+    assert "already in use" in reasons
+    assert "no stream named" in reasons
+    assert any("#ps1" in (d.reason or "") for d in decisions)
 
 
 @pytest.mark.parametrize("layout", sorted(PINS))
 def test_cluster_script_is_pinned_to_parent(layout):
-    digest, decisions = run_script(PARTITIONS[layout](), seed=1)
-    verdicts = hashlib.sha256()
-    for d in decisions:
-        verdicts.update(json.dumps([d.op, d.stream, d.accepted]).encode())
-    assert verdicts.hexdigest() == VERDICT_PINS[layout]
+    partition = PARTITIONS[layout]()
+    coordinator = ClusterCoordinator(partition=partition)
+    store = coordinator.shard_store(coordinator.shard_names()[0])
+    digest, _, _ = run_script(partition, 1, coordinator, store)
     assert digest == PINS[layout]
-    # the script reaches every path it is meant to cover
-    rungs = {d.rung for d in decisions if d.accepted}
-    assert "twophase" in rungs
-    reasons = " ".join(d.reason or "" for d in decisions)
-    for reason in ("name_in_use", "unknown_stream",
-                   "cross_shard_ect_unsupported"):
-        assert reason in reasons
-    if layout == "rings":
-        assert "reentrant_route_unsupported" in reasons
-    assert any("#ps1" in (d.reason or "") for d in decisions)
-    assert any((d.reason or "").startswith("shard") for d in decisions)
-    assert any(d.accepted and d.op == "remove" and d.rung == "twophase"
-               for d in decisions)
+    validate(coordinator.global_schedule())
+
+
+if __name__ == "__main__":
+    for name, make in sorted(PARTITIONS.items()):
+        partition = make()
+        service, store = _single_store(partition)
+        print(name, run_script(partition, 1, service, store)[0])

@@ -1,10 +1,9 @@
-"""Distributed trace propagation across the cluster coordinator.
+"""Trace propagation through the cluster coordinator.
 
-The acceptance property of the observability layer: ONE cluster
-admission batch — including its per-shard sub-batches and the
-cross-shard prepare/commit — yields ONE trace tree under a single
-``trace_id``, and ``repro trace cluster`` renders it byte-stably
-(pinned by a golden file).  Regenerate the golden with::
+ONE cluster admission batch — the coordinator's batch span, the
+admission batch, its requests, rungs and solves — yields ONE trace tree
+under a single ``trace_id``, and ``repro trace cluster`` renders it
+byte-stably (pinned by a golden file).  Regenerate the golden with::
 
     PYTHONPATH=src python -m repro trace cluster \
         > tests/cluster/golden_cluster_trace.txt
@@ -45,8 +44,8 @@ def traced_coordinator():
 
 class TestSingleTraceTree:
     def test_batch_fanout_shares_one_trace_id(self, traced_coordinator):
-        """Every span of a two-shard batch — batch, shard batch, rung,
-        solve — carries the coordinator's trace."""
+        """Every span of a two-shard batch — batch, admission batch,
+        rung, solve — carries the coordinator's trace."""
         coordinator, tracer = traced_coordinator
         decisions = coordinator.submit_many([
             _tct("a", "D1", "D4"),        # shard0-local
@@ -57,25 +56,23 @@ class TestSingleTraceTree:
         assert {s.trace_id for s in spans} == {spans[0].trace_id}
         names = {s.name for s in spans}
         assert "cluster.batch" in names
-        assert "cluster.shard_batch" in names
+        assert "admission.batch" in names
         assert "admission.rung" in names
 
-    def test_cross_shard_two_phase_joins_the_same_trace(
-        self, traced_coordinator
-    ):
-        """The cross-shard publish (prepare, per-shard segment solves,
-        commit) continues the batch's trace rather than starting new
-        ones."""
+    def test_cross_shard_admit_joins_the_same_trace(self, traced_coordinator):
+        """A cross-shard admit is an ordinary admit inside the batch's
+        trace."""
         coordinator, tracer = traced_coordinator
         decision = coordinator.submit(_tct("x", "D1", "D12"))
         assert decision.accepted
         spans = tracer.spans()
         assert len({s.trace_id for s in spans}) == 1
         names = {s.name for s in spans}
-        for required in ("cluster.batch", "cluster.prepare",
-                        "cluster.segment", "cluster.commit",
-                        "admission.rung", "solve"):
+        for required in ("cluster.batch", "admission.batch",
+                         "admission.request", "admission.rung", "solve"):
             assert required in names, f"missing span {required!r}"
+        batch = next(s for s in spans if s.name == "cluster.batch")
+        assert batch.attributes["cross"] == 1
 
     def test_every_span_parents_inside_the_trace(self, traced_coordinator):
         """No orphans: each span's parent_id is another recorded span
@@ -90,14 +87,6 @@ class TestSingleTraceTree:
         for span in spans:
             if span.parent_id is not None:
                 assert span.parent_id in ids
-
-    def test_segment_spans_attribute_their_shard(self, traced_coordinator):
-        coordinator, tracer = traced_coordinator
-        assert coordinator.submit(_tct("x", "D1", "D12")).accepted
-        segments = [s for s in tracer.spans()
-                    if s.name == "cluster.segment"]
-        assert sorted(s.attributes["shard"] for s in segments) == \
-            ["shard0", "shard1"]
 
 
 class TestDeterministicRendering:

@@ -40,9 +40,9 @@ class TestCacheable:
 
     def test_name_dependent_rejections_are_not_cacheable(self):
         assert not cacheable(_reject("stream name 's' already in use"))
-        assert not cacheable(_reject("name_in_use"))
-        assert not cacheable(_reject("concurrent admit in flight for 's'"))
-        assert not cacheable(_reject("'s' already admitted on shard0"))
+        assert not cacheable(_reject(
+            "stream 's' already touched by this batch"
+        ))
 
     def test_transient_rejections_are_not_cacheable(self):
         assert not cacheable(_reject(
@@ -61,8 +61,7 @@ class TestCacheable:
              "full": infeasible},
             {"full": infeasible, "heuristic": infeasible},
             {"heuristic": infeasible},
-            {"shard1.fastpath": "constructive placement failed: …",
-             "shard1.full": infeasible},
+            {"full": infeasible},
         ):
             assert not cacheable(_reject(
                 f"all ladder rungs failed ({infeasible})", attempts
@@ -79,12 +78,6 @@ class TestCacheable:
         ))
         assert cacheable(_reject(
             "unroutable request: no path", {"screen": "s: no path"}
-        ))
-        # a cross-shard segment that the full rung *placed* does not
-        # make a later conclusive reject name-dependent
-        assert cacheable(_reject(
-            DETERMINISTIC.reason,
-            {"shard0.rung": "full", "shard1.fastpath": DETERMINISTIC.reason},
         ))
 
     def test_attempt_details_are_checked_too(self):

@@ -3,13 +3,16 @@ and format validity of the native histogram output."""
 
 import pytest
 
+from repro.cluster import ClusterCoordinator, partition_topology
+from repro.experiments import simulation_topology
+from repro.model.stream import TctRequirement
 from repro.obs import (
     Histogram,
-    cluster_to_prometheus,
     prometheus_label_value,
     prometheus_name,
     to_prometheus,
 )
+from repro.service import AdmitTct
 from repro.service.metrics import MetricsRegistry
 
 from tests.service.test_prometheus_export import parse_exposition
@@ -65,9 +68,7 @@ class TestLabelValueEscaping:
     def test_hostile_shard_label_renders_one_line_per_sample(self):
         registry = MetricsRegistry()
         registry.counter("requests.total").inc()
-        text = cluster_to_prometheus(
-            {'evil"shard\n': registry.to_dict()}
-        )
+        text = to_prometheus(registry, labels={"shard": 'evil"shard\n'})
         sample_lines = [
             line for line in text.splitlines()
             if not line.startswith("#")
@@ -115,17 +116,18 @@ class TestHistogramExposition:
             assert families[family][0] == "gauge"
 
     def test_cluster_exposition_declares_each_family_once(self):
-        shard_a, shard_b = MetricsRegistry(), MetricsRegistry()
-        shard_a.histogram("latency_ms").observe(1.0)
-        shard_b.histogram("latency_ms").observe(5.0)
-        text = cluster_to_prometheus(
-            {"s0": shard_a.to_dict(), "s1": shard_b.to_dict()}
-        )
+        coordinator = ClusterCoordinator(partition=partition_topology(
+            simulation_topology(), 2, seeds=["SW1", "SW4"]
+        ))
+        for name, destination in (("a", "D4"), ("x", "D12")):
+            assert coordinator.submit(AdmitTct(TctRequirement(
+                name=name, source="D1", destination=destination,
+                period_ns=8_000_000, length_bytes=500,
+            ))).accepted
         # parse_exposition rejects duplicate HELP/TYPE, so a successful
-        # parse is the property; also check both shards' samples landed
-        families = parse_exposition(text)
-        samples = families["repro_latency_ms"][1]
-        assert samples[("repro_latency_ms_count",
-                        (("shard", "s0"),))] == 1.0
-        assert samples[("repro_latency_ms_count",
-                        (("shard", "s1"),))] == 1.0
+        # parse is the property; also check both layers' series landed
+        families = parse_exposition(coordinator.prometheus())
+        samples = families["repro_latency_decision_ms"][1]
+        assert samples[("repro_latency_decision_ms_count", ())] == 2.0
+        counters = families["repro_cluster_requests_cross_total"][1]
+        assert counters[("repro_cluster_requests_cross_total", ())] == 1.0

@@ -86,7 +86,12 @@ class TestLadder:
         before = service.store.schedule
         late = _tct("late-share", src="D2", share=True)
         if route == "prepare":
-            (rung, after), _ = service.solve_against(before, [late])
+            # a fresh service over a store seeded with the snapshot:
+            # solved without publishing to the live store
+            service = AdmissionService(ScheduleStore(before), config=config)
+            decision = service.submit(late)
+            assert decision.accepted
+            rung, after = decision.rung, service.store.schedule
         else:
             batch = [late, _tct("mate")] if route == "batch" else [late]
             decisions = service.submit_many(batch)

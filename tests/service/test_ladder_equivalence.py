@@ -334,8 +334,12 @@ def test_a_reject_that_climbed_full_depends_on_the_name(saturated_run):
     request, snapshot, decision = saturated_run["a257"]
     assert not decision.accepted and RUNG_FULL in decision.attempts
     twin = AdmitTct(dataclasses.replace(request.requirement, name="0a257"))
-    outcome, _ = service.solve_against(snapshot, [twin])
-    assert outcome is not None and outcome[0] == RUNG_FULL
+    # a fresh service over a store seeded with the snapshot
+    fresh = AdmissionService(
+        ScheduleStore(snapshot), ServiceConfig(heuristic_min_restarts=16)
+    )
+    outcome = fresh.submit(twin)
+    assert outcome.accepted and outcome.rung == RUNG_FULL
     assert not cacheable(decision)
 
 
