@@ -119,7 +119,7 @@ def _probe_p50_us(service):
     return cycles[len(cycles) // 2] * 1e6
 
 
-def test_admission_cost_vs_network_size(emit, bench_record):
+def test_admission_cost_vs_network_size(emit):
     """Admit -> remove probes into ring 0 (held at 20 live streams) of
     ``line_of_rings(4, 4, 2)`` while rings 1-3 grow from 40 to 4000
     streams: none of the probes' links carries a background slot, so
@@ -148,16 +148,6 @@ def test_admission_cost_vs_network_size(emit, bench_record):
             "rings 1-3 grow"
         ),
     ))
-    bench_record("admission", {"scaling": {
-        "benchmark": "admission_cost_vs_network_size",
-        "network": "4-rings-of-4",
-        "probe_ring_streams": PROBE_RING_STREAMS,
-        "cycles_per_point": PROBE_CYCLES,
-        "points": [
-            {"background_streams": n, "cycle_p50_us": round(us, 1)}
-            for n, us in points
-        ],
-    }}, merge=True)
     for (n, us), gate in zip(points[1:], SCALING_GATES):
         assert us <= gate * base_us, (
             f"an admit->remove cycle beside {n} background streams costs "
@@ -207,7 +197,7 @@ def _packed_link(occupancy):
     return packed, stream("newcomer"), occupancy * duration
 
 
-def test_placement_cost_vs_link_occupancy(emit, bench_record):
+def test_placement_cost_vs_link_occupancy(emit):
     """One ``add_tct_stream`` onto a link that already carries 50 to
     3200 same-period slots: every slot is in the newcomer's way, so this
     is the worst case of the earliest-fit kernel per slot on the link."""
@@ -232,14 +222,6 @@ def test_placement_cost_vs_link_occupancy(emit, bench_record):
          for (n, ms), prev in zip(points, [None] + [p[1] for p in points])],
         title="One placement onto a packed link, by the link's occupancy",
     ))
-    bench_record("admission", {"scaling": {"link_occupancy": {
-        "benchmark": "placement_cost_vs_link_occupancy",
-        "placements_per_point": PLACEMENTS_PER_POINT,
-        "points": [
-            {"slots_on_link": n, "placement_p50_ms": round(ms, 3)}
-            for n, ms in points
-        ],
-    }}}, merge=True)
     for (n, ms), (prev_n, prev_ms) in zip(points[1:], points):
         assert ms <= OCCUPANCY_GATE * prev_ms, (
             f"a placement behind {n} slots costs {ms:.2f} ms, "

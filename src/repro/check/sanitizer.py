@@ -17,9 +17,6 @@ particular interleaving.  This module covers that gap at runtime:
   raises :class:`LockOrderViolation` — instead of deadlocking — on:
 
   - re-entrant acquisition of the same (non-reentrant) lock object;
-  - acquiring a lock of an ordered *group* (``make_lock(name,
-    group=..., key=...)``) out of ascending key order — the
-    sorted-locks discipline, enforced;
   - an edge inversion: acquiring ``A`` while holding ``B`` after some
     thread was observed acquiring ``B`` while holding ``A``.
 
@@ -97,49 +94,25 @@ class OrderedLock:
     ``name`` is the static lock identity (``"ScheduleStore._lock"``);
     several instances may share one name — edges are tracked per name,
     matching the static analysis' per-class-attribute granularity.
-    Instances sharing a ``group`` must be acquired in ascending ``key``
-    order while any other member of the group is held.
     """
 
-    def __init__(
-        self,
-        name: str,
-        group: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.group = group
-        self.key = key
         self._inner = threading.Lock()
 
     def __repr__(self) -> str:
-        suffix = f" group={self.group}:{self.key}" if self.group else ""
-        return f"<OrderedLock {self.name}{suffix} at {id(self):#x}>"
+        return f"<OrderedLock {self.name} at {id(self):#x}>"
 
     # -- checking -------------------------------------------------------
     def _check(self) -> None:
         stack = _stack()
         thread = threading.current_thread().name
-        for held in stack:
-            if held is self:
-                raise LockOrderViolation(
-                    f"re-entrant acquisition of {self.name} in thread "
-                    f"{thread}: this lock object is already held and is "
-                    f"not reentrant — the thread would deadlock on itself"
-                )
-            if (
-                self.group is not None
-                and held.group == self.group
-                and held.key is not None
-                and self.key is not None
-                and held.key > self.key
-            ):
-                raise LockOrderViolation(
-                    f"ordered group {self.group!r} violated in thread "
-                    f"{thread}: acquiring key {self.key!r} while holding "
-                    f"key {held.key!r}; group members must be taken in "
-                    f"ascending key order (the sorted-locks discipline)"
-                )
+        if any(held is self for held in stack):
+            raise LockOrderViolation(
+                f"re-entrant acquisition of {self.name} in thread "
+                f"{thread}: this lock object is already held and is "
+                f"not reentrant — the thread would deadlock on itself"
+            )
         for held in stack:
             if held.name == self.name:
                 continue
@@ -184,11 +157,7 @@ class OrderedLock:
         self.release()
 
 
-def make_lock(
-    name: str,
-    group: Optional[str] = None,
-    key: Optional[str] = None,
-) -> Union[threading.Lock, OrderedLock]:
+def make_lock(name: str) -> Union[threading.Lock, OrderedLock]:
     """A lock named for the sanitizer, or a plain one when it is off.
 
     The environment is consulted at *creation* time: set
@@ -197,5 +166,5 @@ def make_lock(
     wrapper object, no per-acquisition bookkeeping, nothing to measure.
     """
     if sanitizing():
-        return OrderedLock(name, group=group, key=key)
+        return OrderedLock(name)
     return threading.Lock()

@@ -37,10 +37,6 @@ Commands
     ``repro events tail FILE`` prints the last N events, ``repro
     events query FILE --kind admission.`` filters by kind prefix /
     trace id / stream.
-``bench``
-    ``repro bench diff BASELINE CURRENT`` compares two BENCH_*.json
-    payloads and exits 1 when any throughput metric regressed more
-    than the allowed margin (default 20 %) — the CI trajectory gate.
 ``check``
     Static analysis: ``check lint`` runs the repo-invariant AST linter,
     ``check proof`` / ``check model`` verify saved solver certificates,
@@ -316,22 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     equery.add_argument("--attr", action="append", metavar="KEY=VALUE",
                         help="attribute equality filter (repeatable)")
 
-    bench = sub.add_parser(
-        "bench", help="benchmark result tooling"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bdiff = bench_sub.add_parser(
-        "diff", help="compare two BENCH_*.json payloads; exit 1 on "
-                     "throughput regression beyond the margin"
-    )
-    bdiff.add_argument("baseline", help="committed baseline BENCH json")
-    bdiff.add_argument("current", help="freshly produced BENCH json")
-    bdiff.add_argument("--max-regression", type=float, default=0.20,
-                       help="allowed fractional throughput drop "
-                            "(default 0.20)")
-    bdiff.add_argument("--format", default="table",
-                       choices=("table", "json"))
-
     from repro.check.cli import add_check_parser
 
     add_check_parser(sub)
@@ -462,27 +442,49 @@ def _dump_events(path, events) -> None:
     save_events(path, events.events())
 
 
-def _open_requests(path: str):
-    """The request source: a file handle, or stdin for ``-``.
+def _serve_requests(path: str, submit_many, chunk_size: int):
+    """Decide the JSONL requests at ``path`` (``-`` is stdin), printing
+    one decision JSON per line.
 
-    Callers must close the returned handle unless it is stdin.
+    Reads line by line and hands ``submit_many`` chunks of
+    ``chunk_size`` requests, so a piped producer gets answers per chunk
+    and an unbounded stream never accumulates in memory.  Blank lines
+    and ``#`` comments are skipped but still numbered.  Returns the
+    decisions, or ``None`` after reporting a malformed line on stderr
+    (the caller exits 2).
     """
-    return sys.stdin if path == "-" else open(path)
+    from repro.serialization import decision_to_dict
+    from repro.service import request_from_dict
 
+    decisions = []
+    chunk = []
 
-def _iter_request_lines(handle):
-    """Yield ``(lineno, payload line)`` incrementally.
+    def flush() -> None:
+        for decision in submit_many(chunk):
+            decisions.append(decision)
+            print(json.dumps(decision_to_dict(decision)))
+        chunk.clear()
 
-    Iterates the handle line by line — a ``repro serve`` fed from a
-    pipe starts deciding as soon as requests arrive and never buffers
-    the whole stream, so an unbounded producer cannot exhaust memory.
-    Blank lines and ``#`` comments are skipped but still numbered.
-    """
-    for lineno, line in enumerate(handle, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+    handle = sys.stdin if path == "-" else open(path)
+    try:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                chunk.append(request_from_dict(json.loads(line)))
+            except (ValueError, json.JSONDecodeError) as exc:
+                print(f"error: requests line {lineno}: {exc}",
+                      file=sys.stderr)
+                return None
+            if len(chunk) >= chunk_size:
+                flush()
+        if chunk:
+            flush()
+    finally:
+        if handle is not sys.stdin:
+            handle.close()
+    return decisions
 
 
 def _run_admit(args) -> int:
@@ -508,7 +510,6 @@ def _run_admit(args) -> int:
 
 def _run_serve(args) -> int:
     from repro.serialization import (
-        decision_to_dict,
         metrics_to_dict,
         schedule_to_dict,
         topology_from_dict,
@@ -518,7 +519,6 @@ def _run_serve(args) -> int:
         ScheduleStore,
         ServiceConfig,
         empty_schedule,
-        request_from_dict,
     )
 
     if args.state:
@@ -536,35 +536,12 @@ def _run_serve(args) -> int:
         emit_deployments=args.emit_deployments,
         certify=args.certify,
     ), tracer=tracer, events=events)
-
-    decisions = []
-
-    def flush() -> None:
-        for decision in service.drain():
-            decisions.append(decision)
-            print(json.dumps(decision_to_dict(decision)))
-
-    # stream incrementally: enqueue as lines arrive, drain (and print
-    # decisions) every max_batch so a piped producer gets answers
-    # without the CLI ever holding the whole request stream in memory
-    handle = _open_requests(args.requests)
-    try:
-        enqueued = 0
-        for lineno, line in _iter_request_lines(handle):
-            try:
-                service.enqueue(request_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"error: requests line {lineno}: {exc}",
-                      file=sys.stderr)
-                return 2
-            enqueued += 1
-            if enqueued >= args.max_batch:
-                flush()
-                enqueued = 0
-        flush()
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    # one chunk per max_batch: each chunk is at most one ladder batch
+    decisions = _serve_requests(
+        args.requests, service.submit_many, args.max_batch
+    )
+    if decisions is None:
+        return 2
     metrics = metrics_to_dict(service.metrics)
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
@@ -726,40 +703,14 @@ _CLUSTER_SERVE_CHUNK = 256
 
 
 def _run_cluster_serve(args) -> int:
-    from repro.serialization import decision_to_dict
-    from repro.service import request_from_dict
-
     tracer = _make_tracer(args.trace)
     events = _make_event_log(args.events)
     coordinator = _load_cluster(args, tracer=tracer, events=events)
-    decisions = []
-    chunk = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        for decision in coordinator.submit_many(chunk):
-            decisions.append(decision)
-            print(json.dumps(decision_to_dict(decision)))
-        chunk.clear()
-
-    # stream incrementally in bounded chunks, so an unbounded pipe
-    # never accumulates
-    handle = _open_requests(args.requests)
-    try:
-        for lineno, line in _iter_request_lines(handle):
-            try:
-                chunk.append(request_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"error: requests line {lineno}: {exc}",
-                      file=sys.stderr)
-                return 2
-            if len(chunk) >= _CLUSTER_SERVE_CHUNK:
-                flush()
-        flush()
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    decisions = _serve_requests(
+        args.requests, coordinator.submit_many, _CLUSTER_SERVE_CHUNK
+    )
+    if decisions is None:
+        return 2
     metrics = coordinator.status()
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
@@ -913,30 +864,6 @@ def _run_events(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    from repro.obs import (
-        diff_benchmarks,
-        format_bench_diff,
-        load_bench,
-        split_failures,
-    )
-
-    try:
-        baseline = load_bench(args.baseline)
-        current = load_bench(args.current)
-        deltas = diff_benchmarks(
-            baseline, current, max_regression=args.max_regression
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"bench diff: {exc}")
-    if args.format == "json":
-        print(json.dumps([d.to_dict() for d in deltas], indent=2))
-    else:
-        print(format_bench_diff(deltas, max_regression=args.max_regression))
-    failed, _ = split_failures(deltas)
-    return 1 if failed else 0
-
-
 def _load_schedule(path: str):
     from repro.serialization import schedule_from_dict
 
@@ -966,8 +893,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_slo(args)
     elif args.command == "events":
         return _run_events(args)
-    elif args.command == "bench":
-        return _run_bench(args)
     elif args.command == "check":
         from repro.check.cli import run_check
 

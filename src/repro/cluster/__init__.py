@@ -12,7 +12,6 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.partition import (
     NetworkPartition,
     PartitionError,
-    RouteSegment,
     Shard,
     partition_by_assignment,
     partition_topology,
@@ -22,7 +21,6 @@ __all__ = [
     "ClusterCoordinator",
     "NetworkPartition",
     "PartitionError",
-    "RouteSegment",
     "Shard",
     "partition_by_assignment",
     "partition_topology",

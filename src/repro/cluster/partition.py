@@ -14,14 +14,10 @@ seed regions are connected, and on the line/ring/tree shapes industrial
 TSN deploys on, the cut lands on the few inter-region trunk links — the
 min-cut the TAS survey identifies as the natural decomposition seam.
 
-Each shard's sub-topology contains its own switches and devices plus
-one-hop **border ghosts**: foreign nodes adjacent across a boundary
-link.  Ghosts are dead ends (only the boundary link reaches them), so
-shard-local routing can never sneak through a neighbouring shard, but a
-cross-shard route segment can legally terminate on one.  The directed
-half of a boundary link is owned by the shard of its *source* node —
-the egress gate lives there — so every directed link in the network has
-exactly one owner.
+A boundary link joins two shards.  Its directed half is owned by the
+shard of its *source* node — the egress gate lives there — so every
+directed link in the network has exactly one owner, and a shard's
+**border nodes** are the foreign ends of the boundary links leaving it.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.model.topology import Link, Topology, TopologyError
+from repro.model.topology import Link, Topology
 
 
 class PartitionError(ValueError):
@@ -40,49 +36,28 @@ class PartitionError(ValueError):
 class Shard:
     """One admission domain: a switch cluster and its devices.
 
-    topology
-        Private sub-topology: the shard's own nodes, every link between
-        them, and the boundary links with their foreign endpoints added
-        as dead-end border ghosts.
     border_nodes
-        The ghost nodes — present in ``topology`` but owned elsewhere.
+        Foreign nodes one boundary link away, owned by other shards.
     """
 
     name: str
     switches: Tuple[str, ...]
     devices: Tuple[str, ...]
     border_nodes: Tuple[str, ...]
-    topology: Topology
 
     @property
     def nodes(self) -> Tuple[str, ...]:
-        """Owned nodes only (ghosts excluded)."""
+        """Owned nodes only (border nodes excluded)."""
         return self.switches + self.devices
-
-
-@dataclass(frozen=True)
-class RouteSegment:
-    """A maximal run of one route's links owned by a single shard."""
-
-    shard: str
-    links: Tuple[Link, ...]
-
-    @property
-    def source(self) -> str:
-        return self.links[0].src
-
-    @property
-    def destination(self) -> str:
-        return self.links[-1].dst
 
 
 class NetworkPartition:
     """The shard decomposition of one network.
 
     Owns the global topology, the shard list, the node -> shard owner
-    map, and the boundary-link set; answers the routing questions the
-    coordinator asks (which shard owns a node or link, how a route
-    splits into per-shard segments).
+    map, and the boundary-link set; answers the questions the
+    coordinator asks (which shard owns a node or link, which shards a
+    route touches).
     """
 
     def __init__(self, topology: Topology, shards: Sequence[Shard]) -> None:
@@ -139,36 +114,21 @@ class NetworkPartition:
         """The shard scheduling a directed link: its source's owner."""
         return self.owner_of(key[0])
 
-    def split_route(self, path: Sequence[Link]) -> List[RouteSegment]:
-        """Cut a link path into maximal single-owner segments, in order.
+    def shards_for_route(self, path: Sequence[Link]) -> List[str]:
+        """Shards a route touches, in traversal order, deduplicated.
 
-        Each directed link goes to the shard owning its source (where
-        the egress gate sits), so a route crossing from shard A to
-        shard B is cut *after* the boundary link: A's segment ends on
-        B's border switch (a ghost in A's sub-topology) and B's segment
-        starts there.
+        Each directed link counts for the shard owning its source (where
+        the egress gate sits), so a route from shard A into shard B
+        touches B from the link after the boundary link on, and a route
+        that leaves A and comes back names A once.
         """
         if not path:
-            raise PartitionError("cannot split an empty route")
-        segments: List[RouteSegment] = []
-        current: List[Link] = []
-        owner: Optional[str] = None
+            raise PartitionError("an empty route touches no shard")
+        seen: List[str] = []
         for link in path:
             shard = self.owner_of_link(link.key)
-            if owner is not None and shard != owner:
-                segments.append(RouteSegment(owner, tuple(current)))
-                current = []
-            owner = shard
-            current.append(link)
-        segments.append(RouteSegment(owner, tuple(current)))  # type: ignore[arg-type]
-        return segments
-
-    def shards_for_route(self, path: Sequence[Link]) -> List[str]:
-        """Shards a route touches, in traversal order, deduplicated."""
-        seen: List[str] = []
-        for segment in self.split_route(path):
-            if segment.shard not in seen:
-                seen.append(segment.shard)
+            if shard not in seen:
+                seen.append(shard)
         return seen
 
     def describe(self) -> str:
@@ -240,11 +200,7 @@ def partition_by_assignment(
             f"assignment must cover every switch exactly "
             f"(missing {missing}, not switches {extra})"
         )
-    indices = sorted(set(assignment.values()))
-    members: Dict[int, List[str]] = {index: [] for index in indices}
-    for switch in (n.name for n in topology.switches):  # insertion order
-        members[assignment[switch]].append(switch)
-    device_owner: Dict[str, int] = {}
+    owner: Dict[str, int] = dict(assignment)
     for device in topology.devices:
         attached = [
             nbr for nbr in topology.neighbors(device.name)
@@ -254,13 +210,14 @@ def partition_by_assignment(
             raise PartitionError(
                 f"device {device.name!r} has no attached switch"
             )
-        device_owner[device.name] = assignment[attached[0]]
-    shards = []
-    for index in indices:
-        owned = set(members[index])
-        owned.update(d for d, i in device_owner.items() if i == index)
-        shards.append(_build_shard(topology, f"shard{index}", owned))
-    return NetworkPartition(topology, shards)
+        owner[device.name] = assignment[attached[0]]
+    boundary = [
+        link for link in topology.links if owner[link.src] != owner[link.dst]
+    ]
+    return NetworkPartition(topology, [
+        _build_shard(topology, f"shard{index}", index, owner, boundary)
+        for index in sorted(set(assignment.values()))
+    ])
 
 
 def _spread_seeds(
@@ -330,53 +287,23 @@ def _nearest_seed(
     return claimed
 
 
-def _build_shard(topology: Topology, name: str, owned: set) -> Shard:
-    """Sub-topology = owned nodes + intra links + boundary ghosts."""
-    sub = Topology()
-    switches: List[str] = []
-    devices: List[str] = []
-    for node in topology.nodes:  # global insertion order, deterministic
-        if node.name not in owned:
-            continue
-        if node.is_switch:
-            sub.add_switch(node.name)
-            switches.append(node.name)
-        else:
-            sub.add_device(node.name)
-            devices.append(node.name)
-    ghosts: List[str] = []
-    seen_pairs: set = set()
-    for link in topology.links:
-        pair = frozenset(link.key)
-        if pair in seen_pairs:
-            continue
-        inside = [end for end in link.key if end in owned]
-        if not inside:
-            continue
-        seen_pairs.add(pair)
-        for end in link.key:
-            if end not in owned and end not in ghosts:
-                # foreign endpoint of a boundary link: a dead-end ghost
-                ghost = topology.node(end)
-                if ghost.is_switch:
-                    sub.add_switch(end)
-                else:
-                    sub.add_device(end)
-                ghosts.append(end)
-        sub.add_link(
-            link.src, link.dst,
-            bandwidth_bps=link.bandwidth_bps,
-            propagation_ns=link.propagation_ns,
-            time_unit_ns=link.time_unit_ns,
-        )
-    try:
-        sub.validate()
-    except TopologyError as exc:
-        raise PartitionError(f"shard {name!r} is not viable: {exc}") from exc
-    return Shard(
-        name=name,
-        switches=tuple(switches),
-        devices=tuple(devices),
-        border_nodes=tuple(ghosts),
-        topology=sub,
+def _build_shard(
+    topology: Topology,
+    name: str,
+    index: int,
+    owner: Dict[str, int],
+    boundary: Sequence[Link],
+) -> Shard:
+    """Shard ``index``'s nodes by role, in global insertion order, and
+    its border nodes: the far ends of the boundary links leaving it."""
+    switches = tuple(
+        n.name for n in topology.switches if owner[n.name] == index
     )
+    devices = tuple(
+        n.name for n in topology.devices if owner[n.name] == index
+    )
+    borders: List[str] = []
+    for link in boundary:
+        if owner[link.src] == index and link.dst not in borders:
+            borders.append(link.dst)
+    return Shard(name, switches, devices, tuple(borders))

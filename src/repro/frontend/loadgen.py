@@ -1,6 +1,6 @@
 """The frontend load generator: sustained admission load over sockets.
 
-``repro loadgen`` (and the frontend benchmark) drive a running
+``repro loadgen`` drives a running
 :class:`~repro.frontend.server.Frontend` with a seeded, shape-mixed
 request stream and measure what a CUC would feel: end-to-end
 request/response round-trip latency, throughput, backpressure drops,
@@ -22,8 +22,8 @@ and cache effectiveness.
   time, so they produce deterministic (cacheable) screening rejects.
 
 Results land in a :class:`LoadgenReport` with p50/p99/p999 from the
-:mod:`repro.obs` histogram and a JSON-able summary the benchmark
-persists as ``BENCH_frontend.json``.
+:mod:`repro.obs` histogram and a JSON-able summary, the report
+``repro loadgen`` prints.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class LoadgenConfig:
 
 @dataclass
 class LoadgenReport:
-    """What one run measured, JSON-able for ``BENCH_frontend.json``."""
+    """What one run measured, JSON-able for ``repro loadgen``'s report."""
 
     sent: int = 0
     ok: int = 0

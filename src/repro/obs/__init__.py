@@ -19,8 +19,6 @@ numbers:
   solver abandonments as queryable JSONL.
 * :mod:`repro.obs.slo` — latency objectives with error budgets
   evaluated from histogram buckets (:func:`evaluate_slos`).
-* :mod:`repro.obs.bench` — benchmark regression tracking over the
-  committed ``BENCH_*.json`` baselines (:func:`diff_benchmarks`).
 * :mod:`repro.obs.export` — Prometheus text exposition (native
   histogram format), trace summaries and tree rendering, and per-hop
   frame-journey reconstruction.
@@ -33,14 +31,6 @@ simulator's egress ports emit per-frame enqueue/transmit/deliver
 events.
 """
 
-from repro.obs.bench import (
-    BenchDelta,
-    collect_throughput_metrics,
-    diff_benchmarks,
-    format_bench_diff,
-    load_bench,
-    split_failures,
-)
 from repro.obs.context import TraceContext
 from repro.obs.events import (
     NULL_EVENT_LOG,
@@ -73,7 +63,6 @@ from repro.obs.slo import (
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, children_of
 
 __all__ = [
-    "BenchDelta",
     "DEFAULT_TARGETS",
     "FRONTEND_TARGETS",
     "Event",
@@ -89,15 +78,11 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "children_of",
-    "collect_throughput_metrics",
-    "diff_benchmarks",
     "evaluate_slos",
     "filter_events",
-    "format_bench_diff",
     "format_slo_report",
     "format_span_summary",
     "frame_journeys",
-    "load_bench",
     "load_events",
     "nearest_rank",
     "per_hop_delays",
@@ -105,7 +90,6 @@ __all__ = [
     "prometheus_name",
     "render_trace_tree",
     "save_events",
-    "split_failures",
     "summarize_spans",
     "to_prometheus",
 ]

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
-    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.check.proof import CertificateError
@@ -212,12 +211,8 @@ class AdmissionService:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         # Same contract for the structured event journal.
         self._events = events if events is not None else NULL_EVENT_LOG
-        self._queue: Deque[AdmissionRequest] = deque()
         self._request_spans: Dict[int, object] = {}
         self._write_lock = make_lock("AdmissionService._write_lock")
-        # Guards only the enqueue/drain staging queue; never held while
-        # solving, and always released before _write_lock is taken.
-        self._queue_lock = make_lock("AdmissionService._queue_lock")
         self._request_counter = 0
         self._batch_counter = 0
         self._last_deployment: Optional[Deployment] = None
@@ -275,22 +270,6 @@ class AdmissionService:
         if self._events.enabled:
             self._metrics.gauge("events.dropped").set(self._events.dropped)
         return decisions
-
-    def enqueue(self, request: AdmissionRequest) -> None:
-        """Queue a request for the next :meth:`drain`."""
-        with self._queue_lock:
-            self._queue.append(request)
-            # the gauge update stays under the lock so concurrent
-            # enqueues cannot publish depths out of order
-            self._metrics.gauge("queue.depth").set(len(self._queue))
-
-    def drain(self) -> List[Decision]:
-        """Decide everything queued so far, in arrival order."""
-        with self._queue_lock:
-            pending = list(self._queue)
-            self._queue.clear()
-        self._metrics.gauge("queue.depth").set(0)
-        return self.submit_many(pending) if pending else []
 
     # -- batching ------------------------------------------------------
     def _coalesce(

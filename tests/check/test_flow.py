@@ -184,10 +184,7 @@ def test_shipped_tree_lock_hierarchy_is_what_we_designed():
     assert ("ScheduleStore._lock", "Gauge._lock") in edges
     assert ("ScheduleStore._lock", "Counter._lock") in edges
     holders = {held for held, _ in edges}
-    assert holders == {
-        "AdmissionService._write_lock", "AdmissionService._queue_lock",
-        "ScheduleStore._lock",
-    }
+    assert holders == {"AdmissionService._write_lock", "ScheduleStore._lock"}
     assert not any(acquired == "AdmissionService._write_lock"
                    for _, acquired in edges)
     assert report.ordered_sites == []

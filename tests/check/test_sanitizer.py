@@ -1,4 +1,4 @@
-"""Runtime lock-order sanitizer: gating, inversion/reentrancy/group
+"""Runtime lock-order sanitizer: gating, inversion/reentrancy
 detection, multi-thread behavior, and the off-mode zero-cost contract."""
 
 import threading
@@ -33,10 +33,9 @@ class TestGating:
 
     def test_on_returns_ordered_lock(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "1")
-        lock = make_lock("X._lock", group="g", key="a")
+        lock = make_lock("X._lock")
         assert isinstance(lock, OrderedLock)
         assert lock.name == "X._lock"
-        assert (lock.group, lock.key) == ("g", "a")
 
 
 class TestInversion:
@@ -110,46 +109,17 @@ class TestReentrancy:
 
     def test_two_instances_of_one_name_do_not_trip_reentrancy(self):
         # distinct objects sharing a name: object-level reentrancy
-        # does not apply (that is the ordered-group rule's job)
+        # does not apply, and edges are never recorded within one name
         first, second = OrderedLock("S._lock"), OrderedLock("S._lock")
         with first:
             with second:
                 pass
 
 
-class TestOrderedGroup:
-    def test_ascending_keys_allowed(self):
-        locks = [
-            OrderedLock("P.lock", group="shards", key=k)
-            for k in ("a", "b", "c")
-        ]
-        for lock in locks:
-            lock.acquire()
-        for lock in reversed(locks):
-            lock.release()
-
-    def test_descending_keys_raise(self):
-        hi = OrderedLock("P.lock", group="shards", key="b")
-        lo = OrderedLock("P.lock", group="shards", key="a")
-        hi.acquire()
-        with pytest.raises(LockOrderViolation) as exc:
-            lo.acquire()
-        hi.release()
-        assert "sorted-locks" in str(exc.value)
-
-    def test_different_groups_do_not_interact(self):
-        one = OrderedLock("P.lock", group="left", key="z")
-        two = OrderedLock("P.lock", group="right", key="a")
-        with one:
-            with two:
-                pass
-
-
 class TestLockProtocol:
     def test_out_of_lifo_release_is_legal(self):
-        # the two-phase rollback path releases in reverse order of a
-        # *subset*; threading.Lock allows any release order and so
-        # does the sanitizer
+        # threading.Lock allows any release order and so does the
+        # sanitizer
         a = OrderedLock("A._lock")
         b = OrderedLock("B._lock")
         a.acquire()

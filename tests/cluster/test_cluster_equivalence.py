@@ -21,6 +21,7 @@ partition has one, a re-entrant route; about a third of the calls are
 import hashlib
 import json
 import random
+from itertools import groupby
 
 import pytest
 
@@ -57,7 +58,10 @@ PARTITIONS = {"fig13": _fig13, "rings": _rings}
 
 
 def _shards_crossed(partition, path):
-    return [s.shard for s in partition.split_route(path)]
+    """The owning shard of each run of ``path``, in order."""
+    return [shard for shard, _ in groupby(
+        partition.owner_of_link(link.key) for link in path
+    )]
 
 
 def _reentrant_pairs(partition):

@@ -10,6 +10,8 @@ comes back were structured rejections for the same reason; on one time
 axis both are ordinary admits.
 """
 
+from itertools import groupby
+
 from repro.cluster import (
     ClusterCoordinator,
     partition_by_assignment,
@@ -39,8 +41,12 @@ def _fig13_coordinator():
 
 
 def _crossed(coordinator, name):
+    """The owning shard of each run of the stream's route, in order."""
     stream = coordinator.global_schedule().streams_by_name[name]
-    return [s.shard for s in coordinator.partition.split_route(stream.path)]
+    owner = coordinator.partition.owner_of_link
+    return [shard for shard, _ in groupby(
+        owner(link.key) for link in stream.path
+    )]
 
 
 def test_cross_shard_accept_validates_on_the_stitched_schedule():

@@ -1,4 +1,7 @@
-"""Topology partitioning: shard coverage, boundary links, route splits."""
+"""Topology partitioning: shard coverage, boundary links, the shards a
+route touches."""
+
+from itertools import groupby
 
 import pytest
 
@@ -10,7 +13,6 @@ from repro.cluster import (
     partition_topology,
 )
 from repro.experiments import line_of_rings, simulation_topology
-from repro.model.topology import TopologyError
 
 
 @pytest.fixture
@@ -58,14 +60,9 @@ class TestPartitioning:
 
     def test_ghosts_are_dead_ends(self, chain):
         _, partition = chain
-        shard0 = partition.shard("shard0")
-        assert shard0.border_nodes == ("SW3",)
-        # shard-local routing cannot tunnel through the neighbour shard
-        with pytest.raises((TopologyError, ValueError, KeyError)):
-            shard0.topology.shortest_path("D1", "D12")
-        # but a segment may legally terminate on the ghost
-        path = shard0.topology.shortest_path("D1", "SW3")
-        assert path[-1].dst == "SW3"
+        # a shard's border nodes are the far ends of its boundary links
+        assert partition.shard("shard0").border_nodes == ("SW3",)
+        assert partition.shard("shard1").border_nodes == ("SW2",)
 
     def test_describe_mentions_every_shard(self, chain):
         _, partition = chain
@@ -78,28 +75,37 @@ class TestRouteSplitting:
     def test_local_route_is_one_segment(self, chain):
         topo, partition = chain
         path = topo.shortest_path("D1", "D4")
-        segments = partition.split_route(path)
-        assert len(segments) == 1
-        assert segments[0].shard == "shard0"
         assert partition.shards_for_route(path) == ["shard0"]
 
     def test_cross_route_cut_after_boundary_link(self, chain):
         topo, partition = chain
         path = topo.shortest_path("D1", "D12")
-        segments = partition.split_route(path)
-        assert [s.shard for s in segments] == ["shard0", "shard1"]
-        # the cut is after the boundary link: shard0's segment ends on
-        # shard1's border switch, where shard1's segment starts
-        assert segments[0].destination == "SW3"
-        assert segments[1].source == "SW3"
-        # the concatenation is the original route
-        rejoined = [link for s in segments for link in s.links]
-        assert rejoined == list(path)
+        assert partition.shards_for_route(path) == ["shard0", "shard1"]
+        # the cut is after the boundary link: SW2 -> SW3 is shard0's
+        # egress, and shard1 starts at its border switch SW3
+        owners = [partition.owner_of_link(link.key) for link in path]
+        boundary = [link.key for link in path].index(("SW2", "SW3"))
+        assert owners[:boundary + 1] == ["shard0"] * (boundary + 1)
+        assert set(owners[boundary + 1:]) == {"shard1"}
+
+    def test_reentrant_route_names_each_shard_once(self):
+        """A -> B -> A: a route that leaves a shard and comes back."""
+        topo = line_of_rings(rings=3, ring_size=3, devices_per_switch=1)
+        # ring 1 is shard1; rings 0 and 2, on either side of it, shard0
+        partition = partition_by_assignment(topo, {
+            n.name: int(n.name.startswith("R1")) for n in topo.switches
+        })
+        path = topo.shortest_path("R0S1D0", "R2S1D0")
+        runs = [shard for shard, _ in groupby(
+            partition.owner_of_link(link.key) for link in path
+        )]
+        assert runs == ["shard0", "shard1", "shard0"]
+        assert partition.shards_for_route(path) == ["shard0", "shard1"]
 
     def test_empty_route_rejected(self, chain):
         _, partition = chain
         with pytest.raises(PartitionError):
-            partition.split_route([])
+            partition.shards_for_route([])
 
 
 class TestValidation:
@@ -133,7 +139,6 @@ class TestValidation:
             switches=shard.switches,
             devices=shard.devices,
             border_nodes=shard.border_nodes,
-            topology=shard.topology,
         )
         with pytest.raises(PartitionError):
             NetworkPartition(topo, list(good.shards) + [clone])

@@ -258,49 +258,6 @@ class TestBatching:
         assert service.metrics.counter("batches.splintered").value == 1
         validate(service.store.schedule)
 
-    def test_queue_and_drain(self, service):
-        service.enqueue(_tct("a"))
-        service.enqueue(_tct("b", src="D2"))
-        assert service.metrics.gauge("queue.depth").value == 2
-        decisions = service.drain()
-        assert [d.stream for d in decisions] == ["a", "b"]
-        assert service.metrics.gauge("queue.depth").value == 0
-        assert service.drain() == []
-
-    def test_concurrent_enqueue_loses_no_requests(self, service):
-        """Regression for the unlocked staging queue: many threads
-        enqueueing at once must neither drop a request nor leave the
-        depth gauge out of step (the queue is now guarded by its own
-        lock, found by the extended lock-discipline lint)."""
-        import threading
-
-        # 40 streams fit the star topology without saturating it —
-        # the race under test is in enqueue, not the solver ladder
-        threads_n, per_thread = 8, 5
-        barrier = threading.Barrier(threads_n)
-
-        def producer(worker):
-            barrier.wait()
-            for i in range(per_thread):
-                service.enqueue(
-                    _tct(f"w{worker}q{i}", period_ms=8 + 2 * (i % 3))
-                )
-
-        workers = [
-            threading.Thread(target=producer, args=(w,))
-            for w in range(threads_n)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert service.metrics.gauge("queue.depth").value == (
-            threads_n * per_thread
-        )
-        decisions = service.drain()
-        assert len(decisions) == threads_n * per_thread
-        assert service.metrics.gauge("queue.depth").value == 0
-
 
 class TestTimeoutsAndRetries:
     def test_rung_timeout_climbs_ladder(self, star_topology, monkeypatch):

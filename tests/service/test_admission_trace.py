@@ -103,9 +103,7 @@ class TestRequestSpans:
                                                "timeout") for r in rungs)
 
     def test_every_request_in_a_batch_gets_a_span(self, service, tracer):
-        service.enqueue(_tct("a"))
-        service.enqueue(_ect("b"))
-        decisions = service.drain()
+        decisions = service.submit_many([_tct("a"), _ect("b")])
         assert len(decisions) == 2
         requests = _by_name(tracer.spans())["admission.request"]
         assert sorted(r.attributes["stream"] for r in requests

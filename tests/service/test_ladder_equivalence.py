@@ -170,7 +170,9 @@ def _digest(service, meta=True):
 
 class TestPinnedToParent:
     def test_fig13_mix(self):
-        """The 36-decision mix of benchmarks/test_admission_service.py."""
+        """A 36-decision mix on the seeded Fig. 13 network: 24 admits
+        with a remove after every third, three sharing admits and one
+        infeasible hog — 35 fast-path accepts and one reject."""
         service, devices = _seeded_service(0.25)
         n = len(devices)
         requests = []

@@ -54,6 +54,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_bench_verb_is_gone(self, capsys):
+        """``bench/run.py`` is the one benchmark command."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "diff", "a", "b"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestAdmitCommand:
     def test_accept_prints_decision_json(self, capsys, tmp_path, state_file):
