@@ -73,10 +73,11 @@ SCALING_POINTS = (40, 400, 4000)
 #: streams kept live in ring 0, where every probe lands.
 PROBE_RING_STREAMS = 20
 PROBE_CYCLES = 300
-#: p50(400) and p50(4000) over p50(40).  What is left to grow is three
-#: C-level shallow copies per edit (outer slot table, stream list, name
-#: map); the parent commit, which rebuilt its occupancy from every slot
-#: and cloned every slot list per operation, measured 3.3x and 45x.
+#: p50(400) and p50(4000) over p50(40).  What is left to grow is the
+#: C-level ``.copy()`` clones per edit of the outer tables (slot table,
+#: name map, per-link map) and of the stream list; the commit before the
+#: carried indexes, which rebuilt its occupancy from every slot and
+#: cloned every slot list per operation, measured 3.3x and 45x.
 SCALING_GATES = (1.6, 7.0)
 
 

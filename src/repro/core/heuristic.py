@@ -34,9 +34,11 @@ from repro.core.schedule import (
     validate,
 )
 from repro.model.frame import FrameSlot, FrameVar
-from repro.model.stream import EctStream, Priorities, Stream, StreamType, may_overlap
+from repro.model.stream import EctStream, Priorities, Stream, StreamType
 from repro.model.topology import Topology
 from repro.model.units import ceil_to_multiple
+
+_PROB = StreamType.PROB
 
 
 class _PlacementFailure(Exception):
@@ -82,7 +84,7 @@ class _Occupancy:
     @classmethod
     def over(cls, schedule: NetworkSchedule) -> "_Occupancy":
         return cls(
-            dict(schedule.streams_by_name), dict(schedule.slots_by_link)
+            schedule.streams_by_name.copy(), schedule.slots_by_link.copy()
         )
 
     def add(self, slot: FrameSlot) -> None:
@@ -112,9 +114,15 @@ class _Occupancy:
         self, stream: Stream, frame: FrameVar
     ) -> List[Tuple[int, int, int]]:
         """The rows of ``frame.link`` for ``stream``'s class, in slot
-        order, first extended over the slots added since the last read:
-        the Eq. 5 exemption is decided once per placed stream per
-        extension, the gcd once per slot — not once per probe."""
+        order, first extended over the slots added since the last read,
+        the gcd taken once per slot — not once per probe.
+
+        The Eq. 5 exemption is the class's closed form of
+        :func:`may_overlap`, which stays the specification: a
+        non-sharing TCT candidate is exempt from no slot, a sharing TCT
+        candidate from the slots of probabilistic streams, a possibility
+        of parent P from the slots of P's possibilities and of sharing
+        TCT streams."""
         slots = self.by_link.get(frame.link, ())
         by_class = self._rows.get(frame.link)
         if by_class is None:
@@ -125,18 +133,30 @@ class _Occupancy:
             entry = by_class[key] = [[], 0]
         rows, covered = entry
         if covered < len(slots):
-            exempt: Dict[str, bool] = {}
-            for slot in slots[covered:]:
-                exempted = exempt.get(slot.stream)
-                if exempted is None:
-                    exempted = exempt[slot.stream] = may_overlap(
-                        stream, self.streams[slot.stream]
+            period, gcd, streams = frame.period_ns, math.gcd, self.streams
+            fresh = slots[covered:]
+            if stream.is_probabilistic:
+                parent = stream.parent
+                rows.extend([
+                    (offset, duration, gcd(period, slot_period))
+                    for name, _, _, offset, slot_period, duration, _ in fresh
+                    if not (
+                        streams[name].share
+                        or (streams[name].parent == parent
+                            and streams[name].type == _PROB)
                     )
-                if not exempted:
-                    rows.append((
-                        slot.offset_ns, slot.duration_ns,
-                        math.gcd(frame.period_ns, slot.period_ns),
-                    ))
+                ])
+            elif stream.share:
+                rows.extend([
+                    (offset, duration, gcd(period, slot_period))
+                    for name, _, _, offset, slot_period, duration, _ in fresh
+                    if streams[name].type != _PROB
+                ])
+            else:
+                rows.extend([
+                    (offset, duration, gcd(period, slot_period))
+                    for _, _, _, offset, slot_period, duration, _ in fresh
+                ])
             entry[1] = len(slots)
         return rows
 

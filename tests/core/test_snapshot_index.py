@@ -18,6 +18,7 @@ that honest:
 
 import copy
 import dataclasses
+import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -207,6 +208,45 @@ def test_edits_carry_the_index_and_never_touch_their_input(
         schedule = result
 
 
+def test_a_removal_heavy_chain_carries_the_index():
+    """An edit copies the outer tables with ``dict.copy()``, which clones
+    a table's deleted entries along with its live ones.  Over a long
+    chain where most edits remove, every copy after the first removals
+    is of a table with holes in it — the index it carries must still be
+    the rebuilt one, in order."""
+    rng = random.Random(7)
+    topo = _topology()
+    schedule = schedule_heuristic(topo, [])
+    _assert_indexes_match_slot_table(schedule)
+    live, removals = [], 0
+    for i in range(240):
+        if live and (len(live) > 12 or rng.random() < 0.65):
+            request = Remove(live.pop(rng.randrange(len(live))))
+            removals += 1
+        elif rng.random() < 0.2:
+            request = AdmitEct(EctStream(
+                name=f"e{i}", source="D1", destination="D4",
+                min_interevent_ns=milliseconds(16), length_bytes=200,
+                possibilities=2,
+            ))
+        else:
+            src, dst = rng.sample(DEVICES, 2)
+            share = rng.random() < 0.5
+            request = AdmitTct(TctRequirement(
+                name=f"t{i}", source=src, destination=dst,
+                period_ns=rng.choice(PERIODS), length_bytes=100,
+                priority=Priorities.SH_PL if share else Priorities.NSH_PL,
+                share=share,
+            ))
+        frozen = copy.deepcopy(schedule)
+        result = _apply_one(schedule, request)
+        if not isinstance(request, Remove):
+            live.append(request.stream_name)
+        _assert_same_value(schedule, frozen)
+        _assert_indexes_match_slot_table(result)
+        validate(result)
+        schedule = result
+    assert removals >= 120
 # ----------------------------------------------------------------------
 # (b) the full validator is independent of the indexes
 # ----------------------------------------------------------------------
