@@ -61,9 +61,6 @@ Commands
 ``frontend``
     ``frontend serve`` runs the asyncio JSONL socket server over one
     admission service or a cluster (:mod:`repro.frontend`).
-``loadgen``
-    Drive a running frontend with shape-mixed admission load and
-    report sent/ok/cached/busy counts and RTT quantiles.
 
 ``serve`` and ``admit`` accept ``--trace FILE`` to record admission
 spans (request -> rung -> solve) as JSON-lines, and ``--certify`` to
@@ -320,10 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_campaign_parser(sub)
 
-    from repro.frontend.cli import add_frontend_parser, add_loadgen_parser
+    from repro.frontend.cli import add_frontend_parser
 
     add_frontend_parser(sub)
-    add_loadgen_parser(sub)
     return parser
 
 
@@ -905,10 +901,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.frontend.cli import run_frontend
 
         return run_frontend(args)
-    elif args.command == "loadgen":
-        from repro.frontend.cli import run_loadgen_cli
-
-        return run_loadgen_cli(args)
     else:
         _run_figure(args.command, args.duration_ms, args.seed)
     return 0

@@ -4,9 +4,7 @@ An asyncio JSONL socket server (:class:`Frontend`) in front of an
 :class:`~repro.service.admission.AdmissionService` or a
 :class:`~repro.cluster.coordinator.ClusterCoordinator`, with bounded
 intake and explicit ``server_busy`` backpressure, batch coalescing, an
-epoch-pinned decision cache, trace propagation, and a
-load generator (:mod:`repro.frontend.loadgen`) that drives it hard
-enough to mean something.
+epoch-pinned decision cache and trace propagation.
 """
 
 from repro.frontend.cache import DecisionCache, cacheable

@@ -1,14 +1,10 @@
-"""``repro frontend serve`` and ``repro loadgen`` — the network surface.
+"""``repro frontend serve`` — the network surface.
 
 ``frontend serve`` hosts an :class:`~repro.frontend.server.Frontend`
 over a single admission service (``--state``/``--topology``) or a
 sharded cluster (``--cluster --shards N``), announces the bound
 address as one JSON line on stdout (so scripts can use ``--port 0``),
 and drains gracefully on SIGTERM/SIGINT.
-
-``loadgen`` drives a running frontend with a seeded shape-mixed
-request stream (:mod:`repro.frontend.loadgen`) and prints the measured
-report; ``--fail-on-drops`` and ``--slo`` turn it into a CI gate.
 """
 
 from __future__ import annotations
@@ -17,8 +13,7 @@ import asyncio
 import json
 import sys
 
-__all__ = ["add_frontend_parser", "add_loadgen_parser",
-           "run_frontend", "run_loadgen_cli"]
+__all__ = ["add_frontend_parser", "run_frontend"]
 
 
 def add_frontend_parser(subparsers) -> None:
@@ -61,9 +56,7 @@ def add_frontend_parser(subparsers) -> None:
                        help="per-connection pipelined responses "
                             "awaiting write before the reader pauses")
     serve.add_argument("--cache-size", type=int, default=4096,
-                       help="decision cache capacity")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the decision cache")
+                       help="decision cache capacity; 0 disables it")
     serve.add_argument("--drain-grace-s", type=float, default=10.0,
                        help="graceful-drain budget on shutdown")
     serve.add_argument("--backend", default="heuristic",
@@ -74,55 +67,6 @@ def add_frontend_parser(subparsers) -> None:
                             "here on shutdown")
     serve.add_argument("--trace", metavar="FILE",
                        help="write admission spans here as JSON-lines")
-
-
-def add_loadgen_parser(subparsers) -> None:
-    """Attach the ``loadgen`` subcommand to the top-level CLI parser."""
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="drive a running frontend with shape-mixed admission load",
-    )
-    loadgen.add_argument("--host", default="127.0.0.1",
-                         help="frontend address")
-    loadgen.add_argument("--port", type=int, required=True,
-                         help="frontend port")
-    loadgen.add_argument("--requests", type=int, default=10_000,
-                         help="total requests to send")
-    loadgen.add_argument("--connections", type=int, default=4,
-                         help="concurrent client connections")
-    loadgen.add_argument("--window", type=int, default=64,
-                         help="closed loop: outstanding requests per "
-                              "connection")
-    loadgen.add_argument("--mode", default="closed",
-                         choices=("closed", "open"),
-                         help="closed loop (windowed) or open loop "
-                              "(fixed rate)")
-    loadgen.add_argument("--rate", type=float, default=10_000.0,
-                         help="open loop: aggregate requests per second")
-    loadgen.add_argument("--endpoint", action="append", required=True,
-                         metavar="SRC:DST", dest="endpoints",
-                         help="talker:listener device pair the shape "
-                              "mix draws routes from (repeatable)")
-    loadgen.add_argument("--distinct", type=int, default=8,
-                         help="distinct stream profiles in the mix")
-    loadgen.add_argument("--infeasible-fraction", type=float, default=1.0,
-                         help="fraction of profiles with an impossible "
-                              "deadline (deterministic, cacheable "
-                              "rejections)")
-    loadgen.add_argument("--seed", type=int, default=7,
-                         help="shape-mix RNG seed")
-    loadgen.add_argument("--timeout-s", type=float, default=120.0,
-                         help="per-connection response timeout")
-    loadgen.add_argument("--out", metavar="FILE",
-                         help="write the report JSON here (in addition "
-                              "to stdout)")
-    loadgen.add_argument("--fail-on-drops", action="store_true",
-                         help="exit 1 when any request was dropped "
-                              "(server_busy, drain, or transport)")
-    loadgen.add_argument("--slo", action="store_true",
-                         help="evaluate the frontend SLO targets "
-                              "against the measured round trips; "
-                              "exit 1 on violation")
 
 
 def run_frontend(args) -> int:
@@ -183,7 +127,7 @@ def _run_frontend_serve(args) -> int:
             max_queue=args.max_queue,
             max_batch=args.max_batch,
             max_pipeline=args.max_pipeline,
-            cache_size=0 if args.no_cache else args.cache_size,
+            cache_size=args.cache_size,
             drain_grace_s=args.drain_grace_s,
         ),
         tracer=tracer,
@@ -211,61 +155,3 @@ def _run_frontend_serve(args) -> int:
         _dump_trace(args.trace, tracer)
     return 0
 
-
-def run_loadgen_cli(args) -> int:
-    from repro.frontend.loadgen import (
-        LoadgenConfig,
-        make_profiles,
-        run_loadgen_sync,
-    )
-
-    endpoints = []
-    for spec in args.endpoints:
-        source, sep, destination = spec.partition(":")
-        if not sep or not source or not destination:
-            print(f"error: --endpoint must be SRC:DST, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        endpoints.append((source, destination))
-    profiles = make_profiles(
-        endpoints,
-        distinct=args.distinct,
-        infeasible_fraction=args.infeasible_fraction,
-        seed=args.seed,
-    )
-    config = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        total_requests=args.requests,
-        connections=args.connections,
-        window=args.window,
-        mode=args.mode,
-        rate_per_sec=args.rate,
-        seed=args.seed,
-        timeout_s=args.timeout_s,
-    )
-    try:
-        report = run_loadgen_sync(config, profiles)
-    except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach frontend at "
-              f"{args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
-    print(report.to_json())
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-    failed = False
-    if args.fail_on_drops and report.dropped:
-        print(f"loadgen: {report.dropped} requests dropped",
-              file=sys.stderr)
-        failed = True
-    if args.slo:
-        from repro.obs import FRONTEND_TARGETS, evaluate_slos, format_slo_report
-
-        results = evaluate_slos(
-            report.metrics.to_dict(), targets=FRONTEND_TARGETS
-        )
-        print(format_slo_report(results), file=sys.stderr)
-        if any(not result.met for result in results):
-            failed = True
-    return 1 if failed else 0

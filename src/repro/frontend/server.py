@@ -568,9 +568,9 @@ async def serve_until_stopped(
 class FrontendThread:
     """A frontend running its own event loop on a daemon thread.
 
-    The sync-world handle the load generator benchmark and the tests
-    use: ``start()`` blocks until the socket is bound and returns the
-    (host, port); ``stop()`` drains gracefully and joins the thread.
+    The sync-world handle the tests use: ``start()`` blocks until the
+    socket is bound and returns the (host, port); ``stop()`` drains
+    gracefully and joins the thread.
     """
 
     def __init__(self, frontend: Frontend) -> None:

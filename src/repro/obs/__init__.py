@@ -54,7 +54,6 @@ from repro.obs.export import (
 from repro.obs.histogram import Histogram, nearest_rank
 from repro.obs.slo import (
     DEFAULT_TARGETS,
-    FRONTEND_TARGETS,
     SloResult,
     SloTarget,
     evaluate_slos,
@@ -64,7 +63,6 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, children_of
 
 __all__ = [
     "DEFAULT_TARGETS",
-    "FRONTEND_TARGETS",
     "Event",
     "EventLog",
     "Histogram",

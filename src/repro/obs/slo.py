@@ -15,8 +15,10 @@ report needs no access to the running process:
   while ``violations <= budget``.
 
 ``repro slo`` renders the report and exits nonzero when any target is
-violated, so it can gate CI or a deploy the same way ``repro bench
-diff`` gates throughput.
+violated, so it can gate CI or a deploy; ``--target`` evaluates any
+histogram in a saved metrics JSON, e.g. a ``frontend serve
+--metrics-out`` file against
+``frontend.latency.request_ms:0.99:500``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.obs.histogram import Histogram
 
 __all__ = [
     "DEFAULT_TARGETS",
-    "FRONTEND_TARGETS",
     "SloResult",
     "SloTarget",
     "evaluate_slos",
@@ -79,22 +80,6 @@ DEFAULT_TARGETS = (
               objective_ms=250.0),
     SloTarget(metric="latency.rung.fastpath_ms", quantile=0.99,
               objective_ms=10.0),
-)
-
-#: Objectives for the network frontend (kept out of
-#: :data:`DEFAULT_TARGETS`: an in-process admission run has no socket
-#: plane, and ``repro slo --require-all`` must not demand histograms
-#: that run can never produce).  ``loadgen.rtt_ms`` is the
-#: client-observed round trip ``repro loadgen`` records; the
-#: ``frontend.latency.*`` series are the server-side ingest-to-response
-#: and per-batch backend latencies.
-FRONTEND_TARGETS = (
-    SloTarget(metric="loadgen.rtt_ms", quantile=0.99,
-              objective_ms=500.0),
-    SloTarget(metric="frontend.latency.request_ms", quantile=0.99,
-              objective_ms=500.0),
-    SloTarget(metric="frontend.latency.batch_ms", quantile=0.99,
-              objective_ms=250.0),
 )
 
 

@@ -279,26 +279,6 @@ def decision_to_dict(decision) -> Dict:
     }
 
 
-def decision_from_dict(data: Dict):
-    """Rebuild a decision from :func:`decision_to_dict` output."""
-    from repro.service.requests import Decision
-
-    _check_version(data)
-    return Decision(
-        request_id=data["request_id"],
-        op=data["op"],
-        stream=data["stream"],
-        accepted=data["accepted"],
-        rung=data.get("rung"),
-        reason=data.get("reason"),
-        latency_ms=data.get("latency_ms", 0.0),
-        store_version=data.get("store_version"),
-        batch_id=data.get("batch_id", 0),
-        batch_size=data.get("batch_size", 1),
-        attempts=dict(data.get("attempts", {})),
-    )
-
-
 def metrics_to_dict(registry) -> Dict:
     """Versioned JSON-able export of a service metrics registry."""
     data = registry.to_dict()
@@ -364,18 +344,6 @@ def load_trace(path: str) -> List:
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise ValueError(f"trace line {lineno}: {exc}") from None
     return spans
-
-
-def save_decision_log(path: str, decisions, registry=None) -> None:
-    """Persist an admission run: one decision per entry, plus metrics."""
-    payload = {
-        "version": FORMAT_VERSION,
-        "decisions": [decision_to_dict(d) for d in decisions],
-    }
-    if registry is not None:
-        payload["metrics"] = metrics_to_dict(registry)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
 
 
 # ----------------------------------------------------------------------

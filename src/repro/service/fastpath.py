@@ -148,9 +148,7 @@ def screen_route(stream: Stream) -> Optional[str]:
     """Route-level conclusive-reject check for one resolved stream.
 
     The e2e-floor argument needs no schedule state at all — only the
-    route — so callers that know the route but not the owning store
-    (the cluster coordinator, before splitting a cross-shard request)
-    can reject analytically before locking and solving every shard.
+    route — so :func:`evaluate` runs it first, before any placement.
     Returns a reason string, or ``None`` when the floor fits.
     """
     floor = _latency_floor_ns(stream)

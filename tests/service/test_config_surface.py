@@ -28,7 +28,7 @@ SERVING_FLAGS = {
     ),
     ("frontend", "serve"): (
         "--backend --cache-size --cluster --drain-grace-s --host "
-        "--max-batch --max-pipeline --max-queue --metrics-out --no-cache "
+        "--max-batch --max-pipeline --max-queue --metrics-out "
         "--port --seeds --shards --state --topology --trace"
     ),
 }

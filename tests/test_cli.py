@@ -54,12 +54,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_bench_verb_is_gone(self, capsys):
-        """``bench/run.py`` is the one benchmark command."""
+    @pytest.mark.parametrize("argv", [
+        ["bench", "diff", "a", "b"],
+        ["loadgen", "--port", "1", "--endpoint", "D1:D2"],
+    ], ids=["bench", "loadgen"])
+    def test_bench_verb_is_gone(self, capsys, argv):
+        """``bench/run.py`` is the one benchmark command and the one
+        load generator."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "diff", "a", "b"])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
 class TestAdmitCommand:
