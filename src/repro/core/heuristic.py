@@ -42,11 +42,17 @@ _PROB = StreamType.PROB
 
 
 class _PlacementFailure(Exception):
-    """A stream cannot be placed against the current occupancy."""
+    """A stream cannot be placed against the current occupancy; ``link``
+    is the key of the link the frame failed on, ``None`` for an Eq. 4
+    miss no later release can cure."""
 
-    def __init__(self, stream: str, detail: str) -> None:
+    def __init__(
+        self, stream: str, detail: str,
+        link: Optional[Tuple[str, str]] = None,
+    ) -> None:
         super().__init__(f"{stream}: {detail}")
         self.stream = stream
+        self.link = link
 
 
 class _Occupancy:
@@ -180,6 +186,7 @@ class _Occupancy:
                 stream.name,
                 f"frame {frame.index} lower bound {lower_bound_ns} beyond "
                 f"window max {window_max} on {frame.link}",
+                frame.link,
             )
         rows = self._rows_against(stream, frame)
         duration = frame.duration_ns
@@ -203,10 +210,12 @@ class _Occupancy:
                             stream.name,
                             f"frame {frame.index} pushed past window max "
                             f"{window_max} on {frame.link}",
+                            frame.link,
                         )
         if unclearable is not None:
             raise _PlacementFailure(
-                stream.name, never_clear_message(duration, *unclearable)
+                stream.name, never_clear_message(duration, *unclearable),
+                frame.link,
             )
         return phi
 
@@ -285,6 +294,11 @@ def _place_stream(
         release = max(finish - stream.e2e_ns, release + tu)
 
 
+def _tightness(stream: Stream) -> Tuple[int, int, str]:
+    """The sort key of a deterministic stream in :func:`_placement_order`."""
+    return (stream.period_ns, stream.e2e_ns, stream.name)
+
+
 def _placement_order(streams: Sequence[Stream]) -> List[Stream]:
     """Tightest-first: short periods, then small latency budgets.
 
@@ -294,7 +308,7 @@ def _placement_order(streams: Sequence[Stream]) -> List[Stream]:
     """
     tct = [s for s in streams if s.type == StreamType.DET]
     prob = [s for s in streams if s.type == StreamType.PROB]
-    tct.sort(key=lambda s: (s.period_ns, s.e2e_ns, s.name))
+    tct.sort(key=_tightness)
     prob.sort(key=lambda s: (s.parent or "", s.occurrence_ns, s.name))
     return tct + prob
 

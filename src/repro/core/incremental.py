@@ -26,10 +26,14 @@ The rest are calls to it:
   extras an ECT stream induced on sharing TCT streams stay in place
   (still valid, just more generous than needed) until something
   re-places the sharer.
-* the admission service's ``full`` rung releases the *ring* of a batch
-  — the deterministic streams with a slot on a link an admitted route
-  crosses (:func:`deterministic_crossing`) — and re-places it with the
-  newcomers, tightest first, before it re-solves the whole network.
+* the admission service's ``full`` rung releases a *ring* of a batch
+  and re-places it with the newcomers, tightest first, before it
+  re-solves the whole network.  The ring grows from where placement
+  failed: the newcomers alone, whose :class:`InfeasibleError` names the
+  stream and the link that failed; then the deterministic streams on
+  that link the tightest-first order places after the failed stream;
+  then every deterministic stream with a slot on a link an admitted
+  route crosses (both found by :func:`deterministic_crossing`).
 
 Every operation *derives* a **new** schedule from its input — the outer
 ``slots`` dict, the ``streams`` list and the two index maps are shallow
@@ -163,8 +167,9 @@ def repair(
     against one possibility per ECT stream live afterwards, and the
     streams are placed earliest-fit in the given order around every
     slot that stays — those keep their slot-list objects.  Raises
-    :class:`InfeasibleError` naming the first stream that does not fit,
-    or ``KeyError`` for a name in ``drop`` the schedule does not hold.
+    :class:`InfeasibleError` naming the first stream that does not fit
+    (its ``stream`` and ``link`` say which, and on which link), or
+    ``KeyError`` for a name in ``drop`` the schedule does not hold.
     """
     by_name = schedule.streams_by_name
     ect_streams = schedule.ect_streams
@@ -203,7 +208,9 @@ def repair(
         for stream in place:
             _place(stream, frames, occupancy, slots)
     except _PlacementFailure as exc:
-        raise InfeasibleError(str(exc)) from exc
+        error = InfeasibleError(str(exc))
+        error.stream, error.link = exc.stream, exc.link
+        raise error from exc
     # the name index is in ``streams`` order, and deletion keeps it
     return _derived(
         schedule, list(occupancy.streams.values()), slots,

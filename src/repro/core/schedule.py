@@ -25,7 +25,17 @@ class ScheduleError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """Raised when a scheduler backend cannot satisfy the requirements."""
+    """Raised when a scheduler backend cannot satisfy the requirements.
+
+    An earliest-fit edit (:func:`repro.core.incremental.repair`) says
+    where it failed: ``stream`` names the stream that did not fit and
+    ``link`` the key of the link it failed on, ``None`` when no one
+    link is at fault (a possibility's Eq. 4 budget) or when the raiser
+    does not know.
+    """
+
+    stream: Optional[str] = None
+    link: Optional[Tuple[str, str]] = None
 
 
 class CertifiedInfeasibleError(InfeasibleError):

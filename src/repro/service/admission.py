@@ -12,9 +12,11 @@
   a re-solve with the configured backend, then — for the SMT backend —
   a re-solve with :func:`schedule_heuristic`; each re-solve rung is
   one cold attempt under its own wall-clock timeout.  A heuristic
-  re-solve of a TCT-only batch first repairs the batch's *ring* (the
-  streams on its admitted routes' links, re-placed around the frozen
-  rest) and re-solves the whole network only when that fails;
+  re-solve of a TCT-only batch first repairs a *ring* of the batch
+  (deterministic streams re-placed with the admits around the frozen
+  rest), grown from the link where the admits' own earliest-fit failed
+  out to every link of their routes, and re-solves the whole network
+  only when that fails;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -46,7 +48,9 @@ from repro.check.proof import CertificateError
 from repro.check.sanitizer import make_lock
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
-from repro.core.heuristic import _placement_order, schedule_heuristic
+from repro.core.heuristic import (
+    _placement_order, _tightness, schedule_heuristic,
+)
 from repro.core.incremental import deterministic_crossing, repair
 from repro.core.probabilistic import possibility_names
 from repro.core.schedule import (
@@ -693,6 +697,17 @@ class AdmissionService:
             for r in batch if isinstance(r, AdmitTct)
         ]
         new_ects = [r.ect for r in batch if isinstance(r, AdmitEct)]
+        backend = (
+            self._config.backend if rung_name == RUNG_FULL else "heuristic"
+        )
+        if backend == "heuristic" and not new_ects:
+            try:
+                result = self._repair_ring(schedule, admitted, removals)
+            except (InfeasibleError, ScheduleError):
+                pass  # the whole re-solve below decides
+            else:
+                result.meta["resolved_by"] = rung_name
+                return result
         ects = [
             e for e in schedule.ect_streams if e.name not in removals
         ] + new_ects
@@ -702,22 +717,11 @@ class AdmissionService:
             s for s in schedule.streams
             if s.type == StreamType.DET and s.name not in removals
         ] + admitted
-        backend = (
-            self._config.backend if rung_name == RUNG_FULL else "heuristic"
-        )
         kwargs = dict(
             guard_margin_ns=self._config.guard_margin_ns,
             reservation_mode=self._config.reservation_mode,
         )
         if backend == "heuristic":
-            if not new_ects:
-                try:
-                    result = self._repair_ring(schedule, admitted, removals)
-                except (InfeasibleError, ScheduleError):
-                    pass  # the whole re-solve below decides
-                else:
-                    result.meta["resolved_by"] = rung_name
-                    return result
             restarts = max(
                 self._config.heuristic_min_restarts,
                 2 * (len(tct) + sum(e.possibilities for e in ects)) + 4,
@@ -739,21 +743,61 @@ class AdmissionService:
         admitted: List[Stream],
         removals: Set[str],
     ) -> NetworkSchedule:
-        """Release the batch's ring — every deterministic stream with a
-        slot on a link an admitted route crosses — and re-place it with
-        the newcomers, tightest first, around the frozen rest.
+        """Re-place the admits with a *ring* of released deterministic
+        streams, the smallest ring first, growing it from where
+        placement failed:
 
+        1. none — the admits earliest-fit around the frozen snapshot, as
+           the constructive rung tried; its failure names the admit F
+           that did not fit and the link L it failed on;
+        2. the streams on L that the tightest-first order places after
+           F (a greater ``(period, e2e, name)``), as a whole re-solve
+           would place them after F;
+        3. the route ring: every stream with a slot on a link an
+           admitted route crosses.
+
+        Each ring is re-placed with the admits, tightest first, around
+        the frozen rest; a ring equal to one already tried is skipped,
+        and the route ring's failure is raised for the whole re-solve.
         Probabilistic slots stay frozen, so every live ECT keeps its
         guarantee.  The result is checked like a constructive accept:
-        ``validate_delta`` over what moved — the newcomers and the ring
+        ``validate_delta`` over what moved — the admits and the ring
         streams not back on their old slots — and a full ``validate``
         under ``certify``.
         """
-        links = [link for stream in admitted for link in stream.path]
-        ring = deterministic_crossing(
-            schedule, links, lambda s: s.name not in removals
-        )
-        place = _placement_order(ring + admitted)
+        def keep(stream: Stream) -> bool:
+            return stream.name not in removals
+
+        route = [link for stream in admitted for link in stream.path]
+        tried: List[Set[str]] = []
+        ring: List[Stream] = []
+        while True:
+            tried.append({s.name for s in ring})
+            try:
+                return self._place_ring(schedule, ring + admitted, removals)
+            except (InfeasibleError, ScheduleError) as exc:
+                looser: List[Stream] = []
+                if len(tried) == 1 and getattr(exc, "link", None):
+                    failed = next(s for s in admitted if s.name == exc.stream)
+                    bound = _tightness(failed)
+                    looser = deterministic_crossing(
+                        schedule,
+                        [link for link in failed.path if link.key == exc.link],
+                        lambda s: keep(s) and _tightness(s) > bound,
+                    )
+                ring = looser or deterministic_crossing(schedule, route, keep)
+                if {s.name for s in ring} in tried:
+                    raise
+
+    def _place_ring(
+        self,
+        schedule: NetworkSchedule,
+        streams: List[Stream],
+        removals: Set[str],
+    ) -> NetworkSchedule:
+        """Place one ring and the admits, tightest first, around the
+        rest of ``schedule`` without ``removals``, and check it."""
+        place = _placement_order(streams)
         result = repair(
             schedule, place, drop=removals,
             guard_margin_ns=self._config.guard_margin_ns,

@@ -7,9 +7,17 @@ accepted, rung, reason, attempts)``, and after every ``submit`` /
 ``submit_many`` call the store version and slot table.  The digests
 were recorded at the parent of the change that made the cluster a view
 over one store, before ``src/`` was touched, and the single-store run
-passes on both commits.  The same script through a
-:class:`ClusterCoordinator` over each partition must produce the same
-digest: the cluster decides and places exactly what one store does.
+passes on both commits; ``fig13`` was re-recorded when the ``full``
+rung's ring started from the link where placement failed, which moves
+other slots.  The same script through a :class:`ClusterCoordinator`
+over each partition must produce the same digest: the cluster decides
+and places exactly what one store does.
+
+``VERDICT_PINS`` holds one SHA-256 per layout over every decision's
+``(op, stream, accepted)`` alone, recorded before that ring change: a
+change that moves slots but no verdict re-records ``PINS`` and must
+pass ``VERDICT_PINS`` as it is.  ``python
+tests/cluster/test_cluster_equivalence.py`` prints both.
 
 The script mixes local, cross-shard and removed admits, unknown
 removes, name clashes, possibility-name clashes in both directions,
@@ -40,7 +48,7 @@ from repro.service import (
 )
 
 PINS = {
-    "fig13": "670da22ee57447b5ccd50cdc1ab52704b2d0d31541caa6bb756cecab6350c5cc",
+    "fig13": "9fb2d96d9244d9cd0a1069607f11ad3fc73264de36709a10f832bcbe9560f64e",
     "rings": "cc3b8469bb063fd02391e2645e54140c3babedfed775f4f3a51a4fbfea292d92",
 }
 
@@ -53,6 +61,12 @@ def _fig13():
 def _rings():
     return partition_topology(line_of_rings(4, 4, 2), 4)
 
+
+#: recorded at 9a6ab19, before the ``full`` rung's failing-link ring
+VERDICT_PINS = {
+    "fig13": "fa906146ff2fa7900894beb5b4dca6932352c12b556edfacb14077301b78aa06",
+    "rings": "2dee473590792d36115e654af04a2b93a70a5000ddf62c7ab84c4d097dfdee42",
+}
 
 PARTITIONS = {"fig13": _fig13, "rings": _rings}
 
@@ -207,6 +221,16 @@ def run_script(partition, seed, admission, store, operations=400):
     return digest.hexdigest(), requests, decisions
 
 
+def verdicts(decisions):
+    """SHA-256 over every decision's ``(op, stream, accepted)``."""
+    digest = hashlib.sha256()
+    for decision in decisions:
+        digest.update(json.dumps(
+            [decision.op, decision.stream, decision.accepted]
+        ).encode())
+    return digest.hexdigest()
+
+
 def _single_store(partition):
     store = ScheduleStore(empty_schedule(partition.topology))
     return AdmissionService(store), store
@@ -250,6 +274,14 @@ def test_single_store_script_is_pinned_to_parent(layout):
     assert any("#ps1" in (d.reason or "") for d in decisions)
 
 
+@pytest.mark.parametrize("layout", sorted(VERDICT_PINS))
+def test_single_store_script_keeps_its_verdicts(layout):
+    partition = PARTITIONS[layout]()
+    service, store = _single_store(partition)
+    _, _, decisions = run_script(partition, 1, service, store)
+    assert verdicts(decisions) == VERDICT_PINS[layout]
+
+
 @pytest.mark.parametrize("layout", sorted(PINS))
 def test_cluster_script_is_pinned_to_parent(layout):
     partition = PARTITIONS[layout]()
@@ -264,4 +296,5 @@ if __name__ == "__main__":
     for name, make in sorted(PARTITIONS.items()):
         partition = make()
         service, store = _single_store(partition)
-        print(name, run_script(partition, 1, service, store)[0])
+        digest, _, decisions = run_script(partition, 1, service, store)
+        print(name, digest, "verdicts", verdicts(decisions))

@@ -485,15 +485,17 @@ def test_an_overlap_between_a_changed_and_an_unchanged_stream(
 
 
 def test_an_unmoved_ring_stream_is_left_out_of_the_changed_set():
-    """``t`` (4 ms) is released by the ring of ``n`` (8 ms) on their
-    shared links and, placed first again, lands on its old slots: it is
-    not among the moved streams, and an overlap planted against it is
-    still found from ``n``'s side."""
+    """``t`` (4 ms) is released by the route ring of ``n`` (8 ms) on
+    their shared links and, placed first again, lands on its old slots:
+    it is not among the moved streams, and an overlap planted against
+    it is still found from ``n``'s side.  ``n`` fits beside ``t``, so
+    the rung would not release ``t``; the ring is handed to
+    ``_place_ring``, which places every ring the rung tries."""
     topo = _topology(time_unit_ns=1000)
     base = schedule_heuristic(topo, [_one_frame(topo, "t", "D1", "D3", 4)])
     newcomer = _one_frame(topo, "n", "D1", "D4")
-    ring = AdmissionService(ScheduleStore(base))._repair_ring(
-        base, [newcomer], set()
+    ring = AdmissionService(ScheduleStore(base))._place_ring(
+        base, [base.stream("t"), newcomer], set()
     )
     key = ("t", ("D1", "SW1"))
     assert ring.slots[key] == base.slots[key]

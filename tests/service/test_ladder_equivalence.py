@@ -10,10 +10,14 @@ by the full re-solve, ``h`` by the heuristic rung, ``x`` rejected.
 The ``full`` rung now repairs the batch's ring before it re-solves the
 whole network, which moves other slots than the whole re-solve did, so
 ``LADDER_DIGEST``, ``LADDER_DECISIONS`` and the ladder's counters were
-re-recorded after that change.  What it must not move is a verdict:
-the ``*_VERDICTS`` pins, one SHA-256 over every decision's ``(op,
-stream, accepted)``, were recorded at 9fc8fb9 (whole re-solve only)
-before ``src/`` was touched, and pass on both commits.
+re-recorded after that change, and again after the ring started from
+the link where the admit's own earliest-fit failed (9a6ab19 is its
+parent).  What neither may move is a verdict: the ``*_VERDICTS`` pins,
+one SHA-256 over every decision's ``(op, stream, accepted)``, were
+recorded at 9fc8fb9 (whole re-solve only) before ``src/`` was touched,
+and pass on every commit since.  ``python
+tests/service/test_ladder_equivalence.py`` prints every pin below that
+a scripted run records.
 
 The rest pins what the single rung driver owes: no replayed solver, the
 heuristic rung as the SMT backend's fallback, and the abandoned-solver
@@ -55,15 +59,16 @@ from tests.conftest import MTU_WIRE_NS
 
 MIX_DIGEST = "0a6fd5aa46781f3dccc1c8c147bca78809f7313534390aaacb4b64629493423a"
 MIX_DECISIONS = "f" * 35 + "x"
-#: recorded after the ring repair landed (see the module docstring)
-LADDER_DIGEST = "2065d1fcc02419bbbc96ee24c166eea17be741e3bf5d2a2dbbf80d0beffb5951"
+#: re-recorded after the ring started from the failing link (see the
+#: module docstring)
+LADDER_DIGEST = "ad2397b8a36bfc0430bd3c095b011dd53231ad3651c954b030b8ba334657d911"
 LADDER_DECISIONS = (
     "fffFffffffffffffFfffffffffFffffffFfffffffffffFffFffFffffffffffFfffffff"
-    "ffFfFffffFfFfFFffffffFffffFFffFffFffffffffffffffFfffffffffFfFFfffffffF"
-    "fFfffffffffffffffFffffffffFfffffFfffffffffffFffffffffFfffffffffFffFfff"
+    "ffFffffffFfffFFffffffFffffFFffFffFffffffffffffffFfffffffffFfFFffffffff"
+    "fFfffffffffffffffFffffffffFfffffFfffffffffffFffffffffffffffffffFffFfff"
     "ffffffFfffffffffffffffffFffffFFFffFffFfFfFfffffffffffFfffFffffffffffff"
-    "ffffffffffffffffffffffffffffffffffffffffffffFfffFffffffffffffffffffFff"
-    "fFfFffFffffffffffffffffffffffFffffFfffffffFFffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffFffffffffffffffffffffffFff"
+    "fffFfffffffffFffffffffffffffffffffFfffffffFFffffff"
 )
 #: recorded at 9fc8fb9, before the ring repair
 LADDER_VERDICTS = (
@@ -168,38 +173,57 @@ def _digest(service, meta=True):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _fig13_mix():
+    """The 36-decision mix of ``test_fig13_mix``: the service and its
+    decisions."""
+    service, devices = _seeded_service(0.25)
+    n = len(devices)
+    requests = []
+    for i in range(24):
+        requests.append(_tct(f"adm{i}", devices[i % n],
+                             devices[(i + 5) % n], 10, 800))
+        if i % 3 == 2:
+            requests.append(Remove(f"adm{i - 1}"))
+    for i in range(3):
+        requests.append(_tct(f"share{i}", devices[(2 * i) % n],
+                             devices[(2 * i + 7) % n], 20, 800, True))
+    requests.append(_tct("hog", devices[0], devices[1], 5, 80 * 1500))
+    return service, [service.submit(r) for r in requests]
+
+
+def _first_400_ladder_ops():
+    """The script of ``test_first_400_ladder_ops_at_seed_1``: the
+    service and its decisions."""
+    service, devices = _seeded_service(0.5)
+    return service, _ladder_ops(service, devices, 60, {1: 0, 151: 1}, 400)
+
+
+def _saturating_ops(watch=None):
+    """The ``LadderOps`` draw at seed 1 steering towards 400 live
+    streams, no warm-up (about a minute)."""
+    service, devices = _seeded_service(0.5)
+    return service, _ladder_ops(service, devices, 400, {1: 1}, 450, watch)
+
+
 class TestPinnedToParent:
     def test_fig13_mix(self):
         """A 36-decision mix on the seeded Fig. 13 network: 24 admits
         with a remove after every third, three sharing admits and one
         infeasible hog — 35 fast-path accepts and one reject."""
-        service, devices = _seeded_service(0.25)
-        n = len(devices)
-        requests = []
-        for i in range(24):
-            requests.append(_tct(f"adm{i}", devices[i % n],
-                                 devices[(i + 5) % n], 10, 800))
-            if i % 3 == 2:
-                requests.append(Remove(f"adm{i - 1}"))
-        for i in range(3):
-            requests.append(_tct(f"share{i}", devices[(2 * i) % n],
-                                 devices[(2 * i + 7) % n], 20, 800, True))
-        requests.append(_tct("hog", devices[0], devices[1], 5, 80 * 1500))
-        decisions = [service.submit(r) for r in requests]
+        service, decisions = _fig13_mix()
         assert _letters(decisions) == MIX_DECISIONS
         assert _digest(service) == MIX_DIGEST
 
     def test_first_400_ladder_ops_at_seed_1(self):
         """bench's ``LadderOps`` script: 150 warm-up operations drawn at
         seed 0, then seed 1, steering towards 60 live admitted streams."""
-        service, devices = _seeded_service(0.5)
-        decisions = _ladder_ops(service, devices, 60, {1: 0, 151: 1}, 400)
+        service, decisions = _first_400_ladder_ops()
         assert _verdicts(decisions) == LADDER_VERDICTS
         assert _letters(decisions) == LADDER_DECISIONS
         assert _digest(service) == LADDER_DIGEST
         counters = service.metrics.to_dict()["counters"]
-        assert counters["fastpath.fallthroughs"] == 53
-        assert counters["rungs.full.attempts"] == 53
+        assert counters["fastpath.fallthroughs"] == 46
+        assert counters["rungs.full.attempts"] == 46
         validate(service.store.schedule)
 
     def test_saturating_ladder_ops_keep_their_verdicts(self, saturated_run):
@@ -316,14 +340,13 @@ class TestPinnedToParent:
 def saturated_run():
     """One pass of the saturating script (about a minute), shared by
     its verdict pin and the cache case replayed from it."""
-    service, devices = _seeded_service(0.5)
-    run = {"service": service}
+    run = {}
 
     def watch(request, snapshot, decision):
         if request.stream_name == "a257":
             run["a257"] = (request, snapshot, decision)
 
-    run["decisions"] = _ladder_ops(service, devices, 400, {1: 1}, 450, watch)
+    run["service"], run["decisions"] = _saturating_ops(watch)
     return run
 
 
@@ -484,3 +507,24 @@ class TestRungValidation:
                 ScheduleStore(empty_schedule(star_topology)),
                 config=ServiceConfig(rungs=rungs),
             )
+
+
+if __name__ == "__main__":
+    # prints every pin the scripts above record, in the form they are
+    # written in; the saturating script takes about a minute
+    service, decisions = _fig13_mix()
+    print("MIX_DIGEST", _digest(service))
+    print("MIX_DECISIONS", _letters(decisions))
+    service, decisions = _first_400_ladder_ops()
+    counters = service.metrics.to_dict()["counters"]
+    print("LADDER_DIGEST", _digest(service))
+    print("LADDER_DECISIONS", _letters(decisions))
+    print("LADDER_VERDICTS", _verdicts(decisions))
+    for name in ("fastpath.fallthroughs", "rungs.full.attempts"):
+        print(name, counters[name])
+    _, decisions = _saturating_ops()
+    print("SATURATING_VERDICTS", _verdicts(decisions))
+    print("SATURATING_REJECTS",
+          [i for i, d in enumerate(decisions) if not d.accepted])
+    print("saturating admits accepted",
+          sum(d.accepted and d.op != "remove" for d in decisions))

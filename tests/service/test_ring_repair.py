@@ -1,12 +1,21 @@
 """The ``full`` rung's ring repair.
 
-Before it re-solves the whole network, the heuristic ``full`` rung
-releases the *ring* of a TCT-only batch — every deterministic stream
-with a slot on a link an admitted route crosses — and re-places it
-with the newcomers, tightest first, around the frozen rest.  Whatever
-the ring does, the rung must publish a schedule the independent
-validator accepts, and when the ring fails the rung must be exactly
-today's whole re-solve.
+Before it re-solves the whole network, the heuristic ``full`` rung of a
+TCT-only batch re-places a *ring* of released deterministic streams
+with the admits, tightest first, around the frozen rest, and grows the
+ring from where placement failed:
+
+1. none: the admits alone, as the constructive rung tried — the
+   failure names the admit F and the link L;
+2. the deterministic streams on L with a greater ``(period, e2e,
+   name)`` than F, which the tightest-first order places after F;
+3. the route ring: every deterministic stream with a slot on a link an
+   admitted route crosses.
+
+The first ring whose repair validates is published, and only its
+streams get new slot lists.  Whatever the ring does, the rung must
+publish a schedule the independent validator accepts, and when every
+ring fails the rung must be exactly today's whole re-solve.
 """
 
 import pytest
@@ -18,6 +27,7 @@ from repro.core.incremental import (
     add_ect_stream,
     add_shared_tct_stream,
     remove_stream,
+    repair,
 )
 from repro.core.reservation import prudent_reservation
 from repro.core.schedule import (
@@ -30,6 +40,7 @@ from repro.experiments import line_of_rings
 from repro.model.stream import EctStream, Priorities, StreamType, TctRequirement
 from repro.model.units import milliseconds
 from repro.serialization import schedule_to_dict
+from tests.conftest import MTU_WIRE_NS
 from repro.service import (
     RUNG_FASTPATH,
     RUNG_FULL,
@@ -153,6 +164,49 @@ def _outcome(result):
     return result if isinstance(result, str) else _document(result)
 
 
+def _tightness(stream):
+    return (stream.period_ns, stream.e2e_ns, stream.name)
+
+
+def _rung_ring(schedule, admitted, removals):
+    """The ring the rung must publish, by the contract above: ``(names
+    of the released live streams, the repair)``, or ``None`` when every
+    ring fails."""
+    def attempt(ring):
+        place = sorted(ring + admitted, key=_tightness)
+        try:
+            return repair(schedule, place, drop=removals), None
+        except (InfeasibleError, ScheduleError) as exc:
+            return None, exc
+
+    live = [
+        s for s in schedule.streams
+        if s.type == StreamType.DET and s.name not in removals
+    ]
+    result, failure = attempt([])
+    if result is not None:
+        return set(), result
+    rings = []
+    if isinstance(failure, InfeasibleError) and failure.link is not None:
+        (failed,) = [s for s in admitted if s.name == failure.stream]
+        rings.append([
+            s for s in live
+            if (s.name, failure.link) in schedule.slots
+            and _tightness(s) > _tightness(failed)
+        ])
+    admitted_links = {link.key for s in admitted for link in s.path}
+    rings.append([
+        s for s in live
+        if any(link.key in admitted_links for link in s.path)
+    ])
+    for ring in rings:
+        if ring:
+            result, _ = attempt(ring)
+            if result is not None:
+                return {s.name for s in ring}, result
+    return None
+
+
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
@@ -164,30 +218,21 @@ def test_ring_or_whole_resolve(case):
     removals = {r.name for r in batch if isinstance(r, Remove)}
     service = AdmissionService(ScheduleStore(schedule))
     try:
-        ring = service._repair_ring(schedule, admitted, removals)
-    except (InfeasibleError, ScheduleError):
-        ring = None
-    try:
         result = service._resolve(schedule, batch, RUNG_FULL)
     except InfeasibleError as exc:
         result = str(exc)
 
-    if ring is None:
+    expected = _rung_ring(schedule, admitted, removals)
+    if expected is None:
         assert _outcome(result) == _outcome(
             _whole_resolve(schedule, batch, removals)
         )
         return
 
-    assert result.slots == ring.slots
+    ring, repaired = expected
+    assert result.slots == repaired.slots
     validate(result)
-    admitted_links = {link.key for s in admitted for link in s.path}
-    expected = {
-        s.name for s in schedule.streams
-        if s.type == StreamType.DET and s.name not in removals
-        and any(link.key in admitted_links for link in s.path)
-    }
-    moved = expected | {s.name for s in admitted}
-    validate_delta(result, moved)
+    validate_delta(result, ring | {s.name for s in admitted})
     dropped = set(removals) | {
         p.name for name in removals for p in schedule.possibilities_of(name)
     }
@@ -197,9 +242,8 @@ def test_ring_or_whole_resolve(case):
             assert (name, link) not in result.slots
         elif result.slots[(name, link)] is not frames:
             released.add(name)
-    # every stream outside the ring keeps its slot-list objects, and
-    # the ring is the deterministic streams on the admitted links
-    assert released == expected
+    # every stream outside the ring keeps its slot-list objects
+    assert released == ring
     live = _live_ect(schedule, removals)
     by_name = result.streams_by_name
     for name in released:
@@ -210,6 +254,80 @@ def test_ring_or_whole_resolve(case):
         for link in stream.path:
             extras = sum(f.extra for f in result.slots[(name, link.key)])
             assert extras == plan.extras[(name, link.key)]
+
+
+def _grown(topology, *specs):
+    """A service over ``topology`` that admitted ``(name, source,
+    destination, period in MTU wire times, length)`` constructively,
+    in order."""
+    service = AdmissionService(ScheduleStore(empty_schedule(topology)))
+    for spec in specs:
+        assert service.submit(_mtu_tct(*spec)).rung == RUNG_FASTPATH
+    return service
+
+
+def _mtu_tct(name, source, destination, mtus, length):
+    return AdmitTct(TctRequirement(
+        name=name, source=source, destination=destination,
+        period_ns=mtus * MTU_WIRE_NS, length_bytes=length,
+    ))
+
+
+def _released(before, after):
+    return {
+        name for (name, link), frames in before.slots.items()
+        if after.slots[(name, link)] is not frames
+    }
+
+
+def test_a_looser_stream_on_the_failing_link_moves_alone(star_topology):
+    """``d`` fails on D2->SW1 beside ``x``, whose 8-MTU period is looser
+    than ``d``'s 6: the first ring releases ``x`` alone, and ``g``, on
+    ``d``'s route but not on that link, keeps its slots."""
+    service = _grown(
+        star_topology,
+        ("x", "D2", "D1", 8, 3000), ("g", "D1", "D3", 3, 800),
+    )
+    before = service.store.schedule
+    newcomer = _mtu_tct("d", "D2", "D3", 6, 300)
+    stream = newcomer.requirement.resolve(star_topology)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream])
+    assert (failure.value.stream, failure.value.link) == ("d", ("D2", "SW1"))
+
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    after = service.store.schedule
+    assert _released(before, after) == {"x"}
+    assert after.slots == repair(before, [stream, before.stream("x")]).slots
+
+
+def test_a_tighter_blocker_falls_back_to_the_route_ring(star_topology):
+    """``b`` fails on SW1->D1, where the looser ``z`` alone is released
+    and does not help: ``t``, tighter, blocks it.  The route ring
+    releases ``t`` and ``z`` and publishes exactly the repair the route
+    ring always made."""
+    service = _grown(
+        star_topology,
+        ("z", "D2", "D1", 8, 3000), ("t", "D3", "D1", 4, 800),
+    )
+    before = service.store.schedule
+    newcomer = _mtu_tct("b", "D3", "D1", 6, 3000)
+    stream = newcomer.requirement.resolve(star_topology)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream])
+    assert (failure.value.stream, failure.value.link) == ("b", ("SW1", "D1"))
+    with pytest.raises(InfeasibleError):
+        repair(before, [stream, before.stream("z")])
+
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    after = service.store.schedule
+    assert _released(before, after) == {"t", "z"}
+    route_ring = repair(
+        before, [before.stream("t"), stream, before.stream("z")]
+    )
+    assert after.slots == route_ring.slots
 
 
 def _tied_pair(name):
@@ -282,8 +400,10 @@ def test_ect_batches_go_straight_to_the_whole_resolve(
 
 
 class TestReleasedSharersLoseStaleExtras:
-    """A sharer the ring releases is planned against the ECT streams
-    live afterwards, so extras induced by an ECT that has left go."""
+    """A sharer a ring releases is planned against the ECT streams
+    live afterwards, so extras induced by an ECT that has left go.  The
+    newcomer fits without releasing anything, so the ring is handed to
+    ``_place_ring`` — the one placement every ring goes through."""
 
     def _state(self, topology):
         sharer = TctRequirement(
@@ -309,14 +429,18 @@ class TestReleasedSharersLoseStaleExtras:
         stale = remove_stream(with_ect, "e")
         assert self._extras(stale) == self._extras(with_ect) > 0
         service = AdmissionService(ScheduleStore(stale))
-        repaired = service._repair_ring(stale, [newcomer], set())
+        repaired = service._place_ring(
+            stale, [stale.stream("s"), newcomer], set()
+        )
         validate(repaired)
         assert self._extras(repaired) == 0
 
     def test_extras_of_an_ect_leaving_with_the_batch(self, star_topology):
         with_ect, newcomer = self._state(star_topology)
         service = AdmissionService(ScheduleStore(with_ect))
-        repaired = service._repair_ring(with_ect, [newcomer], {"e"})
+        repaired = service._place_ring(
+            with_ect, [with_ect.stream("s"), newcomer], {"e"}
+        )
         validate(repaired)
         assert self._extras(repaired) == 0
         assert not repaired.ect_streams
