@@ -32,11 +32,6 @@ Commands
     Evaluate latency SLO targets (p-quantile ≤ objective with an error
     budget) against a live demo run or a saved metrics JSON; exit 1 on
     violation.
-``events``
-    Inspect a structured event journal written by ``--events``:
-    ``repro events tail FILE`` prints the last N events, ``repro
-    events query FILE --kind admission.`` filters by kind prefix /
-    trace id / stream.
 ``check``
     Static analysis: ``check lint`` runs the repo-invariant AST linter,
     ``check proof`` / ``check model`` verify saved solver certificates,
@@ -161,9 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="backend for the full re-solve rung")
     serve.add_argument("--trace", metavar="FILE",
                        help="write admission spans here as JSON-lines")
-    serve.add_argument("--events", metavar="FILE",
-                       help="write the structured event journal here as "
-                            "JSON-lines")
     serve.add_argument("--certify", action="store_true",
                        help="verify every solver verdict with the "
                             "repro.check certificate checker "
@@ -241,9 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cserve.add_argument("--trace", metavar="FILE",
                         help="write the distributed admission spans here "
                              "as JSON-lines")
-    cserve.add_argument("--events", metavar="FILE",
-                        help="write the structured event journal here as "
-                             "JSON-lines")
     cserve.add_argument("--prometheus-out", metavar="FILE",
                         help="write the cluster's Prometheus text "
                              "exposition here after the run")
@@ -287,27 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="treat a missing histogram as a violation")
     slo.add_argument("--format", default="table",
                      choices=("table", "json"))
-
-    events = sub.add_parser(
-        "events", help="inspect a structured event journal (JSONL)"
-    )
-    events_sub = events.add_subparsers(dest="events_command", required=True)
-    etail = events_sub.add_parser("tail", help="print the last N events")
-    etail.add_argument("file", help="JSONL journal from --events")
-    etail.add_argument("-n", "--count", type=int, default=20,
-                       help="how many trailing events to print")
-    equery = events_sub.add_parser(
-        "query", help="filter events by kind / trace / attribute"
-    )
-    equery.add_argument("file", help="JSONL journal from --events")
-    equery.add_argument("--kind",
-                        help="exact kind, or a 'family.' prefix")
-    equery.add_argument("--trace-id", type=int,
-                        help="only events tagged with this trace id")
-    equery.add_argument("--since-seq", type=int,
-                        help="only events with seq > this")
-    equery.add_argument("--attr", action="append", metavar="KEY=VALUE",
-                        help="attribute equality filter (repeatable)")
 
     from repro.check.cli import add_check_parser
 
@@ -421,23 +389,6 @@ def _dump_trace(path, tracer) -> None:
     save_trace(path, tracer.spans())
 
 
-def _make_event_log(path):
-    """A ring-buffered event log when ``--events`` was given, else None."""
-    if not path:
-        return None
-    from repro.obs import EventLog
-
-    return EventLog()
-
-
-def _dump_events(path, events) -> None:
-    if not path or events is None:
-        return
-    from repro.obs import save_events
-
-    save_events(path, events.events())
-
-
 def _serve_requests(path: str, submit_many, chunk_size: int):
     """Decide the JSONL requests at ``path`` (``-`` is stdin), printing
     one decision JSON per line.
@@ -524,14 +475,13 @@ def _run_serve(args) -> int:
             schedule = empty_schedule(topology_from_dict(json.load(handle)))
     store = ScheduleStore(schedule)
     tracer = _make_tracer(args.trace)
-    events = _make_event_log(args.events)
     _check_certify(args)
     service = AdmissionService(store, config=ServiceConfig(
         backend=args.backend,
         max_batch=args.max_batch,
         emit_deployments=args.emit_deployments,
         certify=args.certify,
-    ), tracer=tracer, events=events)
+    ), tracer=tracer)
     # one chunk per max_batch: each chunk is at most one ladder batch
     decisions = _serve_requests(
         args.requests, service.submit_many, args.max_batch
@@ -548,7 +498,6 @@ def _run_serve(args) -> int:
         with open(args.save_state, "w") as handle:
             json.dump(schedule_to_dict(store.schedule), handle)
     _dump_trace(args.trace, tracer)
-    _dump_events(args.events, events)
     if args.fail_on_reject and any(not d.accepted for d in decisions):
         return 1
     return 0
@@ -609,7 +558,11 @@ def _run_metrics(args) -> int:
         with open(args.input) as handle:
             data = json.load(handle)
         data.pop("version", None)
-        registry = _registry_from_dict(data)
+        try:
+            registry = _registry_from_dict(data)
+        except ValueError as exc:
+            print(f"metrics: {exc}", file=sys.stderr)
+            return 2
     else:
         registry = _demo_metrics(args.deterministic)
     if args.format == "prometheus":
@@ -624,9 +577,8 @@ def _registry_from_dict(data):
 
     Counters and gauges restore exactly.  Histogram summaries carry
     their full bucket table, so :meth:`MetricsRegistry.restore_histogram`
-    rebuilds the distribution bit-for-bit; legacy summaries without a
-    ``buckets`` key fall back to replaying min/max padded with the mean
-    (extrema exact, quantiles approximate).
+    rebuilds the distribution bit-for-bit, and rejects a summary whose
+    buckets do not add up to its count with a :class:`ValueError`.
     """
     from repro.service.metrics import MetricsRegistry
 
@@ -636,26 +588,11 @@ def _registry_from_dict(data):
     for name, value in data.get("gauges", {}).items():
         registry.gauge(name).set(value)
     for name, summary in data.get("histograms", {}).items():
-        if "buckets" in summary:
-            registry.restore_histogram(name, summary)
-            continue
-        histogram = registry.histogram(name)
-        count = int(summary.get("count", 0))
-        if count <= 0:
-            continue
-        values = [summary.get("min", 0.0), summary.get("max", 0.0)][:count]
-        mean = summary.get("mean", 0.0)
-        values += [mean] * (count - len(values))
-        total = summary.get("sum", mean * count)
-        drift = total - sum(values)
-        if values and abs(drift) > 1e-9:
-            values[-1] += drift
-        for value in values:
-            histogram.observe(value)
+        registry.restore_histogram(name, summary)
     return registry
 
 
-def _load_cluster(args, tracer=None, events=None):
+def _load_cluster(args, tracer=None):
     """A ClusterCoordinator over the topology/shard arguments."""
     from repro.cluster import ClusterCoordinator, partition_topology
     from repro.serialization import topology_from_dict
@@ -671,7 +608,6 @@ def _load_cluster(args, tracer=None, events=None):
         partition=partition,
         config=config,
         tracer=tracer,
-        events=events,
     )
 
 
@@ -700,8 +636,7 @@ _CLUSTER_SERVE_CHUNK = 256
 
 def _run_cluster_serve(args) -> int:
     tracer = _make_tracer(args.trace)
-    events = _make_event_log(args.events)
-    coordinator = _load_cluster(args, tracer=tracer, events=events)
+    coordinator = _load_cluster(args, tracer=tracer)
     decisions = _serve_requests(
         args.requests, coordinator.submit_many, _CLUSTER_SERVE_CHUNK
     )
@@ -720,7 +655,6 @@ def _run_cluster_serve(args) -> int:
         with open(args.prometheus_out, "w") as handle:
             handle.write(coordinator.prometheus())
     _dump_trace(args.trace, tracer)
-    _dump_events(args.events, events)
     if args.fail_on_reject and any(not d.accepted for d in decisions):
         return 1
     return 0
@@ -822,42 +756,16 @@ def _run_slo(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"slo: {exc}")
-    results = evaluate_slos(data, targets, require_all=args.require_all)
+    try:
+        results = evaluate_slos(data, targets, require_all=args.require_all)
+    except ValueError as exc:
+        print(f"slo: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
     else:
         print(format_slo_report(results))
     return 0 if all(r.met for r in results) else 1
-
-
-def _run_events(args) -> int:
-    from repro.obs import filter_events, load_events
-
-    events = load_events(args.file)
-    if args.events_command == "tail":
-        selected = events[-args.count:] if args.count > 0 else []
-    else:
-        attrs = {}
-        for pair in args.attr or []:
-            if "=" not in pair:
-                raise SystemExit(
-                    f"events: --attr wants KEY=VALUE, got {pair!r}"
-                )
-            key, raw = pair.split("=", 1)
-            try:
-                attrs[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                attrs[key] = raw
-        selected = filter_events(
-            events,
-            kind=args.kind,
-            trace_id=args.trace_id,
-            since_seq=args.since_seq or 0,
-            **attrs,
-        )
-    for event in selected:
-        print(json.dumps(event.to_dict(), sort_keys=True))
-    return 0
 
 
 def _load_schedule(path: str):
@@ -887,8 +795,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_trace(args)
     elif args.command == "slo":
         return _run_slo(args)
-    elif args.command == "events":
-        return _run_events(args)
     elif args.command == "check":
         from repro.check.cli import run_check
 

@@ -28,7 +28,6 @@ from repro.core.gcl import NetworkGcl, build_gcl
 from repro.core.gcl_audit import audit_gcl
 from repro.core.schedule import NetworkSchedule, validate
 from repro.model.topology import TopologyError
-from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.export import to_prometheus
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service.admission import (
@@ -58,7 +57,6 @@ class ClusterCoordinator:
         config: Optional[ServiceConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        events: Optional[EventLog] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if partition is None:
@@ -71,14 +69,13 @@ class ClusterCoordinator:
         # coordinator's own cluster.* series
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._events = events if events is not None else NULL_EVENT_LOG
         self._clock = clock
         self._store = ScheduleStore(
             empty_schedule(partition.topology), metrics=self._metrics
         )
         self._service = AdmissionService(
             self._store, config=self._config, clock=clock,
-            tracer=self._tracer, events=self._events,
+            tracer=self._tracer,
         )
         self._metrics.gauge("cluster.shards").set(len(partition.shards))
 
@@ -100,10 +97,6 @@ class ClusterCoordinator:
     @property
     def tracer(self) -> Tracer:
         return self._tracer
-
-    @property
-    def events(self) -> EventLog:
-        return self._events
 
     def prometheus(self, namespace: str = "repro") -> str:
         """One Prometheus exposition: the admission series and the
@@ -151,7 +144,7 @@ class ClusterCoordinator:
         """The published schedule over the whole topology."""
         return self._store.schedule
 
-    def audit(self, mode: Optional[str] = None) -> Optional[NetworkGcl]:
+    def audit(self, mode: str = "etsn") -> Optional[NetworkGcl]:
         """Validate the global schedule and audit its GCL.
 
         Runs the full :func:`~repro.core.schedule.validate` (Eqs. 1–7,
@@ -166,7 +159,7 @@ class ClusterCoordinator:
         validate(schedule)
         if not schedule.streams and not schedule.ect_streams:
             return None
-        gcl = build_gcl(schedule, mode=mode or self._config.gcl_mode)
+        gcl = build_gcl(schedule, mode=mode)
         audit_gcl(schedule, gcl)
         self._metrics.counter("cluster.audits").inc()
         return gcl

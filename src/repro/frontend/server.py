@@ -50,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.frontend import protocol
 from repro.frontend.cache import DecisionCache
 from repro.obs.context import TraceContext
-from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service.admission import AdmissionService
 from repro.service.metrics import MetricsRegistry
@@ -199,13 +198,11 @@ class Frontend:
         config: Optional[FrontendConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         self._backend = backend
         self._config = config or FrontendConfig()
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._events = events if events is not None else NULL_EVENT_LOG
         self._cache: Optional[DecisionCache] = (
             DecisionCache(self._config.cache_size, metrics=self._metrics)
             if self._config.cache_size else None

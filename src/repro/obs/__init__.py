@@ -1,4 +1,4 @@
-"""Cross-cutting observability: spans, metrics, events, telemetry export.
+"""Cross-cutting observability: spans, metrics, telemetry export.
 
 The paper's claims are latency *distributions* — per-hop ECT delay
 (Fig. 14), admission latency, TCT worst-case impact — so the repro
@@ -8,15 +8,15 @@ numbers:
 * :mod:`repro.obs.trace` — nested spans / point events with injectable
   clocks and a ring-buffered in-process exporter; the disabled
   :data:`NULL_TRACER` is a no-op cheap enough for solver hot paths.
+  The span trace is the one record of admission decisions: each request
+  span carries its verdict, rung, reason and store version, rung spans
+  their outcome, and CAS retries are point events in the batch span.
 * :mod:`repro.obs.context` — :class:`TraceContext`, the (trace_id,
   span_id) pair that carries a trace across thread hand-offs such as
   the frontend's executor hop (``tracer.use_context``).
 * :mod:`repro.obs.histogram` — the log-bucketed mergeable
   :class:`Histogram` behind every latency metric, and
   :func:`nearest_rank`, the repo's single percentile implementation.
-* :mod:`repro.obs.events` — the bounded structured event journal
-  (:class:`EventLog`) recording admission decisions, CAS retries and
-  solver abandonments as queryable JSONL.
 * :mod:`repro.obs.slo` — latency objectives with error budgets
   evaluated from histogram buckets (:func:`evaluate_slos`).
 * :mod:`repro.obs.export` — Prometheus text exposition (native
@@ -32,15 +32,6 @@ events.
 """
 
 from repro.obs.context import TraceContext
-from repro.obs.events import (
-    NULL_EVENT_LOG,
-    Event,
-    EventLog,
-    NullEventLog,
-    filter_events,
-    load_events,
-    save_events,
-)
 from repro.obs.export import (
     format_span_summary,
     frame_journeys,
@@ -63,12 +54,8 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, children_of
 
 __all__ = [
     "DEFAULT_TARGETS",
-    "Event",
-    "EventLog",
     "Histogram",
-    "NULL_EVENT_LOG",
     "NULL_TRACER",
-    "NullEventLog",
     "NullTracer",
     "SloResult",
     "SloTarget",
@@ -77,17 +64,14 @@ __all__ = [
     "Tracer",
     "children_of",
     "evaluate_slos",
-    "filter_events",
     "format_slo_report",
     "format_span_summary",
     "frame_journeys",
-    "load_events",
     "nearest_rank",
     "per_hop_delays",
     "prometheus_label_value",
     "prometheus_name",
     "render_trace_tree",
-    "save_events",
     "summarize_spans",
     "to_prometheus",
 ]

@@ -293,8 +293,7 @@ def format_span_summary(summary: Dict) -> str:
 # ----------------------------------------------------------------------
 #: Attributes rendered by default in trace trees: the stable,
 #: identity-carrying ones (no latencies, no ids — golden-file safe).
-TREE_ATTRS = ("op", "stream", "shard", "rung", "outcome", "accepted",
-              "reason", "committed")
+TREE_ATTRS = ("op", "stream", "rung", "outcome", "accepted", "reason")
 
 
 def render_trace_tree(

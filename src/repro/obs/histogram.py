@@ -239,14 +239,26 @@ class Histogram:
         return result
 
     @classmethod
-    def from_summary(cls, summary: Dict[str, object]) -> "Histogram":
+    def from_summary(
+        cls, summary: Dict[str, object], name: str = "histogram"
+    ) -> "Histogram":
         """Rebuild a histogram from a :meth:`summary` snapshot.
 
         Bucket counts, count, sum, min, and max restore exactly, so
         percentile queries on the restored histogram match the
         original — this is how ``repro slo`` evaluates saved metrics
-        JSON without re-running the workload.
+        JSON without re-running the workload.  A summary whose bucket
+        counts do not add up to its ``count`` cannot be evaluated
+        (every quantile and violation count would be made up) and is a
+        :class:`ValueError` naming ``name``.
         """
+        buckets = sum(int(n) for _, n in summary.get("buckets", []))
+        count = int(summary.get("count", 0))
+        if buckets != count:
+            raise ValueError(
+                f"histogram {name!r}: bucket counts add up to {buckets}, "
+                f"not its count {count}"
+            )
         histogram = cls()
         histogram._restore(summary)
         return histogram

@@ -125,7 +125,9 @@ def evaluate_slos(
     saved-JSON equivalent).  A target whose histogram is absent or
     empty reports ``missing=True`` and counts as met unless
     ``require_all`` — a fresh service has no latency yet, which is not
-    an SLO breach, but a CI gate may insist the evidence exists.
+    an SLO breach, but a CI gate may insist the evidence exists.  A
+    summary whose bucket counts do not add up to its ``count`` is a
+    :class:`ValueError` naming the metric.
     """
     histograms = metrics.get("histograms", {})
     results = []
@@ -138,7 +140,7 @@ def evaluate_slos(
                 budget=0, met=not require_all, missing=True,
             ))
             continue
-        histogram = Histogram.from_summary(summary)
+        histogram = Histogram.from_summary(summary, target.metric)
         attained = histogram.percentile(target.quantile * 100)
         violations = histogram.count_over(target.objective_ms)
         budget = int((1.0 - target.quantile) * count)

@@ -63,7 +63,6 @@ from repro.core.schedule import (
     validate_delta,
 )
 from repro.model.stream import Stream, StreamError, StreamType
-from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import fastpath as fastpath_module
 from repro.service.fastpath import RUNG_FASTPATH, ConclusiveReject
@@ -124,8 +123,6 @@ class ServiceConfig:
 
     #: backend for the full re-solve rung ("heuristic" or "smt").
     backend: str = "heuristic"
-    reservation_mode: str = "paper"
-    guard_margin_ns: int = 0
     #: floor of a heuristic re-solve's restart budget (the scheduler's
     #: own default is ``2 * streams + 4``).
     heuristic_min_restarts: int = 128
@@ -134,7 +131,6 @@ class ServiceConfig:
     #: build an 802.1Qcc Deployment (GCL + talker offsets) per accepted
     #: batch; off by default to keep the admission hot path lean.
     emit_deployments: bool = False
-    gcl_mode: str = "etsn"
     #: run the full-rung SMT solve with proof logging and have the
     #: independent checker (:mod:`repro.check`) verify every verdict:
     #: UNSAT proofs replay before a rejection is final, SAT models are
@@ -198,7 +194,6 @@ class AdmissionService:
         clock: Callable[[], float] = time.perf_counter,
         on_deploy: Optional[Callable[[Deployment], None]] = None,
         tracer: Optional[Tracer] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         self._store = store
         self._config = config or ServiceConfig()
@@ -213,8 +208,6 @@ class AdmissionService:
         # Disabled tracing is the no-op singleton, not None: the spans
         # below cost one call each either way, no branching on hot paths.
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        # Same contract for the structured event journal.
-        self._events = events if events is not None else NULL_EVENT_LOG
         self._request_spans: Dict[int, object] = {}
         self._write_lock = make_lock("AdmissionService._write_lock")
         self._request_counter = 0
@@ -234,10 +227,6 @@ class AdmissionService:
     @property
     def tracer(self) -> Tracer:
         return self._tracer
-
-    @property
-    def events(self) -> EventLog:
-        return self._events
 
     @property
     def last_deployment(self) -> Optional[Deployment]:
@@ -271,8 +260,6 @@ class AdmissionService:
             self._metrics.gauge("tracer.spans_dropped").set(
                 self._tracer.dropped
             )
-        if self._events.enabled:
-            self._metrics.gauge("events.dropped").set(self._events.dropped)
         return decisions
 
     # -- batching ------------------------------------------------------
@@ -340,19 +327,15 @@ class AdmissionService:
             if decisions is not None:
                 return decisions
             self._metrics.counter("batches.rebased").inc()
-            if self._events.enabled:
-                self._events.emit(
-                    "admission.cas_retry", attempt=attempt + 1,
-                    batch_id=batch.batch_id,
-                    requests=[r.stream_name for r in batch.requests],
-                )
-        self._metrics.counter("batches.rebase_exhausted").inc()
-        if self._events.enabled:
-            self._events.emit(
-                "admission.cas_exhausted", attempts=MAX_REBASE_ATTEMPTS,
+            self._tracer.event(
+                "admission.cas_retry", attempt=attempt + 1,
                 batch_id=batch.batch_id,
-                requests=[r.stream_name for r in batch.requests],
             )
+        self._metrics.counter("batches.rebase_exhausted").inc()
+        self._tracer.event(
+            "admission.cas_exhausted", attempts=MAX_REBASE_ATTEMPTS,
+            batch_id=batch.batch_id,
+        )
         return [
             self._decide(
                 request, batch, accepted=False,
@@ -470,19 +453,9 @@ class AdmissionService:
         if span is not None:
             span.set(
                 request_id=self._request_counter, accepted=accepted,
-                rung=rung, reason=reason,
+                rung=rung, reason=reason, store_version=store_version,
             )
             self._tracer.finish(span)
-        if self._events.enabled:
-            self._events.emit(
-                "admission.decision",
-                trace_id=getattr(span, "trace_id", None),
-                span_id=getattr(span, "span_id", None),
-                request=request.stream_name, op=request.op,
-                accepted=accepted, rung=rung, reason=reason,
-                latency_ms=round(latency_ms, 3),
-                store_version=store_version,
-            )
         return Decision(
             request_id=self._request_counter,
             op=request.op,
@@ -596,13 +569,14 @@ class AdmissionService:
 
                 try:
                     result = _call_with_timeout(
-                        solve, rung.timeout_s, self._metrics,
-                        self._events, rung.name,
+                        solve, rung.timeout_s, self._metrics
                     )
                 except RungTimeout as exc:
                     count("timeouts")
                     attempts[rung.name] = str(exc)
-                    rung_span.set(outcome="timeout")
+                    rung_span.set(
+                        outcome="timeout", timeout_s=rung.timeout_s
+                    )
                 except (InfeasibleError, ScheduleError, StreamError,
                         ValueError) as exc:
                     count("failures")
@@ -615,6 +589,7 @@ class AdmissionService:
                         ).inc()
                         rung_span.set(certified=True)
                     if isinstance(exc, ConclusiveReject):
+                        rung_span.set(conclusive=True)
                         raise
                 except Exception as exc:  # noqa: BLE001 - keep the service up
                     count("errors")
@@ -660,21 +635,12 @@ class AdmissionService:
     def _construct(
         self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
     ) -> NetworkSchedule:
-        result = fastpath_module.evaluate(
-            schedule, batch,
-            guard_margin_ns=self._config.guard_margin_ns,
-            reservation_mode=self._config.reservation_mode,
-        )
+        result = fastpath_module.evaluate(schedule, batch)
         verdict = result.verdict
         if verdict == fastpath_module.REJECT and self._config.certify:
             # every certified rejection carries a replayed UNSAT proof
             verdict = fastpath_module.INCONCLUSIVE
         self._metrics.counter(_FASTPATH_COUNTERS[verdict]).inc()
-        if self._events.enabled:
-            self._events.emit(
-                "admission.fastpath", verdict=verdict, reason=result.reason,
-                requests=[r.stream_name for r in batch],
-            )
         if verdict == fastpath_module.ACCEPT:
             if self._config.certify:
                 validate(result.schedule)
@@ -717,22 +683,18 @@ class AdmissionService:
             s for s in schedule.streams
             if s.type == StreamType.DET and s.name not in removals
         ] + admitted
-        kwargs = dict(
-            guard_margin_ns=self._config.guard_margin_ns,
-            reservation_mode=self._config.reservation_mode,
-        )
         if backend == "heuristic":
             restarts = max(
                 self._config.heuristic_min_restarts,
                 2 * (len(tct) + sum(e.possibilities for e in ects)) + 4,
             )
             result = schedule_heuristic(
-                schedule.topology, tct, ects, max_restarts=restarts, **kwargs
+                schedule.topology, tct, ects, max_restarts=restarts
             )
         else:
             result = schedule_etsn(
                 schedule.topology, tct, ects, backend=backend,
-                proof=self._config.certify, **kwargs
+                proof=self._config.certify,
             )
         result.meta["resolved_by"] = rung_name
         return result
@@ -799,10 +761,7 @@ class AdmissionService:
         rest of ``schedule`` without ``removals``, and check it."""
         place = _placement_order(streams)
         result = repair(
-            schedule, place, drop=removals,
-            guard_margin_ns=self._config.guard_margin_ns,
-            reservation_mode=self._config.reservation_mode,
-            validate_result=False,
+            schedule, place, drop=removals, validate_result=False
         )
         if self._config.certify:
             validate(result)
@@ -823,9 +782,7 @@ class AdmissionService:
             # switches; there is no GCL for an empty schedule.
             self._metrics.counter("deployments.skipped_empty").inc()
             return
-        deployment = deployment_from_schedule(
-            schedule, mode=self._config.gcl_mode
-        )
+        deployment = deployment_from_schedule(schedule)
         # deployments are emitted from the publish path, under _write_lock
         self._last_deployment = deployment  # repro: lint-ok[lock-discipline]
         self._metrics.counter("deployments.emitted").inc()
@@ -845,8 +802,6 @@ def _call_with_timeout(
     fn: Callable[[], NetworkSchedule],
     timeout_s: Optional[float],
     metrics: MetricsRegistry,
-    events: EventLog = NULL_EVENT_LOG,
-    rung_name: Optional[str] = None,
 ) -> NetworkSchedule:
     """Run ``fn`` under a wall-clock budget.
 
@@ -891,11 +846,6 @@ def _call_with_timeout(
                 state["abandoned"] = True
                 metrics.counter("solver.threads_abandoned").inc()
                 metrics.gauge("solver.orphans_running").add(1)
-                if events.enabled:
-                    events.emit(
-                        "solver.abandoned", timeout_s=timeout_s,
-                        rung=rung_name,
-                    )
                 raise RungTimeout(
                     f"solve exceeded {timeout_s:.3f}s budget"
                 )

@@ -103,8 +103,6 @@ class FastPathResult:
 def evaluate(
     schedule: NetworkSchedule,
     batch: Sequence[AdmissionRequest],
-    guard_margin_ns: int = 0,
-    reservation_mode: str = "paper",
 ) -> FastPathResult:
     """Decide a batch analytically, or fall through.
 
@@ -125,9 +123,7 @@ def evaluate(
         if reason is not None:
             return FastPathResult(REJECT, reason)
     try:
-        placed, changed = _apply_batch(
-            schedule, batch, guard_margin_ns, reservation_mode
-        )
+        placed, changed = _apply_batch(schedule, batch)
         validate_delta(placed, changed)
     except (InfeasibleError, ScheduleError, StreamError, ValueError,
             KeyError) as exc:
@@ -312,8 +308,6 @@ def _gcd_reject(
 def _apply_batch(
     schedule: NetworkSchedule,
     batch: Sequence[AdmissionRequest],
-    guard_margin_ns: int,
-    reservation_mode: str,
 ) -> Tuple[NetworkSchedule, Set[str]]:
     """Apply the batch with the incremental primitives, deferring all
     validation; returns the result and the changed stream names."""
@@ -323,19 +317,13 @@ def _apply_batch(
         if isinstance(request, AdmitTct):
             stream = request.requirement.resolve(current.topology)
             current = add_shared_tct_stream(
-                current, stream,
-                guard_margin_ns=guard_margin_ns,
-                reservation_mode=reservation_mode,
-                validate_result=False,
+                current, stream, validate_result=False
             )
             changed.add(stream.name)
         elif isinstance(request, AdmitEct):
             affected = affected_sharing_streams(current, request.ect)
             current = add_ect_stream(
-                current, request.ect,
-                guard_margin_ns=guard_margin_ns,
-                reservation_mode=reservation_mode,
-                validate_result=False,
+                current, request.ect, validate_result=False,
                 affected=affected,
             )
             # a sharer back on its old slots is untouched

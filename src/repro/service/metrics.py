@@ -115,9 +115,10 @@ class MetricsRegistry:
 
         Merges into the existing series when one already exists —
         restoring a snapshot over a live registry is additive, exactly
-        like merging a shard's histogram.
+        like merging a shard's histogram.  A summary whose bucket counts
+        do not add up to its ``count`` is a :class:`ValueError`.
         """
-        restored = Histogram.from_summary(summary)
+        restored = Histogram.from_summary(summary, name)
         with self._lock:
             existing = self._histograms.get(name)
             if existing is None:

@@ -12,7 +12,7 @@ could be replayed for a request the solver would decide differently.
 :func:`canonical_shape` is that single definition.  It returns a plain
 hashable tuple (usable directly as a dict key on hot paths);
 :func:`shape_digest` derives a short stable hex digest for logs,
-events, and cross-process keys.
+span attributes and cross-process keys.
 
 Identity rules:
 
@@ -98,7 +98,7 @@ def shape_digest(
 
     The tuple repr is deterministic (strings, ints, bools, ``None``
     only), so the digest is stable across processes and sessions —
-    usable in event journals and cross-process cache keys.
+    usable in span attributes and cross-process cache keys.
     """
     shape = canonical_shape(request, topology=topology)
     return hashlib.sha256(repr(shape).encode("utf-8")).hexdigest()[:length]

@@ -11,7 +11,6 @@ from repro.cluster import ClusterCoordinator, partition_topology
 from repro.experiments import simulation_topology
 from repro.model.stream import Priorities, TctRequirement
 from repro.model.units import milliseconds
-from repro.obs import EventLog
 from repro.service import RUNG_FASTPATH, AdmitTct
 
 
@@ -28,9 +27,7 @@ def coordinator():
     partition = partition_topology(
         simulation_topology(), 2, seeds=["SW1", "SW4"]
     )
-    return ClusterCoordinator(
-        partition=partition, events=EventLog(clock=lambda: 0)
-    )
+    return ClusterCoordinator(partition=partition)
 
 
 class TestCrossShardPublish:

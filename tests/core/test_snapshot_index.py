@@ -199,7 +199,7 @@ def test_edits_carry_the_index_and_never_touch_their_input(
             if batch_size == 1:
                 result = _apply_one(schedule, batch[0])
             else:
-                result, _ = fastpath._apply_batch(schedule, batch, 0, "paper")
+                result, _ = fastpath._apply_batch(schedule, batch)
         except (InfeasibleError, ValueError, KeyError):
             result = schedule  # a failed edit: nothing to adopt
         _assert_same_value(schedule, frozen)

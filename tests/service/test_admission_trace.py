@@ -11,6 +11,7 @@ from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
 from repro.obs import Tracer, children_of, summarize_spans
 from repro.service import (
+    RUNG_FASTPATH,
     RUNG_FULL,
     AdmissionService,
     AdmitEct,
@@ -18,8 +19,10 @@ from repro.service import (
     RungConfig,
     ScheduleStore,
     ServiceConfig,
+    StaleVersionError,
     empty_schedule,
 )
+from repro.service.admission import MAX_REBASE_ATTEMPTS, REASON_CAS_EXHAUSTED
 
 
 def _tct(name, src="D1", dst="D3", period_ms=8, length=1500, share=False):
@@ -164,44 +167,108 @@ class TestDropVisibility:
             service.metrics.to_dict()["gauges"]
 
 
+class LosingStore(ScheduleStore):
+    """The first ``losses`` publishes lose the CAS race; later ones go
+    through."""
+
+    def __init__(self, schedule, losses):
+        super().__init__(schedule)
+        self.losses = losses
+
+    def publish(self, schedule, expected_version=None):
+        if self.losses:
+            self.losses -= 1
+            raise StaleVersionError("synthetic contention")
+        return super().publish(schedule, expected_version=expected_version)
+
+
 class TestEventJournal:
+    """The span trace is the one journal of admission decisions: every
+    fact of a decision is an attribute of a span or a point event."""
+
     def test_decisions_are_journalled_with_trace_correlation(
         self, star_topology, tracer
     ):
-        from repro.obs import EventLog, filter_events
-
-        events = EventLog(clock=lambda: 0)
         service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)),
-            tracer=tracer, events=events,
+            ScheduleStore(empty_schedule(star_topology)), tracer=tracer,
         )
         accepted = service.submit(_tct("a"))
         rejected = service.submit(_tct("hog", period_ms=4,
                                        length=40 * 1500))
         assert accepted.accepted and not rejected.accepted
-        decisions = filter_events(events.events(),
-                                  kind="admission.decision")
-        assert [e.attributes["request"] for e in decisions] == ["a", "hog"]
-        assert decisions[0].attributes["accepted"] is True
-        assert decisions[1].attributes["accepted"] is False
-        assert decisions[1].attributes["reason"]
-        trace_ids = {s.trace_id for s in tracer.spans()}
-        assert all(e.trace_id in trace_ids for e in decisions)
+        spans = _by_name(tracer.spans())
+        batches = spans["admission.batch"]
+        requests = spans["admission.request"]
+        assert [r.attributes["stream"] for r in requests] == ["a", "hog"]
+        for request, batch, decision in zip(
+            requests, batches, (accepted, rejected)
+        ):
+            assert request.trace_id == batch.trace_id
+            assert request.parent_id == batch.span_id
+            attrs = request.attributes
+            assert attrs["op"] == "admit-tct"
+            assert attrs["request_id"] == decision.request_id
+            assert attrs["accepted"] is decision.accepted
+            assert attrs["rung"] == decision.rung
+            assert attrs["reason"] == decision.reason
+            assert attrs["store_version"] == decision.store_version
+        assert requests[0].attributes["store_version"] == 1
+        assert requests[1].attributes["reason"]
 
-    def test_events_dropped_gauge_tracks_journal_eviction(
-        self, star_topology
+    def test_conclusive_reject_marks_the_fastpath_rung_span(
+        self, star_topology, tracer
     ):
-        from repro.obs import EventLog
-
-        events = EventLog(clock=lambda: 0, max_events=1)
         service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)), events=events,
+            ScheduleStore(empty_schedule(star_topology)), tracer=tracer,
         )
-        assert service.submit(_tct("a")).accepted
-        assert service.submit(_tct("b", src="D2")).accepted
-        assert events.dropped > 0
-        assert service.metrics.gauge("events.dropped").value == \
-            events.dropped
+        decision = service.submit(_tct("hog", period_ms=4,
+                                       length=40 * 1500))
+        assert not decision.accepted
+        (rung,) = _by_name(tracer.spans())["admission.rung"]
+        assert rung.attributes["rung"] == RUNG_FASTPATH
+        assert rung.attributes["outcome"] == "infeasible"
+        assert rung.attributes["conclusive"] is True
+        assert decision.reason == decision.attempts[RUNG_FASTPATH]
+
+    def test_lost_cas_race_leaves_a_cas_retry_event(
+        self, star_topology, tracer
+    ):
+        service = AdmissionService(
+            LosingStore(empty_schedule(star_topology), losses=1),
+            tracer=tracer,
+        )
+        decision = service.submit(_tct("a"))
+        assert decision.accepted
+        spans = _by_name(tracer.spans())
+        (batch,) = spans["admission.batch"]
+        (retry,) = spans["admission.cas_retry"]
+        assert retry.parent_id == batch.span_id
+        assert retry.duration_ns == 0
+        assert retry.attributes == {
+            "attempt": 1, "batch_id": decision.batch_id,
+        }
+        assert "admission.cas_exhausted" not in spans
+
+    def test_exhausted_rebases_leave_a_cas_exhausted_event(
+        self, star_topology, tracer
+    ):
+        service = AdmissionService(
+            LosingStore(
+                empty_schedule(star_topology), losses=MAX_REBASE_ATTEMPTS
+            ),
+            tracer=tracer,
+        )
+        decision = service.submit(_tct("a"))
+        assert decision.reason == REASON_CAS_EXHAUSTED
+        spans = _by_name(tracer.spans())
+        (batch,) = spans["admission.batch"]
+        retries = spans["admission.cas_retry"]
+        assert [r.attributes["attempt"] for r in retries] == list(
+            range(1, MAX_REBASE_ATTEMPTS + 1)
+        )
+        (exhausted,) = spans["admission.cas_exhausted"]
+        assert exhausted.parent_id == batch.span_id
+        assert exhausted.attributes["attempts"] == MAX_REBASE_ATTEMPTS
 
 
 class TestSolverStatsHarvest:

@@ -18,12 +18,12 @@ SERVING_FLAGS = {
         "--trace"
     ),
     ("serve",): (
-        "--backend --certify --emit-deployments --events --fail-on-reject "
+        "--backend --certify --emit-deployments --fail-on-reject "
         "--max-batch --metrics-out --requests --save-state --state "
         "--topology --trace"
     ),
     ("cluster", "serve"): (
-        "--audit --backend --events --fail-on-reject --metrics-out "
+        "--audit --backend --fail-on-reject --metrics-out "
         "--prometheus-out --requests --seeds --shards --topology --trace"
     ),
     ("frontend", "serve"): (
@@ -36,9 +36,8 @@ SERVING_FLAGS = {
 
 def test_config_fields():
     assert [f.name for f in fields(ServiceConfig)] == [
-        "backend", "reservation_mode", "guard_margin_ns",
-        "heuristic_min_restarts", "max_batch", "emit_deployments",
-        "gcl_mode", "certify", "rungs",
+        "backend", "heuristic_min_restarts", "max_batch",
+        "emit_deployments", "certify", "rungs",
     ]
     assert [f.name for f in fields(RungConfig)] == ["name", "timeout_s"]
 

@@ -39,7 +39,7 @@ from repro.experiments import testbed_workload as make_testbed_workload
 from repro.frontend.cache import cacheable
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
-from repro.obs import EventLog, filter_events
+from repro.obs import Tracer
 from repro.serialization import schedule_to_dict
 from repro.service import (
     RUNG_FASTPATH,
@@ -461,22 +461,22 @@ class TestNoReplayedSolver:
 
 class TestAbandonedSolver:
     """A sequential timeout leaves its solver thread running: counted,
-    journalled, and drained from the gauge when the orphan unwinds."""
+    traced, and drained from the gauge when the orphan unwinds."""
 
     @pytest.fixture
     def timed_out(self, star_topology, monkeypatch):
         _slow(monkeypatch, "schedule_heuristic", 0.3)
-        events = EventLog(clock=lambda: 0)
+        tracer = Tracer(clock=lambda: 0)
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)),
             config=ServiceConfig(rungs=(
                 RungConfig(RUNG_FASTPATH),
                 RungConfig(RUNG_FULL, timeout_s=0.05),
             )),
-            events=events,
+            tracer=tracer,
         )
         decision = service.submit(_saturated(service))
-        yield service, events, decision
+        yield service, tracer, decision
         deadline = time.monotonic() + 5.0
         while service.metrics.gauge("solver.orphans_running").value:
             assert time.monotonic() < deadline, "orphan never unwound"
@@ -491,10 +491,14 @@ class TestAbandonedSolver:
         assert counters["solver.threads_abandoned"] == 1
 
     def test_abandonment_emits_solver_abandoned_event(self, timed_out):
-        _, events, _ = timed_out
-        abandoned = filter_events(events.events(), kind="solver.abandoned")
-        assert [e.attributes["rung"] for e in abandoned] == [RUNG_FULL]
-        assert abandoned[0].attributes["timeout_s"] == 0.05
+        _, tracer, _ = timed_out
+        timed = [
+            span for span in tracer.spans()
+            if span.name == "admission.rung"
+            and span.attributes["outcome"] == "timeout"
+        ]
+        assert [s.attributes["rung"] for s in timed] == [RUNG_FULL]
+        assert timed[0].attributes["timeout_s"] == 0.05
 
 
 class TestRungValidation:

@@ -146,6 +146,19 @@ class TestHistogram:
         restored = Histogram.from_summary(h.summary())
         assert restored.summary() == h.summary()
 
+    @pytest.mark.parametrize("buckets", [None, [[1.0, 3]]],
+                             ids=["none", "short"])
+    def test_summary_whose_buckets_miss_its_count_is_rejected(
+        self, buckets
+    ):
+        summary = {"count": 5, "sum": 15.0, "min": 1.0, "max": 5.0}
+        if buckets is not None:
+            summary["buckets"] = buckets
+        with pytest.raises(ValueError, match="'lat_ms'"):
+            Histogram.from_summary(summary, "lat_ms")
+        with pytest.raises(ValueError, match="'lat_ms'"):
+            MetricsRegistry().restore_histogram("lat_ms", summary)
+
     def test_count_over_is_exact(self):
         h = Histogram()
         for v in (1.0, 2.0, 3.0, 4.0, 5.0):

@@ -57,14 +57,24 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["bench", "diff", "a", "b"],
         ["loadgen", "--port", "1", "--endpoint", "D1:D2"],
-    ], ids=["bench", "loadgen"])
+        ["events", "tail", "x.jsonl"],
+    ], ids=["bench", "loadgen", "events"])
     def test_bench_verb_is_gone(self, capsys, argv):
         """``bench/run.py`` is the one benchmark command and the one
-        load generator."""
+        load generator; the span trace is the one admission record."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["serve"], ["cluster", "serve"]],
+                             ids=["serve", "cluster-serve"])
+    def test_events_flag_is_gone(self, capsys, command):
+        """Admission decisions are recorded by ``--trace`` alone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--topology", "topo.json", "--events", "x"])
+        assert exit_info.value.code == 2
+        assert "--events" in capsys.readouterr().err
 
 
 class TestAdmitCommand:
@@ -346,3 +356,35 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "repro_requests_total_total 3" in out
         assert "repro_store_version 2" in out
+
+
+def _bucketless_metrics(tmp_path):
+    """A saved metrics JSON whose decision-latency summary has a count
+    and a max far over any objective, but no bucket table."""
+    path = tmp_path / "bucketless.json"
+    path.write_text(json.dumps({"histograms": {"latency.decision_ms": {
+        "count": 100, "sum": 10998.0, "mean": 109.98,
+        "min": 1.0, "max": 9999.0,
+    }}}))
+    return path
+
+
+class TestBucketlessSummary:
+    """A summary whose buckets do not account for its count cannot be
+    evaluated: restoring it would find no violations at any objective."""
+
+    def test_slo_exits_2_naming_the_histogram(self, capsys, tmp_path):
+        code = main(["slo", "--metrics", str(_bucketless_metrics(tmp_path)),
+                     "--target", "latency.decision_ms:0.99:500"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "latency.decision_ms" in captured.err
+        assert "ok" not in captured.out
+
+    def test_metrics_input_exits_2_naming_the_histogram(
+        self, capsys, tmp_path
+    ):
+        code = main(["metrics", "--input",
+                     str(_bucketless_metrics(tmp_path))])
+        assert code == 2
+        assert "latency.decision_ms" in capsys.readouterr().err
