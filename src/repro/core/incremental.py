@@ -26,14 +26,13 @@ The rest are calls to it:
   extras an ECT stream induced on sharing TCT streams stay in place
   (still valid, just more generous than needed) until something
   re-places the sharer.
-* the admission service's ``full`` rung releases a *ring* of a batch
-  and re-places it with the newcomers, tightest first, before it
-  re-solves the whole network.  The ring grows from where placement
-  failed: the newcomers alone, whose :class:`InfeasibleError` names the
-  stream and the link that failed; then the deterministic streams on
-  that link the tightest-first order places after the failed stream;
-  then every deterministic stream with a slot on a link an admitted
-  route crosses (both found by :func:`deterministic_crossing`).
+* the admission service places a batch with one call per *ring*:
+  ring 0 drops the removals, releases the sharers new ECT streams
+  cross (:func:`affected_sharing_streams`) and places the newcomers
+  tightest first; from the stream and link its failure names, the
+  ``full`` rung releases the looser streams on that link, then every
+  deterministic stream on an admitted route
+  (:func:`deterministic_crossing`), before it re-solves the network.
 
 Every operation *derives* a **new** schedule from its input — the outer
 ``slots`` dict, the ``streams`` list and the two index maps are shallow
@@ -52,15 +51,14 @@ What is still O(network) per edit is exactly those shallow copies
 and, when an edit releases streams, the one scan that puts them in
 ``streams`` order (:func:`deterministic_crossing`).  The result is
 re-validated unless the caller defers that (``validate_result=False``
-— the admission service's constructive rung, the one loop over these
-primitives, applies a whole batch and delta-validates once, and so does
-the ``full`` rung's ring); admission failure raises
+— the admission service places each ring of a batch with one
+:func:`repair` and delta-validates what moved); admission failure raises
 :class:`InfeasibleError` (admission control semantics).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
@@ -70,46 +68,6 @@ from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Priorities, Stream, StreamType
 from repro.model.topology import Link
-
-_SlotTable = Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]]
-
-
-def _place(
-    stream: Stream, frames, occupancy: _Occupancy, slots: _SlotTable
-) -> None:
-    """Place ``stream`` earliest-fit and enter its slots, per link in
-    frame order, at the end of ``slots`` and of the occupancy.  The
-    per-link lists are new ones: ``slots`` is a shallow copy whose
-    lists the input schedule still owns."""
-    placed: _SlotTable = {}
-    for slot in _place_stream(stream, frames, occupancy):
-        occupancy.add(slot)
-        placed.setdefault((slot.stream, slot.link), []).append(slot)
-    for link_slots in placed.values():
-        link_slots.sort(key=lambda s: s.index)
-    slots.update(placed)
-
-
-def _derived(
-    schedule: NetworkSchedule,
-    streams: List[Stream],
-    slots: _SlotTable,
-    ect_streams: List[EctStream],
-    occupancy: _Occupancy,
-    validate_result: bool,
-    additions: int = 0,
-) -> NetworkSchedule:
-    result = schedule.derive(
-        streams, slots, ect_streams, occupancy.by_link, occupancy.streams
-    )
-    if additions:
-        result.meta["incremental_additions"] = (
-            schedule.meta.get("incremental_additions", 0) + additions
-        )
-    if validate_result:
-        validate(result)
-    return result
-
 
 def deterministic_crossing(
     schedule: NetworkSchedule,
@@ -133,18 +91,20 @@ def deterministic_crossing(
 
 
 def affected_sharing_streams(
-    schedule: NetworkSchedule, ect: EctStream
+    schedule: NetworkSchedule, ects: Sequence[EctStream]
 ) -> List[Stream]:
-    """The sharing TCT streams whose reservations a new ECT reshapes.
+    """The sharing TCT streams whose reservations new ECTs reshape.
 
     Exactly the deterministic ``share=True`` streams crossing any link
-    of the ECT's route: prudent reservation (Alg. 1) adds extras per
+    of an ECT's route: prudent reservation (Alg. 1) adds extras per
     (sharing TCT x ECT) pair per shared link, so these — and only
-    these — need re-placement when ``ect`` is admitted.  In ``streams``
-    order, the order they are re-placed in.
+    these — need re-placement when ``ects`` are admitted.  In
+    ``streams`` order, the order they are re-placed in.
     """
     return deterministic_crossing(
-        schedule, ect.route(schedule.topology), lambda s: s.share
+        schedule,
+        [link for ect in ects for link in ect.route(schedule.topology)],
+        lambda s: s.share,
     )
 
 
@@ -168,11 +128,20 @@ def repair(
     streams are placed earliest-fit in the given order around every
     slot that stays — those keep their slot-list objects.  Raises
     :class:`InfeasibleError` naming the first stream that does not fit
-    (its ``stream`` and ``link`` say which, and on which link), or
-    ``KeyError`` for a name in ``drop`` the schedule does not hold.
+    (its ``stream`` and ``link`` say which, and on which link),
+    ``KeyError`` for a name in ``drop`` the schedule does not hold, or
+    ``ValueError`` for an ECT stream of ``ects`` or a possibility of it
+    whose name is already scheduled.
     """
     by_name = schedule.streams_by_name
     ect_streams = schedule.ect_streams
+    for ect in ects:
+        if any(e.name == ect.name for e in ect_streams):
+            raise ValueError(f"ECT stream {ect.name!r} already scheduled")
+    joining = {ect.name for ect in ects}
+    for stream in place:
+        if stream.parent in joining and stream.name in by_name:
+            raise ValueError(f"stream {stream.name!r} already scheduled")
     victims: List[Stream] = []
     for name in drop:
         if any(e.name == name for e in ect_streams):
@@ -206,16 +175,31 @@ def repair(
     try:
         frames = build_frames(place, plan, guard_margin_ns)
         for stream in place:
-            _place(stream, frames, occupancy, slots)
+            # its slots go per link, in frame order, into new lists at
+            # the end of ``slots``, whose other lists the input owns
+            placed: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]] = {}
+            for slot in _place_stream(stream, frames, occupancy):
+                occupancy.add(slot)
+                placed.setdefault((slot.stream, slot.link), []).append(slot)
+            for link_slots in placed.values():
+                link_slots.sort(key=lambda s: s.index)
+            slots.update(placed)
     except _PlacementFailure as exc:
-        error = InfeasibleError(str(exc))
-        error.stream, error.link = exc.stream, exc.link
-        raise error from exc
+        raise InfeasibleError(
+            str(exc), stream=exc.stream, link=exc.link
+        ) from exc
     # the name index is in ``streams`` order, and deletion keeps it
-    return _derived(
-        schedule, list(occupancy.streams.values()), slots,
-        ect_streams + list(ects), occupancy, validate_result, additions,
+    result = schedule.derive(
+        list(occupancy.streams.values()), slots, ect_streams + list(ects),
+        occupancy.by_link, occupancy.streams,
     )
+    if additions:
+        result.meta["incremental_additions"] = (
+            schedule.meta.get("incremental_additions", 0) + additions
+        )
+    if validate_result:
+        validate(result)
+    return result
 
 
 def add_tct_stream(
@@ -269,25 +253,16 @@ def add_ect_stream(
     guard_margin_ns: int = 0,
     reservation_mode: str = "paper",
     validate_result: bool = True,
-    affected: Optional[List[Stream]] = None,
 ) -> NetworkSchedule:
     """Admit one ECT stream into a mostly-frozen schedule.
 
     Slots of streams unrelated to the new ECT never move.  Sharing TCT
     streams crossed by the new ECT need more reservation, and extras on
     one link shift the Eq. 7 pairing, so those streams are re-placed
-    from scratch around everything else.  A caller that already holds
-    ``affected_sharing_streams(schedule, ect)`` hands it in as
-    ``affected``.
+    from scratch around everything else.
     """
-    if any(e.name == ect.name for e in schedule.ect_streams):
-        raise ValueError(f"ECT stream {ect.name!r} already scheduled")
     possibilities = expand_ect(ect, schedule.topology)
-    for possibility in possibilities:
-        if possibility.name in schedule.streams_by_name:
-            raise ValueError(f"stream {possibility.name!r} already scheduled")
-    if affected is None:
-        affected = affected_sharing_streams(schedule, ect)
+    affected = affected_sharing_streams(schedule, [ect])
     try:
         # re-place the sharing streams first (tighter), then the
         # possibilities (they may overlap the sharing streams anyway)

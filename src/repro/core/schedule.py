@@ -34,8 +34,12 @@ class InfeasibleError(RuntimeError):
     does not know.
     """
 
-    stream: Optional[str] = None
-    link: Optional[Tuple[str, str]] = None
+    def __init__(
+        self, *args, stream: Optional[str] = None,
+        link: Optional[Tuple[str, str]] = None,
+    ) -> None:
+        super().__init__(*args)
+        self.stream, self.link = stream, link
 
 
 class CertifiedInfeasibleError(InfeasibleError):

@@ -7,16 +7,16 @@
   stream sets are disjoint, so one validation pass amortizes over the
   whole batch;
 * every solve climbs a **fallback ladder** — the constructive rung
-  (:mod:`repro.service.fastpath`: earliest-fit around the frozen
-  schedule, or a conclusive analytic reject that ends the climb), then
-  a re-solve with the configured backend, then — for the SMT backend —
-  a re-solve with :func:`schedule_heuristic`; each re-solve rung is
-  one cold attempt under its own wall-clock timeout.  A heuristic
-  re-solve of a TCT-only batch first repairs a *ring* of the batch
-  (deterministic streams re-placed with the admits around the frozen
-  rest), grown from the link where the admits' own earliest-fit failed
-  out to every link of their routes, and re-solves the whole network
-  only when that fails;
+  (:mod:`repro.service.fastpath`: ring 0, the batch placed earliest-fit
+  around the frozen schedule once per climb, or a conclusive analytic
+  reject that ends the climb), then a re-solve with the configured
+  backend, then — for the SMT backend — a re-solve with
+  :func:`schedule_heuristic`; each re-solve rung is one cold attempt
+  under its own wall-clock timeout.  A heuristic re-solve of a
+  TCT-only batch first grows *rings* (deterministic streams re-placed
+  with the admits around the frozen rest) from the link where ring 0
+  failed out to every link of the admits' routes, and re-solves the
+  whole network only when those fail;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -40,32 +40,30 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import (
-    Callable, Dict, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check.proof import CertificateError
 from repro.check.sanitizer import make_lock
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
-from repro.core.heuristic import (
-    _placement_order, _tightness, schedule_heuristic,
-)
-from repro.core.incremental import deterministic_crossing, repair
+from repro.core.heuristic import _tightness, schedule_heuristic
+from repro.core.incremental import deterministic_crossing
 from repro.core.probabilistic import possibility_names
 from repro.core.schedule import (
     CertifiedInfeasibleError,
     InfeasibleError,
     NetworkSchedule,
     ScheduleError,
-    moved_streams,
     validate,
-    validate_delta,
 )
 from repro.model.stream import Stream, StreamError, StreamType
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import fastpath as fastpath_module
-from repro.service.fastpath import RUNG_FASTPATH, ConclusiveReject
+from repro.service.fastpath import (
+    RUNG_FASTPATH,
+    ConclusiveReject,
+    ResolvedBatch,
+)
 from repro.service.metrics import MetricsRegistry
 from repro.service.requests import (
     AdmissionRequest,
@@ -161,14 +159,16 @@ def _effective_rungs(config: ServiceConfig) -> Tuple[RungConfig, ...]:
     the heuristic rung would replay the full rung — the same
     deterministic scheduler under the same restart budget — so it goes.
     """
-    names = {rung.name for rung in config.rungs}
-    if not names or names - {RUNG_FASTPATH, RUNG_FULL, RUNG_HEURISTIC}:
+    order = (RUNG_FASTPATH, RUNG_FULL, RUNG_HEURISTIC)
+    names = [rung.name for rung in config.rungs]
+    if not names or names != [name for name in order if name in names]:
         raise ValueError(
             f"ServiceConfig.rungs must name some of {RUNG_FASTPATH!r}, "
-            f"{RUNG_FULL!r}, {RUNG_HEURISTIC!r} (got {sorted(names)!r})"
+            f"{RUNG_FULL!r}, {RUNG_HEURISTIC!r}, each once and in that "
+            f"order (got {names!r})"
         )
     if config.backend == "heuristic" and RUNG_FULL in names:
-        names.discard(RUNG_HEURISTIC)
+        names = [name for name in names if name != RUNG_HEURISTIC]
     return tuple(
         replace(rung, timeout_s=None) if rung.name == RUNG_FASTPATH else rung
         for rung in config.rungs if rung.name in names
@@ -523,14 +523,14 @@ class AdmissionService:
         success or ``(None, attempts, reason)`` with per-rung failure
         reasons.  A conclusive analytic reject ends the climb — a
         necessary condition failed, no later rung could succeed — and
-        its witness is the reason.
+        its witness is the reason.  The batch is resolved once; ring 0
+        is placed by the first rung that needs it.
         """
+        resolved = ResolvedBatch(schedule, batch)
         solvers = {
-            RUNG_FASTPATH: lambda: self._construct(schedule, batch),
-            RUNG_FULL: lambda: self._resolve(schedule, batch, RUNG_FULL),
-            RUNG_HEURISTIC: lambda: self._resolve(
-                schedule, batch, RUNG_HEURISTIC
-            ),
+            RUNG_FASTPATH: lambda: self._construct(resolved),
+            RUNG_FULL: lambda: self._resolve(resolved, RUNG_FULL),
+            RUNG_HEURISTIC: lambda: self._resolve(resolved, RUNG_HEURISTIC),
         }
         attempts: Dict[str, str] = {}
         for rung in self._rungs:
@@ -631,11 +631,9 @@ class AdmissionService:
         if isinstance(certificate, dict) and certificate.get("verified"):
             self._metrics.counter("certificates.verified_sat").inc()
 
-    # rung 1: earliest-fit around the frozen schedule ------------------
-    def _construct(
-        self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-    ) -> NetworkSchedule:
-        result = fastpath_module.evaluate(schedule, batch)
+    # rung 1: ring 0 around the frozen schedule ------------------------
+    def _construct(self, batch: ResolvedBatch) -> NetworkSchedule:
+        result = fastpath_module.decide(batch)
         verdict = result.verdict
         if verdict == fastpath_module.REJECT and self._config.certify:
             # every certified rejection carries a replayed UNSAT proof
@@ -647,42 +645,42 @@ class AdmissionService:
             return result.schedule
         if verdict == fastpath_module.REJECT:
             raise ConclusiveReject(result.reason)
-        raise InfeasibleError(result.reason)
+        raise InfeasibleError(result.reason) from result.failure
 
     # rungs 2/3: repair the batch's ring, or re-solve the target stream
     # set from scratch --------------------------------------------------
     def _resolve(
-        self,
-        schedule: NetworkSchedule,
-        batch: Sequence[AdmissionRequest],
-        rung_name: str,
+        self, batch: ResolvedBatch, rung_name: str
     ) -> NetworkSchedule:
-        removals = {r.name for r in batch if isinstance(r, Remove)}
-        admitted = [
-            r.requirement.resolve(schedule.topology)
-            for r in batch if isinstance(r, AdmitTct)
-        ]
-        new_ects = [r.ect for r in batch if isinstance(r, AdmitEct)]
+        if batch.error is not None:
+            raise batch.error
+        schedule = batch.schedule
         backend = (
             self._config.backend if rung_name == RUNG_FULL else "heuristic"
         )
-        if backend == "heuristic" and not new_ects:
+        if backend == "heuristic" and not batch.ects:
             try:
-                result = self._repair_ring(schedule, admitted, removals)
+                result = self._repair_ring(batch)
+                if self._config.certify:
+                    validate(result)
             except (InfeasibleError, ScheduleError):
                 pass  # the whole re-solve below decides
             else:
+                # a repair runs no solver: the snapshot's search stats
+                # and certificate are not this result's to report
+                result.meta.pop("solver_stats", None)
+                result.meta.pop("certificate", None)
                 result.meta["resolved_by"] = rung_name
                 return result
         ects = [
-            e for e in schedule.ect_streams if e.name not in removals
-        ] + new_ects
+            e for e in schedule.ect_streams if e.name not in batch.removed
+        ] + batch.ects
         # probabilistic possibilities are regenerated from the ECT specs
         # by the solver, so only the deterministic population carries over
         tct = [
             s for s in schedule.streams
-            if s.type == StreamType.DET and s.name not in removals
-        ] + admitted
+            if s.type == StreamType.DET and s.name not in batch.removed
+        ] + batch.tct
         if backend == "heuristic":
             restarts = max(
                 self._config.heuristic_min_restarts,
@@ -699,19 +697,14 @@ class AdmissionService:
         result.meta["resolved_by"] = rung_name
         return result
 
-    def _repair_ring(
-        self,
-        schedule: NetworkSchedule,
-        admitted: List[Stream],
-        removals: Set[str],
-    ) -> NetworkSchedule:
+    def _repair_ring(self, batch: ResolvedBatch) -> NetworkSchedule:
         """Re-place the admits with a *ring* of released deterministic
         streams, the smallest ring first, growing it from where
         placement failed:
 
-        1. none — the admits earliest-fit around the frozen snapshot, as
-           the constructive rung tried; its failure names the admit F
-           that did not fit and the link L it failed on;
+        1. none — ring 0, the constructive rung's own attempt, placed
+           once per climb; its failure names the admit F that did not
+           fit and the link L it failed on;
         2. the streams on L that the tightest-first order places after
            F (a greater ``(period, e2e, name)``), as a whole re-solve
            would place them after F;
@@ -719,28 +712,29 @@ class AdmissionService:
            admitted route crosses.
 
         Each ring is re-placed with the admits, tightest first, around
-        the frozen rest; a ring equal to one already tried is skipped,
-        and the route ring's failure is raised for the whole re-solve.
-        Probabilistic slots stay frozen, so every live ECT keeps its
-        guarantee.  The result is checked like a constructive accept:
-        ``validate_delta`` over what moved — the admits and the ring
-        streams not back on their old slots — and a full ``validate``
-        under ``certify``.
+        the frozen rest (:meth:`ResolvedBatch.place`); a ring equal to
+        one already tried is skipped, and the route ring's failure is
+        raised for the whole re-solve.  Probabilistic slots stay
+        frozen, so every live ECT keeps its guarantee.  The result is
+        checked like a constructive accept: ``validate_delta`` over
+        what moved — the admits and the ring streams not back on their
+        old slots — and a full ``validate`` under ``certify``.
         """
         def keep(stream: Stream) -> bool:
-            return stream.name not in removals
+            return stream.name not in batch.removed
 
-        route = [link for stream in admitted for link in stream.path]
+        schedule = batch.schedule
+        route = [link for stream in batch.tct for link in stream.path]
         tried: List[Set[str]] = []
         ring: List[Stream] = []
         while True:
             tried.append({s.name for s in ring})
             try:
-                return self._place_ring(schedule, ring + admitted, removals)
+                return batch.place(ring)
             except (InfeasibleError, ScheduleError) as exc:
                 looser: List[Stream] = []
-                if len(tried) == 1 and getattr(exc, "link", None):
-                    failed = next(s for s in admitted if s.name == exc.stream)
+                if not ring and getattr(exc, "link", None):
+                    failed = next(s for s in batch.tct if s.name == exc.stream)
                     bound = _tightness(failed)
                     looser = deterministic_crossing(
                         schedule,
@@ -750,28 +744,6 @@ class AdmissionService:
                 ring = looser or deterministic_crossing(schedule, route, keep)
                 if {s.name for s in ring} in tried:
                     raise
-
-    def _place_ring(
-        self,
-        schedule: NetworkSchedule,
-        streams: List[Stream],
-        removals: Set[str],
-    ) -> NetworkSchedule:
-        """Place one ring and the admits, tightest first, around the
-        rest of ``schedule`` without ``removals``, and check it."""
-        place = _placement_order(streams)
-        result = repair(
-            schedule, place, drop=removals, validate_result=False
-        )
-        if self._config.certify:
-            validate(result)
-        else:
-            validate_delta(result, moved_streams(schedule, result, place))
-        # a repair runs no solver: the snapshot's search stats and
-        # certificate are not this result's to report
-        result.meta.pop("solver_stats", None)
-        result.meta.pop("certificate", None)
-        return result
 
     # -- deployment emission -------------------------------------------
     def _emit_deployment(self, schedule: NetworkSchedule) -> None:

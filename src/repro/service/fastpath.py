@@ -25,17 +25,14 @@ common case with two sound, placement-independent arguments:
     (candidate, existing slot) on a shared link is unschedulable under
     every rung (Eq. 5).
 
-* **Constructive accept** — apply the incremental placement primitives
-  and run :func:`repro.core.schedule.validate_delta` over the changed
-  streams.  An accept therefore ships an *actual validated schedule*;
-  soundness is by construction, not by approximation.  A sharing TCT
-  admit only adds its own prudent-reservation extras, so it is placed
-  like any other (:func:`repro.core.incremental.add_shared_tct_stream`).
+* **Constructive accept** — place *ring 0* of the batch
+  (:meth:`ResolvedBatch.place`) around the frozen snapshot and run
+  :func:`repro.core.schedule.validate_delta` over what moved.  An
+  accept therefore ships an *actual validated schedule*; soundness is
+  by construction, not by approximation.
 
 Anything else is **inconclusive**: the admission service climbs on to
-its re-solve rungs.  :func:`_apply_batch` is the only loop over the
-incremental primitives — there is no separate incremental rung to fail
-the same way a second time.
+its re-solve rungs, whose rings start from where ring 0 failed.
 
 All arithmetic is exact integers, never floats: nanoseconds, and
 densities scaled by one common period.
@@ -43,25 +40,21 @@ densities scaled by one common period.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.incremental import (
-    add_ect_stream,
-    add_shared_tct_stream,
-    affected_sharing_streams,
-    remove_stream,
-)
+from repro.core.heuristic import _placement_order
+from repro.core.incremental import affected_sharing_streams, repair
 from repro.core.probabilistic import expand_ect
 from repro.core.schedule import (
     InfeasibleError,
     NetworkSchedule,
-    ScheduleError,
     moved_streams,
     validate_delta,
 )
-from repro.model.stream import Stream, StreamError, StreamType, may_overlap
+from repro.model.stream import EctStream, Stream, StreamType, may_overlap
 from repro.service.requests import (
     AdmissionRequest,
     AdmitEct,
@@ -88,52 +81,176 @@ class FastPathResult:
     """Outcome of :func:`evaluate` on one request batch.
 
     ``schedule`` is populated only for :data:`ACCEPT` — the already
-    delta-validated schedule with the batch applied, ready to publish.
+    delta-validated schedule with the batch applied, ready to publish;
+    ``failure`` is ring 0's exception when its placement failed.
     """
 
     verdict: str
     reason: str
     schedule: Optional[NetworkSchedule] = None
+    failure: Optional[Exception] = None
 
     @property
     def conclusive(self) -> bool:
         return self.verdict != INCONCLUSIVE
 
 
-def evaluate(
-    schedule: NetworkSchedule,
-    batch: Sequence[AdmissionRequest],
-) -> FastPathResult:
-    """Decide a batch analytically, or fall through.
+class ResolvedBatch:
+    """A request batch resolved once against one snapshot, and the
+    rings placed for it.
 
-    Ordering is tuned for the common case: the e2e floor (microseconds,
-    placement-free) screens first, then the constructive attempt runs.
-    The heavier capacity/gcd analysis only runs after a constructive
-    *failure* — it checks necessary conditions, so it can never
-    contradict a constructive success, and skipping it on the accept
-    path costs nothing but time.
+    Resolving checks each admitted name with one lookup (taken or named
+    twice: ``ValueError``) and keeps the error for every rung to read;
+    :func:`repair` checks ECT names and removals.  ``removed`` adds the
+    possibilities the removals retire; ``probes`` is one stream per
+    admit, in request order, for the screens.
     """
-    try:
-        removed = _removed_names(schedule, batch)
-        probes = _probe_streams(schedule, batch)
-    except (StreamError, ValueError, KeyError) as exc:
-        return FastPathResult(INCONCLUSIVE, f"cannot resolve batch: {exc}")
-    for probe in probes:
+
+    def __init__(
+        self, schedule: NetworkSchedule, requests: Sequence[AdmissionRequest]
+    ) -> None:
+        self.schedule = schedule
+        self.error: Optional[Exception] = None
+        self.drop: List[str] = []
+        self.removed: Set[str] = set()
+        self.tct: List[Stream] = []
+        self.ects: List[EctStream] = []
+        self.possibilities: List[Stream] = []
+        self.probes: List[Stream] = []
+        self.sharers: List[Stream] = []
+        self._ring0: Union[NetworkSchedule, Exception, None] = None
+        try:
+            self._resolve(requests)
+        except (ValueError, KeyError) as exc:  # StreamError is a ValueError
+            self.error = exc
+
+    def _resolve(self, requests: Sequence[AdmissionRequest]) -> None:
+        schedule = self.schedule
+        by_name = schedule.streams_by_name
+        claimed: Set[str] = set()
+        for request in requests:
+            if isinstance(request, AdmitTct):
+                stream = request.requirement.resolve(schedule.topology)
+                if stream.name in by_name:
+                    raise ValueError(
+                        f"stream {stream.name!r} already scheduled"
+                    )
+                names = [stream.name]
+                self.tct.append(stream)
+                self.probes.append(stream)
+            elif isinstance(request, AdmitEct):
+                possibilities = expand_ect(request.ect, schedule.topology)
+                names = [request.ect.name] + [p.name for p in possibilities]
+                self.ects.append(request.ect)
+                self.possibilities.extend(possibilities)
+                self.probes.append(possibilities[0])
+            elif isinstance(request, Remove):
+                names = [request.name]
+                self.drop.append(request.name)
+                self.removed.update(names, (
+                    s.name for s in schedule.possibilities_of(request.name)
+                ))
+            else:
+                raise ValueError(
+                    f"unsupported request type {type(request).__name__}"
+                )
+            for name in names:
+                if name in claimed:
+                    raise ValueError(f"{name!r} named twice in one batch")
+                claimed.add(name)
+        if self.ects:
+            self.sharers = [
+                s for s in affected_sharing_streams(schedule, self.ects)
+                if s.name not in self.removed
+            ]
+
+    def place(self, ring: Sequence[Stream] = ()) -> NetworkSchedule:
+        """Place ``ring`` (released live deterministic streams) with the
+        batch — removals dropped, the sharers a new ECT crosses first,
+        then the ring and the admits tightest first — around the rest
+        of the snapshot, and delta-validate what moved.  Ring 0, no
+        ring, is the constructive attempt: placed at most once, its
+        schedule or failure kept for the climb."""
+        if self.error is not None:
+            raise self.error
+        if ring:
+            return self._place(ring)
+        if self._ring0 is None:
+            try:
+                self._ring0 = self._place(ring)
+            except (InfeasibleError, ValueError, KeyError) as exc:
+                # a copy, without the traceback that holds this batch
+                self._ring0 = copy.copy(exc)
+                raise
+        if isinstance(self._ring0, Exception):
+            raise copy.copy(self._ring0)
+        return self._ring0
+
+    def _place(self, ring: Sequence[Stream]) -> NetworkSchedule:
+        place = self.sharers + _placement_order(
+            [*ring, *self.tct, *self.possibilities]
+        )
+        try:  # only ring 0 counts as online additions
+            result = repair(
+                self.schedule, place, drop=self.drop, ects=self.ects,
+                validate_result=False,
+                additions=0 if ring else len(self.tct) + len(self.ects),
+            )
+        except InfeasibleError as exc:
+            raise InfeasibleError(
+                f"cannot admit {self._admit_of(exc.stream)}: {exc}",
+                stream=exc.stream, link=exc.link,
+            ) from exc
+        validate_delta(result, moved_streams(self.schedule, result, place))
+        return result
+
+    def _admit_of(self, name: Optional[str]) -> Optional[str]:
+        """The admit a failing stream was placed for: its own, its ECT
+        for a possibility, and for a sharer the first ECT it crosses."""
+        for stream in self.possibilities + self.sharers:
+            if stream.name == name:
+                links = {link.key for link in stream.path}
+                return stream.parent or next(
+                    ect.name for ect in self.ects if any(
+                        link.key in links
+                        for link in ect.route(self.schedule.topology)
+                    )
+                )
+        return name
+
+
+def evaluate(
+    schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
+) -> FastPathResult:
+    """Decide a batch analytically, or fall through."""
+    return decide(ResolvedBatch(schedule, batch))
+
+
+def decide(batch: ResolvedBatch) -> FastPathResult:
+    """Decide a resolved batch analytically, or fall through.
+
+    The e2e floor (placement-free) screens first, then ring 0 is placed;
+    the heavier capacity/gcd screens run only after it *fails* — they
+    check necessary conditions, so they can never contradict an accept.
+    """
+    if batch.error is not None:
+        return FastPathResult(
+            INCONCLUSIVE, f"cannot resolve batch: {batch.error}"
+        )
+    for probe in batch.probes:
         reason = screen_route(probe)
         if reason is not None:
             return FastPathResult(REJECT, reason)
     try:
-        placed, changed = _apply_batch(schedule, batch)
-        validate_delta(placed, changed)
-    except (InfeasibleError, ScheduleError, StreamError, ValueError,
-            KeyError) as exc:
-        reason = _capacity_reject(schedule, probes, removed) or _gcd_reject(
-            schedule, probes, removed
-        )
+        placed = batch.place()
+    except (InfeasibleError, ValueError, KeyError) as exc:
+        screened = batch.schedule, batch.probes, batch.removed
+        reason = _capacity_reject(*screened) or _gcd_reject(*screened)
         if reason is not None:
-            return FastPathResult(REJECT, reason)
+            return FastPathResult(REJECT, reason, failure=exc)
         return FastPathResult(
-            INCONCLUSIVE, f"constructive placement failed: {exc}"
+            INCONCLUSIVE, f"constructive placement failed: {exc}",
+            failure=exc,
         )
     return FastPathResult(
         ACCEPT, "constructive placement delta-validated", placed
@@ -160,31 +277,6 @@ def screen_route(stream: Stream) -> Optional[str]:
 # ----------------------------------------------------------------------
 # conclusive rejection: necessary conditions, exactly evaluated
 # ----------------------------------------------------------------------
-def _removed_names(
-    schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-) -> Set[str]:
-    removed = {r.name for r in batch if isinstance(r, Remove)}
-    # removing an ECT retires its possibility streams too
-    for name in list(removed):
-        removed.update(s.name for s in schedule.possibilities_of(name))
-    return removed
-
-
-def _probe_streams(
-    schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
-) -> List[Stream]:
-    """One resolved stream per admit: the DET stream itself, or a
-    single representative ECT possibility (they all share route,
-    length, and period — one stands for the family)."""
-    probes: List[Stream] = []
-    for request in batch:
-        if isinstance(request, AdmitTct):
-            probes.append(request.requirement.resolve(schedule.topology))
-        elif isinstance(request, AdmitEct):
-            probes.append(expand_ect(request.ect, schedule.topology)[0])
-    return probes
-
-
 def _wire_ns(stream: Stream, link) -> List[int]:
     """Raw per-frame wire times of one message on one link — a lower
     bound on the real slot durations (guard margin, alignment rounding
@@ -300,47 +392,3 @@ def _gcd_reject(
                         f"(gcd {g} ns)"
                     )
     return None
-
-
-# ----------------------------------------------------------------------
-# constructive acceptance
-# ----------------------------------------------------------------------
-def _apply_batch(
-    schedule: NetworkSchedule,
-    batch: Sequence[AdmissionRequest],
-) -> Tuple[NetworkSchedule, Set[str]]:
-    """Apply the batch with the incremental primitives, deferring all
-    validation; returns the result and the changed stream names."""
-    current = schedule
-    changed: Set[str] = set()
-    for request in batch:
-        if isinstance(request, AdmitTct):
-            stream = request.requirement.resolve(current.topology)
-            current = add_shared_tct_stream(
-                current, stream, validate_result=False
-            )
-            changed.add(stream.name)
-        elif isinstance(request, AdmitEct):
-            affected = affected_sharing_streams(current, request.ect)
-            current = add_ect_stream(
-                current, request.ect, validate_result=False,
-                affected=affected,
-            )
-            # a sharer back on its old slots is untouched
-            changed.update(moved_streams(schedule, current, affected))
-            changed.update(
-                s.name for s in current.possibilities_of(request.ect.name)
-            )
-        elif isinstance(request, Remove):
-            current = remove_stream(
-                current, request.name, validate_result=False
-            )
-            # removal only deletes slots: remaining constraints are a
-            # subset of the already-valid base schedule's
-            survivors = current.streams_by_name
-            changed = {name for name in changed if name in survivors}
-        else:
-            raise ValueError(
-                f"unsupported request type {type(request).__name__}"
-            )
-    return current, changed

@@ -9,9 +9,13 @@ were recorded at the parent of the change that made the cluster a view
 over one store, before ``src/`` was touched, and the single-store run
 passes on both commits; ``fig13`` was re-recorded when the ``full``
 rung's ring started from the link where placement failed, which moves
-other slots.  The same script through a :class:`ClusterCoordinator`
-over each partition must produce the same digest: the cluster decides
-and places exactly what one store does.
+other slots; both were re-recorded when the constructive rung became
+ring 0, which places a ``submit_many`` batch in one tightest-first
+order with its removals dropped first instead of request by request
+(one four-operation ``fig13`` batch is then accepted by the
+constructive rung instead of ``full``).  The same script through a
+:class:`ClusterCoordinator` over each partition must produce the same
+digest: the cluster decides and places exactly what one store does.
 
 ``VERDICT_PINS`` holds one SHA-256 per layout over every decision's
 ``(op, stream, accepted)`` alone, recorded before that ring change: a
@@ -48,8 +52,8 @@ from repro.service import (
 )
 
 PINS = {
-    "fig13": "9fb2d96d9244d9cd0a1069607f11ad3fc73264de36709a10f832bcbe9560f64e",
-    "rings": "cc3b8469bb063fd02391e2645e54140c3babedfed775f4f3a51a4fbfea292d92",
+    "fig13": "3588dab2f131ebf21092ae24ebb4dcbfa7f9b6d2168a275805d780c90df89ec9",
+    "rings": "4c5b911c07200ef7669b07ebdcbfb1214ddd3153f3a61c56c3eaeffe59251d3b",
 }
 
 

@@ -43,11 +43,9 @@ from repro.model.stream import EctStream, Priorities, Stream, TctRequirement
 from repro.model.topology import Topology
 from repro.model.units import milliseconds
 from repro.service import (
-    AdmissionService,
     AdmitEct,
     AdmitTct,
     Remove,
-    ScheduleStore,
     fastpath,
 )
 
@@ -199,7 +197,7 @@ def test_edits_carry_the_index_and_never_touch_their_input(
             if batch_size == 1:
                 result = _apply_one(schedule, batch[0])
             else:
-                result, _ = fastpath._apply_batch(schedule, batch)
+                result = fastpath.ResolvedBatch(schedule, batch).place()
         except (InfeasibleError, ValueError, KeyError):
             result = schedule  # a failed edit: nothing to adopt
         _assert_same_value(schedule, frozen)
@@ -490,13 +488,16 @@ def test_an_unmoved_ring_stream_is_left_out_of_the_changed_set():
     it is not among the moved streams, and an overlap planted against
     it is still found from ``n``'s side.  ``n`` fits beside ``t``, so
     the rung would not release ``t``; the ring is handed to
-    ``_place_ring``, which places every ring the rung tries."""
+    ``ResolvedBatch.place``, which places every ring the rung tries."""
     topo = _topology(time_unit_ns=1000)
     base = schedule_heuristic(topo, [_one_frame(topo, "t", "D1", "D3", 4)])
     newcomer = _one_frame(topo, "n", "D1", "D4")
-    ring = AdmissionService(ScheduleStore(base))._place_ring(
-        base, [base.stream("t"), newcomer], set()
-    )
+    admit = AdmitTct(TctRequirement(
+        name="n", source="D1", destination="D4",
+        period_ns=newcomer.period_ns, length_bytes=newcomer.length_bytes,
+        priority=newcomer.priority,
+    ))
+    ring = fastpath.ResolvedBatch(base, [admit]).place([base.stream("t")])
     key = ("t", ("D1", "SW1"))
     assert ring.slots[key] == base.slots[key]
     assert ring.slots[key] is not base.slots[key]  # released, re-placed

@@ -269,10 +269,10 @@ class TestTimeoutsAndRetries:
             ScheduleStore(empty_schedule(star_topology)), config=config)
         real = service._resolve
 
-        def slow(schedule, batch, rung_name):
+        def slow(batch, rung_name):
             if rung_name == RUNG_FULL:
                 time.sleep(0.2)
-            return real(schedule, batch, rung_name)
+            return real(batch, rung_name)
 
         monkeypatch.setattr(service, "_resolve", slow)
         decision = service.submit(_tct("a"))
@@ -294,11 +294,11 @@ class TestTimeoutsAndRetries:
         calls = []
         real = service._resolve
 
-        def broken_full(schedule, batch, rung_name):
+        def broken_full(batch, rung_name):
             calls.append(rung_name)
             if rung_name == RUNG_FULL:
                 raise RuntimeError("backend hiccup")
-            return real(schedule, batch, rung_name)
+            return real(batch, rung_name)
 
         monkeypatch.setattr(service, "_resolve", broken_full)
         decision = service.submit(_tct("a"))

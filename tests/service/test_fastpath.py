@@ -148,6 +148,9 @@ class TestVerdicts:
         assert result.verdict == fastpath.INCONCLUSIVE
         assert not result.conclusive
         assert "constructive placement failed" in result.reason
+        # ring 0's failure names the stream and the link it did not fit
+        assert result.failure.stream == "probe"
+        assert result.failure.link == ("SW1", "D3")
 
     def test_unknown_remove_is_inconclusive(self, schedule):
         result = fastpath.evaluate(schedule, [Remove("ghost")])

@@ -502,7 +502,12 @@ class TestAbandonedSolver:
 
 
 class TestRungValidation:
-    @pytest.mark.parametrize("rungs", [(), (RungConfig("ful"),)])
+    @pytest.mark.parametrize("rungs", [
+        (),
+        (RungConfig("ful"),),
+        (RungConfig(RUNG_FULL), RungConfig(RUNG_FULL, timeout_s=1.0)),
+        (RungConfig(RUNG_FULL), RungConfig(RUNG_FASTPATH)),
+    ])
     def test_unknown_or_empty_ladder_is_a_config_error(
         self, star_topology, rungs
     ):

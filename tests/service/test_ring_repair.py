@@ -5,8 +5,9 @@ TCT-only batch re-places a *ring* of released deterministic streams
 with the admits, tightest first, around the frozen rest, and grows the
 ring from where placement failed:
 
-1. none: the admits alone, as the constructive rung tried — the
-   failure names the admit F and the link L;
+1. none: ring 0, the constructive rung's own attempt, placed once per
+   climb and not again here — its failure names the admit F and the
+   link L;
 2. the deterministic streams on L with a greater ``(period, e2e,
    name)`` than F, which the tightest-first order places after F;
 3. the route ring: every deterministic stream with a slot on a link an
@@ -17,6 +18,9 @@ streams get new slot lists.  Whatever the ring does, the rung must
 publish a schedule the independent validator accepts, and when every
 ring fails the rung must be exactly today's whole re-solve.
 """
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,6 +58,8 @@ from repro.service import (
     ServiceConfig,
     empty_schedule,
 )
+from repro.service import fastpath
+from repro.service.fastpath import ResolvedBatch
 
 TOPOLOGY = line_of_rings(1, 2, 2)
 DEVICES = sorted(d.name for d in TOPOLOGY.devices)
@@ -218,7 +224,7 @@ def test_ring_or_whole_resolve(case):
     removals = {r.name for r in batch if isinstance(r, Remove)}
     service = AdmissionService(ScheduleStore(schedule))
     try:
-        result = service._resolve(schedule, batch, RUNG_FULL)
+        result = service._resolve(ResolvedBatch(schedule, batch), RUNG_FULL)
     except InfeasibleError as exc:
         result = str(exc)
 
@@ -302,6 +308,75 @@ def test_a_looser_stream_on_the_failing_link_moves_alone(star_topology):
     assert after.slots == repair(before, [stream, before.stream("x")]).slots
 
 
+def test_ring_0_is_placed_once_per_climb(star_topology, monkeypatch):
+    """The climb of ``test_a_looser_stream_on_the_failing_link_moves_alone``
+    places ring 0 once, in the constructive rung, and the ``full``
+    rung goes on from its failure to the failing link's ring: two
+    ``repair`` calls, none of them a replay."""
+    service = _grown(
+        star_topology,
+        ("x", "D2", "D1", 8, 3000), ("g", "D1", "D3", 3, 800),
+    )
+    calls = []
+
+    def counting(schedule, place, *args, **kwargs):
+        calls.append([s.name for s in place])
+        return repair(schedule, place, *args, **kwargs)
+
+    monkeypatch.setattr(fastpath, "repair", counting)
+    decision = service.submit(_mtu_tct("d", "D2", "D3", 6, 300))
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["d"], ["d", "x"]]
+
+
+def test_a_kept_ring_0_failure_holds_no_reference_cycle(star_topology):
+    """Ring 0's failure is kept for the climb without the traceback
+    whose frames would hold the batch, and with it every placement's
+    working set: a failed batch is freed with its last reference, not
+    at some later garbage collection."""
+    service = _grown(
+        star_topology,
+        ("x", "D2", "D1", 8, 3000), ("g", "D1", "D3", 3, 800),
+    )
+    batch = ResolvedBatch(
+        service.store.schedule, [_mtu_tct("d", "D2", "D3", 6, 300)]
+    )
+    gc.disable()
+    try:
+        for _ in range(2):  # placed, then read back
+            try:
+                batch.place()
+            except InfeasibleError:
+                pass
+        kept = weakref.ref(batch)
+        del batch
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("removal_first", [True, False])
+def test_a_removal_frees_its_slots_for_the_constructive_rung(
+    star_topology, removal_first
+):
+    """``y`` fits only where ``x`` is: ring 0 drops the batch's
+    removals before it places anything, wherever they stand in the
+    batch, so the constructive rung accepts it with ``x``'s removal."""
+    service = _grown(star_topology, ("x", "D1", "D3", 2, 1500))
+    newcomer = _mtu_tct("y", "D1", "D3", 2, 1500)
+    assert not service.submit(newcomer).accepted
+    batch = [Remove("x"), newcomer]
+    if not removal_first:
+        batch.reverse()
+    decisions = service.submit_many(batch)
+    assert [(d.accepted, d.rung, d.batch_size) for d in decisions] == [
+        (True, RUNG_FASTPATH, 2), (True, RUNG_FASTPATH, 2)
+    ]
+    schedule = service.store.schedule
+    assert [s.name for s in schedule.streams] == ["y"]
+    validate(schedule)
+
+
 def test_a_tighter_blocker_falls_back_to_the_route_ring(star_topology):
     """``b`` fails on SW1->D1, where the looser ``z`` alone is released
     and does not help: ``t``, tighter, blocks it.  The route ring
@@ -353,7 +428,7 @@ def test_ring_fails_and_the_whole_resolve_accepts(star_topology):
     snapshot = service.store.schedule
     admitted = [newcomer.requirement.resolve(star_topology)]
     with pytest.raises(InfeasibleError):
-        service._repair_ring(snapshot, admitted, set())
+        service._repair_ring(ResolvedBatch(snapshot, [newcomer]))
 
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
@@ -403,7 +478,8 @@ class TestReleasedSharersLoseStaleExtras:
     """A sharer a ring releases is planned against the ECT streams
     live afterwards, so extras induced by an ECT that has left go.  The
     newcomer fits without releasing anything, so the ring is handed to
-    ``_place_ring`` — the one placement every ring goes through."""
+    ``ResolvedBatch.place`` — the one placement every ring goes
+    through."""
 
     def _state(self, topology):
         sharer = TctRequirement(
@@ -417,8 +493,7 @@ class TestReleasedSharersLoseStaleExtras:
             min_interevent_ns=milliseconds(4), length_bytes=300,
             possibilities=2,
         ))
-        newcomer = _requirement("n", "D2", "D3", 4, 800, False)
-        return schedule, newcomer.resolve(topology)
+        return schedule, AdmitTct(_requirement("n", "D2", "D3", 4, 800, False))
 
     @staticmethod
     def _extras(schedule):
@@ -428,18 +503,14 @@ class TestReleasedSharersLoseStaleExtras:
         with_ect, newcomer = self._state(star_topology)
         stale = remove_stream(with_ect, "e")
         assert self._extras(stale) == self._extras(with_ect) > 0
-        service = AdmissionService(ScheduleStore(stale))
-        repaired = service._place_ring(
-            stale, [stale.stream("s"), newcomer], set()
-        )
+        repaired = ResolvedBatch(stale, [newcomer]).place([stale.stream("s")])
         validate(repaired)
         assert self._extras(repaired) == 0
 
     def test_extras_of_an_ect_leaving_with_the_batch(self, star_topology):
         with_ect, newcomer = self._state(star_topology)
-        service = AdmissionService(ScheduleStore(with_ect))
-        repaired = service._place_ring(
-            with_ect, [with_ect.stream("s"), newcomer], {"e"}
+        repaired = ResolvedBatch(with_ect, [newcomer, Remove("e")]).place(
+            [with_ect.stream("s")]
         )
         validate(repaired)
         assert self._extras(repaired) == 0
