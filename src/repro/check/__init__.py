@@ -12,42 +12,32 @@ Three pillars, all deliberately outside the code they judge:
   (no wall-clock reads in deterministic code, integer-nanosecond
   arithmetic, lock-guarded instrument mutation, no bare ``except``,
   well-formed annotations).
-* **Whole-program concurrency & unit analysis**
-  (:mod:`repro.check.flow`, :mod:`repro.check.units_analysis`, on the
-  :mod:`repro.check.callgraph` substrate): interprocedural lock-order
-  analysis that reports cycles in the may-hold-before relation with
-  witness call chains, and time-unit dimensional analysis over
-  ``_ns``/``_us``/... suffixes.  The runtime half,
-  :mod:`repro.check.sanitizer`, enforces the same lock order
-  dynamically when ``REPRO_SANITIZE_LOCKS`` is set.
+* **Time-unit analysis** (:mod:`repro.check.units_analysis`, on the
+  :mod:`repro.check.callgraph` whole-program scan): dimensional
+  analysis over ``_ns``/``_us``/... suffixes across call boundaries.
 
-``python -m repro check {proof,model,lint,flow,units}`` is the CLI
-face (:mod:`repro.check.cli`).
+One check lives inside the code it judges: :mod:`repro.check.locks`
+declares the admission plane's lock order (:data:`LOCK_ORDER`), and the
+two ranked locks are :class:`OrderedLock` instances whose every acquire
+checks it — always on, so an inversion fails on its first wrong-order
+acquire.
+
+``python -m repro check {proof,model,lint,units}`` is the CLI face
+(:mod:`repro.check.cli`).
 """
 
-from repro.check.flow import (
-    FLOW_RULES,
-    FlowFinding,
-    FlowReport,
-    analyze_flow,
-)
 from repro.check.lint import (
     ALL_RULES,
     LintFinding,
     lint_paths,
     lint_source,
 )
+from repro.check.locks import LOCK_ORDER, LockOrderViolation, OrderedLock
 from repro.check.model import check_model
 from repro.check.proof import (
     CertificateError,
     check_unsat_proof,
     verify_certificate,
-)
-from repro.check.sanitizer import (
-    LockOrderViolation,
-    OrderedLock,
-    make_lock,
-    reset_observed_edges,
 )
 from repro.check.units_analysis import (
     UNITS_RULES,
@@ -59,22 +49,17 @@ from repro.check.units_analysis import (
 __all__ = [
     "ALL_RULES",
     "CertificateError",
-    "FLOW_RULES",
-    "FlowFinding",
-    "FlowReport",
+    "LOCK_ORDER",
     "LintFinding",
     "LockOrderViolation",
     "OrderedLock",
     "UNITS_RULES",
     "UnitFinding",
     "UnitsReport",
-    "analyze_flow",
     "analyze_units",
     "check_model",
     "check_unsat_proof",
     "lint_paths",
     "lint_source",
-    "make_lock",
-    "reset_observed_edges",
     "verify_certificate",
 ]

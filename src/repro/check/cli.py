@@ -14,27 +14,21 @@
 ``check model CERT.json``
     Evaluate a SAT certificate's model against every input clause.
 
-``check flow PATH... [--strict] [--json] [--graph]``
-    Whole-program lock-order analysis: builds the may-hold-before
-    relation across call boundaries and reports cycles (potential
-    deadlocks) and re-entrant acquisitions, each with witness call
-    chains.  ``--graph`` also prints every hold-before edge and the
-    checked ordered-acquisition sites.
-
 ``check units PATH... [--strict] [--json] [--rule RULE]``
     Time-unit dimensional analysis over ``_ns``/``_us``/``_ms``/``_s``/
     ``_ppb``/``_hz``/``_bps`` suffixes.  The pedantic ``unit-literal``
-    rule is off unless selected with ``--rule``.
+    rule is off unless selected with ``--rule``.  Findings honor
+    ``# repro: units-ok[rule]`` suppressions; ``--json`` emits the
+    machine-readable report.
 
-Both analyses honor ``# repro: flow-ok[rule]`` suppressions and emit
-machine-readable reports with ``--json``.
+Lock order is not a static check: :mod:`repro.check.locks` enforces it
+on every acquire at runtime.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.check.flow import analyze_flow
 from repro.check.lint import ALL_RULES, lint_paths
 from repro.check.proof import CertificateError, verify_certificate
 from repro.check.units_analysis import DEFAULT_RULES, UNITS_RULES, analyze_units
@@ -70,18 +64,6 @@ def add_check_parser(subparsers) -> None:
     )
     model.add_argument("certificate", help="certificate JSON file")
 
-    flow = check_sub.add_parser(
-        "flow", help="interprocedural lock-order analysis"
-    )
-    flow.add_argument("paths", nargs="+",
-                      help="python files or directory trees")
-    flow.add_argument("--strict", action="store_true",
-                      help="exit 1 on any finding (CI mode)")
-    flow.add_argument("--json", action="store_true",
-                      help="emit the full report as JSON")
-    flow.add_argument("--graph", action="store_true",
-                      help="also print every may-hold-before edge")
-
     units = check_sub.add_parser(
         "units", help="time-unit dimensional analysis"
     )
@@ -105,37 +87,9 @@ def run_check(args) -> int:
         return _run_certificate(args, expect="unsat")
     if args.check_command == "model":
         return _run_certificate(args, expect="sat")
-    if args.check_command == "flow":
-        return _run_flow(args)
     if args.check_command == "units":
         return _run_units(args)
     raise SystemExit(f"unknown check command {args.check_command!r}")
-
-
-def _run_flow(args) -> int:
-    try:
-        report = analyze_flow(args.paths)
-    except (OSError, SyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(report.to_json())
-    else:
-        for finding in report.findings:
-            print(finding.render())
-        if args.graph:
-            for edge in report.edges:
-                print(f"edge: {edge.render()}")
-            for site in report.ordered_sites:
-                print(f"ordered: {site.render()}")
-        print(
-            f"{len(report.findings)} findings, {len(report.edges)} "
-            f"hold-before edges over {len(report.locks_seen)} locks, "
-            f"{len(report.ordered_sites)} checked ordered sites "
-            f"({report.functions_analyzed} functions)",
-            file=sys.stderr,
-        )
-    return 1 if args.strict and report.findings else 0
 
 
 def _run_units(args) -> int:

@@ -19,7 +19,7 @@ to a deterministic TSN scheduler that generic tools cannot know:
 ``lock-discipline``
     In any class that owns a lock — ``self._lock`` by name, or any
     attribute assigned from ``threading.Lock``/``threading.RLock``/
-    ``repro.check.sanitizer.make_lock`` (``self._write_lock``, ...) —
+    ``repro.check.locks.OrderedLock`` (``self._write_lock``, ...) —
     private state (``self._x``) may only be mutated while one of the
     class's locks is held: inside ``with self.<lock>:`` or between a
     statement-level ``self.<lock>.acquire()`` and the matching
@@ -309,10 +309,10 @@ def _all_args(args: ast.arguments) -> List[ast.arg]:
 # ------------------------------------------------------- lock discipline
 #: Callables whose result is a lock: assigning one to ``self.<attr>``
 #: makes that attribute a recognized guard (``threading.RLock`` and the
-#: sanitizer factory included, so renamed locks still count).
+#: ranked ``OrderedLock`` included, so renamed locks still count).
 _LOCK_FACTORIES = frozenset({
     "threading.Lock", "threading.RLock", "Lock", "RLock",
-    "make_lock", "sanitizer.make_lock", "repro.check.sanitizer.make_lock",
+    "OrderedLock", "locks.OrderedLock", "repro.check.locks.OrderedLock",
 })
 
 
@@ -339,7 +339,7 @@ def _owned_locks(cls: ast.ClassDef) -> frozenset:
     ``self._lock = <anything>`` counts by name (the historical
     contract); any other ``self.<attr>`` counts when assigned from a
     known lock factory (``threading.Lock()``, ``threading.RLock()``,
-    ``make_lock(...)``), with or without an annotation.
+    ``OrderedLock(...)``), with or without an annotation.
     """
     attrs = set()
     for node in ast.walk(cls):

@@ -36,13 +36,15 @@ yields ``ns``, floor-dividing an ``ns`` value by ``NS_PER_MS`` yields
 compatible with everything — the analysis only speaks when both sides
 are known, so it can run ``--strict`` without guessing.
 
-Suppress with ``# repro: flow-ok[rule]`` on the flagged line.
+Suppress a finding by appending ``# repro: units-ok[rule]`` (or a bare
+``# repro: units-ok`` for any rule) to the flagged line.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -54,7 +56,8 @@ from repro.check.callgraph import (
     signature_of,
     _param_env,
 )
-from repro.check.flow import _SUPPRESS
+
+_SUPPRESS = re.compile(r"repro:\s*units-ok(?:\[([a-z\-, ]+)\])?")
 
 RULE_UNIT_MISMATCH = "unit-mismatch"
 RULE_UNIT_CALL = "unit-call"

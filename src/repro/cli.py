@@ -34,9 +34,8 @@ Commands
     violation.
 ``check``
     Static analysis: ``check lint`` runs the repo-invariant AST linter,
-    ``check proof`` / ``check model`` verify saved solver certificates,
-    ``check flow`` is the interprocedural lock-order analysis and
-    ``check units`` the time-unit dimensional analysis (see
+    ``check proof`` / ``check model`` verify saved solver certificates
+    and ``check units`` is the time-unit dimensional analysis (see
     :mod:`repro.check`).
 ``cluster``
     Partitioned admission (:mod:`repro.cluster`):

@@ -83,10 +83,10 @@ class DecisionCache:
     """Bounded LRU of ``(epoch, shape) -> Decision`` replay entries.
 
     Single-threaded by design: the frontend consults and fills it from
-    the asyncio event loop only, so there is no lock (and nothing for
-    the lock sanitizer to order).  ``metrics`` receives the
-    ``frontend.cache.{hits,misses,invalidations}`` counters and the
-    ``frontend.cache.size`` gauge.
+    the asyncio event loop only, so there is no lock (and nothing to
+    rank in :data:`repro.check.locks.LOCK_ORDER`).  ``metrics``
+    receives the ``frontend.cache.{hits,misses,invalidations}`` counters
+    and the ``frontend.cache.size`` gauge.
     """
 
     def __init__(

@@ -42,8 +42,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.check.locks import OrderedLock
 from repro.check.proof import CertificateError
-from repro.check.sanitizer import make_lock
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
 from repro.core.heuristic import _tightness, schedule_heuristic
@@ -209,7 +209,7 @@ class AdmissionService:
         # below cost one call each either way, no branching on hot paths.
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._request_spans: Dict[int, object] = {}
-        self._write_lock = make_lock("AdmissionService._write_lock")
+        self._write_lock = OrderedLock("AdmissionService._write_lock")
         self._request_counter = 0
         self._batch_counter = 0
         self._last_deployment: Optional[Deployment] = None

@@ -16,11 +16,10 @@ concurrent admission batches cannot silently lose each other's streams.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.check.sanitizer import make_lock
+from repro.check.locks import OrderedLock
 from repro.core.schedule import NetworkSchedule
 
 from repro.service.metrics import MetricsRegistry
@@ -57,7 +56,7 @@ class ScheduleStore:
             raise ValueError(
                 f"history_limit must be >= 0, got {history_limit}"
             )
-        self._lock = make_lock("ScheduleStore._lock")
+        self._lock = OrderedLock("ScheduleStore._lock")
         self._current = StoreSnapshot(version=0, schedule=schedule)
         self._history: List[StoreSnapshot] = []
         self._history_limit = history_limit

@@ -157,12 +157,12 @@ class TestLockDiscipline:
         assert _rules(findings) == ["lock-discipline"]
         assert findings[0].line == 10
 
-    def test_make_lock_alias_attr_is_recognized(self):
+    def test_ordered_lock_alias_attr_is_recognized(self):
         source = (
-            "from repro.check.sanitizer import make_lock\n"
+            "from repro.check.locks import OrderedLock\n"
             "class Store:\n"
             "    def __init__(self):\n"
-            "        self._store_lock = make_lock('Store._store_lock')\n"
+            "        self._store_lock = OrderedLock('Store._store_lock')\n"
             "        self._items = {}\n"
             "    def put(self, k, v):\n"
             "        with self._store_lock:\n"

@@ -13,7 +13,7 @@ from repro.check.units_analysis import (
     analyze_units,
 )
 
-FIXTURES = Path(__file__).parent / "fixtures" / "flow"
+FIXTURES = Path(__file__).parent / "fixtures" / "units"
 
 
 def _rules(report):
@@ -166,11 +166,11 @@ class TestConversions:
 
 
 class TestSuppressions:
-    def test_flow_ok_suppresses(self, tmp_path):
+    def test_units_ok_suppresses(self, tmp_path):
         report = _analyze_source(
             tmp_path,
             "def f(gap_us: int):\n"
-            "    deadline_ns = gap_us  # repro: flow-ok[unit-mismatch]\n",
+            "    deadline_ns = gap_us  # repro: units-ok[unit-mismatch]\n",
         )
         assert report.findings == []
 
@@ -178,7 +178,7 @@ class TestSuppressions:
         report = _analyze_source(
             tmp_path,
             "def f(gap_us: int):\n"
-            "    deadline_ns = gap_us  # repro: flow-ok[unit-call]\n",
+            "    deadline_ns = gap_us  # repro: units-ok[unit-call]\n",
         )
         assert _rules(report) == ["unit-mismatch"]
 

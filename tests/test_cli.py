@@ -67,6 +67,14 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
+    def test_check_flow_verb_is_gone(self, capsys):
+        """Lock order is declared once and checked on every acquire
+        (``repro.check.locks``); there is no static lock-order verb."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "flow", "src/repro"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'flow'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["serve"], ["cluster", "serve"]],
                              ids=["serve", "cluster-serve"])
     def test_events_flag_is_gone(self, capsys, command):
