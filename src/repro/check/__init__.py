@@ -12,9 +12,9 @@ Three pillars, all deliberately outside the code they judge:
   (no wall-clock reads in deterministic code, integer-nanosecond
   arithmetic, lock-guarded instrument mutation, no bare ``except``,
   well-formed annotations).
-* **Time-unit analysis** (:mod:`repro.check.units_analysis`, on the
-  :mod:`repro.check.callgraph` whole-program scan): dimensional
-  analysis over ``_ns``/``_us``/... suffixes across call boundaries.
+* **Time-unit analysis** (:mod:`repro.check.units_analysis`):
+  dimensional analysis over ``_ns``/``_us``/... suffixes across call
+  boundaries, with calls resolved by name over the analysed files.
 
 One check lives inside the code it judges: :mod:`repro.check.locks`
 declares the admission plane's lock order (:data:`LOCK_ORDER`), and the

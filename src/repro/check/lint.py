@@ -106,9 +106,6 @@ _MUTATORS = frozenset({
     "reverse",
 })
 
-_SUPPRESS = re.compile(r"repro:\s*lint-ok(?:\[([a-z\-, ]+)\])?")
-
-
 @dataclass(frozen=True)
 class LintFinding:
     """One rule violation at one source location."""
@@ -157,7 +154,11 @@ def lint_source(
     if RULE_TUPLE_ANNOTATION in active:
         findings.extend(_check_tuple_annotation(tree, path))
     lines = source.splitlines()
-    findings = [f for f in findings if not _suppressed(f, lines)]
+    findings = [
+        f for f in findings
+        if not (f.line <= len(lines)
+                and suppressed(lines[f.line - 1], "lint-ok", f.rule))
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -168,7 +169,7 @@ def lint_paths(
 ) -> List[LintFinding]:
     """Lint files and directory trees (``*.py``, recursively)."""
     findings: List[LintFinding] = []
-    for target in _expand(paths):
+    for target in python_files(paths):
         findings.extend(
             lint_source(target.read_text(), str(target), rules=rules)
         )
@@ -176,7 +177,8 @@ def lint_paths(
     return findings
 
 
-def _expand(paths: Iterable[str]) -> List[Path]:
+def python_files(paths: Iterable[str]) -> List[Path]:
+    """Files and directory trees (``*.py``, recursively), sorted per tree."""
     files: List[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -193,19 +195,19 @@ def _in_scope(norm_path: str, fragments: Sequence[str]) -> bool:
     return any(fragment in norm_path for fragment in fragments)
 
 
-def _suppressed(finding: LintFinding, lines: List[str]) -> bool:
-    if not 1 <= finding.line <= len(lines):
-        return False
-    match = _SUPPRESS.search(lines[finding.line - 1])
+def suppressed(line: str, tag: str, rule: str) -> bool:
+    """Whether ``line`` carries ``# repro: <tag>`` (any rule) or
+    ``# repro: <tag>[rule, ...]`` naming ``rule``."""
+    match = re.search(rf"repro:\s*{tag}(?:\[([a-z\-, ]+)\])?", line)
     if match is None:
         return False
     listed = match.group(1)
-    if listed is None:
-        return True
-    return finding.rule in {name.strip() for name in listed.split(",")}
+    return listed is None or rule in {
+        name.strip() for name in listed.split(",")
+    }
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted(node: ast.AST) -> Optional[str]:
     """``a.b.c`` as a string for Name/Attribute chains, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -222,11 +224,11 @@ def _check_wall_clock(tree: ast.Module, path: str) -> List[LintFinding]:
     findings = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
-            if dotted is not None and dotted in WALL_CLOCK_CALLS:
+            name = dotted(node)
+            if name is not None and name in WALL_CLOCK_CALLS:
                 findings.append(LintFinding(
                     path, node.lineno, node.col_offset, RULE_WALL_CLOCK,
-                    f"wall-clock read {dotted} in deterministic code; "
+                    f"wall-clock read {name} in deterministic code; "
                     f"use the simulated/injected clock",
                 ))
         elif isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -365,8 +367,8 @@ def _owned_locks(cls: ast.ClassDef) -> frozenset:
 def _is_lock_value(value: Optional[ast.AST]) -> bool:
     if not isinstance(value, ast.Call):
         return False
-    dotted = _dotted(value.func)
-    return dotted is not None and dotted in _LOCK_FACTORIES
+    name = dotted(value.func)
+    return name is not None and name in _LOCK_FACTORIES
 
 
 def _guard_names(lock_attrs: frozenset) -> frozenset:
@@ -382,7 +384,7 @@ def _lock_call(stmt: ast.stmt, lock_attrs: frozenset) -> Optional[str]:
         isinstance(func, ast.Attribute) and func.attr in ("acquire", "release")
     ):
         return None
-    if _dotted(func.value) in _guard_names(lock_attrs):
+    if dotted(func.value) in _guard_names(lock_attrs):
         return func.attr
     return None
 
@@ -414,7 +416,7 @@ def _walk_locked(
     if isinstance(node, (ast.With, ast.AsyncWith)):
         guards = _guard_names(lock_attrs)
         grabs = locked or any(
-            _dotted(item.context_expr) in guards for item in node.items
+            dotted(item.context_expr) in guards for item in node.items
         )
         for item in node.items:
             _flag_mutation(item.context_expr, locked, path, findings)

@@ -28,6 +28,18 @@ call boundaries:
     Literals are otherwise polymorphic — ``period_ns + 100`` is fine —
     so this rule exists for audits, not for CI.
 
+Calls resolve by name, per run, over the analysed files only: each
+file is parsed once, and its import and top-level ``def``/``class``
+table resolves plain calls (``gate_open_ns(...)``, ``Class(...)`` to
+its own ``__init__``) and module-dotted calls (``units.microseconds``,
+``mod.Class.method``) — which is how the ``repro.model.units``
+converters are found, analysed or not.  Any other ``x.m(...)`` binds
+its positional arguments to the parameters of every method named
+``m`` in the analysed files, after a leading ``self``/``cls``; when
+two such methods disagree on those parameters' units the name is
+ambiguous and only keyword arguments are checked.  Every ``def`` is
+analysed, nested ones included.
+
 The conversion constants ``NS_PER_US``/``NS_PER_MS``/``NS_PER_S`` are
 understood structurally: multiplying a ``us`` value by ``NS_PER_US``
 yields ``ns``, floor-dividing an ``ns`` value by ``NS_PER_MS`` yields
@@ -44,20 +56,11 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.check.callgraph import (
-    ModuleInfo,
-    Program,
-    build_program,
-    resolve_call,
-    signature_of,
-    _param_env,
-)
-
-_SUPPRESS = re.compile(r"repro:\s*units-ok(?:\[([a-z\-, ]+)\])?")
+from repro.check.lint import dotted, python_files, suppressed
 
 RULE_UNIT_MISMATCH = "unit-mismatch"
 RULE_UNIT_CALL = "unit-call"
@@ -162,39 +165,135 @@ def analyze_units(
     paths: Iterable[str], rules: Sequence[str] = DEFAULT_RULES
 ) -> UnitsReport:
     """Run the unit analysis over every function in ``paths``."""
-    program = build_program(paths)
-    return analyze_units_program(program, rules)
-
-
-def analyze_units_program(
-    program: Program, rules: Sequence[str] = DEFAULT_RULES
-) -> UnitsReport:
     unknown = set(rules) - set(UNITS_RULES)
     if unknown:
         raise ValueError(f"unknown units rules: {sorted(unknown)}")
+    index = _Index(paths)
     report = UnitsReport(rules=tuple(rules))
-    for module, info, node in program.functions.values():
-        checker = _FunctionChecker(program, module, info, node, set(rules))
-        checker.run()
-        report.findings.extend(checker.findings)
-        report.functions_analyzed += 1
-    report.findings = [
-        f for f in report.findings
-        if not _suppressed(f, program)
-    ]
+    for module in index.modules.values():
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                checker = _FunctionChecker(index, module, node, set(rules))
+                checker.run()
+                report.findings.extend(checker.findings)
+                report.functions_analyzed += 1
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return report
 
 
-def _suppressed(finding: UnitFinding, program: Program) -> bool:
-    line = program.source_line(finding.path, finding.line)
-    match = _SUPPRESS.search(line)
-    if match is None:
-        return False
-    listed = match.group(1)
-    if listed is None:
-        return True
-    return finding.rule in {name.strip() for name in listed.split(",")}
+def _module_name(path: Path) -> str:
+    """Dotted module name for ``path``; rooted at ``repro`` when the
+    file lives in the installed tree, bare stem otherwise (fixtures)."""
+    parts = list(path.with_suffix("").parts)
+    parts = parts[parts.index("repro"):] if "repro" in parts else parts[-1:]
+    if parts[-1] == "__init__" and len(parts) > 1:
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def _positional(node: ast.FunctionDef) -> List[str]:
+    """The parameters a call's positional arguments bind to: every
+    positional parameter after a leading ``self``/``cls``."""
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    return params[1:] if params[:1] in (["self"], ["cls"]) else params
+
+
+@dataclass
+class _Module:
+    path: str
+    tree: ast.Module
+    lines: List[str]
+    #: local name -> dotted target: imports, then top-level defs/classes.
+    names: Dict[str, str] = field(default_factory=dict)
+
+
+class _Index:
+    """The analysed files, each parsed once and keyed by path, and the
+    tables calls resolve against."""
+
+    def __init__(self, paths: Iterable[str]) -> None:
+        self.modules: Dict[str, _Module] = {}
+        #: dotted qualname -> def/class; ``None`` when two files claim it.
+        self.defs: Dict[str, Optional[ast.AST]] = {}
+        #: method name -> its positional parameters; ``None`` when two
+        #: methods of that name disagree on their units.
+        self.methods: Dict[str, Optional[List[str]]] = {}
+        for path in python_files(paths):
+            source = path.read_text()
+            try:
+                tree = ast.parse(source)
+            except SyntaxError:
+                continue  # the linter owns parse errors
+            module = _Module(str(path), tree, source.splitlines())
+            self.modules[module.path] = module
+            self._scan(module, _module_name(path))
+
+    def _scan(self, module: _Module, name: str) -> None:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.split(".")[0]
+                    if alias.asname:
+                        module.names[alias.asname] = alias.name
+                    else:
+                        module.names[head] = head
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    module.names[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self._method(item)
+        for node in module.tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            qualname = f"{name}.{node.name}"
+            module.names[node.name] = qualname
+            self._define(qualname, node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self._define(f"{qualname}.{item.name}", item)
+
+    def _define(self, qualname: str, node: ast.AST) -> None:
+        self.defs[qualname] = None if qualname in self.defs else node
+
+    def _method(self, node: ast.FunctionDef) -> None:
+        params = _positional(node)
+        if node.name not in self.methods:
+            self.methods[node.name] = params
+            return
+        known = self.methods[node.name]
+        if known is not None and (
+            [unit_of_name(p) for p in known]
+            != [unit_of_name(p) for p in params]
+        ):
+            self.methods[node.name] = None
+
+    def resolve(
+        self, module: _Module, func: ast.expr
+    ) -> Tuple[Optional[str], Optional[List[str]]]:
+        """A call's dotted target and the parameters its positional
+        arguments bind to (``None`` when not known)."""
+        name = dotted(func) or ""
+        head, _, rest = name.partition(".")
+        if head in module.names:
+            target = module.names[head] + (f".{rest}" if rest else "")
+            node = self.defs.get(target)
+            if isinstance(node, ast.ClassDef):
+                node = next((
+                    item for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"
+                ), None)
+            return target, _positional(node) if node is not None else None
+        if isinstance(func, ast.Attribute):
+            return func.attr, self.methods.get(func.attr)
+        return None, None
 
 
 def _compatible(a: Optional[str], b: Optional[str]) -> bool:
@@ -227,19 +326,16 @@ class _FunctionChecker:
 
     def __init__(
         self,
-        program: Program,
-        module: ModuleInfo,
-        info,  # Optional[ClassInfo]
+        index: _Index,
+        module: _Module,
         node: ast.FunctionDef,
         rules: set,
     ) -> None:
-        self.program = program
+        self.index = index
         self.module = module
-        self.info = info
         self.node = node
         self.rules = rules
         self.findings: List[UnitFinding] = []
-        self.type_env = _param_env(node, info, module, program)
         self.env: Dict[str, Optional[str]] = {}
         for arg in list(node.args.posonlyargs) + list(node.args.args) + list(
             node.args.kwonlyargs
@@ -251,13 +347,13 @@ class _FunctionChecker:
 
     # -- plumbing -------------------------------------------------------
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule not in self.rules:
+        line = getattr(node, "lineno", self.node.lineno)
+        if rule not in self.rules or suppressed(
+            self.module.lines[line - 1], "units-ok", rule
+        ):
             return
         self.findings.append(UnitFinding(
-            rule=rule,
-            path=self.module.path,
-            line=getattr(node, "lineno", self.node.lineno),
-            message=message,
+            rule=rule, path=self.module.path, line=line, message=message,
         ))
 
     # -- statements -----------------------------------------------------
@@ -318,7 +414,7 @@ class _FunctionChecker:
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
                     self.infer(child)
-        # nested defs/classes have their own checker pass; skip here
+        # nested defs are analysed on their own; skip them here
 
     def _bind_target(
         self,
@@ -545,55 +641,41 @@ class _FunctionChecker:
                 result = _merge(result, unit)
             return result
 
-        callee = resolve_call(
-            node, self.type_env, self.info, self.module, self.program
-        )
-        if callee is not None:
-            converter = _CONVERTERS.get(callee)
-            if converter is not None:
-                expected, returned = converter
-                if arg_units and not _compatible(arg_units[0], expected):
-                    self._report(
-                        RULE_UNIT_CALL, node.args[0],
-                        f"{callee.rsplit('.', 1)[1]}() expects {expected} "
-                        f"but got {_describe(arg_units[0])}",
-                    )
-                return returned
-            entry = self.program.functions.get(callee)
-            if entry is None and callee in self.program.classes:
-                entry = self.program.functions.get(f"{callee}.__init__")
-            if entry is not None:
-                params = signature_of(entry[2])
-                offset = 1 if params[:1] == ("self",) else 0
-                for index, unit in enumerate(arg_units):
-                    slot = index + offset
-                    if slot >= len(params):
-                        break
-                    declared = unit_of_name(params[slot])
-                    if not declared:
-                        continue
-                    if not _compatible(unit, declared):
-                        self._report(
-                            RULE_UNIT_CALL, node.args[index],
-                            f"parameter {params[slot]} of "
-                            f"{callee.rsplit('.', 1)[1]}() expects "
-                            f"{declared} but got {_describe(unit)}",
-                        )
-                    elif unit == LITERAL:
-                        self._report(
-                            RULE_UNIT_LITERAL, node.args[index],
-                            f"bare literal passed to {declared}-carrying "
-                            f"parameter {params[slot]} of "
-                            f"{callee.rsplit('.', 1)[1]}()",
-                        )
-            return unit_of_name(callee.rsplit(".", 1)[1])
-
-        # unresolved: the method's own name is still a unit signature
-        # (time.monotonic_ns(), store.version_ns(), ...)
+        target, params = self.index.resolve(self.module, func)
+        converter = _CONVERTERS.get(target)
+        if converter is not None:
+            expected, returned = converter
+            if arg_units and not _compatible(arg_units[0], expected):
+                self._report(
+                    RULE_UNIT_CALL, node.args[0],
+                    f"{target.rsplit('.', 1)[1]}() expects {expected} "
+                    f"but got {_describe(arg_units[0])}",
+                )
+            return returned
         if isinstance(func, ast.Attribute):
             self.infer(func.value)
-            return unit_of_name(func.attr)
-        if isinstance(func, ast.Name):
-            return unit_of_name(func.id)
-        self.infer(func)
-        return None
+        elif not isinstance(func, ast.Name):
+            self.infer(func)
+            return None
+        name = (target or func.id).rsplit(".", 1)[-1]
+        for index, (unit, param) in enumerate(zip(arg_units, params or ())):
+            if isinstance(node.args[index], ast.Starred):
+                break  # later arguments' parameters are unknown
+            declared = unit_of_name(param)
+            if not declared:
+                continue
+            if not _compatible(unit, declared):
+                self._report(
+                    RULE_UNIT_CALL, node.args[index],
+                    f"parameter {param} of {name}() expects "
+                    f"{declared} but got {_describe(unit)}",
+                )
+            elif unit == LITERAL:
+                self._report(
+                    RULE_UNIT_LITERAL, node.args[index],
+                    f"bare literal passed to {declared}-carrying "
+                    f"parameter {param} of {name}()",
+                )
+        # the callee's own name is a unit signature too
+        # (time.monotonic_ns(), store.version_ns(), ...)
+        return unit_of_name(name)

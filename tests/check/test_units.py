@@ -12,6 +12,7 @@ from repro.check.units_analysis import (
     UNITS_RULES,
     analyze_units,
 )
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "units"
 
@@ -181,6 +182,133 @@ class TestSuppressions:
             "    deadline_ns = gap_us  # repro: units-ok[unit-call]\n",
         )
         assert _rules(report) == ["unit-mismatch"]
+
+
+_GATE = (
+    "class Gate:\n"
+    "    def open_at(self, start_ns, hold_us):\n"
+    "        return start_ns\n"
+)
+#: The caller of ``Gate.open_at``, one per receiver form.
+_DRIVERS = {
+    "self": "    def drive(self, {params}):\n"
+            "        return self.open_at({args})\n",
+    "annotated": "def drive(gate: Gate, {params}):\n"
+                 "    return gate.open_at({args})\n",
+}
+
+
+class TestPositionalParameters:
+    """A method's positional arguments bind after ``self``/``cls``."""
+
+    def _drive(self, tmp_path, form, params, args):
+        return _analyze_source(
+            tmp_path, _GATE + _DRIVERS[form].format(params=params, args=args)
+        )
+
+    @pytest.mark.parametrize("form", sorted(_DRIVERS))
+    def test_mismatch_after_self_is_flagged(self, tmp_path, form):
+        report = self._drive(tmp_path, form, "gap_us", "gap_us, 5")
+        assert _rules(report) == ["unit-call"]
+        assert "parameter start_ns of open_at()" in report.findings[0].message
+
+    @pytest.mark.parametrize("form", sorted(_DRIVERS))
+    def test_matching_call_is_clean(self, tmp_path, form):
+        report = self._drive(
+            tmp_path, form, "start_ns, hold_us", "start_ns, hold_us"
+        )
+        assert report.findings == []
+
+    def test_staticmethod_has_no_self_to_skip(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "class Gate:\n"
+            "    @staticmethod\n"
+            "    def open_at(start_ns, hold_us):\n"
+            "        return start_ns\n"
+            "def drive(gate, gap_us, start_ns, hold_us):\n"
+            "    gate.open_at(start_ns, hold_us)\n"
+            "    return gate.open_at(gap_us, 5)\n",
+        )
+        assert [(f.rule, f.line) for f in report.findings] == [
+            ("unit-call", 7)
+        ]
+        assert "start_ns" in report.findings[0].message
+
+    def test_methods_disagreeing_on_units_are_not_guessed(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "class Gate:\n"
+            "    def open_at(self, start_ns):\n"
+            "        return start_ns\n"
+            "class Timer:\n"
+            "    def open_at(self, start_us):\n"
+            "        return start_us\n"
+            "def drive(gate, gap_us):\n"
+            "    return gate.open_at(gap_us)\n",
+        )
+        assert report.findings == []
+
+    def test_constructor_binds_after_self(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "class Window:\n"
+            "    def __init__(self, start_ns):\n"
+            "        self.start_ns = start_ns\n"
+            "def make(gap_us):\n"
+            "    return Window(gap_us)\n",
+        )
+        assert _rules(report) == ["unit-call"]
+
+
+def test_nested_functions_are_analysed(tmp_path):
+    report = _analyze_source(
+        tmp_path,
+        "def outer():\n"
+        "    def inner(gap_us):\n"
+        "        deadline_ns = gap_us\n"
+        "    return inner\n",
+    )
+    assert _rules(report) == ["unit-mismatch"]
+
+
+def test_same_stem_in_two_directories_both_analysed(tmp_path):
+    for name, body in (("a", "    deadline_ns = gap_us\n"),
+                       ("b", "    return gap_us\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "mod.py").write_text(f"def f(gap_us):\n{body}")
+    report = analyze_units([str(tmp_path / "a"), str(tmp_path / "b")])
+    assert report.functions_analyzed == 2
+    assert [(Path(f.path).parent.name, f.rule) for f in report.findings] == [
+        ("a", "unit-mismatch")
+    ]
+
+
+class TestCli:
+    LEAK = str(FIXTURES / "unit_leak.py")
+
+    def test_strict_leak_exits_one_with_three_findings(self, capsys):
+        assert main(["check", "units", self.LEAK, "--strict"]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 3
+        assert "window_ns" in out
+
+    def test_without_strict_exits_zero(self, capsys):
+        assert main(["check", "units", self.LEAK]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_non_python_path_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text("gap_us = 1\n")
+        assert main(["check", "units", str(path)]) == 2
+        assert "not a python file" in capsys.readouterr().err
+
+    def test_json_report(self, capsys):
+        assert main(["check", "units", self.LEAK, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert set(data) == {"findings", "functions_analyzed", "rules"}
+        assert len(data["findings"]) == 3
+        assert data["functions_analyzed"] == 4
 
 
 def test_json_round_trip():
