@@ -44,9 +44,16 @@ The conversion constants ``NS_PER_US``/``NS_PER_MS``/``NS_PER_S`` are
 understood structurally: multiplying a ``us`` value by ``NS_PER_US``
 yields ``ns``, floor-dividing an ``ns`` value by ``NS_PER_MS`` yields
 ``ms``, and in additive/comparison position the constant itself is an
-``ns`` quantity (``if value_ns >= NS_PER_S``).  Unknown units are
-compatible with everything — the analysis only speaks when both sides
-are known, so it can run ``--strict`` without guessing.
+``ns`` quantity (``if value_ns >= NS_PER_S``).  A *scale* of 1e3, 1e6
+or 1e9 — a literal (``1_000``, ``1e6``) or a module-level name bound to
+one (``MS = 1_000_000``) — converts too: multiplying by it moves a
+value one, two or three steps along ``s``/``ms``/``us``/``ns`` towards
+``ns`` (``period_ms * 1_000_000`` is ``ns``, ``period_ms * 1_000`` is
+``us``), dividing moves it as far towards ``s`` (``elapsed_ns / 1e9``
+is ``s``); any other factor keeps the unit (``gap_us * 2`` is ``us``).
+Unknown units are compatible with everything — the analysis only
+speaks when both sides are known, so it can run ``--strict`` without
+guessing.
 
 Suppress a finding by appending ``# repro: units-ok[rule]`` (or a bare
 ``# repro: units-ok`` for any rule) to the flagged line.
@@ -90,6 +97,11 @@ _NS_FACTORS = {
     "NS_PER_MS": "ms",
     "NS_PER_S": "s",
 }
+
+#: The units a scale of 1e3 steps between, finest first.
+_LADDER = ("ns", "us", "ms", "s")
+#: Scale factor -> steps along ``_LADDER`` (1e3 per step).
+_SCALES = {10 ** 3: 1, 10 ** 6: 2, 10 ** 9: 3}
 
 #: Link-speed constants from ``repro.model.units``.
 _BPS_CONSTANTS = frozenset({"MBPS_10", "MBPS_100", "GBPS_1"})
@@ -205,6 +217,8 @@ class _Module:
     lines: List[str]
     #: local name -> dotted target: imports, then top-level defs/classes.
     names: Dict[str, str] = field(default_factory=dict)
+    #: module-level name -> the ``_LADDER`` steps of the scale bound to it.
+    scales: Dict[str, int] = field(default_factory=dict)
 
 
 class _Index:
@@ -247,6 +261,17 @@ class _Index:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         self._method(item)
         for node in module.tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                steps = _scale_steps(node.value)
+                if steps and len(targets) == 1 and isinstance(
+                    targets[0], ast.Name
+                ):
+                    module.scales[targets[0].id] = steps
+                continue
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
@@ -294,6 +319,23 @@ class _Index:
         if isinstance(func, ast.Attribute):
             return func.attr, self.methods.get(func.attr)
         return None, None
+
+
+def _scale_steps(node: Optional[ast.expr]) -> int:
+    """The ``_LADDER`` steps of a literal scale of 1e3, 1e6 or 1e9; 0
+    for any other expression."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return _SCALES.get(node.value, 0)
+    return 0
+
+
+def _rescaled(unit: Optional[str], steps: int) -> Optional[str]:
+    """``unit`` moved ``steps`` along ``_LADDER`` (negative: towards
+    ``ns``); ``None`` off its ends or for a unit not on it."""
+    if unit not in _LADDER:
+        return None
+    index = _LADDER.index(unit) + steps
+    return _LADDER[index] if 0 <= index < len(_LADDER) else None
 
 
 def _compatible(a: Optional[str], b: Optional[str]) -> bool:
@@ -552,6 +594,14 @@ class _FunctionChecker:
                 f"{_describe(left)} {context} {_describe(right)}",
             )
 
+    def _scale(self, node: ast.expr) -> int:
+        """The ``_LADDER`` steps of ``node`` as a scale: a literal of
+        1e3, 1e6 or 1e9, or a module-level name bound to one that this
+        function does not rebind; 0 otherwise."""
+        if isinstance(node, ast.Name) and node.id not in self.env:
+            return self.module.scales.get(node.id, 0)
+        return _scale_steps(node)
+
     def _infer_binop(self, node: ast.BinOp) -> Optional[str]:
         left = self.infer(node.left)
         right = self.infer(node.right)
@@ -559,6 +609,10 @@ class _FunctionChecker:
             self._check_additive(node, left, right)
             return _merge(_as_quantity(left), _as_quantity(right))
         if isinstance(node.op, ast.Mult):
+            for scale, other in ((node.right, left), (node.left, right)):
+                steps = self._scale(scale)
+                if steps and other in _LADDER:
+                    return _rescaled(other, -steps)
             for factor, other, operand in (
                 (left, right, node.right), (right, left, node.left),
             ):
@@ -592,6 +646,9 @@ class _FunctionChecker:
                         f"{scaled.upper()} expects ns",
                     )
                 return scaled
+            steps = self._scale(node.right)
+            if steps and left in _LADDER:
+                return _rescaled(left, steps)
             if left is not None and left != LITERAL and left == right:
                 return None  # ratio of like units is dimensionless
             if right == LITERAL or right is None:

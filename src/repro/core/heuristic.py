@@ -34,7 +34,13 @@ from repro.core.schedule import (
     validate,
 )
 from repro.model.frame import FrameSlot, FrameVar
-from repro.model.stream import EctStream, Priorities, Stream, StreamType
+from repro.model.stream import (
+    EctStream,
+    Priorities,
+    Stream,
+    StreamType,
+    may_overlap,
+)
 from repro.model.topology import Topology
 from repro.model.units import ceil_to_multiple
 
@@ -44,15 +50,18 @@ _PROB = StreamType.PROB
 class _PlacementFailure(Exception):
     """A stream cannot be placed against the current occupancy; ``link``
     is the key of the link the frame failed on, ``None`` for an Eq. 4
-    miss no later release can cure."""
+    miss no later release can cure; ``blockers`` names the streams whose
+    slots blocked the frame there (:meth:`_Occupancy.blockers`)."""
 
     def __init__(
         self, stream: str, detail: str,
         link: Optional[Tuple[str, str]] = None,
+        blockers: Tuple[str, ...] = (),
     ) -> None:
         super().__init__(f"{stream}: {detail}")
         self.stream = stream
         self.link = link
+        self.blockers = blockers
 
 
 class _Occupancy:
@@ -211,13 +220,56 @@ class _Occupancy:
                             f"frame {frame.index} pushed past window max "
                             f"{window_max} on {frame.link}",
                             frame.link,
+                            self.blockers(
+                                stream, frame, lower_bound_ns, tu_ns
+                            ),
                         )
         if unclearable is not None:
             raise _PlacementFailure(
                 stream.name, never_clear_message(duration, *unclearable),
                 frame.link,
+                self.blockers(stream, frame, lower_bound_ns, tu_ns),
             )
         return phi
+
+    def blockers(
+        self, stream: Stream, frame: FrameVar, lower_bound_ns: int,
+        tu_ns: int,
+    ) -> Tuple[str, ...]:
+        """The streams whose slots :meth:`earliest_fit` met ``frame`` on,
+        in the order it met them: each row that shifted the frame, and
+        the row no shift clears.
+
+        Only a failing fit asks, so the lap is replayed here over rows
+        that carry their stream's name, taken straight from
+        :func:`may_overlap` in slot order — the order of the rows — and
+        the successful fit pays nothing for the names."""
+        streams, period = self.streams, frame.period_ns
+        rows = [
+            (slot.offset_ns, slot.duration_ns,
+             math.gcd(period, slot.period_ns), slot.stream)
+            for slot in self.by_link.get(frame.link, ())
+            if not may_overlap(stream, streams[slot.stream])
+        ]
+        window_max = window_max_ns(stream, frame)
+        phi = ceil_to_multiple(max(lower_bound_ns, 0), tu_ns)
+        duration = frame.duration_ns
+        met: Dict[str, None] = {}
+        shifted = True
+        while shifted and phi <= window_max:
+            shifted = False
+            for position, (offset, length, g, name) in enumerate(rows):
+                r = (offset - phi) % g
+                if r < duration or r > g - length:
+                    shifted = True
+                    met[name] = None
+                    if duration + length > g:
+                        rows = rows[:position]
+                        break
+                    phi += (r + length) % g
+                    if phi > window_max:
+                        break
+        return tuple(met)
 
 
 def _row_class(stream: Stream, period_ns: int) -> tuple:

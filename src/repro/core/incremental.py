@@ -29,9 +29,11 @@ The rest are calls to it:
 * the admission service places a batch with one call per *ring*:
   ring 0 drops the removals, releases the sharers new ECT streams
   cross (:func:`affected_sharing_streams`) and places the newcomers
-  tightest first; from the stream and link its failure names, the
-  ``full`` rung releases the looser streams on that link, then every
-  deterministic stream on an admitted route
+  tightest first; from the stream, link and blockers its failure
+  names, the ``full`` rung releases the looser of the blockers (and,
+  when that fails, the looser blockers of the stream it failed on, a
+  short ejection chain), then every looser stream on that link, then
+  every deterministic stream on an admitted route
   (:func:`deterministic_crossing`), before it re-solves the network.
 
 Every operation *derives* a **new** schedule from its input — the outer
@@ -128,7 +130,8 @@ def repair(
     streams are placed earliest-fit in the given order around every
     slot that stays — those keep their slot-list objects.  Raises
     :class:`InfeasibleError` naming the first stream that does not fit
-    (its ``stream`` and ``link`` say which, and on which link),
+    (its ``stream``, ``link`` and ``blockers`` say which, on which
+    link, and whose slots stood in its way there),
     ``KeyError`` for a name in ``drop`` the schedule does not hold, or
     ``ValueError`` for an ECT stream of ``ects`` or a possibility of it
     whose name is already scheduled.
@@ -186,7 +189,8 @@ def repair(
             slots.update(placed)
     except _PlacementFailure as exc:
         raise InfeasibleError(
-            str(exc), stream=exc.stream, link=exc.link
+            str(exc), stream=exc.stream, link=exc.link,
+            blockers=exc.blockers,
         ) from exc
     # the name index is in ``streams`` order, and deletion keeps it
     result = schedule.derive(

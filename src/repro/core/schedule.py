@@ -31,15 +31,17 @@ class InfeasibleError(RuntimeError):
     where it failed: ``stream`` names the stream that did not fit and
     ``link`` the key of the link it failed on, ``None`` when no one
     link is at fault (a possibility's Eq. 4 budget) or when the raiser
-    does not know.
+    does not know; ``blockers`` names the streams whose slots blocked
+    the failing frame on that link, empty when none did.
     """
 
     def __init__(
         self, *args, stream: Optional[str] = None,
         link: Optional[Tuple[str, str]] = None,
+        blockers: Tuple[str, ...] = (),
     ) -> None:
         super().__init__(*args)
-        self.stream, self.link = stream, link
+        self.stream, self.link, self.blockers = stream, link, blockers
 
 
 class CertifiedInfeasibleError(InfeasibleError):

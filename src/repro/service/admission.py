@@ -14,9 +14,9 @@
   :func:`schedule_heuristic`; each re-solve rung is one cold attempt
   under its own wall-clock timeout.  A heuristic re-solve of a
   TCT-only batch first grows *rings* (deterministic streams re-placed
-  with the admits around the frozen rest) from the link where ring 0
-  failed out to every link of the admits' routes, and re-solves the
-  whole network only when those fail;
+  with the admits around the frozen rest) from the streams that
+  blocked ring 0 out to every link of the admits' routes, and
+  re-solves the whole network only when those fail;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -40,7 +40,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.check.locks import OrderedLock
 from repro.check.proof import CertificateError
@@ -86,6 +95,11 @@ RUNG_HEURISTIC = "heuristic"
 #: benchmark PR drops it together with the ``incremental`` column of
 #: ``bench/``'s rung tables.
 RUNG_INCREMENTAL = RUNG_FASTPATH
+
+#: Most blocker rings the ``full`` rung tries in one climb: the failing
+#: admit's looser blockers, then each ring grown by the looser blockers
+#: of the stream it failed on (:meth:`AdmissionService._repair_ring`).
+_EJECTION_DEPTH = 3
 
 #: How often a batch may rebase onto a fresh snapshot after losing the
 #: publish CAS race to another writer sharing the store, before it is
@@ -535,7 +549,9 @@ class AdmissionService:
         attempts: Dict[str, str] = {}
         for rung in self._rungs:
             try:
-                result = self._run_rung(rung, solvers[rung.name], attempts)
+                result = self._run_rung(
+                    rung, solvers[rung.name], attempts, resolved
+                )
             except ConclusiveReject as exc:
                 return None, attempts, str(exc)
             if result is not None:
@@ -548,6 +564,7 @@ class AdmissionService:
         rung: RungConfig,
         solver: Callable[[], NetworkSchedule],
         attempts: Dict[str, str],
+        batch: ResolvedBatch,
     ) -> Optional[NetworkSchedule]:
         def count(what: str) -> None:
             self._metrics.counter(f"rungs.{rung.name}.{what}").inc()
@@ -581,7 +598,10 @@ class AdmissionService:
                         ValueError) as exc:
                     count("failures")
                     attempts[rung.name] = str(exc)
-                    rung_span.set(outcome="infeasible")
+                    rung_span.set(
+                        outcome="infeasible",
+                        **self._ring_attributes(batch),
+                    )
                     if isinstance(exc, CertifiedInfeasibleError):
                         # the rejection's UNSAT proof replayed cleanly
                         self._metrics.counter(
@@ -603,7 +623,10 @@ class AdmissionService:
                         rung_span.set(certified=False)
                 else:
                     count("successes")
-                    rung_span.set(outcome="success")
+                    rung_span.set(
+                        outcome="success",
+                        **self._ring_attributes(batch),
+                    )
                     if rung.name != RUNG_FASTPATH:
                         # a constructive accept runs no solver; its
                         # meta is the snapshot's, stats and all
@@ -614,6 +637,16 @@ class AdmissionService:
                 f"latency.rung.{rung.name}_ms"
             ).observe((self._clock() - started) * 1e3)
         return None
+
+    @staticmethod
+    def _ring_attributes(batch: ResolvedBatch) -> Dict[str, object]:
+        """The span attributes of the ring a re-solve rung decided with:
+        its name and how many live streams it released (none before a
+        re-solve rung ran)."""
+        if batch.ring is None:
+            return {}
+        ring, released = batch.ring
+        return {"ring": ring, "released": released}
 
     def _harvest_solver_stats(self, result: NetworkSchedule) -> None:
         """Fold a solve's SMT search counters into the service metrics.
@@ -652,6 +685,10 @@ class AdmissionService:
     def _resolve(
         self, batch: ResolvedBatch, rung_name: str
     ) -> NetworkSchedule:
+        """Repair a ring, or re-solve the whole network; ``batch.ring``
+        records which ring decided and how many live streams it
+        released (``whole`` releases every one)."""
+        batch.ring = None
         if batch.error is not None:
             raise batch.error
         schedule = batch.schedule
@@ -660,7 +697,7 @@ class AdmissionService:
         )
         if backend == "heuristic" and not batch.ects:
             try:
-                result = self._repair_ring(batch)
+                ring, released, result = self._repair_ring(batch)
                 if self._config.certify:
                     validate(result)
             except (InfeasibleError, ScheduleError):
@@ -671,7 +708,11 @@ class AdmissionService:
                 result.meta.pop("solver_stats", None)
                 result.meta.pop("certificate", None)
                 result.meta["resolved_by"] = rung_name
+                batch.ring = (ring, released)
                 return result
+        batch.ring = ("whole", sum(
+            s.name not in batch.removed for s in schedule.streams
+        ))
         ects = [
             e for e in schedule.ect_streams if e.name not in batch.removed
         ] + batch.ects
@@ -697,53 +738,113 @@ class AdmissionService:
         result.meta["resolved_by"] = rung_name
         return result
 
-    def _repair_ring(self, batch: ResolvedBatch) -> NetworkSchedule:
+    def _repair_ring(
+        self, batch: ResolvedBatch
+    ) -> Tuple[str, int, NetworkSchedule]:
         """Re-place the admits with a *ring* of released deterministic
         streams, the smallest ring first, growing it from where
         placement failed:
 
         1. none — ring 0, the constructive rung's own attempt, placed
            once per climb; its failure names the admit F that did not
-           fit and the link L it failed on;
-        2. the streams on L that the tightest-first order places after
-           F (a greater ``(period, e2e, name)``), as a whole re-solve
-           would place them after F;
-        3. the route ring: every stream with a slot on a link an
+           fit, the link L it failed on and F's *blockers* there (the
+           streams whose slots earliest-fit met F's frame on);
+        2. the blockers: F's blockers looser than F (a greater
+           ``(period, e2e, name)``, placed after F as a whole re-solve
+           would place them); when that fails on a stream with
+           blockers of its own, its looser blockers join and the ring
+           is tried again — an ejection chain of at most
+           ``_EJECTION_DEPTH`` rings;
+        3. looser: every stream on L looser than F;
+        4. the route ring: every stream with a slot on a link an
            admitted route crosses.
 
         Each ring is re-placed with the admits, tightest first, around
         the frozen rest (:meth:`ResolvedBatch.place`); a ring equal to
-        one already tried is skipped, and the route ring's failure is
-        raised for the whole re-solve.  Probabilistic slots stay
-        frozen, so every live ECT keeps its guarantee.  The result is
-        checked like a constructive accept: ``validate_delta`` over
-        what moved — the admits and the ring streams not back on their
-        old slots — and a full ``validate`` under ``certify``.
+        one already tried is skipped, and when every ring fails
+        :class:`InfeasibleError` hands the batch to the whole re-solve.
+        Probabilistic slots stay frozen, so every live ECT keeps its
+        guarantee.  The result is checked like a constructive accept:
+        ``validate_delta`` over what moved — the admits and the ring
+        streams not back on their old slots — and a full ``validate``
+        under ``certify``.  Returns the ring's name (``none``,
+        ``blockers``, ``looser`` or ``route``), how many live streams
+        it released, and the schedule.
         """
+        schedule = batch.schedule
+        by_name = schedule.streams_by_name
+        admits = {stream.name: stream for stream in batch.tct}
+
         def keep(stream: Stream) -> bool:
             return stream.name not in batch.removed
 
-        schedule = batch.schedule
-        route = [link for stream in batch.tct for link in stream.path]
+        def looser_blockers(failure: _RingFailure) -> List[Stream]:
+            failed = admits.get(failure.stream) or by_name.get(failure.stream)
+            if failed is None:
+                return []
+            bound = _tightness(failed)
+            return [
+                by_name[name] for name in failure.blockers
+                if name in by_name and by_name[name].type == StreamType.DET
+                and keep(by_name[name]) and _tightness(by_name[name]) > bound
+            ]
+
         tried: List[Set[str]] = []
-        ring: List[Stream] = []
-        while True:
+
+        def attempt(ring: List[Stream]) -> Tuple[
+            Optional[NetworkSchedule], Optional[_RingFailure]
+        ]:
             tried.append({s.name for s in ring})
             try:
-                return batch.place(ring)
+                return batch.place(ring), None
             except (InfeasibleError, ScheduleError) as exc:
-                looser: List[Stream] = []
-                if not ring and getattr(exc, "link", None):
-                    failed = next(s for s in batch.tct if s.name == exc.stream)
-                    bound = _tightness(failed)
-                    looser = deterministic_crossing(
-                        schedule,
-                        [link for link in failed.path if link.key == exc.link],
-                        lambda s: keep(s) and _tightness(s) > bound,
-                    )
-                ring = looser or deterministic_crossing(schedule, route, keep)
-                if {s.name for s in ring} in tried:
-                    raise
+                # its fields, not the exception: the traceback would
+                # keep every ring's working set alive with the batch
+                return None, _RingFailure(
+                    getattr(exc, "stream", None), getattr(exc, "link", None),
+                    getattr(exc, "blockers", ()), str(exc),
+                )
+
+        result, first = attempt([])
+        if result is not None:
+            return "none", 0, result
+        failure = first
+        ring = looser_blockers(first)
+        for _ in range(_EJECTION_DEPTH):
+            if not ring:
+                break
+            result, failure = attempt(ring)
+            if result is not None:
+                return "blockers", len(ring), result
+            names = {s.name for s in ring}
+            ring = ring + [
+                s for s in looser_blockers(failure) if s.name not in names
+            ]
+            if len(ring) == len(names):
+                break
+        looser: List[Stream] = []
+        if first.link is not None and first.stream in admits:
+            failed = admits[first.stream]
+            bound = _tightness(failed)
+            looser = deterministic_crossing(
+                schedule,
+                [link for link in failed.path if link.key == first.link],
+                lambda s: keep(s) and _tightness(s) > bound,
+            )
+        route = [link for stream in batch.tct for link in stream.path]
+        for name, ring in (
+            ("looser", looser),
+            ("route", deterministic_crossing(schedule, route, keep)),
+        ):
+            if not ring or {s.name for s in ring} in tried:
+                continue
+            result, failure = attempt(ring)
+            if result is not None:
+                return name, len(ring), result
+        raise InfeasibleError(
+            failure.reason, stream=failure.stream, link=failure.link,
+            blockers=failure.blockers,
+        )
 
     # -- deployment emission -------------------------------------------
     def _emit_deployment(self, schedule: NetworkSchedule) -> None:
@@ -760,6 +861,16 @@ class AdmissionService:
         self._metrics.counter("deployments.emitted").inc()
         if self._on_deploy is not None:
             self._on_deploy(deployment)
+
+
+class _RingFailure(NamedTuple):
+    """What :meth:`AdmissionService._repair_ring` keeps of a ring's
+    failure: the fields of its exception, without the traceback."""
+
+    stream: Optional[str]
+    link: Optional[Tuple[str, str]]
+    blockers: Tuple[str, ...]
+    reason: str
 
 
 def claimed_names(request: AdmissionRequest) -> List[str]:

@@ -103,7 +103,9 @@ class ResolvedBatch:
     twice: ``ValueError``) and keeps the error for every rung to read;
     :func:`repair` checks ECT names and removals.  ``removed`` adds the
     possibilities the removals retire; ``probes`` is one stream per
-    admit, in request order, for the screens.
+    admit, in request order, for the screens; ``ring`` is set by the
+    re-solve rung that ran last: the name of the ring it decided with
+    and how many live streams that ring released.
     """
 
     def __init__(
@@ -119,6 +121,7 @@ class ResolvedBatch:
         self.probes: List[Stream] = []
         self.sharers: List[Stream] = []
         self._ring0: Union[NetworkSchedule, Exception, None] = None
+        self.ring: Optional[Tuple[str, int]] = None
         try:
             self._resolve(requests)
         except (ValueError, KeyError) as exc:  # StreamError is a ValueError
@@ -199,7 +202,7 @@ class ResolvedBatch:
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"cannot admit {self._admit_of(exc.stream)}: {exc}",
-                stream=exc.stream, link=exc.link,
+                stream=exc.stream, link=exc.link, blockers=exc.blockers,
             ) from exc
         validate_delta(result, moved_streams(self.schedule, result, place))
         return result

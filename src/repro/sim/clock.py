@@ -153,6 +153,10 @@ class SyncDomain:
 
     def worst_case_error_ns(self) -> int:
         """Bound on inter-sync divergence: residual + drift over interval."""
-        worst_drift = max((abs(c.drift_ppb) for c in self._clocks), default=0)
-        accumulation = self._config.sync_interval_ns * worst_drift // 1_000_000_000
+        worst_drift_ppb = max(
+            (abs(c.drift_ppb) for c in self._clocks), default=0
+        )
+        accumulation = (
+            self._config.sync_interval_ns * worst_drift_ppb // 1_000_000_000
+        )
         return self._config.residual_error_ns + accumulation

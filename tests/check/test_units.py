@@ -166,6 +166,70 @@ class TestConversions:
         assert _rules(report) == ["unit-mismatch"]
 
 
+class TestScaleFactors:
+    """A factor of 1e3, 1e6 or 1e9 moves a unit along s/ms/us/ns; any
+    other factor keeps it."""
+
+    @pytest.mark.parametrize("source", [
+        # a module-level name bound to a scale
+        "MS = 1_000_000\n"
+        "def f(period_ms):\n"
+        "    return submit(period_ns=period_ms * MS)\n",
+        # a literal scale, either side
+        "def f(duration_ms):\n"
+        "    return finish(ts_ns=duration_ms * 1_000_000)\n",
+        "def f(duration_ms):\n"
+        "    return finish(ts_ns=1e6 * duration_ms)\n",
+        # dividing moves towards seconds
+        "def shadow_ns():\n"
+        "    return 0\n"
+        "def f(wall_s):\n"
+        "    return wall_s - shadow_ns() / 1e9\n",
+        "def f(span_ns):\n"
+        "    span_ms = span_ns // 1_000_000\n"
+        "    return span_ms\n",
+    ])
+    def test_a_scale_converts(self, tmp_path, source):
+        assert _analyze_source(tmp_path, source).findings == []
+
+    @pytest.mark.parametrize("path", [
+        "bench/etsnbench/admit.py", "bench/etsnbench/core.py",
+        "tests/obs/test_export.py", "tests/service/test_fastpath_golden.py",
+    ])
+    def test_the_scaled_call_sites_outside_src_are_clean(self, path):
+        assert analyze_units([path]).findings == []
+
+    def test_a_scale_one_step_short_is_still_flagged(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "def f(period_ms):\n"
+            "    return submit(period_ns=period_ms * 1_000)\n",
+        )
+        assert _rules(report) == ["unit-call"]
+        assert "expects ns but got us" in report.findings[0].message
+
+    def test_any_other_factor_keeps_the_unit(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "def f(x_us):\n"
+            "    gap_us = x_us * 2\n"
+            "    window_ns = x_us * 2\n"
+            "    return gap_us, window_ns\n",
+        )
+        assert [f.line for f in report.findings] == [3]
+        assert "window_ns (ns) assigned us" in report.findings[0].message
+
+    def test_a_local_rebinding_is_no_scale(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "MS = 1_000_000\n"
+            "def f(period_ms):\n"
+            "    MS = 2\n"
+            "    return submit(period_ns=period_ms * MS)\n",
+        )
+        assert _rules(report) == ["unit-call"]
+
+
 class TestSuppressions:
     def test_units_ok_suppresses(self, tmp_path):
         report = _analyze_source(
@@ -320,4 +384,9 @@ def test_json_round_trip():
 
 def test_shipped_tree_is_clean():
     report = analyze_units(["src/repro"])
+    assert report.findings == []
+
+
+def test_benchmark_examples_and_figure_suite_are_clean():
+    report = analyze_units(["bench", "examples", "benchmarks"])
     assert report.findings == []

@@ -10,14 +10,17 @@ by the full re-solve, ``h`` by the heuristic rung, ``x`` rejected.
 The ``full`` rung now repairs the batch's ring before it re-solves the
 whole network, which moves other slots than the whole re-solve did, so
 ``LADDER_DIGEST``, ``LADDER_DECISIONS`` and the ladder's counters were
-re-recorded after that change, and again after the ring started from
-the link where the admit's own earliest-fit failed (9a6ab19 is its
-parent).  What neither may move is a verdict: the ``*_VERDICTS`` pins,
-one SHA-256 over every decision's ``(op, stream, accepted)``, were
-recorded at 9fc8fb9 (whole re-solve only) before ``src/`` was touched,
-and pass on every commit since.  ``python
-tests/service/test_ladder_equivalence.py`` prints every pin below that
-a scripted run records.
+re-recorded after that change, again after the ring started from the
+link where the admit's own earliest-fit failed (9a6ab19 is its
+parent), and again after the first ring became the streams that
+blocked the admit there (5def10f is its parent): each ring moves fewer
+streams, which moves the schedule later climbs start from.  What none
+may move is a verdict: the ``*_VERDICTS`` pins, one SHA-256 over every
+decision's ``(op, stream, accepted)``, were recorded at 9fc8fb9 (whole
+re-solve only) before ``src/`` was touched, and pass on every commit
+since.  ``python tests/service/test_ladder_equivalence.py`` prints
+every pin below that a scripted run records, and the ladder's work
+counts (streams placed per climb, moved per ``full`` accept).
 
 The rest pins what the single rung driver owes: no replayed solver, the
 heuristic rung as the SMT backend's fallback, and the abandoned-solver
@@ -55,20 +58,21 @@ from repro.service import (
     empty_schedule,
 )
 from repro.service import admission as admission_module
+from repro.service import fastpath as fastpath_module
 from tests.conftest import MTU_WIRE_NS
 
 MIX_DIGEST = "0a6fd5aa46781f3dccc1c8c147bca78809f7313534390aaacb4b64629493423a"
 MIX_DECISIONS = "f" * 35 + "x"
-#: re-recorded after the ring started from the failing link (see the
-#: module docstring)
-LADDER_DIGEST = "ad2397b8a36bfc0430bd3c095b011dd53231ad3651c954b030b8ba334657d911"
+#: re-recorded after the ring started from the failing link, and again
+#: after it started from the admit's blockers (see the module docstring)
+LADDER_DIGEST = "f6bd57bdcde15a13c73ace4682acf14f0760664af0d6ad7ad0a356a739f2f0d8"
 LADDER_DECISIONS = (
     "fffFffffffffffffFfffffffffFffffffFfffffffffffFffFffFffffffffffFfffffff"
-    "ffFffffffFfffFFffffffFffffFFffFffFffffffffffffffFfffffffffFfFFffffffff"
+    "ffFffffffFfFfFFffffffFffffFFffFfffffffffffffffffffffffffffFfFfffffffff"
     "fFfffffffffffffffFffffffffFfffffFfffffffffffFffffffffffffffffffFffFfff"
-    "ffffffFfffffffffffffffffFffffFFFffFffFfFfFfffffffffffFfffFffffffffffff"
+    "ffffffFfffffffffffffffffffffffFFffFffFfFfFfffffffffffFfffFffffffffffff"
     "ffffffffffffffffffffffffffffffffffffffffffffFffffffffffffffffffffffFff"
-    "fffFfffffffffFffffffffffffffffffffFfffffffFFffffff"
+    "fffFfFFffffffFfffffffffffffffFffffFfffffffffffffff"
 )
 #: recorded at 9fc8fb9, before the ring repair
 LADDER_VERDICTS = (
@@ -198,6 +202,56 @@ def _first_400_ladder_ops():
     return service, _ladder_ops(service, devices, 60, {1: 0, 151: 1}, 400)
 
 
+def _ladder_work(seed, operations):
+    """Work counts of bench's ``LadderOps`` (150 warm-up operations at
+    seed 0, then ``operations`` at ``seed``, steering towards 60 live
+    streams) over the operations after the warm-up: climbs past the
+    constructive rung, the streams each placed (every ``repair``
+    placement, and the stream set of a whole re-solve), ``full``
+    accepts, and the live streams each moved."""
+    placed = [0]
+    counts = {"climbs": 0, "placed": 0, "full": 0, "moved": 0}
+    watched = [0]
+    real_repair = fastpath_module.repair
+    real_whole = admission_module.schedule_heuristic
+
+    def repair(schedule, place, *args, **kwargs):
+        placed[0] += len(place)
+        return real_repair(schedule, place, *args, **kwargs)
+
+    def whole(topology, tct, ects=(), **kwargs):
+        placed[0] += len(tct) + sum(e.possibilities for e in ects)
+        return real_whole(topology, tct, ects, **kwargs)
+
+    def watch(request, snapshot, decision):
+        watched[0] += 1
+        if watched[0] > 150 and (
+            decision.rung == RUNG_FULL or RUNG_FULL in decision.attempts
+        ):
+            counts["climbs"] += 1
+            counts["placed"] += placed[0]
+            if decision.accepted and decision.rung == RUNG_FULL:
+                after = service.store.schedule
+                counts["full"] += 1
+                counts["moved"] += len({
+                    name for (name, link), slots in snapshot.slots.items()
+                    if name in after.streams_by_name
+                    and after.slots[(name, link)] != slots
+                })
+        placed[0] = 0
+
+    fastpath_module.repair = repair
+    admission_module.schedule_heuristic = whole
+    try:
+        service, devices = _seeded_service(0.5)
+        _ladder_ops(service, devices, 60, {1: 0, 151: seed},
+                    150 + operations, watch)
+    finally:
+        fastpath_module.repair = real_repair
+        admission_module.schedule_heuristic = real_whole
+    return counts
+
+
 def _saturating_ops(watch=None):
     """The ``LadderOps`` draw at seed 1 steering towards 400 live
     streams, no warm-up (about a minute)."""
@@ -222,8 +276,8 @@ class TestPinnedToParent:
         assert _letters(decisions) == LADDER_DECISIONS
         assert _digest(service) == LADDER_DIGEST
         counters = service.metrics.to_dict()["counters"]
-        assert counters["fastpath.fallthroughs"] == 46
-        assert counters["rungs.full.attempts"] == 46
+        assert counters["fastpath.fallthroughs"] == 43
+        assert counters["rungs.full.attempts"] == 43
         validate(service.store.schedule)
 
     def test_saturating_ladder_ops_keep_their_verdicts(self, saturated_run):
@@ -520,7 +574,11 @@ class TestRungValidation:
 
 if __name__ == "__main__":
     # prints every pin the scripts above record, in the form they are
-    # written in; the saturating script takes about a minute
+    # written in (the saturating script takes about a minute), then the
+    # ladder's work counts at seeds 1, 7 and 42 over as many operations
+    # after the warm-up as the first argument says (default 250)
+    import sys
+
     service, decisions = _fig13_mix()
     print("MIX_DIGEST", _digest(service))
     print("MIX_DECISIONS", _letters(decisions))
@@ -537,3 +595,11 @@ if __name__ == "__main__":
           [i for i, d in enumerate(decisions) if not d.accepted])
     print("saturating admits accepted",
           sum(d.accepted and d.op != "remove" for d in decisions))
+    operations = int(sys.argv[1]) if len(sys.argv) > 1 else 250
+    for seed in (1, 7, 42):
+        counts = _ladder_work(seed, operations)
+        climbs, full = max(counts["climbs"], 1), max(counts["full"], 1)
+        print(f"seed {seed}: {operations} operations, {counts['climbs']} "
+              f"climbs placing {counts['placed'] / climbs:.2f} streams "
+              f"each, {counts['full']} full accepts moving "
+              f"{counts['moved'] / full:.2f} live streams each")

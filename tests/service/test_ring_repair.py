@@ -6,15 +6,21 @@ with the admits, tightest first, around the frozen rest, and grows the
 ring from where placement failed:
 
 1. none: ring 0, the constructive rung's own attempt, placed once per
-   climb and not again here — its failure names the admit F and the
-   link L;
-2. the deterministic streams on L with a greater ``(period, e2e,
-   name)`` than F, which the tightest-first order places after F;
-3. the route ring: every deterministic stream with a slot on a link an
-   admitted route crosses.
+   climb and not again here — its failure names the admit F, the link
+   L and F's blockers there, the streams whose slots earliest-fit met
+   F's frame on;
+2. blockers: F's blockers with a greater ``(period, e2e, name)`` than
+   F, which the tightest-first order places after F; when that fails
+   on a stream with blockers of its own, its looser blockers join and
+   the ring is tried again, at most three blocker rings in all;
+3. looser: the deterministic streams on L with a greater ``(period,
+   e2e, name)`` than F;
+4. route: every deterministic stream with a slot on a link an admitted
+   route crosses.
 
 The first ring whose repair validates is published, and only its
-streams get new slot lists.  Whatever the ring does, the rung must
+streams get new slot lists; the rung's span names the ring and how
+many streams it released.  Whatever the ring does, the rung must
 publish a schedule the independent validator accepts, and when every
 ring fails the rung must be exactly today's whole re-solve.
 """
@@ -43,6 +49,7 @@ from repro.core.schedule import (
 from repro.experiments import line_of_rings
 from repro.model.stream import EctStream, Priorities, StreamType, TctRequirement
 from repro.model.units import milliseconds
+from repro.obs import Tracer
 from repro.serialization import schedule_to_dict
 from tests.conftest import MTU_WIRE_NS
 from repro.service import (
@@ -175,9 +182,9 @@ def _tightness(stream):
 
 
 def _rung_ring(schedule, admitted, removals):
-    """The ring the rung must publish, by the contract above: ``(names
-    of the released live streams, the repair)``, or ``None`` when every
-    ring fails."""
+    """The ring the rung must publish, by the contract above: ``(its
+    name, names of the released live streams, the repair)``, or
+    ``None`` when every ring fails."""
     def attempt(ring):
         place = sorted(ring + admitted, key=_tightness)
         try:
@@ -189,27 +196,48 @@ def _rung_ring(schedule, admitted, removals):
         s for s in schedule.streams
         if s.type == StreamType.DET and s.name not in removals
     ]
+    by_name = {s.name: s for s in live + admitted}
+
+    def looser_blockers(failure):
+        failed = by_name.get(getattr(failure, "stream", None))
+        return [] if failed is None else [
+            by_name[name] for name in getattr(failure, "blockers", ())
+            if name in by_name and by_name[name] not in admitted
+            and _tightness(by_name[name]) > _tightness(failed)
+        ]
+
     result, failure = attempt([])
     if result is not None:
-        return set(), result
+        return "none", set(), result
+    ring = looser_blockers(failure)
+    for _ in range(3):
+        if not ring:
+            break
+        result, chained = attempt(ring)
+        if result is not None:
+            return "blockers", {s.name for s in ring}, result
+        more = [s for s in looser_blockers(chained) if s not in ring]
+        if not more:
+            break
+        ring = ring + more
     rings = []
     if isinstance(failure, InfeasibleError) and failure.link is not None:
         (failed,) = [s for s in admitted if s.name == failure.stream]
-        rings.append([
+        rings.append(("looser", [
             s for s in live
             if (s.name, failure.link) in schedule.slots
             and _tightness(s) > _tightness(failed)
-        ])
+        ]))
     admitted_links = {link.key for s in admitted for link in s.path}
-    rings.append([
+    rings.append(("route", [
         s for s in live
         if any(link.key in admitted_links for link in s.path)
-    ])
-    for ring in rings:
+    ]))
+    for name, ring in rings:
         if ring:
             result, _ = attempt(ring)
             if result is not None:
-                return {s.name for s in ring}, result
+                return name, {s.name for s in ring}, result
     return None
 
 
@@ -223,8 +251,9 @@ def test_ring_or_whole_resolve(case):
                 if isinstance(r, AdmitTct)]
     removals = {r.name for r in batch if isinstance(r, Remove)}
     service = AdmissionService(ScheduleStore(schedule))
+    resolved = ResolvedBatch(schedule, batch)
     try:
-        result = service._resolve(ResolvedBatch(schedule, batch), RUNG_FULL)
+        result = service._resolve(resolved, RUNG_FULL)
     except InfeasibleError as exc:
         result = str(exc)
 
@@ -233,9 +262,11 @@ def test_ring_or_whole_resolve(case):
         assert _outcome(result) == _outcome(
             _whole_resolve(schedule, batch, removals)
         )
+        assert resolved.ring[0] == "whole"
         return
 
-    ring, repaired = expected
+    name, ring, repaired = expected
+    assert resolved.ring == (name, len(ring))
     assert result.slots == repaired.slots
     validate(result)
     validate_delta(result, ring | {s.name for s in admitted})
@@ -263,13 +294,25 @@ def test_ring_or_whole_resolve(case):
 
 
 def _grown(topology, *specs):
-    """A service over ``topology`` that admitted ``(name, source,
+    """A traced service over ``topology`` that admitted ``(name, source,
     destination, period in MTU wire times, length)`` constructively,
     in order."""
-    service = AdmissionService(ScheduleStore(empty_schedule(topology)))
+    service = AdmissionService(
+        ScheduleStore(empty_schedule(topology)), tracer=Tracer()
+    )
     for spec in specs:
         assert service.submit(_mtu_tct(*spec)).rung == RUNG_FASTPATH
     return service
+
+
+def _decided_ring(service):
+    """The ``(ring, released)`` of the service's last ``full`` rung."""
+    (*_, span) = [
+        span for span in service.tracer.spans()
+        if span.name == "admission.rung"
+        and span.attributes["rung"] == RUNG_FULL
+    ]
+    return span.attributes["ring"], span.attributes["released"]
 
 
 def _mtu_tct(name, source, destination, mtus, length):
@@ -308,15 +351,8 @@ def test_a_looser_stream_on_the_failing_link_moves_alone(star_topology):
     assert after.slots == repair(before, [stream, before.stream("x")]).slots
 
 
-def test_ring_0_is_placed_once_per_climb(star_topology, monkeypatch):
-    """The climb of ``test_a_looser_stream_on_the_failing_link_moves_alone``
-    places ring 0 once, in the constructive rung, and the ``full``
-    rung goes on from its failure to the failing link's ring: two
-    ``repair`` calls, none of them a replay."""
-    service = _grown(
-        star_topology,
-        ("x", "D2", "D1", 8, 3000), ("g", "D1", "D3", 3, 800),
-    )
+def _placements(monkeypatch):
+    """The streams of every placement ``ResolvedBatch`` makes, in order."""
     calls = []
 
     def counting(schedule, place, *args, **kwargs):
@@ -324,6 +360,124 @@ def test_ring_0_is_placed_once_per_climb(star_topology, monkeypatch):
         return repair(schedule, place, *args, **kwargs)
 
     monkeypatch.setattr(fastpath, "repair", counting)
+    return calls
+
+
+def test_one_blocker_moves_and_its_looser_neighbour_stays(
+    star_topology, monkeypatch
+):
+    """``n`` fails on D1->SW1, where ``q`` and ``s`` are both looser
+    than it: the looser ring would release both, but only ``q``'s slot
+    stood in ``n``'s way, so the blocker ring releases ``q`` alone and
+    every other stream keeps its slot-list objects."""
+    service = _grown(
+        star_topology,
+        ("p", "D3", "D1", 3, 300), ("q", "D1", "D3", 12, 3000),
+        ("r", "D2", "D1", 12, 300), ("s", "D1", "D2", 12, 300),
+    )
+    before = service.store.schedule
+    newcomer = _mtu_tct("n", "D1", "D2", 2, 800)
+    stream = newcomer.requirement.resolve(star_topology)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream])
+    assert (failure.value.stream, failure.value.link) == ("n", ("D1", "SW1"))
+    assert {"q", "s"} <= {
+        name for name, link in before.slots if link == ("D1", "SW1")
+        and _tightness(before.stream(name)) > _tightness(stream)
+    }
+
+    calls = _placements(monkeypatch)
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["n"], ["n", "q"]]
+    assert _decided_ring(service) == ("blockers", 1)
+    after = service.store.schedule
+    assert _released(before, after) == {"q"}
+    assert after.slots == repair(before, [stream, before.stream("q")]).slots
+
+
+def test_a_failed_blocker_ring_falls_back_to_the_looser_ring(
+    star_topology, monkeypatch
+):
+    """``n`` is blocked on D1->SW1 by ``p`` alone.  With ``p`` released
+    ``n`` goes in after ``q`` there and reaches SW1->D2 with its lower
+    bound past its window, a failure that names no blockers, so the
+    chain stops.  The looser ring releases ``p`` and ``q``, and the
+    rung publishes exactly the repair the looser ring made before
+    blocker rings existed."""
+    service = _grown(
+        star_topology,
+        ("p", "D1", "D3", 12, 3000), ("q", "D1", "D3", 4, 300),
+        ("r", "D2", "D1", 3, 1500),
+    )
+    before = service.store.schedule
+    newcomer = _mtu_tct("n", "D1", "D2", 2, 1500)
+    stream = newcomer.requirement.resolve(star_topology)
+    calls = _placements(monkeypatch)
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["n"], ["n", "p"], ["n", "q", "p"]]
+    assert _decided_ring(service) == ("looser", 2)
+    after = service.store.schedule
+    assert _released(before, after) == {"p", "q"}
+    looser = repair(before, [stream, before.stream("q"), before.stream("p")])
+    assert after.slots == looser.slots
+
+
+def _chain_case(topology):
+    """``n`` is blocked by ``r`` only; released, ``r`` is blocked by
+    ``s``, looser than it: the chain's second ring places all three."""
+    service = _grown(
+        topology,
+        ("p", "D1", "D2", 6, 3000), ("q", "D1", "D2", 12, 3000),
+        ("r", "D2", "D3", 6, 3000), ("s", "D3", "D1", 6, 3000),
+    )
+    return service, _mtu_tct("n", "D2", "D1", 4, 1500)
+
+
+def test_the_ejection_chain_adds_the_blockers_of_a_blocker(
+    star_topology, monkeypatch
+):
+    service, newcomer = _chain_case(star_topology)
+    before = service.store.schedule
+    calls = _placements(monkeypatch)
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["n"], ["n", "r"], ["n", "r", "s"]]
+    assert _decided_ring(service) == ("blockers", 2)
+    assert _released(before, service.store.schedule) <= {"r", "s"}
+    validate(service.store.schedule)
+
+
+def test_the_chain_keeps_no_failure_alive(star_topology):
+    """The chain carries a failed ring's stream, link and blockers
+    forward, not the exception, whose traceback would hold the batch
+    and each placement's working set: the batch is freed with its last
+    reference, not at some later garbage collection."""
+    service, newcomer = _chain_case(star_topology)
+    batch = ResolvedBatch(service.store.schedule, [newcomer])
+    gc.disable()
+    try:
+        name, released, result = service._repair_ring(batch)
+        assert (name, released) == ("blockers", 2)
+        del result
+        kept = weakref.ref(batch)
+        del batch
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def test_ring_0_is_placed_once_per_climb(star_topology, monkeypatch):
+    """The climb of ``test_a_looser_stream_on_the_failing_link_moves_alone``
+    places ring 0 once, in the constructive rung, and the ``full``
+    rung goes on from its failure to the blocker ring: two ``repair``
+    calls, none of them a replay."""
+    service = _grown(
+        star_topology,
+        ("x", "D2", "D1", 8, 3000), ("g", "D1", "D3", 3, 800),
+    )
+    calls = _placements(monkeypatch)
     decision = service.submit(_mtu_tct("d", "D2", "D3", 6, 300))
     assert decision.accepted and decision.rung == RUNG_FULL
     assert calls == [["d"], ["d", "x"]]
