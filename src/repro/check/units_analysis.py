@@ -130,6 +130,15 @@ class _Factor(str):
     __slots__ = ()
 
 
+class _Product(str):
+    """A unit times a factor of unknown unit (``interval_ns * drift``):
+    that unit additively, but no unit once scaled by 1e3/1e6/1e9 — the
+    scale may belong to the unknown factor (ppb, ppm) as much as to the
+    unit."""
+
+    __slots__ = ()
+
+
 def unit_of_name(name: str) -> Optional[str]:
     if "_" not in name:
         return None
@@ -336,6 +345,12 @@ def _rescaled(unit: Optional[str], steps: int) -> Optional[str]:
         return None
     index = _LADDER.index(unit) + steps
     return _LADDER[index] if 0 <= index < len(_LADDER) else None
+
+
+def _unscaled(unit: str, steps: int) -> Optional[str]:
+    """A unit on ``_LADDER`` under a scale of ``steps``: moved along it,
+    or no unit for a :class:`_Product`."""
+    return None if isinstance(unit, _Product) else _rescaled(unit, steps)
 
 
 def _compatible(a: Optional[str], b: Optional[str]) -> bool:
@@ -612,7 +627,7 @@ class _FunctionChecker:
             for scale, other in ((node.right, left), (node.left, right)):
                 steps = self._scale(scale)
                 if steps and other in _LADDER:
-                    return _rescaled(other, -steps)
+                    return _unscaled(other, -steps)
             for factor, other, operand in (
                 (left, right, node.right), (right, left, node.left),
             ):
@@ -627,12 +642,13 @@ class _FunctionChecker:
                             f"value but got {_describe(other)}",
                         )
                     return "ns"
-            if left == LITERAL or left is None:
-                return right if right != LITERAL else (
-                    LITERAL if left == LITERAL else None
-                )
-            if right == LITERAL or right is None:
+            if left == LITERAL:
+                return right
+            if right == LITERAL:
                 return left
+            if left is None or right is None:
+                unit = right if left is None else left
+                return None if unit is None else _Product(unit)
             return None  # unit * unit: dimension not tracked
         if isinstance(node.op, (ast.Div, ast.FloorDiv)):
             if isinstance(right, _Factor):
@@ -648,7 +664,7 @@ class _FunctionChecker:
                 return scaled
             steps = self._scale(node.right)
             if steps and left in _LADDER:
-                return _rescaled(left, steps)
+                return _unscaled(left, steps)
             if left is not None and left != LITERAL and left == right:
                 return None  # ratio of like units is dimensionless
             if right == LITERAL or right is None:

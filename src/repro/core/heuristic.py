@@ -22,7 +22,7 @@ the same independent validator — only the search differs:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import build_frames, window_max_ns
 from repro.core.probabilistic import expand_ect
@@ -51,17 +51,20 @@ class _PlacementFailure(Exception):
     """A stream cannot be placed against the current occupancy; ``link``
     is the key of the link the frame failed on, ``None`` for an Eq. 4
     miss no later release can cure; ``blockers`` names the streams whose
-    slots blocked the frame there (:meth:`_Occupancy.blockers`)."""
+    slots blocked the frame there (:func:`_blockers`) and ``gap`` the
+    streams of its gap cut (:func:`_gap_cut`)."""
 
     def __init__(
         self, stream: str, detail: str,
         link: Optional[Tuple[str, str]] = None,
         blockers: Tuple[str, ...] = (),
+        gap: Tuple[str, ...] = (),
     ) -> None:
         super().__init__(f"{stream}: {detail}")
         self.stream = stream
         self.link = link
         self.blockers = blockers
+        self.gap = gap
 
 
 class _Occupancy:
@@ -215,35 +218,30 @@ class _Occupancy:
                         break
                     phi += (r + length) % g
                     if phi > window_max:
-                        raise _PlacementFailure(
-                            stream.name,
+                        raise self._failure(
+                            stream, frame, lower_bound_ns, tu_ns,
                             f"frame {frame.index} pushed past window max "
                             f"{window_max} on {frame.link}",
-                            frame.link,
-                            self.blockers(
-                                stream, frame, lower_bound_ns, tu_ns
-                            ),
                         )
         if unclearable is not None:
-            raise _PlacementFailure(
-                stream.name, never_clear_message(duration, *unclearable),
-                frame.link,
-                self.blockers(stream, frame, lower_bound_ns, tu_ns),
+            raise self._failure(
+                stream, frame, lower_bound_ns, tu_ns,
+                never_clear_message(duration, *unclearable),
             )
         return phi
 
-    def blockers(
+    def _failure(
         self, stream: Stream, frame: FrameVar, lower_bound_ns: int,
-        tu_ns: int,
-    ) -> Tuple[str, ...]:
-        """The streams whose slots :meth:`earliest_fit` met ``frame`` on,
-        in the order it met them: each row that shifted the frame, and
-        the row no shift clears.
+        tu_ns: int, detail: str,
+    ) -> _PlacementFailure:
+        """The failure of a fit its rows defeat (``detail`` says how),
+        naming the frame's blockers (:func:`_blockers`) and its gap cut
+        (:func:`_gap_cut`).
 
-        Only a failing fit asks, so the lap is replayed here over rows
-        that carry their stream's name, taken straight from
-        :func:`may_overlap` in slot order — the order of the rows — and
-        the successful fit pays nothing for the names."""
+        Only a failing fit asks, so the rows are rebuilt here carrying
+        their stream's name, taken straight from :func:`may_overlap` in
+        slot order — the order of the rows — and the successful fit
+        pays nothing for the names."""
         streams, period = self.streams, frame.period_ns
         rows = [
             (slot.offset_ns, slot.duration_ns,
@@ -251,25 +249,108 @@ class _Occupancy:
             for slot in self.by_link.get(frame.link, ())
             if not may_overlap(stream, streams[slot.stream])
         ]
+        lower = ceil_to_multiple(max(lower_bound_ns, 0), tu_ns)
         window_max = window_max_ns(stream, frame)
-        phi = ceil_to_multiple(max(lower_bound_ns, 0), tu_ns)
-        duration = frame.duration_ns
-        met: Dict[str, None] = {}
-        shifted = True
-        while shifted and phi <= window_max:
-            shifted = False
-            for position, (offset, length, g, name) in enumerate(rows):
-                r = (offset - phi) % g
-                if r < duration or r > g - length:
-                    shifted = True
-                    met[name] = None
-                    if duration + length > g:
-                        rows = rows[:position]
-                        break
-                    phi += (r + length) % g
-                    if phi > window_max:
-                        break
-        return tuple(met)
+        bound = _tightness(stream)
+        return _PlacementFailure(
+            stream.name, detail, frame.link,
+            _blockers(rows, lower, window_max, frame.duration_ns),
+            _gap_cut(
+                rows, lower, window_max, frame.duration_ns, tu_ns,
+                lambda name: streams[name].type == StreamType.DET
+                and _tightness(streams[name]) > bound,
+            ),
+        )
+
+
+_Row = Tuple[int, int, int, str]
+
+
+def _blockers(
+    rows: Sequence[_Row], lower: int, window_max: int, duration: int
+) -> Tuple[str, ...]:
+    """The streams whose slots :meth:`_Occupancy.earliest_fit` met a
+    frame of ``duration`` on, from offset ``lower``, in the order it met
+    them: each row ``(offset, length, gcd, name)`` that shifted the
+    frame, and the row no shift clears — the failing lap replayed."""
+    phi = lower
+    met: Dict[str, None] = {}
+    shifted = True
+    while shifted and phi <= window_max:
+        shifted = False
+        for position, (offset, length, g, name) in enumerate(rows):
+            r = (offset - phi) % g
+            if r < duration or r > g - length:
+                shifted = True
+                met[name] = None
+                if duration + length > g:
+                    rows = rows[:position]
+                    break
+                phi += (r + length) % g
+                if phi > window_max:
+                    break
+    return tuple(met)
+
+
+def _gap_cut(
+    rows: Sequence[_Row], lower: int, window_max: int, duration: int,
+    tu_ns: int, looser: Callable[[str], bool],
+) -> Tuple[str, ...]:
+    """The *gap cut* of a frame of ``duration`` that fits nowhere in
+    ``[lower, window_max]``: the streams of the rows it overlaps at the
+    tu-aligned offset there that overlaps the fewest streams, among the
+    offsets where ``looser`` accepts every stream it overlaps — the
+    earliest such offset on a tie, the names in row order, ``()`` when
+    no offset qualifies.  Releasing the cut frees that offset.
+
+    A row ``(offset, length, gcd, name)`` overlaps the frame at ``phi``
+    iff ``phi`` lies in ``[offset - duration + 1, offset + length - 1]``
+    modulo the gcd — outside :func:`earliest_gap_shift`'s free band —
+    or everywhere when that interval covers the gcd, so one sweep over
+    those intervals, clipped to the window, finds every run of offsets
+    overlapping one set of streams."""
+    end = window_max + 1
+    events: List[Tuple[int, int, str]] = []
+    for offset, length, g, name in rows:
+        span = duration + length - 1
+        if span >= g:
+            events.append((lower, 1, name))
+            continue
+        start = offset - duration + 1
+        for at in range(lower - (lower - start) % g, end, g):
+            if at + span > lower:
+                events.append((max(at, lower), 1, name))
+                if at + span < end:
+                    events.append((at + span, -1, name))
+    events.sort(key=lambda event: event[0])
+    accepted = {name: looser(name) for _, _, name in events}
+    # name -> how many of its intervals cover the current run
+    active: Dict[str, int] = {}
+    best: Optional[Tuple[int, int]] = None
+    at, index = lower, 0
+    while at < end:
+        while index < len(events) and events[index][0] == at:
+            _, step, name = events[index]
+            index += 1
+            count = active.get(name, 0) + step
+            if count:
+                active[name] = count
+            else:
+                del active[name]
+        following = events[index][0] if index < len(events) else end
+        phi = ceil_to_multiple(at, tu_ns)
+        if phi < following and (
+            best is None or len(active) < best[0]
+        ) and all(accepted[name] for name in active):
+            best = (len(active), phi)
+        at = following
+    if best is None:
+        return ()
+    phi = best[1]
+    return tuple(dict.fromkeys(
+        name for offset, length, g, name in rows
+        if not duration <= (offset - phi) % g <= g - length
+    ))
 
 
 def _row_class(stream: Stream, period_ns: int) -> tuple:

@@ -29,12 +29,15 @@ The rest are calls to it:
 * the admission service places a batch with one call per *ring*:
   ring 0 drops the removals, releases the sharers new ECT streams
   cross (:func:`affected_sharing_streams`) and places the newcomers
-  tightest first; from the stream, link and blockers its failure
-  names, the ``full`` rung releases the looser of the blockers (and,
-  when that fails, the looser blockers of the stream it failed on, a
-  short ejection chain), then every looser stream on that link, then
-  every deterministic stream on an admitted route
-  (:func:`deterministic_crossing`), before it re-solves the network.
+  tightest first; from the stream, link, blockers and gap cut its
+  failure names, the ``full`` rung releases the gap cut — the looser
+  streams overlapping the failing frame at the one offset of its
+  window that overlaps the fewest — (and, when that fails, the gap
+  cut of the stream it failed on, a short ejection chain), then the
+  looser of the blockers, grown the same way, then every looser
+  stream on that link, then every deterministic stream on an admitted
+  route (:func:`deterministic_crossing`), before it re-solves the
+  network.
 
 Every operation *derives* a **new** schedule from its input — the outer
 ``slots`` dict, the ``streams`` list and the two index maps are shallow
@@ -130,8 +133,9 @@ def repair(
     streams are placed earliest-fit in the given order around every
     slot that stays — those keep their slot-list objects.  Raises
     :class:`InfeasibleError` naming the first stream that does not fit
-    (its ``stream``, ``link`` and ``blockers`` say which, on which
-    link, and whose slots stood in its way there),
+    (its ``stream``, ``link``, ``blockers`` and ``gap`` say which, on
+    which link, whose slots stood in its way there, and whose release
+    would free one offset of its window),
     ``KeyError`` for a name in ``drop`` the schedule does not hold, or
     ``ValueError`` for an ECT stream of ``ects`` or a possibility of it
     whose name is already scheduled.
@@ -190,7 +194,7 @@ def repair(
     except _PlacementFailure as exc:
         raise InfeasibleError(
             str(exc), stream=exc.stream, link=exc.link,
-            blockers=exc.blockers,
+            blockers=exc.blockers, gap=exc.gap,
         ) from exc
     # the name index is in ``streams`` order, and deletion keeps it
     result = schedule.derive(

@@ -32,16 +32,21 @@ class InfeasibleError(RuntimeError):
     ``link`` the key of the link it failed on, ``None`` when no one
     link is at fault (a possibility's Eq. 4 budget) or when the raiser
     does not know; ``blockers`` names the streams whose slots blocked
-    the failing frame on that link, empty when none did.
+    the failing frame on that link, empty when none did, and ``gap``
+    the streams whose release frees one offset of the frame's window
+    there (its *gap cut*), empty when no such offset is freed by
+    releasing only streams looser than the failing one.
     """
 
     def __init__(
         self, *args, stream: Optional[str] = None,
         link: Optional[Tuple[str, str]] = None,
         blockers: Tuple[str, ...] = (),
+        gap: Tuple[str, ...] = (),
     ) -> None:
         super().__init__(*args)
         self.stream, self.link, self.blockers = stream, link, blockers
+        self.gap = gap
 
 
 class CertifiedInfeasibleError(InfeasibleError):

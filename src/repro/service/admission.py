@@ -14,9 +14,10 @@
   :func:`schedule_heuristic`; each re-solve rung is one cold attempt
   under its own wall-clock timeout.  A heuristic re-solve of a
   TCT-only batch first grows *rings* (deterministic streams re-placed
-  with the admits around the frozen rest) from the streams that
-  blocked ring 0 out to every link of the admits' routes, and
-  re-solves the whole network only when those fail;
+  with the admits around the frozen rest) from the streams whose
+  release frees one gap of ring 0's failing window, through the
+  streams that blocked it, out to every link of the admits' routes,
+  and re-solves the whole network only when those fail;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -43,11 +44,11 @@ from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     List,
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -96,10 +97,13 @@ RUNG_HEURISTIC = "heuristic"
 #: ``bench/``'s rung tables.
 RUNG_INCREMENTAL = RUNG_FASTPATH
 
-#: Most blocker rings the ``full`` rung tries in one climb: the failing
-#: admit's looser blockers, then each ring grown by the looser blockers
-#: of the stream it failed on (:meth:`AdmissionService._repair_ring`).
-_EJECTION_DEPTH = 3
+#: Most rings of one ejection chain the ``full`` rung tries in one
+#: climb: the failing admit's gap cut (or its looser blockers), then
+#: each ring grown by the gap cut (or the looser blockers) of the stream
+#: it failed on (:meth:`AdmissionService._repair_ring`).  At 3 the gap
+#: chain ran out on over a quarter of its ``admit_ladder`` climbs;
+#: DESIGN.md has the depths measured.
+_EJECTION_DEPTH = 6
 
 #: How often a batch may rebase onto a fresh snapshot after losing the
 #: publish CAS race to another writer sharing the store, before it is
@@ -747,27 +751,32 @@ class AdmissionService:
 
         1. none — ring 0, the constructive rung's own attempt, placed
            once per climb; its failure names the admit F that did not
-           fit, the link L it failed on and F's *blockers* there (the
-           streams whose slots earliest-fit met F's frame on);
-        2. the blockers: F's blockers looser than F (a greater
+           fit, the link L it failed on, F's *blockers* there (the
+           streams whose slots earliest-fit met F's frame on) and F's
+           *gap cut* (the streams overlapping F's frame at the offset
+           of its window that overlaps the fewest, where every one of
+           them is deterministic and looser than F — a greater
            ``(period, e2e, name)``, placed after F as a whole re-solve
-           would place them); when that fails on a stream with
-           blockers of its own, its looser blockers join and the ring
-           is tried again — an ejection chain of at most
-           ``_EJECTION_DEPTH`` rings;
-        3. looser: every stream on L looser than F;
-        4. the route ring: every stream with a slot on a link an
+           would place them);
+        2. the gap: F's gap cut; when that fails on a stream with a gap
+           cut of its own, that cut joins and the ring is tried again —
+           an ejection chain of at most ``_EJECTION_DEPTH`` rings;
+        3. the blockers: F's blockers looser than F, grown the same way
+           by the looser blockers of the stream each ring fails on;
+        4. looser: every stream on L looser than F;
+        5. the route ring: every stream with a slot on a link an
            admitted route crosses.
 
         Each ring is re-placed with the admits, tightest first, around
         the frozen rest (:meth:`ResolvedBatch.place`); a ring equal to
-        one already tried is skipped, and when every ring fails
-        :class:`InfeasibleError` hands the batch to the whole re-solve.
+        one already tried is not placed again — its kept failure stands
+        — and when every ring fails :class:`InfeasibleError` hands the
+        batch to the whole re-solve.
         Probabilistic slots stay frozen, so every live ECT keeps its
         guarantee.  The result is checked like a constructive accept:
         ``validate_delta`` over what moved — the admits and the ring
         streams not back on their old slots — and a full ``validate``
-        under ``certify``.  Returns the ring's name (``none``,
+        under ``certify``.  Returns the ring's name (``none``, ``gap``,
         ``blockers``, ``looser`` or ``route``), how many live streams
         it released, and the schedule.
         """
@@ -778,50 +787,59 @@ class AdmissionService:
         def keep(stream: Stream) -> bool:
             return stream.name not in batch.removed
 
-        def looser_blockers(failure: _RingFailure) -> List[Stream]:
+        def looser_of(
+            failure: _RingFailure, names: Tuple[str, ...]
+        ) -> List[Stream]:
             failed = admits.get(failure.stream) or by_name.get(failure.stream)
             if failed is None:
                 return []
             bound = _tightness(failed)
             return [
-                by_name[name] for name in failure.blockers
+                by_name[name] for name in names
                 if name in by_name and by_name[name].type == StreamType.DET
                 and keep(by_name[name]) and _tightness(by_name[name]) > bound
             ]
 
-        tried: List[Set[str]] = []
+        # every ring placed so far -> its failure
+        tried: Dict[FrozenSet[str], _RingFailure] = {}
 
         def attempt(ring: List[Stream]) -> Tuple[
-            Optional[NetworkSchedule], Optional[_RingFailure]
+            Optional[NetworkSchedule], _RingFailure
         ]:
-            tried.append({s.name for s in ring})
+            names = frozenset(s.name for s in ring)
+            if names in tried:
+                return None, tried[names]
             try:
                 return batch.place(ring), None
             except (InfeasibleError, ScheduleError) as exc:
                 # its fields, not the exception: the traceback would
                 # keep every ring's working set alive with the batch
-                return None, _RingFailure(
+                tried[names] = _RingFailure(
                     getattr(exc, "stream", None), getattr(exc, "link", None),
-                    getattr(exc, "blockers", ()), str(exc),
+                    getattr(exc, "blockers", ()), getattr(exc, "gap", ()),
+                    str(exc),
                 )
+                return None, tried[names]
 
         result, first = attempt([])
         if result is not None:
             return "none", 0, result
         failure = first
-        ring = looser_blockers(first)
-        for _ in range(_EJECTION_DEPTH):
-            if not ring:
-                break
-            result, failure = attempt(ring)
-            if result is not None:
-                return "blockers", len(ring), result
-            names = {s.name for s in ring}
-            ring = ring + [
-                s for s in looser_blockers(failure) if s.name not in names
-            ]
-            if len(ring) == len(names):
-                break
+        for kind in ("gap", "blockers"):
+            ring = looser_of(first, getattr(first, kind))
+            for _ in range(_EJECTION_DEPTH):
+                if not ring:
+                    break
+                result, failure = attempt(ring)
+                if result is not None:
+                    return kind, len(ring), result
+                names = {s.name for s in ring}
+                ring = ring + [
+                    s for s in looser_of(failure, getattr(failure, kind))
+                    if s.name not in names
+                ]
+                if len(ring) == len(names):
+                    break
         looser: List[Stream] = []
         if first.link is not None and first.stream in admits:
             failed = admits[first.stream]
@@ -836,14 +854,14 @@ class AdmissionService:
             ("looser", looser),
             ("route", deterministic_crossing(schedule, route, keep)),
         ):
-            if not ring or {s.name for s in ring} in tried:
+            if not ring:
                 continue
             result, failure = attempt(ring)
             if result is not None:
                 return name, len(ring), result
         raise InfeasibleError(
             failure.reason, stream=failure.stream, link=failure.link,
-            blockers=failure.blockers,
+            blockers=failure.blockers, gap=failure.gap,
         )
 
     # -- deployment emission -------------------------------------------
@@ -870,6 +888,7 @@ class _RingFailure(NamedTuple):
     stream: Optional[str]
     link: Optional[Tuple[str, str]]
     blockers: Tuple[str, ...]
+    gap: Tuple[str, ...]
     reason: str
 
 

@@ -15,3 +15,9 @@ def widen_ns(window_ns: int, margin_us: int) -> int:
 
 def report_us(window_ns: int) -> float:
     return ns_to_us(window_ns)
+
+
+def drift_error_ns(interval_ns: int, drift: int) -> int:
+    # ns times a rate of unknown unit (ppb here), scaled by 1e9: the
+    # scale is the rate's, so the product is still ns, not s
+    return interval_ns * drift // 1_000_000_000

@@ -219,6 +219,29 @@ class TestScaleFactors:
         assert [f.line for f in report.findings] == [3]
         assert "window_ns (ns) assigned us" in report.findings[0].message
 
+    @pytest.mark.parametrize("source", [
+        "def f(interval_ns, drift):\n"
+        "    return submit(period_ns=interval_ns * drift // 1_000_000_000)\n",
+        "def f(drift, interval_ns):\n"
+        "    error = drift * interval_ns\n"
+        "    return submit(period_ns=error / 1e9)\n",
+        "def f(interval_us, rate):\n"
+        "    return submit(period_s=interval_us * rate * 1_000)\n",
+    ])
+    def test_a_scaled_product_with_an_unknown_factor_has_no_unit(
+        self, tmp_path, source
+    ):
+        assert _analyze_source(tmp_path, source).findings == []
+
+    def test_a_product_with_an_unknown_factor_keeps_its_unit(self, tmp_path):
+        report = _analyze_source(
+            tmp_path,
+            "def f(interval_us, drift):\n"
+            "    return submit(period_ns=interval_us * drift)\n",
+        )
+        assert _rules(report) == ["unit-call"]
+        assert "expects ns but got us" in report.findings[0].message
+
     def test_a_local_rebinding_is_no_scale(self, tmp_path):
         report = _analyze_source(
             tmp_path,

@@ -15,14 +15,15 @@ order with its removals dropped first instead of request by request
 (one four-operation ``fig13`` batch is then accepted by the
 constructive rung instead of ``full``); ``fig13`` again when the
 ``full`` rung's first ring became the streams that blocked the admit,
-which moves fewer of them.  The same script through a
+which moves fewer of them, and again when it became the admit's gap
+cut, which moves fewer still.  The same script through a
 :class:`ClusterCoordinator` over each partition must produce the same
 digest: the cluster decides and places exactly what one store does.
 
 ``VERDICT_PINS`` holds one SHA-256 per layout over every decision's
 ``(op, stream, accepted)`` alone, recorded before that ring change: a
 change that moves slots but no verdict re-records ``PINS`` and must
-pass ``VERDICT_PINS`` as it is.  ``python
+pass ``VERDICT_PINS`` as it is.  ``PYTHONPATH=src python
 tests/cluster/test_cluster_equivalence.py`` prints both.
 
 The script mixes local, cross-shard and removed admits, unknown
@@ -54,7 +55,7 @@ from repro.service import (
 )
 
 PINS = {
-    "fig13": "0c8506ca272251b7344955b6acfa1d91f3e457f254a4c2c3037db8bfaabf581d",
+    "fig13": "30c372cb6fc80bdff1af09a0c1fac22d89a3276a617763635b2c77990505de10",
     "rings": "4c5b911c07200ef7669b07ebdcbfb1214ddd3153f3a61c56c3eaeffe59251d3b",
 }
 

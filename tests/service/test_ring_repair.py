@@ -7,15 +7,20 @@ ring from where placement failed:
 
 1. none: ring 0, the constructive rung's own attempt, placed once per
    climb and not again here — its failure names the admit F, the link
-   L and F's blockers there, the streams whose slots earliest-fit met
-   F's frame on;
-2. blockers: F's blockers with a greater ``(period, e2e, name)`` than
+   L, F's blockers there (the streams whose slots earliest-fit met F's
+   frame on) and F's gap cut (the streams overlapping F's frame at the
+   offset of its window that overlaps the fewest streams, all of them
+   deterministic and with a greater ``(period, e2e, name)`` than F);
+2. gap: F's gap cut; when that fails on a stream with a gap cut of its
+   own, that cut joins and the ring is tried again, at most six gap
+   rings in all;
+3. blockers: F's blockers with a greater ``(period, e2e, name)`` than
    F, which the tightest-first order places after F; when that fails
    on a stream with blockers of its own, its looser blockers join and
-   the ring is tried again, at most three blocker rings in all;
-3. looser: the deterministic streams on L with a greater ``(period,
+   the ring is tried again, at most six blocker rings in all;
+4. looser: the deterministic streams on L with a greater ``(period,
    e2e, name)`` than F;
-4. route: every deterministic stream with a slot on a link an admitted
+5. route: every deterministic stream with a slot on a link an admitted
    route crosses.
 
 The first ring whose repair validates is published, and only its
@@ -32,7 +37,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristic import schedule_heuristic
+from repro.core.constraints import build_frames, window_max_ns
+from repro.core.heuristic import (
+    _Occupancy,
+    _PlacementFailure,
+    schedule_heuristic,
+)
 from repro.core.incremental import (
     add_ect_stream,
     add_shared_tct_stream,
@@ -43,12 +53,20 @@ from repro.core.reservation import prudent_reservation
 from repro.core.schedule import (
     InfeasibleError,
     ScheduleError,
+    periodic_overlap,
     validate,
     validate_delta,
 )
 from repro.experiments import line_of_rings
-from repro.model.stream import EctStream, Priorities, StreamType, TctRequirement
-from repro.model.units import milliseconds
+from repro.model.stream import (
+    EctStream,
+    Priorities,
+    StreamType,
+    TctRequirement,
+    may_overlap,
+)
+from repro.model.topology import Topology
+from repro.model.units import ceil_to_multiple, milliseconds
 from repro.obs import Tracer
 from repro.serialization import schedule_to_dict
 from tests.conftest import MTU_WIRE_NS
@@ -198,10 +216,10 @@ def _rung_ring(schedule, admitted, removals):
     ]
     by_name = {s.name: s for s in live + admitted}
 
-    def looser_blockers(failure):
+    def looser(failure, kind):
         failed = by_name.get(getattr(failure, "stream", None))
         return [] if failed is None else [
-            by_name[name] for name in getattr(failure, "blockers", ())
+            by_name[name] for name in getattr(failure, kind, ())
             if name in by_name and by_name[name] not in admitted
             and _tightness(by_name[name]) > _tightness(failed)
         ]
@@ -209,17 +227,18 @@ def _rung_ring(schedule, admitted, removals):
     result, failure = attempt([])
     if result is not None:
         return "none", set(), result
-    ring = looser_blockers(failure)
-    for _ in range(3):
-        if not ring:
-            break
-        result, chained = attempt(ring)
-        if result is not None:
-            return "blockers", {s.name for s in ring}, result
-        more = [s for s in looser_blockers(chained) if s not in ring]
-        if not more:
-            break
-        ring = ring + more
+    for kind in ("gap", "blockers"):
+        ring = looser(failure, kind)
+        for _ in range(6):
+            if not ring:
+                break
+            result, chained = attempt(ring)
+            if result is not None:
+                return kind, {s.name for s in ring}, result
+            more = [s for s in looser(chained, kind) if s not in ring]
+            if not more:
+                break
+            ring = ring + more
     rings = []
     if isinstance(failure, InfeasibleError) and failure.link is not None:
         (failed,) = [s for s in admitted if s.name == failure.stream]
@@ -368,8 +387,9 @@ def test_one_blocker_moves_and_its_looser_neighbour_stays(
 ):
     """``n`` fails on D1->SW1, where ``q`` and ``s`` are both looser
     than it: the looser ring would release both, but only ``q``'s slot
-    stood in ``n``'s way, so the blocker ring releases ``q`` alone and
-    every other stream keeps its slot-list objects."""
+    stood in ``n``'s way, so ``q`` is both its one looser blocker and
+    its gap cut; the gap ring releases ``q`` alone and every other
+    stream keeps its slot-list objects."""
     service = _grown(
         star_topology,
         ("p", "D3", "D1", 3, 300), ("q", "D1", "D3", 12, 3000),
@@ -386,11 +406,14 @@ def test_one_blocker_moves_and_its_looser_neighbour_stays(
         and _tightness(before.stream(name)) > _tightness(stream)
     }
 
+    assert failure.value.gap == ("q",)
+    assert "q" in failure.value.blockers and "s" not in failure.value.blockers
+
     calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
     assert calls == [["n"], ["n", "q"]]
-    assert _decided_ring(service) == ("blockers", 1)
+    assert _decided_ring(service) == ("gap", 1)
     after = service.store.schedule
     assert _released(before, after) == {"q"}
     assert after.slots == repair(before, [stream, before.stream("q")]).slots
@@ -425,8 +448,11 @@ def test_a_failed_blocker_ring_falls_back_to_the_looser_ring(
 
 
 def _chain_case(topology):
-    """``n`` is blocked by ``r`` only; released, ``r`` is blocked by
-    ``s``, looser than it: the chain's second ring places all three."""
+    """``n`` is blocked on D2->SW1 by ``r`` only; with ``r`` released,
+    ``n`` goes on to SW1->D1 and is blocked there by ``s`` alone,
+    looser than it: the chain's second ring places all three.  Each
+    blocker is also the whole gap cut there, so the gap chain is the
+    one that places them."""
     service = _grown(
         topology,
         ("p", "D1", "D2", 6, 3000), ("q", "D1", "D2", 12, 3000),
@@ -440,21 +466,123 @@ def test_the_ejection_chain_adds_the_blockers_of_a_blocker(
 ):
     service, newcomer = _chain_case(star_topology)
     before = service.store.schedule
+    with pytest.raises(InfeasibleError) as failure:
+        ResolvedBatch(before, [newcomer]).place()
+    assert failure.value.blockers == failure.value.gap == ("r",)
+    with pytest.raises(InfeasibleError) as failure:
+        ResolvedBatch(before, [newcomer]).place([before.stream("r")])
+    assert (failure.value.stream, failure.value.link) == ("n", ("SW1", "D1"))
+    assert failure.value.blockers == failure.value.gap == ("s",)
     calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
     assert calls == [["n"], ["n", "r"], ["n", "r", "s"]]
-    assert _decided_ring(service) == ("blockers", 2)
+    assert _decided_ring(service) == ("gap", 2)
     assert _released(before, service.store.schedule) <= {"r", "s"}
     validate(service.store.schedule)
 
 
 def test_the_chain_keeps_no_failure_alive(star_topology):
-    """The chain carries a failed ring's stream, link and blockers
-    forward, not the exception, whose traceback would hold the batch
-    and each placement's working set: the batch is freed with its last
-    reference, not at some later garbage collection."""
+    """The chain carries a failed ring's stream, link, blockers and gap
+    cut forward, not the exception, whose traceback would hold the
+    batch and each placement's working set: the batch is freed with its
+    last reference, not at some later garbage collection."""
     service, newcomer = _chain_case(star_topology)
+    batch = ResolvedBatch(service.store.schedule, [newcomer])
+    gc.disable()
+    try:
+        name, released, result = service._repair_ring(batch)
+        assert (name, released) == ("gap", 2)
+        del result
+        kept = weakref.ref(batch)
+        del batch
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def test_a_gap_one_looser_stream_blocks_moves_it_alone(
+    star_topology, monkeypatch
+):
+    """``n`` fails on D2->SW1, where its frame met ``g``, ``t`` and
+    ``h``, all three looser than it: the blocker ring would release all
+    three.  But one offset of its window overlaps ``g``'s slot alone, so
+    the gap ring releases ``g`` and every other stream keeps its
+    slot-list objects."""
+    service = _grown(
+        star_topology,
+        ("g", "D2", "D3", 8, 1500), ("t", "D2", "D3", 12, 300),
+        ("h", "D2", "D1", 8, 800),
+    )
+    before = service.store.schedule
+    newcomer = _mtu_tct("n", "D2", "D1", 6, 1500)
+    stream = newcomer.requirement.resolve(star_topology)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream])
+    assert (failure.value.stream, failure.value.link) == ("n", ("D2", "SW1"))
+    assert failure.value.blockers == ("g", "t", "h")
+    assert all(
+        _tightness(before.stream(name)) > _tightness(stream)
+        for name in failure.value.blockers
+    )
+    assert failure.value.gap == ("g",)
+
+    calls = _placements(monkeypatch)
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["n"], ["n", "g"]]
+    assert _decided_ring(service) == ("gap", 1)
+    after = service.store.schedule
+    assert _released(before, after) == {"g"}
+    assert after.slots == repair(before, [stream, before.stream("g")]).slots
+
+
+def _unplaceable_gap_case(topology):
+    """``n`` fails on D2->SW1 blocked by ``i`` and ``m``; its gap cut is
+    ``i`` alone, which cannot be placed again once ``n`` has its offset
+    (a failure with no gap cut of its own), so the gap chain ends after
+    one ring."""
+    service = _grown(
+        topology,
+        ("i", "D2", "D1", 4, 1500), ("m", "D2", "D1", 8, 800),
+        ("t", "D1", "D3", 8, 800),
+    )
+    return service, _mtu_tct("n", "D2", "D3", 2, 800)
+
+
+def test_an_unplaceable_gap_falls_back_to_the_blocker_chain(
+    star_topology, monkeypatch
+):
+    """The blocker ring then releases ``i`` and ``m`` and publishes
+    exactly the repair the blocker ring made before gap rings existed
+    (the same slots as at the parent commit)."""
+    service, newcomer = _unplaceable_gap_case(star_topology)
+    before = service.store.schedule
+    stream = newcomer.requirement.resolve(star_topology)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream])
+    assert failure.value.blockers == ("i", "m")
+    assert failure.value.gap == ("i",)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream, before.stream("i")])
+    assert failure.value.stream == "i"
+    assert failure.value.gap == ()
+
+    calls = _placements(monkeypatch)
+    decision = service.submit(newcomer)
+    assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["n"], ["n", "i"], ["n", "i", "m"]]
+    assert _decided_ring(service) == ("blockers", 2)
+    after = service.store.schedule
+    assert _released(before, after) == {"i", "m"}
+    blockers = repair(before, [stream, before.stream("i"), before.stream("m")])
+    assert after.slots == blockers.slots
+
+
+def test_a_failing_gap_chain_keeps_no_failure_alive(star_topology):
+    """A failed gap ring is carried forward as its fields, like a
+    failed blocker ring: the batch is freed with its last reference."""
+    service, newcomer = _unplaceable_gap_case(star_topology)
     batch = ResolvedBatch(service.store.schedule, [newcomer])
     gc.disable()
     try:
@@ -466,6 +594,129 @@ def test_the_chain_keeps_no_failure_alive(star_topology):
         assert kept() is None
     finally:
         gc.enable()
+
+
+def _coarse_star():
+    """Paper Fig. 2's star on an 8 us time unit: few enough offsets in
+    a window to try every one."""
+    topology = Topology()
+    topology.add_switch("SW1")
+    for device in ("D1", "D2", "D3"):
+        topology.add_device(device)
+        topology.add_link(device, "SW1", time_unit_ns=COARSE_TU_NS)
+    return topology
+
+
+COARSE_TU_NS = 8_000
+COARSE = _coarse_star()
+#: every stream ends at D3, so SW1->D3 fills up
+star_endpoints = st.sampled_from((("D1", "D3"), ("D2", "D3")))
+
+
+@st.composite
+def gap_case(draw):
+    """A state on the coarse star grown from TCT, sharing TCT and ECT
+    admits into D3, a newcomer into D3, one of its frames on one of its
+    links, and a lower bound for that frame."""
+    schedule = empty_schedule(COARSE)
+    for step in range(draw(st.integers(10, 40))):
+        try:
+            if draw(st.integers(0, 4)):
+                src, dst = draw(star_endpoints)
+                _, period, length, share = draw(tct_specs)
+                schedule = add_shared_tct_stream(schedule, _requirement(
+                    f"t{step}", src, dst, period, length, share
+                ).resolve(COARSE))
+            else:
+                src, dst = draw(star_endpoints)
+                schedule = add_ect_stream(schedule, EctStream(
+                    name=f"e{step}", source=src, destination=dst,
+                    min_interevent_ns=milliseconds(2),
+                    length_bytes=draw(st.integers(100, 400)),
+                    possibilities=2,
+                ))
+        except InfeasibleError:
+            continue
+    src, dst = draw(star_endpoints)
+    _, period, length, share = draw(tct_specs)
+    newcomer = _requirement("n", src, dst, period, length, share).resolve(
+        COARSE
+    )
+    plan = prudent_reservation([newcomer], against=_live_ect(schedule, ()))
+    link = draw(st.sampled_from(newcomer.path))
+    frame = draw(st.sampled_from(
+        build_frames([newcomer], plan)[("n", link.key)]
+    ))
+    lower = draw(st.integers(0, newcomer.period_ns))
+    return schedule, newcomer, frame, lower
+
+
+def _cut_by_definition(schedule, newcomer, frame, lower):
+    """The gap cut by its definition, with ``periodic_overlap``: at each
+    tu-aligned offset of the window, the streams of the slots the frame
+    may not overlap (``may_overlap``) and overlaps there; among the
+    offsets where all of those are deterministic and looser than the
+    newcomer, the first with the fewest.  Returns that offset and the
+    streams, in slot order; ``(None, ())`` when no offset qualifies."""
+    streams = schedule.streams_by_name
+    slots = [
+        slot for slot in schedule.slots_by_link.get(frame.link, ())
+        if not may_overlap(newcomer, streams[slot.stream])
+    ]
+    best, cut = None, ()
+    for phi in range(
+        ceil_to_multiple(lower, COARSE_TU_NS),
+        window_max_ns(newcomer, frame) + 1, COARSE_TU_NS,
+    ):
+        met = tuple(dict.fromkeys(
+            slot.stream for slot in slots if periodic_overlap(
+                phi, frame.duration_ns, frame.period_ns,
+                slot.offset_ns, slot.duration_ns, slot.period_ns,
+            )
+        ))
+        if all(
+            streams[name].type == StreamType.DET
+            and _tightness(streams[name]) > _tightness(newcomer)
+            for name in met
+        ) and (best is None or len(met) < len(cut)):
+            best, cut = phi, met
+    return best, cut
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gap_case())
+def test_the_gap_cut_matches_its_definition(case):
+    """A failing fit's gap cut is the definition's: every stream in it
+    is deterministic and looser than the newcomer, and at the chosen
+    offset the frame overlaps no slot that stays; releasing the cut
+    lets the frame fit in its window."""
+    schedule, newcomer, frame, lower = case
+    occupancy = _Occupancy.over(schedule)
+    occupancy.streams["n"] = newcomer
+    try:
+        occupancy.earliest_fit(newcomer, frame, lower, COARSE_TU_NS)
+    except _PlacementFailure as failure:
+        phi, cut = _cut_by_definition(schedule, newcomer, frame, lower)
+        assert failure.gap == cut
+        if not cut:
+            return
+        streams = schedule.streams_by_name
+        for name in cut:
+            assert streams[name].type == StreamType.DET
+            assert _tightness(streams[name]) > _tightness(newcomer)
+        stays = [
+            slot for slot in schedule.slots_by_link[frame.link]
+            if slot.stream not in cut
+            and not may_overlap(newcomer, streams[slot.stream])
+        ]
+        assert not any(periodic_overlap(
+            phi, frame.duration_ns, frame.period_ns,
+            slot.offset_ns, slot.duration_ns, slot.period_ns,
+        ) for slot in stays)
+        occupancy.release([streams[name] for name in cut])
+        fit = occupancy.earliest_fit(newcomer, frame, lower, COARSE_TU_NS)
+        assert fit <= phi
 
 
 def test_ring_0_is_placed_once_per_climb(star_topology, monkeypatch):
