@@ -20,7 +20,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.heuristic import schedule_heuristic
 from repro.core.schedule import NetworkSchedule
@@ -47,6 +47,7 @@ def schedule_etsn(
     guard_margin_ns: int = 0,
     reservation_mode: str = "paper",
     proof: bool = False,
+    max_conflicts: Optional[int] = None,
 ) -> NetworkSchedule:
     """Joint E-TSN schedule (paper Sec. III/IV).
 
@@ -54,17 +55,19 @@ def schedule_etsn(
     sound generalization (see :mod:`repro.core.reservation`).
 
     ``proof=True`` (SMT backend only) turns on certificate logging and
-    independent verification — see :func:`repro.core.schedule_smt`.
+    independent verification, and ``max_conflicts`` (SMT backend only)
+    bounds the search — see :func:`repro.core.schedule_smt`.
     """
     kwargs = dict(
         guard_margin_ns=guard_margin_ns, reservation_mode=reservation_mode
     )
-    if proof:
+    if proof or max_conflicts is not None:
         if backend != "smt":
             raise ValueError(
-                f"proof certificates require backend='smt', got {backend!r}"
+                "proof certificates and conflict budgets require "
+                f"backend='smt', got {backend!r}"
             )
-        kwargs["proof"] = True
+        kwargs.update(proof=proof, max_conflicts=max_conflicts)
     return _backend(backend)(topology, tct_streams, ect_streams, **kwargs)
 
 

@@ -14,7 +14,7 @@ Pipeline (paper Fig. 5, inside the CNC):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.proof import verify_certificate
 from repro.core.constraints import build_constraints
@@ -39,11 +39,14 @@ def schedule_smt(
     guard_margin_ns: int = 0,
     reservation_mode: str = "paper",
     proof: bool = False,
+    max_conflicts: Optional[int] = None,
 ) -> NetworkSchedule:
     """Compute a joint E-TSN schedule with the SMT backend.
 
     Raises :class:`InfeasibleError` when the constraint system is
-    unsatisfiable (the stream set cannot be scheduled on this network).
+    unsatisfiable (the stream set cannot be scheduled on this network),
+    or when the search analyses ``max_conflicts`` conflicts without a
+    verdict — a spent budget, never a proof, so never certified.
 
     ``proof=True`` makes every verdict machine-checked: the solver logs
     a certificate, and before this function returns (or raises) the
@@ -65,7 +68,13 @@ def schedule_smt(
     system = build_constraints(
         topology, streams, plan, guard_margin_ns, proof=proof
     )
-    result = system.solver.check()
+    result = system.solver.check(max_conflicts)
+    if result.sat is None:
+        raise InfeasibleError(
+            f"SMT scheduler: no verdict for {len(streams)} streams "
+            f"({result.stats['clauses']} clauses); the budget of "
+            f"{max_conflicts} conflicts ran out"
+        )
     if not result.sat:
         message = (
             f"SMT scheduler: no schedule exists for {len(streams)} streams "

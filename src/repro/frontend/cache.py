@@ -24,14 +24,15 @@ Not every decision is replayable.  :func:`cacheable` admits only
 * a *name-dependent* rejection ("already in use", "already touched")
   depends on the one field the shape deliberately ignores — replaying
   it for a same-shaped request under a fresh name would be wrong;
-* a *transient* rejection (rung timeout, CAS exhaustion) is wall-clock
-  dependent — a fresh attempt on the same snapshot could legitimately
-  decide differently;
+* a *transient* rejection (CAS exhaustion) depends on contention from
+  other writers — a fresh attempt on the same snapshot could
+  legitimately decide differently;
 * a rejection that *climbed a re-solve rung* (an attempt keyed
   ``full`` or ``heuristic``) is name-dependent too: the heuristic
   places streams tightest first and breaks ties on ``(period, e2e)``
   by name, so the same shape under another name can be placed in
-  another order and fit.
+  another order and fit.  This rule also covers every rejection whose
+  re-solve spent its work budget (restarts or SMT conflicts).
 
 What remains — screening rejects and the constructive rung's conclusive
 analytic rejects — is exactly the class for which "cached decision
@@ -58,7 +59,6 @@ _UNCACHEABLE_MARKERS = (
     "already touched",       # batch-mate name interaction
     "cas_exhausted",         # lost CAS races: contention, not shape
     "rebase",                # ditto
-    "exceeded",              # rung wall-clock budgets ("solve exceeded")
     "server_busy",           # frontend backpressure, never a verdict
 )
 

@@ -12,9 +12,8 @@ bounded ring buffer.  Three properties drive the design:
   returning integer nanoseconds); simulation code passes explicit
   ``ts_ns`` stamps so traces carry *simulated* time, not wall time.
 * **Thread-tolerant.**  Parentage normally follows a per-thread span
-  stack, but any span can name an explicit ``parent`` — that is how the
-  admission service keeps solver work attributed to its rung even when
-  the solve runs on a watchdog worker thread.
+  stack, but any span can name an explicit ``parent`` — work handed to
+  another thread stays attributed to the span that handed it over.
 
 Spans are exported (appended to the ring) when they *finish*, so the
 buffer is ordered by completion time; readers reconstruct the tree from

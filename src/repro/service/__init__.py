@@ -15,7 +15,6 @@ from repro.service.admission import (
     RUNG_INCREMENTAL,
     AdmissionService,
     RungConfig,
-    RungTimeout,
     ServiceConfig,
     empty_schedule,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "RUNG_INCREMENTAL",
     "Remove",
     "RungConfig",
-    "RungTimeout",
     "ScheduleStore",
     "ServiceConfig",
     "StaleVersionError",

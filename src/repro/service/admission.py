@@ -12,12 +12,13 @@
   reject that ends the climb), then a re-solve with the configured
   backend, then — for the SMT backend — a re-solve with
   :func:`schedule_heuristic`; each re-solve rung is one cold attempt
-  under its own wall-clock timeout.  A heuristic re-solve of a
-  TCT-only batch first grows *rings* (deterministic streams re-placed
-  with the admits around the frozen rest) from the streams whose
-  release frees one gap of ring 0's failing window, through the
-  streams that blocked it, out to every link of the admits' routes,
-  and re-solves the whole network only when those fail;
+  on the caller's thread, bounded by work, not time.  A heuristic
+  re-solve of a TCT-only batch first grows *rings* (deterministic
+  streams re-placed with the admits around the frozen rest) from the
+  streams whose release frees one gap of ring 0's failing window,
+  through the streams that blocked it, out to every link of the
+  admits' routes, and re-solves the whole network only when those
+  fail;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -38,9 +39,8 @@
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -85,11 +85,10 @@ from repro.service.requests import (
 from repro.service.store import ScheduleStore, StaleVersionError
 
 #: Ladder rung names, in climb order.  ``RUNG_FASTPATH`` (re-exported
-#: from :mod:`repro.service.fastpath`) is the constructive rung: bounded
-#: work, always run inline.  ``RUNG_FULL`` re-solves with
-#: ``ServiceConfig.backend``; ``RUNG_HEURISTIC`` re-solves with the
-#: heuristic scheduler and is skipped when that is what ``RUNG_FULL``
-#: already ran.
+#: from :mod:`repro.service.fastpath`) is the constructive rung, no
+#: search.  ``RUNG_FULL`` re-solves with ``ServiceConfig.backend``;
+#: ``RUNG_HEURISTIC`` re-solves with the heuristic scheduler and is
+#: skipped when that is what ``RUNG_FULL`` already ran.
 RUNG_FULL = "full"
 RUNG_HEURISTIC = "heuristic"
 #: Deprecated alias of ``RUNG_FASTPATH`` for ``bench/``; a later
@@ -105,6 +104,13 @@ RUNG_INCREMENTAL = RUNG_FASTPATH
 #: DESIGN.md has the depths measured.
 _EJECTION_DEPTH = 6
 
+#: Most conflicts one SMT re-solve may analyse before it gives up with a
+#: plain :class:`InfeasibleError` (no proof, so never certified).  The
+#: largest SMT solve of the tier-1 suite takes 833; a whole-network
+#: SMT re-solve on ``admit_ladder``'s Fig. 13 state reaches 1000 after
+#: about 14 s of search.  DESIGN.md has the measurements.
+_SMT_MAX_CONFLICTS = 1000
+
 #: How often a batch may rebase onto a fresh snapshot after losing the
 #: publish CAS race to another writer sharing the store, before it is
 #: rejected with reason ``"cas_exhausted"``.
@@ -114,23 +120,19 @@ MAX_REBASE_ATTEMPTS = 8
 REASON_CAS_EXHAUSTED = "cas_exhausted"
 
 
-class RungTimeout(RuntimeError):
-    """One ladder rung exceeded its wall-clock budget."""
-
-
 @dataclass(frozen=True)
 class RungConfig:
-    """Budget of one ladder rung.
+    """One ladder rung.
 
     A rung is attempted once: the backends are deterministic functions
-    of (snapshot, request), so a timeout, an infeasible verdict or an
-    unexpected solver error is recorded and the climb moves on.  The
-    budget is for *search*: the constructive rung has none and runs
-    inline whatever ``timeout_s`` says.
+    of (snapshot, request), and each bounds its own search — the ring
+    repair by ``_EJECTION_DEPTH``, the heuristic re-solve by its
+    restarts, the SMT re-solve by ``_SMT_MAX_CONFLICTS`` — so an
+    infeasible verdict, a spent budget or an unexpected solver error is
+    recorded and the climb moves on.
     """
 
     name: str
-    timeout_s: Optional[float] = 30.0
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,9 @@ _FASTPATH_COUNTERS = {
 def _effective_rungs(config: ServiceConfig) -> Tuple[RungConfig, ...]:
     """The rungs a climb runs, from a validated ``config.rungs``.
 
-    The constructive rung is pinned inline.  With ``backend='heuristic'``
-    the heuristic rung would replay the full rung — the same
-    deterministic scheduler under the same restart budget — so it goes.
+    With ``backend='heuristic'`` the heuristic rung would replay the
+    full rung — the same deterministic scheduler under the same restart
+    budget — so it goes.
     """
     order = (RUNG_FASTPATH, RUNG_FULL, RUNG_HEURISTIC)
     names = [rung.name for rung in config.rungs]
@@ -187,10 +189,7 @@ def _effective_rungs(config: ServiceConfig) -> Tuple[RungConfig, ...]:
         )
     if config.backend == "heuristic" and RUNG_FULL in names:
         names = [name for name in names if name != RUNG_HEURISTIC]
-    return tuple(
-        replace(rung, timeout_s=None) if rung.name == RUNG_FASTPATH else rung
-        for rung in config.rungs if rung.name in names
-    )
+    return tuple(rung for rung in config.rungs if rung.name in names)
 
 
 @dataclass
@@ -579,25 +578,9 @@ class AdmissionService:
             with self._tracer.span(
                 "admission.rung", rung=rung.name
             ) as rung_span:
-                def solve() -> NetworkSchedule:
-                    # may run on the timeout watchdog's worker thread,
-                    # whose span stack cannot see this one: the parent
-                    # is named explicitly
-                    with self._tracer.span(
-                        "solve", parent=rung_span, rung=rung.name
-                    ):
-                        return solver()
-
                 try:
-                    result = _call_with_timeout(
-                        solve, rung.timeout_s, self._metrics
-                    )
-                except RungTimeout as exc:
-                    count("timeouts")
-                    attempts[rung.name] = str(exc)
-                    rung_span.set(
-                        outcome="timeout", timeout_s=rung.timeout_s
-                    )
+                    with self._tracer.span("solve", rung=rung.name):
+                        result = solver()
                 except (InfeasibleError, ScheduleError, StreamError,
                         ValueError) as exc:
                     count("failures")
@@ -738,6 +721,7 @@ class AdmissionService:
             result = schedule_etsn(
                 schedule.topology, tct, ects, backend=backend,
                 proof=self._config.certify,
+                max_conflicts=_SMT_MAX_CONFLICTS,
             )
         result.meta["resolved_by"] = rung_name
         return result
@@ -898,63 +882,6 @@ def claimed_names(request: AdmissionRequest) -> List[str]:
     if isinstance(request, AdmitEct):
         return [request.stream_name] + possibility_names(request.ect)
     return [request.stream_name]
-
-
-def _call_with_timeout(
-    fn: Callable[[], NetworkSchedule],
-    timeout_s: Optional[float],
-    metrics: MetricsRegistry,
-) -> NetworkSchedule:
-    """Run ``fn`` under a wall-clock budget.
-
-    ``None`` (or non-positive) runs inline.  Otherwise the solve runs in
-    a daemon thread; on timeout the thread is abandoned (pure-python
-    solvers cannot be preempted) and :class:`RungTimeout` raised — the
-    orphan finishes in the background and its result is discarded.
-
-    Abandonment is no longer silent: every orphaned thread bumps the
-    ``solver.threads_abandoned`` counter, and the
-    ``solver.orphans_running`` gauge tracks how many orphans are *still*
-    burning CPU — the leak signal long cluster soak runs watch.
-    """
-    if timeout_s is None or timeout_s <= 0:
-        return fn()
-    outcome: Dict[str, object] = {}
-    done = threading.Event()
-    state = {"abandoned": False, "finished": False}
-    state_lock = threading.Lock()
-
-    def worker() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            outcome["error"] = exc
-        finally:
-            with state_lock:
-                state["finished"] = True
-                if state["abandoned"]:
-                    metrics.gauge("solver.orphans_running").add(-1)
-            done.set()
-
-    thread = threading.Thread(
-        target=worker, name="repro-admission-solve", daemon=True
-    )
-    thread.start()
-    if not done.wait(timeout_s):
-        with state_lock:
-            if not state["finished"]:
-                # the solve is still running somewhere: count the orphan
-                # now and have the worker decrement on eventual exit
-                state["abandoned"] = True
-                metrics.counter("solver.threads_abandoned").inc()
-                metrics.gauge("solver.orphans_running").add(1)
-                raise RungTimeout(
-                    f"solve exceeded {timeout_s:.3f}s budget"
-                )
-        # finished right on the deadline: take the result after all
-    if "error" in outcome:
-        raise outcome["error"]  # type: ignore[misc]
-    return outcome["value"]  # type: ignore[return-value]
 
 
 def empty_schedule(topology) -> NetworkSchedule:

@@ -453,8 +453,14 @@ class SatSolver:
             self._proof.add_empty()
         return False
 
-    def solve(self) -> bool:
-        """Decide satisfiability.  The model is readable via :meth:`value`."""
+    def solve(self, max_conflicts: Optional[int] = None) -> Optional[bool]:
+        """Decide satisfiability.  The model is readable via :meth:`value`.
+
+        ``max_conflicts`` bounds the search: once this call has analysed
+        that many conflicts the next one ends it with ``None`` — no
+        verdict, and no UNSAT proof closed.  ``None`` searches to a
+        verdict.
+        """
         # Built here, not as variables are allocated, so that activities
         # seeded after the formula was built are honoured.
         self._heap_build([
@@ -463,6 +469,9 @@ class SatSolver:
         ])
         if self._root_conflict:
             return self._conclude_unsat()
+        limit = None if max_conflicts is None else (
+            self.num_conflicts + max_conflicts
+        )
         restart_count = 0
         conflicts_until_restart = _luby(1) * _RESTART_UNIT
         conflicts_here = 0
@@ -480,6 +489,8 @@ class SatSolver:
                 top = max(self._levels[abs(lit)] for lit in conflict)
                 if top == 0:
                     return self._conclude_unsat()
+                if limit is not None and self.num_conflicts > limit:
+                    return None
                 if top < self.decision_level:
                     self._backjump(top)
                 learned, back_level = self._analyze(conflict)

@@ -19,6 +19,8 @@ from repro.smt.theory import DifferenceLogic
 class SmtResult:
     """Outcome of a :meth:`DlSmtSolver.check` call.
 
+    ``sat`` is ``None`` when the conflict budget ran out before a
+    verdict; such a result is falsy and carries no certificate.
     ``stats`` is the flat JSON-able counter dict (formula size plus the
     search counters); ``solver_stats`` is the typed
     :class:`~repro.smt.sat.SolverStats` snapshot of the CDCL core.
@@ -30,7 +32,7 @@ class SmtResult:
 
     def __init__(
         self,
-        sat: bool,
+        sat: Optional[bool],
         model: Optional[Dict[str, int]],
         stats: Dict[str, int],
         solver_stats: Optional[SolverStats] = None,
@@ -43,7 +45,7 @@ class SmtResult:
         self.certificate = certificate
 
     def __bool__(self) -> bool:
-        return self.sat
+        return self.sat is True
 
     @property
     def model(self) -> Dict[str, int]:
@@ -146,9 +148,10 @@ class DlSmtSolver:
         self._sat.add_clause(lits)
 
     # ------------------------------------------------------------------
-    def check(self) -> SmtResult:
-        """Run the DPLL(T) search."""
-        sat = self._sat.solve()
+    def check(self, max_conflicts: Optional[int] = None) -> SmtResult:
+        """Run the DPLL(T) search, bounded by ``max_conflicts`` if given
+        (see :meth:`SatSolver.solve`)."""
+        sat = self._sat.solve(max_conflicts)
         model: Optional[Dict[str, int]] = None
         if sat:
             values = self._dl.model()
@@ -164,7 +167,7 @@ class DlSmtSolver:
         }
         stats.update(solver_stats.to_dict())
         certificate = None
-        if self._proof is not None:
+        if self._proof is not None and sat is not None:
             certificate = Certificate(
                 status="sat" if sat else "unsat",
                 cnf=[list(clause) for clause in self._input_clauses],

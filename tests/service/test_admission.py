@@ -1,13 +1,14 @@
-"""AdmissionService: ladder climbing, batching, timeouts, and the
+"""AdmissionService: ladder climbing, batching, work budgets, and the
 500-request storm acceptance criterion."""
 
 import copy
 import random
-import time
 
 import pytest
 
+from repro.core import schedule_etsn
 from repro.core.schedule import InfeasibleError, validate
+from repro.experiments import testbed_workload as make_testbed_workload
 from repro.service import admission as admission_module
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
@@ -259,35 +260,33 @@ class TestBatching:
         validate(service.store.schedule)
 
 
-class TestTimeoutsAndRetries:
-    def test_rung_timeout_climbs_ladder(self, star_topology, monkeypatch):
+class TestBudgetsAndErrors:
+    def test_exhausted_budget_climbs_ladder(self, monkeypatch):
+        # one admit onto the Fig. 10 testbed: the SMT re-solve of the
+        # whole network needs conflicts, and the budget allows none
+        monkeypatch.setattr(admission_module, "_SMT_MAX_CONFLICTS", 0)
+        workload = make_testbed_workload(0.25, 6)
+        base = schedule_etsn(workload.topology, workload.tct_streams,
+                             workload.ect_streams)
         config = ServiceConfig(backend="smt", rungs=(
-            RungConfig(RUNG_FULL, timeout_s=0.02),
-            RungConfig(RUNG_HEURISTIC, timeout_s=None),
+            RungConfig(RUNG_FULL), RungConfig(RUNG_HEURISTIC),
         ))
-        service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)), config=config)
-        real = service._resolve
-
-        def slow(batch, rung_name):
-            if rung_name == RUNG_FULL:
-                time.sleep(0.2)
-            return real(batch, rung_name)
-
-        monkeypatch.setattr(service, "_resolve", slow)
-        decision = service.submit(_tct("a"))
+        service = AdmissionService(ScheduleStore(base), config=config)
+        decision = service.submit(_tct("a", src="D1", dst="D4"))
         assert decision.accepted
         assert decision.rung == RUNG_HEURISTIC
-        assert "budget" in decision.attempts[RUNG_FULL]
+        assert decision.attempts[RUNG_FULL].endswith(
+            "the budget of 0 conflicts ran out"
+        )
         assert service.metrics.counter(
-            f"rungs.{RUNG_FULL}.timeouts").value == 1
+            f"rungs.{RUNG_FULL}.failures").value == 1
 
     def test_backend_error_is_recorded_climb_goes_on(
         self, star_topology, monkeypatch
     ):
         config = ServiceConfig(backend="smt", rungs=(
-            RungConfig(RUNG_FULL, timeout_s=None),
-            RungConfig(RUNG_HEURISTIC, timeout_s=None),
+            RungConfig(RUNG_FULL),
+            RungConfig(RUNG_HEURISTIC),
         ))
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)), config=config)
@@ -352,18 +351,10 @@ class TestStorm:
 
     def test_500_request_storm(self, star_topology):
         rng = random.Random(42)
-        # a service tuned for quick decisions: tight per-rung budgets and
-        # a lean last-resort restart budget
+        # a service tuned for quick decisions: a lean restart budget
         service = AdmissionService(
             ScheduleStore(empty_schedule(star_topology)),
-            config=ServiceConfig(
-                heuristic_min_restarts=8,
-                rungs=(
-                    RungConfig(RUNG_FASTPATH, timeout_s=10.0),
-                    RungConfig(RUNG_FULL, timeout_s=10.0),
-                    RungConfig(RUNG_HEURISTIC, timeout_s=10.0),
-                ),
-            ),
+            config=ServiceConfig(heuristic_min_restarts=8),
         )
         devices = ("D1", "D2", "D3")
         live = set()

@@ -2,14 +2,11 @@
 
 The write lock makes a CAS conflict unreachable from a single service
 instance, but the cluster shares stores between writers; these tests
-drive the conflict deterministically and check the bounded-rebase and
-orphan-thread accounting that makes contention observable.
+drive the conflict deterministically and check the bounded-rebase
+accounting that makes contention observable.
 """
 
 import threading
-import time
-
-import pytest
 
 from repro.model.stream import Priorities, TctRequirement
 from repro.model.units import milliseconds
@@ -20,13 +17,7 @@ from repro.service import (
     StaleVersionError,
     empty_schedule,
 )
-from repro.service.admission import (
-    MAX_REBASE_ATTEMPTS,
-    REASON_CAS_EXHAUSTED,
-    RungTimeout,
-    _call_with_timeout,
-)
-from repro.service.metrics import MetricsRegistry
+from repro.service.admission import MAX_REBASE_ATTEMPTS, REASON_CAS_EXHAUSTED
 
 
 def _tct(name, src="D1", dst="D3", period_ms=8):
@@ -112,33 +103,3 @@ class TestSharedStoreContention:
         metrics = store.metrics
         assert metrics.counter("batches.rebased").value == MAX_REBASE_ATTEMPTS
         assert metrics.counter("batches.rebase_exhausted").value == 1
-
-
-class TestAbandonedSolverThreads:
-    def test_orphan_is_counted_then_drained(self):
-        metrics = MetricsRegistry()
-        release = threading.Event()
-
-        def slow_solve():
-            release.wait(10)
-            return "never used"
-
-        with pytest.raises(RungTimeout):
-            _call_with_timeout(slow_solve, 0.05, metrics=metrics)
-        assert metrics.counter("solver.threads_abandoned").value == 1
-        assert metrics.gauge("solver.orphans_running").value == 1
-
-        # the orphan finishes in the background and drains the gauge
-        release.set()
-        deadline = time.monotonic() + 5
-        while (metrics.gauge("solver.orphans_running").value
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        assert metrics.gauge("solver.orphans_running").value == 0
-        assert metrics.counter("solver.threads_abandoned").value == 1
-
-    def test_fast_solve_is_not_abandoned(self):
-        metrics = MetricsRegistry()
-        assert _call_with_timeout(lambda: 42, 5.0, metrics=metrics) == 42
-        assert metrics.counter("solver.threads_abandoned").value == 0
-        assert metrics.gauge("solver.orphans_running").value == 0

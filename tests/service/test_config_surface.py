@@ -39,7 +39,7 @@ def test_config_fields():
         "backend", "heuristic_min_restarts", "max_batch",
         "emit_deployments", "certify", "rungs",
     ]
-    assert [f.name for f in fields(RungConfig)] == ["name", "timeout_s"]
+    assert [f.name for f in fields(RungConfig)] == ["name"]
 
 
 @pytest.mark.parametrize("command", sorted(SERVING_FLAGS))

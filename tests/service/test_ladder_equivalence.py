@@ -24,8 +24,9 @@ every pin below that a scripted run records, and the ladder's work
 counts (streams placed per climb, moved per ``full`` accept).
 
 The rest pins what the single rung driver owes: no replayed solver, the
-heuristic rung as the SMT backend's fallback, and the abandoned-solver
-accounting on a sequential timeout.
+heuristic rung as the SMT backend's fallback when the SMT search spends
+its conflict budget, and a rung outcome that is a function of
+(snapshot, request, budget) alone, decided on the caller's thread.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ import hashlib
 import json
 import random
 import sys
-import time
+import threading
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -44,13 +45,12 @@ if __name__ == "__main__":
 import pytest
 
 from repro.core import schedule_etsn
-from repro.core.schedule import validate
+from repro.core.schedule import InfeasibleError, validate
 from repro.experiments import line_of_rings, simulation_workload
 from repro.experiments import testbed_workload as make_testbed_workload
 from repro.frontend.cache import cacheable
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
-from repro.obs import Tracer
 from repro.serialization import schedule_to_dict
 from repro.service import (
     RUNG_FASTPATH,
@@ -184,6 +184,18 @@ def _digest(service, meta=True):
         del document["meta"]
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _testbed_service(**config):
+    """An SMT-backed service on the Fig. 10 testbed
+    (``testbed_workload(0.25, 6)``) and its device names."""
+    workload = make_testbed_workload(0.25, 6)
+    base = schedule_etsn(workload.topology, workload.tct_streams,
+                         workload.ect_streams)
+    service = AdmissionService(
+        ScheduleStore(base), ServiceConfig(backend="smt", **config)
+    )
+    return service, [d.name for d in workload.topology.devices]
 
 
 def _fig13_mix():
@@ -330,18 +342,7 @@ class TestPinnedToParent:
         streams, with the SMT backend under the ``full`` rung: the 2nd,
         38th and 42nd operations defeat earliest-fit and are placed by
         one cold DPLL(T) solve each."""
-        workload = make_testbed_workload(0.25, 6)
-        base = schedule_etsn(workload.topology, workload.tct_streams,
-                             workload.ect_streams)
-        service = AdmissionService(
-            ScheduleStore(base),
-            ServiceConfig(backend="smt", rungs=(
-                RungConfig(RUNG_FASTPATH),
-                RungConfig(RUNG_FULL, timeout_s=None),
-                RungConfig(RUNG_HEURISTIC, timeout_s=None),
-            )),
-        )
-        devices = [d.name for d in workload.topology.devices]
+        service, devices = _testbed_service()
         decisions = _ladder_ops(service, devices, 14, {1: 7}, 45)
         assert _letters(decisions) == SMT_LADDER_DECISIONS
         assert _digest(service, meta=False) == SMT_LADDER_DIGEST
@@ -482,17 +483,9 @@ class TestSolverCounters:
             return result
 
         monkeypatch.setattr(admission_module, "schedule_etsn", recorded)
-        workload = make_testbed_workload(0.25, 6)
-        base = schedule_etsn(workload.topology, workload.tct_streams,
-                             workload.ect_streams)
-        service = AdmissionService(
-            ScheduleStore(base),
-            ServiceConfig(backend="smt", certify=True, rungs=(
-                RungConfig(RUNG_FASTPATH),
-                RungConfig(RUNG_FULL, timeout_s=None),
-            )),
-        )
-        devices = [d.name for d in workload.topology.devices]
+        service, devices = _testbed_service(certify=True, rungs=(
+            RungConfig(RUNG_FASTPATH), RungConfig(RUNG_FULL),
+        ))
         decisions = _ladder_ops(service, devices, 14, {1: 7}, 5)
         assert _letters(decisions) == "fFfff"
         assert len(ran) == 1
@@ -516,16 +509,6 @@ def _saturated(service):
                 e2e_ns=3 * MTU_WIRE_NS)
 
 
-def _slow(monkeypatch, solver_name, delay_s):
-    real = getattr(admission_module, solver_name)
-
-    def slowed(*args, **kwargs):
-        time.sleep(delay_s)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(admission_module, solver_name, slowed)
-
-
 class TestNoReplayedSolver:
     def test_heuristic_backend_reject_never_runs_the_heuristic_rung(
         self, star_topology
@@ -540,70 +523,93 @@ class TestNoReplayedSolver:
         counters = service.metrics.to_dict()["counters"]
         assert counters.get("rungs.heuristic.attempts", 0) == 0
 
-    def test_heuristic_rung_decides_after_an_smt_timeout(
-        self, star_topology, monkeypatch
+    def test_heuristic_rung_decides_after_an_smt_budget_runs_out(
+        self, monkeypatch
     ):
-        _slow(monkeypatch, "schedule_etsn", 0.3)
-        service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)),
-            config=ServiceConfig(backend="smt", rungs=(
-                RungConfig(RUNG_FULL, timeout_s=0.02),
-                RungConfig(RUNG_HEURISTIC),
-            )),
-        )
-        decision = service.submit(_tct("a"))
+        """The 2nd ``LadderOps`` operation at seed 7 on the testbed
+        needs 72 conflicts; at a budget of 50 the SMT ``full`` rung
+        gives up without a verdict and the heuristic rung places it."""
+        monkeypatch.setattr(admission_module, "_SMT_MAX_CONFLICTS", 50)
+        service, devices = _testbed_service()
+        decision = _ladder_ops(service, devices, 14, {1: 7}, 2)[1]
         assert decision.accepted
         assert decision.rung == RUNG_HEURISTIC
-        assert "budget" in decision.attempts[RUNG_FULL]
-
-
-class TestAbandonedSolver:
-    """A sequential timeout leaves its solver thread running: counted,
-    traced, and drained from the gauge when the orphan unwinds."""
-
-    @pytest.fixture
-    def timed_out(self, star_topology, monkeypatch):
-        _slow(monkeypatch, "schedule_heuristic", 0.3)
-        tracer = Tracer(clock=lambda: 0)
-        service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)),
-            config=ServiceConfig(rungs=(
-                RungConfig(RUNG_FASTPATH),
-                RungConfig(RUNG_FULL, timeout_s=0.05),
-            )),
-            tracer=tracer,
+        assert decision.attempts[RUNG_FULL].endswith(
+            "the budget of 50 conflicts ran out"
         )
-        decision = service.submit(_saturated(service))
-        yield service, tracer, decision
-        deadline = time.monotonic() + 5.0
-        while service.metrics.gauge("solver.orphans_running").value:
-            assert time.monotonic() < deadline, "orphan never unwound"
-            time.sleep(0.01)
-
-    def test_overdue_rung_times_out_and_is_abandoned(self, timed_out):
-        service, _, decision = timed_out
-        assert not decision.accepted
-        assert "budget" in decision.attempts[RUNG_FULL]
         counters = service.metrics.to_dict()["counters"]
-        assert counters["rungs.full.timeouts"] == 1
-        assert counters["solver.threads_abandoned"] == 1
+        assert counters["rungs.full.failures"] == 1
 
-    def test_abandonment_emits_solver_abandoned_event(self, timed_out):
-        _, tracer, _ = timed_out
-        timed = [
-            span for span in tracer.spans()
-            if span.name == "admission.rung"
-            and span.attributes["outcome"] == "timeout"
-        ]
-        assert [s.attributes["rung"] for s in timed] == [RUNG_FULL]
-        assert timed[0].attributes["timeout_s"] == 0.05
+
+class TestWorkBudget:
+    """A re-solve rung counts work, not seconds: its outcome is a
+    function of (snapshot, request, budget), decided on the caller's
+    thread."""
+
+    def test_a_budget_exhausting_script_replays_exactly(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "_SMT_MAX_CONFLICTS", 50)
+        runs = []
+        for _ in range(2):
+            service, devices = _testbed_service()
+            runs.append([
+                dataclasses.replace(decision, latency_ms=0.0)
+                for decision in _ladder_ops(service, devices, 14, {1: 7}, 5)
+            ])
+        assert sum("conflicts ran out" in d.attempts.get(RUNG_FULL, "")
+                   for d in runs[0]) == 2
+        assert runs[0] == runs[1]
+
+    def test_a_spent_budget_is_never_certified(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "_SMT_MAX_CONFLICTS", 0)
+        raised = []
+        real = admission_module.schedule_etsn
+
+        def recorded(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except InfeasibleError as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(admission_module, "schedule_etsn", recorded)
+        service, devices = _testbed_service(certify=True)
+        decision = _ladder_ops(service, devices, 14, {1: 7}, 2)[1]
+        assert decision.rung == RUNG_HEURISTIC
+        assert raised == [InfeasibleError]
+        assert "proof" not in decision.attempts[RUNG_FULL]
+        counters = service.metrics.to_dict()["counters"]
+        assert "certificates.verified_unsat" not in counters
+
+    def test_full_climbs_run_on_the_callers_thread(
+        self, star_topology, monkeypatch
+    ):
+        ran = []
+        for name in ("schedule_heuristic", "schedule_etsn"):
+            def recorded(*args, _name=name,
+                         _real=getattr(admission_module, name), **kwargs):
+                ran.append((_name, threading.get_ident()))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(admission_module, name, recorded)
+        threads = threading.active_count()
+        heuristic = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology))
+        )
+        assert not heuristic.submit(_saturated(heuristic)).accepted
+        smt, devices = _testbed_service()
+        assert _ladder_ops(smt, devices, 14, {1: 7}, 2)[1].rung == RUNG_FULL
+        assert set(ran) == {
+            ("schedule_heuristic", threading.get_ident()),
+            ("schedule_etsn", threading.get_ident()),
+        }
+        assert threading.active_count() == threads
 
 
 class TestRungValidation:
     @pytest.mark.parametrize("rungs", [
         (),
         (RungConfig("ful"),),
-        (RungConfig(RUNG_FULL), RungConfig(RUNG_FULL, timeout_s=1.0)),
+        (RungConfig(RUNG_FULL), RungConfig(RUNG_FULL)),
         (RungConfig(RUNG_FULL), RungConfig(RUNG_FASTPATH)),
     ])
     def test_unknown_or_empty_ladder_is_a_config_error(

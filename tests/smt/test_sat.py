@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.smt.proof import STEP_EMPTY, ProofLog
 from repro.smt.sat import SatSolver, _luby
 
 
@@ -140,6 +141,35 @@ class TestClassicInstances:
         add_xor_true(x2, x3)
         add_xor_true(x1, x3)
         assert not solver.solve()
+
+
+class TestConflictBudget:
+    """PHP(3,2) needs conflicts below the root: a budget that runs out
+    first ends the search with no verdict and an open proof."""
+
+    @staticmethod
+    def _pigeonhole(proof):
+        solver = SatSolver(proof=proof)
+        var = {(p, h): solver.new_var() for p in range(3) for h in range(2)}
+        for p in range(3):
+            solver.add_clause([var[(p, 0)], var[(p, 1)]])
+        for h in range(2):
+            for p1, p2 in itertools.combinations(range(3), 2):
+                solver.add_clause([-var[(p1, h)], -var[(p2, h)]])
+        return solver
+
+    def test_zero_budget_stops_at_the_first_conflict(self):
+        proof = ProofLog()
+        solver = self._pigeonhole(proof)
+        assert solver.solve(max_conflicts=0) is None
+        assert solver.num_conflicts == 1
+        assert STEP_EMPTY not in [step.kind for step in proof.steps]
+
+    def test_a_budget_that_suffices_closes_the_proof(self):
+        proof = ProofLog()
+        solver = self._pigeonhole(proof)
+        assert solver.solve(max_conflicts=100) is False
+        assert proof.steps[-1].kind == STEP_EMPTY
 
 
 def _brute_force(num_vars, clauses):
