@@ -31,6 +31,7 @@ from repro.core.schedule import (
     InfeasibleError,
     NetworkSchedule,
     never_clear_message,
+    periodic_overlap,
     validate,
 )
 from repro.model.frame import FrameSlot, FrameVar
@@ -50,20 +51,20 @@ _PROB = StreamType.PROB
 class _PlacementFailure(Exception):
     """A stream cannot be placed against the current occupancy; ``link``
     is the key of the link the frame failed on, ``None`` for an Eq. 4
-    miss no later release can cure; ``blockers`` names the streams whose
-    slots blocked the frame there (:func:`_blockers`) and ``gap`` the
-    streams of its gap cut (:func:`_gap_cut`)."""
+    miss no later release can cure; ``gap`` names the streams of the
+    frame's gap cut there (:func:`_gap_cut`), empty when the fit was
+    not defeated by its rows (a lower bound already past the window)
+    or no offset qualifies — :func:`repro.core.incremental.repair`
+    then asks :func:`_stream_cut`."""
 
     def __init__(
         self, stream: str, detail: str,
         link: Optional[Tuple[str, str]] = None,
-        blockers: Tuple[str, ...] = (),
         gap: Tuple[str, ...] = (),
     ) -> None:
         super().__init__(f"{stream}: {detail}")
         self.stream = stream
         self.link = link
-        self.blockers = blockers
         self.gap = gap
 
 
@@ -235,8 +236,7 @@ class _Occupancy:
         tu_ns: int, detail: str,
     ) -> _PlacementFailure:
         """The failure of a fit its rows defeat (``detail`` says how),
-        naming the frame's blockers (:func:`_blockers`) and its gap cut
-        (:func:`_gap_cut`).
+        naming the frame's gap cut (:func:`_gap_cut`).
 
         Only a failing fit asks, so the rows are rebuilt here carrying
         their stream's name, taken straight from :func:`may_overlap` in
@@ -254,7 +254,6 @@ class _Occupancy:
         bound = _tightness(stream)
         return _PlacementFailure(
             stream.name, detail, frame.link,
-            _blockers(rows, lower, window_max, frame.duration_ns),
             _gap_cut(
                 rows, lower, window_max, frame.duration_ns, tu_ns,
                 lambda name: streams[name].type == StreamType.DET
@@ -264,32 +263,6 @@ class _Occupancy:
 
 
 _Row = Tuple[int, int, int, str]
-
-
-def _blockers(
-    rows: Sequence[_Row], lower: int, window_max: int, duration: int
-) -> Tuple[str, ...]:
-    """The streams whose slots :meth:`_Occupancy.earliest_fit` met a
-    frame of ``duration`` on, from offset ``lower``, in the order it met
-    them: each row ``(offset, length, gcd, name)`` that shifted the
-    frame, and the row no shift clears — the failing lap replayed."""
-    phi = lower
-    met: Dict[str, None] = {}
-    shifted = True
-    while shifted and phi <= window_max:
-        shifted = False
-        for position, (offset, length, g, name) in enumerate(rows):
-            r = (offset - phi) % g
-            if r < duration or r > g - length:
-                shifted = True
-                met[name] = None
-                if duration + length > g:
-                    rows = rows[:position]
-                    break
-                phi += (r + length) % g
-                if phi > window_max:
-                    break
-    return tuple(met)
 
 
 def _gap_cut(
@@ -425,6 +398,47 @@ def _place_stream(
             )
         # Delaying the release shrinks (finish - first.φ); iterate.
         release = max(finish - stream.e2e_ns, release + tu)
+
+
+def _stream_cut(
+    stream: Stream,
+    frames: Dict[Tuple[str, Tuple[str, str]], List[FrameVar]],
+    occupancy: _Occupancy,
+) -> Tuple[str, ...]:
+    """The *stream cut* of a deterministic ``stream`` that failed to
+    place against ``occupancy``: release every deterministic stream
+    looser than it (:func:`_tightness`) with a slot on its route, place
+    it, and name the released streams whose slots overlap that
+    placement — in route and slot order, the periodic-overlap test of
+    :func:`_gap_cut`'s final filter.  ``()`` when the stream still does
+    not place.  Releasing the cut alone places the stream on the same
+    slots: the streams that stay are clear of them, and earliest-fit
+    takes the least clear offset.  ``occupancy`` is spent."""
+    if stream.type != StreamType.DET:
+        return ()
+    bound, streams = _tightness(stream), occupancy.streams
+    released = [
+        slot for link in stream.path
+        for slot in occupancy.by_link.get(link.key, ())
+        if streams[slot.stream].type == StreamType.DET
+        and _tightness(streams[slot.stream]) > bound
+    ]
+    if not released:
+        return ()
+    occupancy.release([
+        streams[name] for name in dict.fromkeys(s.stream for s in released)
+    ])
+    try:
+        placed = _place_stream(stream, frames, occupancy)
+    except _PlacementFailure:
+        return ()
+    return tuple(dict.fromkeys(
+        old.stream for old in released for new in placed
+        if new.link == old.link and periodic_overlap(
+            new.offset_ns, new.duration_ns, new.period_ns,
+            old.offset_ns, old.duration_ns, old.period_ns,
+        )
+    ))
 
 
 def _tightness(stream: Stream) -> Tuple[int, int, str]:

@@ -29,15 +29,14 @@ The rest are calls to it:
 * the admission service places a batch with one call per *ring*:
   ring 0 drops the removals, releases the sharers new ECT streams
   cross (:func:`affected_sharing_streams`) and places the newcomers
-  tightest first; from the stream, link, blockers and gap cut its
-  failure names, the ``full`` rung releases the gap cut — the looser
+  tightest first.  Its failure names a cut: the gap cut — the looser
   streams overlapping the failing frame at the one offset of its
-  window that overlaps the fewest — (and, when that fails, the gap
-  cut of the stream it failed on, a short ejection chain), then the
-  looser of the blockers, grown the same way, then every looser
-  stream on that link, then every deterministic stream on an admitted
-  route (:func:`deterministic_crossing`), before it re-solves the
-  network.
+  window that overlaps the fewest — or, when the frame has none, the
+  stream cut — the looser streams on the failing stream's route that
+  its placement overlaps once all of them are released.  The ``full``
+  rung releases that cut, and while a ring fails on a stream whose
+  failure names new streams, those join (an ejection chain), before
+  it re-solves the network.
 
 Every operation *derives* a **new** schedule from its input — the outer
 ``slots`` dict, the ``streams`` list and the two index maps are shallow
@@ -66,7 +65,12 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.constraints import build_frames
-from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
+from repro.core.heuristic import (
+    _Occupancy,
+    _place_stream,
+    _PlacementFailure,
+    _stream_cut,
+)
 from repro.core.probabilistic import expand_ect
 from repro.core.reservation import prudent_reservation
 from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
@@ -133,9 +137,9 @@ def repair(
     streams are placed earliest-fit in the given order around every
     slot that stays — those keep their slot-list objects.  Raises
     :class:`InfeasibleError` naming the first stream that does not fit
-    (its ``stream``, ``link``, ``blockers`` and ``gap`` say which, on
-    which link, whose slots stood in its way there, and whose release
-    would free one offset of its window),
+    (its ``stream``, ``link`` and ``gap`` say which, on which link, and
+    whose release would let it in: the gap cut of the failing frame
+    when it has one, else the stream cut of :func:`_stream_cut`),
     ``KeyError`` for a name in ``drop`` the schedule does not hold, or
     ``ValueError`` for an ECT stream of ``ects`` or a possibility of it
     whose name is already scheduled.
@@ -179,23 +183,24 @@ def repair(
             for possibility in schedule.possibilities_of(ect.name)[:1]
         ] + [next(s for s in place if s.parent == ect.name) for ect in ects]
     plan = prudent_reservation(place, reservation_mode, against=against)
-    try:
-        frames = build_frames(place, plan, guard_margin_ns)
-        for stream in place:
-            # its slots go per link, in frame order, into new lists at
-            # the end of ``slots``, whose other lists the input owns
-            placed: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]] = {}
-            for slot in _place_stream(stream, frames, occupancy):
-                occupancy.add(slot)
-                placed.setdefault((slot.stream, slot.link), []).append(slot)
-            for link_slots in placed.values():
-                link_slots.sort(key=lambda s: s.index)
-            slots.update(placed)
-    except _PlacementFailure as exc:
-        raise InfeasibleError(
-            str(exc), stream=exc.stream, link=exc.link,
-            blockers=exc.blockers, gap=exc.gap,
-        ) from exc
+    frames = build_frames(place, plan, guard_margin_ns)
+    for stream in place:
+        try:
+            found = _place_stream(stream, frames, occupancy)
+        except _PlacementFailure as exc:
+            raise InfeasibleError(
+                str(exc), stream=exc.stream, link=exc.link,
+                gap=exc.gap or _stream_cut(stream, frames, occupancy),
+            ) from exc
+        # its slots go per link, in frame order, into new lists at the
+        # end of ``slots``, whose other lists the input owns
+        placed: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]] = {}
+        for slot in found:
+            occupancy.add(slot)
+            placed.setdefault((slot.stream, slot.link), []).append(slot)
+        for link_slots in placed.values():
+            link_slots.sort(key=lambda s: s.index)
+        slots.update(placed)
     # the name index is in ``streams`` order, and deletion keeps it
     result = schedule.derive(
         list(occupancy.streams.values()), slots, ect_streams + list(ects),

@@ -31,22 +31,21 @@ class InfeasibleError(RuntimeError):
     where it failed: ``stream`` names the stream that did not fit and
     ``link`` the key of the link it failed on, ``None`` when no one
     link is at fault (a possibility's Eq. 4 budget) or when the raiser
-    does not know; ``blockers`` names the streams whose slots blocked
-    the failing frame on that link, empty when none did, and ``gap``
-    the streams whose release frees one offset of the frame's window
-    there (its *gap cut*), empty when no such offset is freed by
-    releasing only streams looser than the failing one.
+    does not know; ``gap`` names streams looser than the failing one
+    whose release lets it in — the failing frame's *gap cut* (the
+    streams overlapping one offset of its window there) or, when it has
+    none, the failing stream's *stream cut* (the looser streams on its
+    route that its placement overlaps once all of them are released) —
+    and is empty when releasing looser streams does not help.
     """
 
     def __init__(
         self, *args, stream: Optional[str] = None,
         link: Optional[Tuple[str, str]] = None,
-        blockers: Tuple[str, ...] = (),
         gap: Tuple[str, ...] = (),
     ) -> None:
         super().__init__(*args)
-        self.stream, self.link, self.blockers = stream, link, blockers
-        self.gap = gap
+        self.stream, self.link, self.gap = stream, link, gap
 
 
 class CertifiedInfeasibleError(InfeasibleError):

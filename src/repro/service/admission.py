@@ -13,12 +13,12 @@
   backend, then — for the SMT backend — a re-solve with
   :func:`schedule_heuristic`; each re-solve rung is one cold attempt
   on the caller's thread, bounded by work, not time.  A heuristic
-  re-solve of a TCT-only batch first grows *rings* (deterministic
+  re-solve of a TCT-only batch first grows one *ring* (deterministic
   streams re-placed with the admits around the frozen rest) from the
-  streams whose release frees one gap of ring 0's failing window,
-  through the streams that blocked it, out to every link of the
-  admits' routes, and re-solves the whole network only when those
-  fail;
+  cut ring 0's failure names — the streams whose release frees one
+  gap of its failing window, or lets the failing stream in along its
+  route — by the cut of each ring that fails, and re-solves the whole
+  network only when that chain ends;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     List,
     NamedTuple,
     Optional,
@@ -57,7 +56,6 @@ from repro.check.proof import CertificateError
 from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
 from repro.core.heuristic import _tightness, schedule_heuristic
-from repro.core.incremental import deterministic_crossing
 from repro.core.probabilistic import possibility_names
 from repro.core.schedule import (
     CertifiedInfeasibleError,
@@ -96,14 +94,6 @@ RUNG_HEURISTIC = "heuristic"
 #: ``bench/``'s rung tables.
 RUNG_INCREMENTAL = RUNG_FASTPATH
 
-#: Most rings of one ejection chain the ``full`` rung tries in one
-#: climb: the failing admit's gap cut (or its looser blockers), then
-#: each ring grown by the gap cut (or the looser blockers) of the stream
-#: it failed on (:meth:`AdmissionService._repair_ring`).  At 3 the gap
-#: chain ran out on over a quarter of its ``admit_ladder`` climbs;
-#: DESIGN.md has the depths measured.
-_EJECTION_DEPTH = 6
-
 #: Most conflicts one SMT re-solve may analyse before it gives up with a
 #: plain :class:`InfeasibleError` (no proof, so never certified).  The
 #: largest SMT solve of the tier-1 suite takes 833; a whole-network
@@ -126,10 +116,10 @@ class RungConfig:
 
     A rung is attempted once: the backends are deterministic functions
     of (snapshot, request), and each bounds its own search — the ring
-    repair by ``_EJECTION_DEPTH``, the heuristic re-solve by its
-    restarts, the SMT re-solve by ``_SMT_MAX_CONFLICTS`` — so an
-    infeasible verdict, a spent budget or an unexpected solver error is
-    recorded and the climb moves on.
+    repair by the live streams its chain can release, the heuristic
+    re-solve by its restarts, the SMT re-solve by
+    ``_SMT_MAX_CONFLICTS`` — so an infeasible verdict, a spent budget
+    or an unexpected solver error is recorded and the climb moves on.
     """
 
     name: str
@@ -730,122 +720,75 @@ class AdmissionService:
         self, batch: ResolvedBatch
     ) -> Tuple[str, int, NetworkSchedule]:
         """Re-place the admits with a *ring* of released deterministic
-        streams, the smallest ring first, growing it from where
-        placement failed:
+        streams, grown from where placement failed:
 
         1. none — ring 0, the constructive rung's own attempt, placed
-           once per climb; its failure names the admit F that did not
-           fit, the link L it failed on, F's *blockers* there (the
-           streams whose slots earliest-fit met F's frame on) and F's
-           *gap cut* (the streams overlapping F's frame at the offset
-           of its window that overlaps the fewest, where every one of
-           them is deterministic and looser than F — a greater
-           ``(period, e2e, name)``, placed after F as a whole re-solve
-           would place them);
-        2. the gap: F's gap cut; when that fails on a stream with a gap
-           cut of its own, that cut joins and the ring is tried again —
-           an ejection chain of at most ``_EJECTION_DEPTH`` rings;
-        3. the blockers: F's blockers looser than F, grown the same way
-           by the looser blockers of the stream each ring fails on;
-        4. looser: every stream on L looser than F;
-        5. the route ring: every stream with a slot on a link an
-           admitted route crosses.
+           once per climb; its failure names the stream F that did not
+           fit and F's cut (``gap``: the gap cut of F's failing frame,
+           or F's stream cut when the frame has none — see
+           :class:`InfeasibleError`);
+        2. gap — the streams of that cut that are live, deterministic
+           and looser than F (a greater ``(period, e2e, name)``, placed
+           after F as a whole re-solve would place them); when the ring
+           fails, the looser streams the new failure's cut names join
+           and the ring is tried again — an ejection chain that ends
+           when a failure adds no new stream, so it is bounded by the
+           live looser streams.
 
         Each ring is re-placed with the admits, tightest first, around
-        the frozen rest (:meth:`ResolvedBatch.place`); a ring equal to
-        one already tried is not placed again — its kept failure stands
-        — and when every ring fails :class:`InfeasibleError` hands the
-        batch to the whole re-solve.
-        Probabilistic slots stay frozen, so every live ECT keeps its
-        guarantee.  The result is checked like a constructive accept:
-        ``validate_delta`` over what moved — the admits and the ring
-        streams not back on their old slots — and a full ``validate``
-        under ``certify``.  Returns the ring's name (``none``, ``gap``,
-        ``blockers``, ``looser`` or ``route``), how many live streams
-        it released, and the schedule.
+        the frozen rest (:meth:`ResolvedBatch.place`), and when the
+        chain ends :class:`InfeasibleError` hands the batch to the
+        whole re-solve.  Probabilistic slots stay frozen, so every live
+        ECT keeps its guarantee.  The result is checked like a
+        constructive accept: ``validate_delta`` over what moved — the
+        admits and the ring streams not back on their old slots — and a
+        full ``validate`` under ``certify``.  Returns the ring's name
+        (``none`` or ``gap``), how many live streams it released, and
+        the schedule.
         """
-        schedule = batch.schedule
-        by_name = schedule.streams_by_name
+        by_name = batch.schedule.streams_by_name
         admits = {stream.name: stream for stream in batch.tct}
 
-        def keep(stream: Stream) -> bool:
-            return stream.name not in batch.removed
-
-        def looser_of(
-            failure: _RingFailure, names: Tuple[str, ...]
-        ) -> List[Stream]:
+        def looser_of(failure: _RingFailure) -> List[Stream]:
             failed = admits.get(failure.stream) or by_name.get(failure.stream)
             if failed is None:
                 return []
             bound = _tightness(failed)
             return [
-                by_name[name] for name in names
+                by_name[name] for name in failure.gap
                 if name in by_name and by_name[name].type == StreamType.DET
-                and keep(by_name[name]) and _tightness(by_name[name]) > bound
+                and name not in batch.removed
+                and _tightness(by_name[name]) > bound
             ]
 
-        # every ring placed so far -> its failure
-        tried: Dict[FrozenSet[str], _RingFailure] = {}
-
         def attempt(ring: List[Stream]) -> Tuple[
-            Optional[NetworkSchedule], _RingFailure
+            Optional[NetworkSchedule], Optional[_RingFailure]
         ]:
-            names = frozenset(s.name for s in ring)
-            if names in tried:
-                return None, tried[names]
             try:
                 return batch.place(ring), None
             except (InfeasibleError, ScheduleError) as exc:
                 # its fields, not the exception: the traceback would
                 # keep every ring's working set alive with the batch
-                tried[names] = _RingFailure(
+                return None, _RingFailure(
                     getattr(exc, "stream", None), getattr(exc, "link", None),
-                    getattr(exc, "blockers", ()), getattr(exc, "gap", ()),
-                    str(exc),
+                    getattr(exc, "gap", ()), str(exc),
                 )
-                return None, tried[names]
 
-        result, first = attempt([])
+        result, failure = attempt([])
         if result is not None:
             return "none", 0, result
-        failure = first
-        for kind in ("gap", "blockers"):
-            ring = looser_of(first, getattr(first, kind))
-            for _ in range(_EJECTION_DEPTH):
-                if not ring:
-                    break
-                result, failure = attempt(ring)
-                if result is not None:
-                    return kind, len(ring), result
-                names = {s.name for s in ring}
-                ring = ring + [
-                    s for s in looser_of(failure, getattr(failure, kind))
-                    if s.name not in names
-                ]
-                if len(ring) == len(names):
-                    break
-        looser: List[Stream] = []
-        if first.link is not None and first.stream in admits:
-            failed = admits[first.stream]
-            bound = _tightness(failed)
-            looser = deterministic_crossing(
-                schedule,
-                [link for link in failed.path if link.key == first.link],
-                lambda s: keep(s) and _tightness(s) > bound,
-            )
-        route = [link for stream in batch.tct for link in stream.path]
-        for name, ring in (
-            ("looser", looser),
-            ("route", deterministic_crossing(schedule, route, keep)),
-        ):
-            if not ring:
-                continue
+        ring = looser_of(failure)
+        while ring:
             result, failure = attempt(ring)
             if result is not None:
-                return name, len(ring), result
+                return "gap", len(ring), result
+            names = {s.name for s in ring}
+            ring += [s for s in looser_of(failure) if s.name not in names]
+            if len(ring) == len(names):
+                break
         raise InfeasibleError(
             failure.reason, stream=failure.stream, link=failure.link,
-            blockers=failure.blockers, gap=failure.gap,
+            gap=failure.gap,
         )
 
     # -- deployment emission -------------------------------------------
@@ -871,7 +814,6 @@ class _RingFailure(NamedTuple):
 
     stream: Optional[str]
     link: Optional[Tuple[str, str]]
-    blockers: Tuple[str, ...]
     gap: Tuple[str, ...]
     reason: str
 

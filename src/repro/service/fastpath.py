@@ -202,8 +202,7 @@ class ResolvedBatch:
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"cannot admit {self._admit_of(exc.stream)}: {exc}",
-                stream=exc.stream, link=exc.link, blockers=exc.blockers,
-                gap=exc.gap,
+                stream=exc.stream, link=exc.link, gap=exc.gap,
             ) from exc
         validate_delta(result, moved_streams(self.schedule, result, place))
         return result

@@ -15,8 +15,10 @@ order with its removals dropped first instead of request by request
 (one four-operation ``fig13`` batch is then accepted by the
 constructive rung instead of ``full``); ``fig13`` again when the
 ``full`` rung's first ring became the streams that blocked the admit,
-which moves fewer of them, and again when it became the admit's gap
-cut, which moves fewer still.  The same script through a
+which moves fewer of them, again when it became the admit's gap
+cut, which moves fewer still, and again when the gap chain, grown by
+the stream cut where a failure names no gap cut, became the only ring
+before the whole re-solve.  The same script through a
 :class:`ClusterCoordinator` over each partition must produce the same
 digest: the cluster decides and places exactly what one store does.
 
@@ -55,7 +57,7 @@ from repro.service import (
 )
 
 PINS = {
-    "fig13": "30c372cb6fc80bdff1af09a0c1fac22d89a3276a617763635b2c77990505de10",
+    "fig13": "e27641a29dfa6e52571c48f1851b953aa586c5eb1025db79081dfd99a31ca3ed",
     "rings": "4c5b911c07200ef7669b07ebdcbfb1214ddd3153f3a61c56c3eaeffe59251d3b",
 }
 

@@ -483,8 +483,8 @@ def test_an_overlap_between_a_changed_and_an_unchanged_stream(
 
 
 def test_an_unmoved_ring_stream_is_left_out_of_the_changed_set():
-    """``t`` (4 ms) is released by the route ring of ``n`` (8 ms) on
-    their shared links and, placed first again, lands on its old slots:
+    """``t`` (4 ms) is released in a ring with ``n`` (8 ms) on their
+    shared links and, placed first again, lands on its old slots:
     it is not among the moved streams, and an overlap planted against
     it is still found from ``n``'s side.  ``n`` fits beside ``t``, so
     the rung would not release ``t``; the ring is handed to

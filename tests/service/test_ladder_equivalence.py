@@ -14,8 +14,11 @@ re-recorded after that change, again after the ring started from the
 link where the admit's own earliest-fit failed (9a6ab19 is its
 parent), again after the first ring became the streams that blocked
 the admit there (5def10f is its parent), and again after it became
-the admit's gap cut (d75e877 is its parent): each ring moves fewer
-streams, which moves the schedule later climbs start from.  What none
+the admit's gap cut (d75e877 is its parent), and again when the gap
+chain, grown by the stream cut where a failure names no gap cut,
+became the only ring before the whole re-solve (f40bcfb is its
+parent): each change moves other streams, which moves the schedule
+later climbs start from.  What none
 may move is a verdict: the ``*_VERDICTS`` pins, one SHA-256 over every
 decision's ``(op, stream, accepted)``, were recorded at 9fc8fb9 (whole
 re-solve only) before ``src/`` was touched, and pass on every commit
@@ -72,14 +75,15 @@ from tests.conftest import MTU_WIRE_NS
 MIX_DIGEST = "0a6fd5aa46781f3dccc1c8c147bca78809f7313534390aaacb4b64629493423a"
 MIX_DECISIONS = "f" * 35 + "x"
 #: re-recorded after the ring started from the failing link, again
-#: after it started from the admit's blockers, and again after it
-#: started from the admit's gap cut (see the module docstring)
-LADDER_DIGEST = "24e61fef6d7571b46b74237643f58763ce7c563652f8442587f59a1bd9c96a06"
+#: after it started from the admit's blockers, again after it started
+#: from the admit's gap cut, and again when the gap chain became the
+#: only ring (see the module docstring)
+LADDER_DIGEST = "e6ad708e80c40519bb9651aaf91973d16cbff22bc571fc30dc86e040cccb7e28"
 LADDER_DECISIONS = (
     "fffFffffffffffffFffffffffffffffffFfffffffffffFffFffFffffffffffFfffffff"
-    "ffFffffffFfffFFffffffFffffFFffFfffffffffffffffffFfffffffffFfFfffffffff"
-    "fFfffffffffffffffFffffffffffffffFfffffffffffFffffffffFfffffffffFffFfff"
-    "ffffffFfffffffffffffffffFffffFFfffFffFfFfffffffffffffFfffFffffffffffff"
+    "ffFfFffffFfFfFFffffffFffffFFffFfffffffffffffffffFfffffffffFfFfffffffff"
+    "fFfffffffffffffffFffffffffFfffffFfffffffffffFffffffffFfffffffffFffFfff"
+    "ffffffFffffffffffffffffffffffFFFffFffFfFfFfffffffffffffffFffffffffffff"
     "ffffffffffffffffffffffffffffffffffffffffffffFffffffffffffffffffffffFff"
     "fffFfFfffffffFfffffffffffffffFffffFfffffffffffffff"
 )
@@ -224,7 +228,42 @@ def _first_400_ladder_ops():
 
 
 #: the rings a ``full`` climb may decide with, in the order it tries them
-RINGS = ("none", "gap", "blockers", "looser", "route", "whole")
+RINGS = ("none", "gap", "whole")
+
+
+def _full_rings(decided):
+    """Wrap ``AdmissionService._resolve`` so that ``decided`` gets the
+    ``(ring, released)`` of every ``full`` rung, and
+    ``_repair_ring`` so that a whole re-solve's entry also carries the
+    text of the failure its chain ended on; returns the function that
+    undoes both."""
+    real_resolve = admission_module.AdmissionService._resolve
+    real_ring = admission_module.AdmissionService._repair_ring
+    ended = []
+
+    def repair_ring(self, batch):
+        try:
+            return real_ring(self, batch)
+        except InfeasibleError as exc:
+            ended.append(str(exc))
+            raise
+
+    def resolve(self, batch, rung_name):
+        ended.clear()
+        try:
+            return real_resolve(self, batch, rung_name)
+        finally:
+            if rung_name == RUNG_FULL and batch.ring is not None:
+                decided.append(batch.ring + tuple(ended))
+
+    admission_module.AdmissionService._resolve = resolve
+    admission_module.AdmissionService._repair_ring = repair_ring
+
+    def undo():
+        admission_module.AdmissionService._resolve = real_resolve
+        admission_module.AdmissionService._repair_ring = real_ring
+
+    return undo
 
 
 def _ladder_work(seed, operations):
@@ -235,15 +274,16 @@ def _ladder_work(seed, operations):
     placement, and the stream set of a whole re-solve), ``full``
     accepts, and the live streams each moved; ``rings`` maps each ring
     name to the climbs it decided (``ResolvedBatch.ring`` of the
-    climb's ``full`` rung) and the live streams they released."""
+    climb's ``full`` rung) and the live streams they released, and
+    ``ended`` lists, per whole re-solve, the text of the failure the
+    ring chain ended on."""
     placed = [0]
     counts = {"climbs": 0, "placed": 0, "full": 0, "moved": 0,
-              "rings": {ring: [0, 0] for ring in RINGS}}
+              "rings": {ring: [0, 0] for ring in RINGS}, "ended": []}
     watched = [0]
     decided = []
     real_repair = fastpath_module.repair
     real_whole = admission_module.schedule_heuristic
-    real_resolve = admission_module.AdmissionService._resolve
 
     def repair(schedule, place, *args, **kwargs):
         placed[0] += len(place)
@@ -253,13 +293,6 @@ def _ladder_work(seed, operations):
         placed[0] += len(tct) + sum(e.possibilities for e in ects)
         return real_whole(topology, tct, ects, **kwargs)
 
-    def resolve(self, batch, rung_name):
-        try:
-            return real_resolve(self, batch, rung_name)
-        finally:
-            if rung_name == RUNG_FULL and batch.ring is not None:
-                decided.append(batch.ring)
-
     def watch(request, snapshot, decision):
         watched[0] += 1
         if watched[0] > 150 and (
@@ -267,9 +300,10 @@ def _ladder_work(seed, operations):
         ):
             counts["climbs"] += 1
             counts["placed"] += placed[0]
-            for ring, released in decided:
+            for ring, released, *ended in decided:
                 counts["rings"][ring][0] += 1
                 counts["rings"][ring][1] += released
+                counts["ended"].extend(ended)
             if decision.accepted and decision.rung == RUNG_FULL:
                 after = service.store.schedule
                 counts["full"] += 1
@@ -283,7 +317,7 @@ def _ladder_work(seed, operations):
 
     fastpath_module.repair = repair
     admission_module.schedule_heuristic = whole
-    admission_module.AdmissionService._resolve = resolve
+    undo = _full_rings(decided)
     try:
         service, devices = _seeded_service(0.5)
         _ladder_ops(service, devices, 60, {1: 0, 151: seed},
@@ -291,7 +325,7 @@ def _ladder_work(seed, operations):
     finally:
         fastpath_module.repair = real_repair
         admission_module.schedule_heuristic = real_whole
-        admission_module.AdmissionService._resolve = real_resolve
+        undo()
     return counts
 
 
@@ -313,14 +347,23 @@ class TestPinnedToParent:
 
     def test_first_400_ladder_ops_at_seed_1(self):
         """bench's ``LadderOps`` script: 150 warm-up operations drawn at
-        seed 0, then seed 1, steering towards 60 live admitted streams."""
-        service, decisions = _first_400_ladder_ops()
+        seed 0, then seed 1, steering towards 60 live admitted streams.
+        Every ``full`` climb decides with ring 0, the gap chain or the
+        whole re-solve."""
+        decided = []
+        undo = _full_rings(decided)
+        try:
+            service, decisions = _first_400_ladder_ops()
+        finally:
+            undo()
         assert _verdicts(decisions) == LADDER_VERDICTS
         assert _letters(decisions) == LADDER_DECISIONS
         assert _digest(service) == LADDER_DIGEST
         counters = service.metrics.to_dict()["counters"]
-        assert counters["fastpath.fallthroughs"] == 41
-        assert counters["rungs.full.attempts"] == 41
+        assert counters["fastpath.fallthroughs"] == 44
+        assert counters["rungs.full.attempts"] == 44
+        assert len(decided) == 44
+        assert {ring for ring, *_ in decided} <= set(RINGS)
         validate(service.store.schedule)
 
     def test_saturating_ladder_ops_keep_their_verdicts(self, saturated_run):
@@ -455,10 +498,11 @@ def test_a_reject_that_climbed_full_depends_on_the_name(saturated_run):
 
 
 def test_a_full_accept_moves_few_live_streams():
-    """A guard on the gap cut that holds on any box: over 1000
+    """A guard on the gap chain that holds on any box: over 1000
     operations of bench's ``LadderOps`` draw at seed 1, a ``full``
-    accept moves 7.00 live streams on average, where it moved 12.23
-    while the blocker ring came first, and gap rings decide most
+    accept moves 6.55 live streams on average (7.00 while the blocker,
+    looser and route rings followed the gap chain, 12.23 while the
+    blocker ring came first), and the gap chain decides 65 of the 67
     climbs."""
     counts = _ladder_work(1, 1000)
     assert counts["full"] > 0
@@ -627,8 +671,9 @@ if __name__ == "__main__":
     # written in (the saturating script takes about a minute), then the
     # ladder's work counts at seeds 1, 7 and 42 over as many operations
     # after the warm-up as the first argument says (default 250): per
-    # seed the climbs, and per ring the climbs it decided and the mean
-    # live streams it released
+    # seed the climbs, per ring the climbs it decided and the mean live
+    # streams it released, and for each whole re-solve the failure the
+    # ring chain ended on
     service, decisions = _fig13_mix()
     print("MIX_DIGEST", _digest(service))
     print("MIX_DECISIONS", _letters(decisions))
@@ -657,3 +702,5 @@ if __name__ == "__main__":
             f"{ring} {decided} ({released / max(decided, 1):.2f} released)"
             for ring, (decided, released) in counts["rings"].items()
         ))
+        for text in counts["ended"]:
+            print(f"  whole re-solve after: {text}")

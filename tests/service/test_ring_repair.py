@@ -6,28 +6,22 @@ with the admits, tightest first, around the frozen rest, and grows the
 ring from where placement failed:
 
 1. none: ring 0, the constructive rung's own attempt, placed once per
-   climb and not again here — its failure names the admit F, the link
-   L, F's blockers there (the streams whose slots earliest-fit met F's
-   frame on) and F's gap cut (the streams overlapping F's frame at the
-   offset of its window that overlaps the fewest streams, all of them
-   deterministic and with a greater ``(period, e2e, name)`` than F);
-2. gap: F's gap cut; when that fails on a stream with a gap cut of its
-   own, that cut joins and the ring is tried again, at most six gap
-   rings in all;
-3. blockers: F's blockers with a greater ``(period, e2e, name)`` than
-   F, which the tightest-first order places after F; when that fails
-   on a stream with blockers of its own, its looser blockers join and
-   the ring is tried again, at most six blocker rings in all;
-4. looser: the deterministic streams on L with a greater ``(period,
-   e2e, name)`` than F;
-5. route: every deterministic stream with a slot on a link an admitted
-   route crosses.
+   climb and not again here — its failure names the stream F that did
+   not fit, the link L and F's cut: the gap cut of F's frame there
+   (the streams overlapping it at the offset of its window that
+   overlaps the fewest streams, all of them deterministic and with a
+   greater ``(period, e2e, name)`` than F) or, when the frame has none,
+   F's stream cut (the deterministic streams looser than F on its
+   route that its placement overlaps once all of them are released);
+2. gap: F's cut; when that fails on a stream whose cut names streams
+   not yet in the ring, those join and the ring is tried again, until
+   a failure adds none.
 
 The first ring whose repair validates is published, and only its
 streams get new slot lists; the rung's span names the ring and how
 many streams it released.  Whatever the ring does, the rung must
-publish a schedule the independent validator accepts, and when every
-ring fails the rung must be exactly today's whole re-solve.
+publish a schedule the independent validator accepts, and when the
+chain ends the rung must be exactly today's whole re-solve.
 """
 
 import gc
@@ -202,7 +196,7 @@ def _tightness(stream):
 def _rung_ring(schedule, admitted, removals):
     """The ring the rung must publish, by the contract above: ``(its
     name, names of the released live streams, the repair)``, or
-    ``None`` when every ring fails."""
+    ``None`` when the chain ends without one."""
     def attempt(ring):
         place = sorted(ring + admitted, key=_tightness)
         try:
@@ -216,10 +210,10 @@ def _rung_ring(schedule, admitted, removals):
     ]
     by_name = {s.name: s for s in live + admitted}
 
-    def looser(failure, kind):
+    def looser(failure):
         failed = by_name.get(getattr(failure, "stream", None))
         return [] if failed is None else [
-            by_name[name] for name in getattr(failure, kind, ())
+            by_name[name] for name in getattr(failure, "gap", ())
             if name in by_name and by_name[name] not in admitted
             and _tightness(by_name[name]) > _tightness(failed)
         ]
@@ -227,36 +221,15 @@ def _rung_ring(schedule, admitted, removals):
     result, failure = attempt([])
     if result is not None:
         return "none", set(), result
-    for kind in ("gap", "blockers"):
-        ring = looser(failure, kind)
-        for _ in range(6):
-            if not ring:
-                break
-            result, chained = attempt(ring)
-            if result is not None:
-                return kind, {s.name for s in ring}, result
-            more = [s for s in looser(chained, kind) if s not in ring]
-            if not more:
-                break
-            ring = ring + more
-    rings = []
-    if isinstance(failure, InfeasibleError) and failure.link is not None:
-        (failed,) = [s for s in admitted if s.name == failure.stream]
-        rings.append(("looser", [
-            s for s in live
-            if (s.name, failure.link) in schedule.slots
-            and _tightness(s) > _tightness(failed)
-        ]))
-    admitted_links = {link.key for s in admitted for link in s.path}
-    rings.append(("route", [
-        s for s in live
-        if any(link.key in admitted_links for link in s.path)
-    ]))
-    for name, ring in rings:
-        if ring:
-            result, _ = attempt(ring)
-            if result is not None:
-                return name, {s.name for s in ring}, result
+    ring = looser(failure)
+    while ring:
+        result, failure = attempt(ring)
+        if result is not None:
+            return "gap", {s.name for s in ring}, result
+        more = [s for s in looser(failure) if s not in ring]
+        if not more:
+            break
+        ring = ring + more
     return None
 
 
@@ -386,9 +359,8 @@ def test_one_blocker_moves_and_its_looser_neighbour_stays(
     star_topology, monkeypatch
 ):
     """``n`` fails on D1->SW1, where ``q`` and ``s`` are both looser
-    than it: the looser ring would release both, but only ``q``'s slot
-    stood in ``n``'s way, so ``q`` is both its one looser blocker and
-    its gap cut; the gap ring releases ``q`` alone and every other
+    than it, but only ``q``'s slot stands in ``n``'s way, so ``q`` alone
+    is its gap cut; the gap ring releases ``q`` alone and every other
     stream keeps its slot-list objects."""
     service = _grown(
         star_topology,
@@ -407,7 +379,6 @@ def test_one_blocker_moves_and_its_looser_neighbour_stays(
     }
 
     assert failure.value.gap == ("q",)
-    assert "q" in failure.value.blockers and "s" not in failure.value.blockers
 
     calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
@@ -419,15 +390,14 @@ def test_one_blocker_moves_and_its_looser_neighbour_stays(
     assert after.slots == repair(before, [stream, before.stream("q")]).slots
 
 
-def test_a_failed_blocker_ring_falls_back_to_the_looser_ring(
+def test_a_lower_bound_past_the_window_names_a_stream_cut(
     star_topology, monkeypatch
 ):
-    """``n`` is blocked on D1->SW1 by ``p`` alone.  With ``p`` released
-    ``n`` goes in after ``q`` there and reaches SW1->D2 with its lower
-    bound past its window, a failure that names no blockers, so the
-    chain stops.  The looser ring releases ``p`` and ``q``, and the
-    rung publishes exactly the repair the looser ring made before
-    blocker rings existed."""
+    """``n`` is blocked on D1->SW1 by ``p`` alone, its gap cut.  With
+    ``p`` released ``n`` goes in after ``q`` there and reaches SW1->D2
+    with its lower bound past its window, a failure whose frame names
+    no gap cut; its stream cut names ``q``, so the gap chain grows to
+    ``p`` and ``q`` and publishes exactly that repair."""
     service = _grown(
         star_topology,
         ("p", "D1", "D3", 12, 3000), ("q", "D1", "D3", 4, 300),
@@ -436,23 +406,28 @@ def test_a_failed_blocker_ring_falls_back_to_the_looser_ring(
     before = service.store.schedule
     newcomer = _mtu_tct("n", "D1", "D2", 2, 1500)
     stream = newcomer.requirement.resolve(star_topology)
+    with pytest.raises(InfeasibleError) as failure:
+        repair(before, [stream, before.stream("p")])
+    assert (failure.value.stream, failure.value.link) == ("n", ("SW1", "D2"))
+    assert "lower bound" in str(failure.value)
+    assert failure.value.gap == ("q",)
+
     calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
     assert calls == [["n"], ["n", "p"], ["n", "q", "p"]]
-    assert _decided_ring(service) == ("looser", 2)
+    assert _decided_ring(service) == ("gap", 2)
     after = service.store.schedule
     assert _released(before, after) == {"p", "q"}
-    looser = repair(before, [stream, before.stream("q"), before.stream("p")])
-    assert after.slots == looser.slots
+    chain = repair(before, [stream, before.stream("q"), before.stream("p")])
+    assert after.slots == chain.slots
 
 
 def _chain_case(topology):
     """``n`` is blocked on D2->SW1 by ``r`` only; with ``r`` released,
     ``n`` goes on to SW1->D1 and is blocked there by ``s`` alone,
-    looser than it: the chain's second ring places all three.  Each
-    blocker is also the whole gap cut there, so the gap chain is the
-    one that places them."""
+    looser than it: each blocker is the whole gap cut there, and the
+    chain's second ring places all three."""
     service = _grown(
         topology,
         ("p", "D1", "D2", 6, 3000), ("q", "D1", "D2", 12, 3000),
@@ -468,11 +443,11 @@ def test_the_ejection_chain_adds_the_blockers_of_a_blocker(
     before = service.store.schedule
     with pytest.raises(InfeasibleError) as failure:
         ResolvedBatch(before, [newcomer]).place()
-    assert failure.value.blockers == failure.value.gap == ("r",)
+    assert failure.value.gap == ("r",)
     with pytest.raises(InfeasibleError) as failure:
         ResolvedBatch(before, [newcomer]).place([before.stream("r")])
     assert (failure.value.stream, failure.value.link) == ("n", ("SW1", "D1"))
-    assert failure.value.blockers == failure.value.gap == ("s",)
+    assert failure.value.gap == ("s",)
     calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
@@ -483,8 +458,8 @@ def test_the_ejection_chain_adds_the_blockers_of_a_blocker(
 
 
 def test_the_chain_keeps_no_failure_alive(star_topology):
-    """The chain carries a failed ring's stream, link, blockers and gap
-    cut forward, not the exception, whose traceback would hold the
+    """The chain carries a failed ring's stream, link and cut forward,
+    not the exception, whose traceback would hold the
     batch and each placement's working set: the batch is freed with its
     last reference, not at some later garbage collection."""
     service, newcomer = _chain_case(star_topology)
@@ -504,11 +479,10 @@ def test_the_chain_keeps_no_failure_alive(star_topology):
 def test_a_gap_one_looser_stream_blocks_moves_it_alone(
     star_topology, monkeypatch
 ):
-    """``n`` fails on D2->SW1, where its frame met ``g``, ``t`` and
-    ``h``, all three looser than it: the blocker ring would release all
-    three.  But one offset of its window overlaps ``g``'s slot alone, so
-    the gap ring releases ``g`` and every other stream keeps its
-    slot-list objects."""
+    """``n`` fails on D2->SW1, where ``g``, ``t`` and ``h`` all have
+    slots and are all looser than it.  But one offset of its window
+    overlaps ``g``'s slot alone, so the gap ring releases ``g`` and
+    every other stream keeps its slot-list objects."""
     service = _grown(
         star_topology,
         ("g", "D2", "D3", 8, 1500), ("t", "D2", "D3", 12, 300),
@@ -520,10 +494,10 @@ def test_a_gap_one_looser_stream_blocks_moves_it_alone(
     with pytest.raises(InfeasibleError) as failure:
         repair(before, [stream])
     assert (failure.value.stream, failure.value.link) == ("n", ("D2", "SW1"))
-    assert failure.value.blockers == ("g", "t", "h")
     assert all(
-        _tightness(before.stream(name)) > _tightness(stream)
-        for name in failure.value.blockers
+        (name, ("D2", "SW1")) in before.slots
+        and _tightness(before.stream(name)) > _tightness(stream)
+        for name in ("g", "t", "h")
     )
     assert failure.value.gap == ("g",)
 
@@ -539,9 +513,9 @@ def test_a_gap_one_looser_stream_blocks_moves_it_alone(
 
 def _unplaceable_gap_case(topology):
     """``n`` fails on D2->SW1 blocked by ``i`` and ``m``; its gap cut is
-    ``i`` alone, which cannot be placed again once ``n`` has its offset
-    (a failure with no gap cut of its own), so the gap chain ends after
-    one ring."""
+    ``i`` alone, which cannot be placed again once ``n`` has its offset:
+    ``i`` reaches SW1->D1 with its lower bound past its window, a
+    failure whose frame names no gap cut."""
     service = _grown(
         topology,
         ("i", "D2", "D1", 4, 1500), ("m", "D2", "D1", 8, 800),
@@ -550,44 +524,44 @@ def _unplaceable_gap_case(topology):
     return service, _mtu_tct("n", "D2", "D3", 2, 800)
 
 
-def test_an_unplaceable_gap_falls_back_to_the_blocker_chain(
+def test_an_unplaceable_gap_grows_by_its_stream_cut(
     star_topology, monkeypatch
 ):
-    """The blocker ring then releases ``i`` and ``m`` and publishes
-    exactly the repair the blocker ring made before gap rings existed
-    (the same slots as at the parent commit)."""
+    """``i``'s stream cut is ``m``, looser than it on its route, so the
+    gap chain goes on to release ``i`` and ``m`` and publishes exactly
+    that repair."""
     service, newcomer = _unplaceable_gap_case(star_topology)
     before = service.store.schedule
     stream = newcomer.requirement.resolve(star_topology)
     with pytest.raises(InfeasibleError) as failure:
         repair(before, [stream])
-    assert failure.value.blockers == ("i", "m")
     assert failure.value.gap == ("i",)
     with pytest.raises(InfeasibleError) as failure:
         repair(before, [stream, before.stream("i")])
-    assert failure.value.stream == "i"
-    assert failure.value.gap == ()
+    assert (failure.value.stream, failure.value.link) == ("i", ("SW1", "D1"))
+    assert "lower bound" in str(failure.value)
+    assert failure.value.gap == ("m",)
 
     calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
     assert calls == [["n"], ["n", "i"], ["n", "i", "m"]]
-    assert _decided_ring(service) == ("blockers", 2)
+    assert _decided_ring(service) == ("gap", 2)
     after = service.store.schedule
     assert _released(before, after) == {"i", "m"}
-    blockers = repair(before, [stream, before.stream("i"), before.stream("m")])
-    assert after.slots == blockers.slots
+    chain = repair(before, [stream, before.stream("i"), before.stream("m")])
+    assert after.slots == chain.slots
 
 
 def test_a_failing_gap_chain_keeps_no_failure_alive(star_topology):
-    """A failed gap ring is carried forward as its fields, like a
-    failed blocker ring: the batch is freed with its last reference."""
+    """A gap ring that failed with a stream cut is carried forward as
+    its fields too: the batch is freed with its last reference."""
     service, newcomer = _unplaceable_gap_case(star_topology)
     batch = ResolvedBatch(service.store.schedule, [newcomer])
     gc.disable()
     try:
         name, released, result = service._repair_ring(batch)
-        assert (name, released) == ("blockers", 2)
+        assert (name, released) == ("gap", 2)
         del result
         kept = weakref.ref(batch)
         del batch
@@ -722,7 +696,7 @@ def test_the_gap_cut_matches_its_definition(case):
 def test_ring_0_is_placed_once_per_climb(star_topology, monkeypatch):
     """The climb of ``test_a_looser_stream_on_the_failing_link_moves_alone``
     places ring 0 once, in the constructive rung, and the ``full``
-    rung goes on from its failure to the blocker ring: two ``repair``
+    rung goes on from its failure to the gap ring: two ``repair``
     calls, none of them a replay."""
     service = _grown(
         star_topology,
@@ -782,11 +756,15 @@ def test_a_removal_frees_its_slots_for_the_constructive_rung(
     validate(schedule)
 
 
-def test_a_tighter_blocker_falls_back_to_the_route_ring(star_topology):
-    """``b`` fails on SW1->D1, where the looser ``z`` alone is released
-    and does not help: ``t``, tighter, blocks it.  The route ring
-    releases ``t`` and ``z`` and publishes exactly the repair the route
-    ring always made."""
+def test_a_tighter_blocker_goes_to_the_whole_resolve(
+    star_topology, monkeypatch
+):
+    """``b`` fails on SW1->D1, where the looser ``z`` alone is its cut.
+    Releasing it does not help: with ``t``, tighter, in place, ``z`` no
+    longer fits back after ``b``, and nothing on its route is looser
+    than ``z``, so its failure names no cut.  The chain ends after one
+    ring and the whole re-solve accepts ``b``, moving ``t`` and ``z``;
+    the published schedule is exactly that re-solve's."""
     service = _grown(
         star_topology,
         ("z", "D2", "D1", 8, 3000), ("t", "D3", "D1", 4, 800),
@@ -797,17 +775,23 @@ def test_a_tighter_blocker_falls_back_to_the_route_ring(star_topology):
     with pytest.raises(InfeasibleError) as failure:
         repair(before, [stream])
     assert (failure.value.stream, failure.value.link) == ("b", ("SW1", "D1"))
-    with pytest.raises(InfeasibleError):
+    assert failure.value.gap == ("z",)
+    with pytest.raises(InfeasibleError) as failure:
         repair(before, [stream, before.stream("z")])
+    assert (failure.value.stream, failure.value.gap) == ("z", ())
 
+    calls = _placements(monkeypatch)
     decision = service.submit(newcomer)
     assert decision.accepted and decision.rung == RUNG_FULL
+    assert calls == [["b"], ["b", "z"]]
+    assert _decided_ring(service) == ("whole", 2)
     after = service.store.schedule
     assert _released(before, after) == {"t", "z"}
-    route_ring = repair(
-        before, [before.stream("t"), stream, before.stream("z")]
+    whole = schedule_heuristic(
+        star_topology, [before.stream("z"), before.stream("t"), stream],
+        max_restarts=128,
     )
-    assert after.slots == route_ring.slots
+    assert _document(after) == _document(whole)
 
 
 def _tied_pair(name):
