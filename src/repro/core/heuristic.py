@@ -17,6 +17,10 @@ the same independent validator — only the search differs:
 * an end-to-end violation (Eq. 4) pushes the stream's release later and
   retries; a placement failure promotes the stream to the front of the
   order and restarts.
+
+One loop places an order (:func:`_place_in_order`): once per restart
+here, once per online edit in :func:`repro.core.incremental.repair`,
+which alone asks a failure for its cut (:func:`_stream_cut`).
 """
 
 from __future__ import annotations
@@ -441,6 +445,23 @@ def _stream_cut(
     ))
 
 
+def _place_in_order(
+    order: Sequence[Stream],
+    frames: Dict[Tuple[str, Tuple[str, str]], List[FrameVar]],
+    occupancy: _Occupancy,
+    slots: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]],
+) -> None:
+    """Place each stream of ``order`` earliest-fit, add its slots to
+    ``occupancy`` and file them into ``slots`` per (stream, link), in
+    frame order, as new lists at the end of the table.  Raises the
+    :class:`_PlacementFailure` of the first stream that does not fit;
+    ``occupancy`` and ``slots`` then hold the streams before it."""
+    for stream in order:
+        for slot in _place_stream(stream, frames, occupancy):
+            occupancy.add(slot)
+            slots.setdefault((slot.stream, slot.link), []).append(slot)
+
+
 def _tightness(stream: Stream) -> Tuple[int, int, str]:
     """The sort key of a deterministic stream in :func:`_placement_order`."""
     return (stream.period_ns, stream.e2e_ns, stream.name)
@@ -492,22 +513,12 @@ def schedule_heuristic(
     last_failure = ""
     stopped = f"the budget of {max_restarts} restarts ran out"
     for restarts in range(max_restarts + 1):
-        occupancy = _Occupancy(streams_by_name)
         slots: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]] = {}
-        failed: Optional[str] = None
-        for stream in order:
-            try:
-                placed = _place_stream(stream, frames, occupancy)
-            except _PlacementFailure as exc:
-                failed = stream.name
-                last_failure = str(exc)
-                break
-            for slot in placed:
-                occupancy.add(slot)
-                slots.setdefault((slot.stream, slot.link), []).append(slot)
-        if failed is None:
-            for frame_list in slots.values():
-                frame_list.sort(key=lambda s: s.index)
+        try:
+            _place_in_order(order, frames, _Occupancy(streams_by_name), slots)
+        except _PlacementFailure as exc:
+            failed, last_failure = exc.stream, str(exc)
+        else:
             schedule = NetworkSchedule(
                 topology=topology,
                 streams=streams,

@@ -9,7 +9,8 @@ only the slots an edit has to move.  One primitive does every edit:
   plan prudent reservation for the released and new ones against the
   ECT streams live afterwards, and place them earliest-fit, in the
   given order, around every slot that stays (the incremental step of
-  Steiner's backtracking approach [18]).
+  Steiner's backtracking approach [18]) with the offline scheduler's
+  own placement loop (:func:`repro.core.heuristic._place_in_order`).
 
 The rest are calls to it:
 
@@ -34,9 +35,9 @@ The rest are calls to it:
   window that overlaps the fewest — or, when the frame has none, the
   stream cut — the looser streams on the failing stream's route that
   its placement overlaps once all of them are released.  The ``full``
-  rung releases that cut, and while a ring fails on a stream whose
-  failure names new streams, those join (an ejection chain), before
-  it re-solves the network.
+  rung releases that cut, for TCT and ECT admits alike, and while a
+  ring fails on a stream whose failure names new streams, those join
+  (an ejection chain), before it re-solves the network.
 
 Every operation *derives* a **new** schedule from its input — the outer
 ``slots`` dict, the ``streams`` list and the two index maps are shallow
@@ -62,19 +63,18 @@ re-validated unless the caller defers that (``validate_result=False``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import (
     _Occupancy,
-    _place_stream,
+    _place_in_order,
     _PlacementFailure,
     _stream_cut,
 )
 from repro.core.probabilistic import expand_ect
 from repro.core.reservation import prudent_reservation
 from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
-from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Priorities, Stream, StreamType
 from repro.model.topology import Link
 
@@ -184,23 +184,14 @@ def repair(
         ] + [next(s for s in place if s.parent == ect.name) for ect in ects]
     plan = prudent_reservation(place, reservation_mode, against=against)
     frames = build_frames(place, plan, guard_margin_ns)
-    for stream in place:
-        try:
-            found = _place_stream(stream, frames, occupancy)
-        except _PlacementFailure as exc:
-            raise InfeasibleError(
-                str(exc), stream=exc.stream, link=exc.link,
-                gap=exc.gap or _stream_cut(stream, frames, occupancy),
-            ) from exc
-        # its slots go per link, in frame order, into new lists at the
-        # end of ``slots``, whose other lists the input owns
-        placed: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]] = {}
-        for slot in found:
-            occupancy.add(slot)
-            placed.setdefault((slot.stream, slot.link), []).append(slot)
-        for link_slots in placed.values():
-            link_slots.sort(key=lambda s: s.index)
-        slots.update(placed)
+    try:
+        _place_in_order(place, frames, occupancy, slots)
+    except _PlacementFailure as exc:
+        failed = next(s for s in place if s.name == exc.stream)
+        raise InfeasibleError(
+            str(exc), stream=exc.stream, link=exc.link,
+            gap=exc.gap or _stream_cut(failed, frames, occupancy),
+        ) from exc
     # the name index is in ``streams`` order, and deletion keeps it
     result = schedule.derive(
         list(occupancy.streams.values()), slots, ect_streams + list(ects),

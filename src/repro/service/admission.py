@@ -13,12 +13,12 @@
   backend, then — for the SMT backend — a re-solve with
   :func:`schedule_heuristic`; each re-solve rung is one cold attempt
   on the caller's thread, bounded by work, not time.  A heuristic
-  re-solve of a TCT-only batch first grows one *ring* (deterministic
-  streams re-placed with the admits around the frozen rest) from the
-  cut ring 0's failure names — the streams whose release frees one
-  gap of its failing window, or lets the failing stream in along its
-  route — by the cut of each ring that fails, and re-solves the whole
-  network only when that chain ends;
+  re-solve first grows one *ring* (deterministic streams re-placed
+  with the batch around the frozen rest) from the cut ring 0's
+  failure names — the streams whose release frees one gap of its
+  failing window, or lets the failing stream in along its route — by
+  the cut of each ring that fails, and re-solves the whole network
+  only when that chain ends; TCT and ECT admits climb alike;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -39,13 +39,13 @@
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -672,7 +672,7 @@ class AdmissionService:
         backend = (
             self._config.backend if rung_name == RUNG_FULL else "heuristic"
         )
-        if backend == "heuristic" and not batch.ects:
+        if backend == "heuristic":
             try:
                 ring, released, result = self._repair_ring(batch)
                 if self._config.certify:
@@ -719,7 +719,7 @@ class AdmissionService:
     def _repair_ring(
         self, batch: ResolvedBatch
     ) -> Tuple[str, int, NetworkSchedule]:
-        """Re-place the admits with a *ring* of released deterministic
+        """Re-place the batch with a *ring* of released deterministic
         streams, grown from where placement failed:
 
         1. none — ring 0, the constructive rung's own attempt, placed
@@ -727,52 +727,49 @@ class AdmissionService:
            fit and F's cut (``gap``: the gap cut of F's failing frame,
            or F's stream cut when the frame has none — see
            :class:`InfeasibleError`);
-        2. gap — the streams of that cut that are live, deterministic
-           and looser than F (a greater ``(period, e2e, name)``, placed
-           after F as a whole re-solve would place them); when the ring
-           fails, the looser streams the new failure's cut names join
-           and the ring is tried again — an ejection chain that ends
-           when a failure adds no new stream, so it is bounded by the
-           live looser streams.
+        2. gap — the streams of that cut that are live, deterministic,
+           not sharers of the batch's ECT (every ring re-places those
+           first) and looser than F (a greater ``(period, e2e, name)``,
+           placed after F as a whole re-solve would place them); when
+           the ring fails, the looser streams the new failure's cut
+           names join and the ring is tried again — an ejection chain
+           that ends when a failure adds no new stream, so it is
+           bounded by the live looser streams.
 
-        Each ring is re-placed with the admits, tightest first, around
-        the frozen rest (:meth:`ResolvedBatch.place`), and when the
-        chain ends :class:`InfeasibleError` hands the batch to the
-        whole re-solve.  Probabilistic slots stay frozen, so every live
-        ECT keeps its guarantee.  The result is checked like a
-        constructive accept: ``validate_delta`` over what moved — the
-        admits and the ring streams not back on their old slots — and a
-        full ``validate`` under ``certify``.  Returns the ring's name
-        (``none`` or ``gap``), how many live streams it released, and
-        the schedule.
+        Each ring is re-placed with the batch around the frozen rest
+        (:meth:`ResolvedBatch.place`), and when the chain ends its last
+        failure hands the batch to the whole re-solve.  Live
+        probabilistic slots stay frozen, so every live ECT keeps its
+        guarantee.  The result is checked like a constructive accept:
+        ``validate_delta`` over what moved and a full ``validate``
+        under ``certify``.  Returns the ring's name (``none`` or
+        ``gap``), how many live streams it released, and the schedule.
         """
         by_name = batch.schedule.streams_by_name
         admits = {stream.name: stream for stream in batch.tct}
+        frozen = batch.removed | {stream.name for stream in batch.sharers}
 
-        def looser_of(failure: _RingFailure) -> List[Stream]:
-            failed = admits.get(failure.stream) or by_name.get(failure.stream)
+        def looser_of(failure: Exception) -> List[Stream]:
+            stream = getattr(failure, "stream", None)
+            failed = admits.get(stream) or by_name.get(stream)
             if failed is None:
                 return []
             bound = _tightness(failed)
             return [
-                by_name[name] for name in failure.gap
+                by_name[name] for name in getattr(failure, "gap", ())
                 if name in by_name and by_name[name].type == StreamType.DET
-                and name not in batch.removed
+                and name not in frozen
                 and _tightness(by_name[name]) > bound
             ]
 
         def attempt(ring: List[Stream]) -> Tuple[
-            Optional[NetworkSchedule], Optional[_RingFailure]
+            Optional[NetworkSchedule], Optional[Exception]
         ]:
             try:
                 return batch.place(ring), None
             except (InfeasibleError, ScheduleError) as exc:
-                # its fields, not the exception: the traceback would
-                # keep every ring's working set alive with the batch
-                return None, _RingFailure(
-                    getattr(exc, "stream", None), getattr(exc, "link", None),
-                    getattr(exc, "gap", ()), str(exc),
-                )
+                # a copy, without the traceback that holds the batch
+                return None, copy.copy(exc)
 
         result, failure = attempt([])
         if result is not None:
@@ -786,10 +783,8 @@ class AdmissionService:
             ring += [s for s in looser_of(failure) if s.name not in names]
             if len(ring) == len(names):
                 break
-        raise InfeasibleError(
-            failure.reason, stream=failure.stream, link=failure.link,
-            gap=failure.gap,
-        )
+        # a copy: raised, ``failure`` would form a cycle with this frame
+        raise copy.copy(failure)
 
     # -- deployment emission -------------------------------------------
     def _emit_deployment(self, schedule: NetworkSchedule) -> None:
@@ -806,16 +801,6 @@ class AdmissionService:
         self._metrics.counter("deployments.emitted").inc()
         if self._on_deploy is not None:
             self._on_deploy(deployment)
-
-
-class _RingFailure(NamedTuple):
-    """What :meth:`AdmissionService._repair_ring` keeps of a ring's
-    failure: the fields of its exception, without the traceback."""
-
-    stream: Optional[str]
-    link: Optional[Tuple[str, str]]
-    gap: Tuple[str, ...]
-    reason: str
 
 
 def claimed_names(request: AdmissionRequest) -> List[str]:

@@ -207,9 +207,12 @@ class ResolvedBatch:
         validate_delta(result, moved_streams(self.schedule, result, place))
         return result
 
-    def _admit_of(self, name: Optional[str]) -> Optional[str]:
+    def _admit_of(self, name: Optional[str]) -> str:
         """The admit a failing stream was placed for: its own, its ECT
-        for a possibility, and for a sharer the first ECT it crosses."""
+        for a possibility, for a sharer the first ECT it crosses, and
+        for a ring's live stream the batch's admits."""
+        if any(stream.name == name for stream in self.tct):
+            return name
         for stream in self.possibilities + self.sharers:
             if stream.name == name:
                 links = {link.key for link in stream.path}
@@ -219,7 +222,7 @@ class ResolvedBatch:
                         for link in ect.route(self.schedule.topology)
                     )
                 )
-        return name
+        return ", ".join(probe.parent or probe.name for probe in self.probes)
 
 
 def evaluate(

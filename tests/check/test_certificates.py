@@ -23,6 +23,7 @@ from repro.model.stream import (
 )
 from repro.model.units import milliseconds
 from repro.service import (
+    RUNG_FASTPATH,
     RUNG_FULL,
     AdmissionService,
     AdmitEct,
@@ -226,6 +227,53 @@ class TestServiceCertify:
         assert decision.rung == "full"
         counters = service.metrics.counters_with_prefix("certificates")
         assert counters.get("verified_sat", 0) >= 1
+
+    def test_a_certificate_that_fails_its_check_rejects_the_batch(
+        self, star_topology, monkeypatch
+    ):
+        """A SAT model the checker refutes is a solver bug, not a
+        verdict: the batch is rejected, ``certificates.failed`` counts
+        the failed check and the ``full`` rung an error."""
+        service = AdmissionService(
+            ScheduleStore(empty_schedule(star_topology)),
+            config=ServiceConfig(backend="smt", certify=True, rungs=(
+                RungConfig(RUNG_FASTPATH), RungConfig(RUNG_FULL),
+            )),
+        )
+
+        def tied(name, source, length):
+            # ``b`` first leaves no room on SW1->D3 for ``c`` within
+            # 250 us; the other way round both fit
+            return AdmitTct(TctRequirement(
+                name=name, source=source, destination="D3",
+                period_ns=250_000, length_bytes=length,
+            ))
+
+        assert service.submit(tied("b", "D2", 1200)).rung == RUNG_FASTPATH
+        check = DlSmtSolver.check
+        tampered = []
+
+        def tampering(solver, *args, **kwargs):
+            result = check(solver, *args, **kwargs)
+            if result.sat and result.certificate is not None:
+                # the model keeps no value: no clause can hold
+                result.certificate.model = {}
+                with pytest.raises(CertificateError):
+                    verify_certificate(result.certificate)
+                tampered.append(result.certificate)
+            return result
+
+        monkeypatch.setattr(DlSmtSolver, "check", tampering)
+        decision = service.submit(tied("c", "D1", 800))
+        assert len(tampered) == 1
+        assert not decision.accepted
+        assert decision.attempts[RUNG_FULL].startswith("CertificateError: ")
+        assert service.metrics.counters_with_prefix("certificates") == {
+            "failed": 1
+        }
+        assert service.metrics.counters_with_prefix("rungs.full") == {
+            "attempts": 1, "errors": 1,
+        }
 
     def test_certified_rejection_counts_verified_unsat(self, star_topology):
         service = self._service(star_topology)

@@ -1,11 +1,16 @@
 """Scheduler backend tests: SMT and heuristic must both produce valid
 schedules, agree on feasibility, and realize the paper's Fig. 6 features."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.core import heuristic, incremental
 from repro.core.heuristic import schedule_heuristic
 from repro.core.schedule import InfeasibleError, validate
 from repro.core.smt_scheduler import schedule_smt
+from repro.experiments import simulation_workload
 from repro.model.stream import EctStream, Priorities, Stream, StreamType
 from repro.model.units import milliseconds
 from tests.conftest import MTU_WIRE_NS
@@ -180,9 +185,37 @@ class TestScheduleModel:
         assert "s1" in text and "s2#ps1" in text and "extra" in text
 
 
+#: ``schedule_heuristic``'s reject of ``simulation_workload(0.9, seed)``
+#: at its default budget: each instance uses up all 92 restarts
+SPENT_BUDGET_REJECTS = {
+    1: "tct29: frame 5 lower bound 19985160 beyond window max 19948560 "
+       "on ('SW4', 'D11')",
+    3: "tct20: frame 3 lower bound 9954440 beyond window max 9876960 "
+       "on ('SW2', 'SW3')",
+    5: "tct31: frame 3 lower bound 4882840 beyond window max 4882640 "
+       "on ('SW2', 'SW3')",
+    8: "tct5: frame 4 lower bound 4953940 beyond window max 4892160 "
+       "on ('SW3', 'SW4')",
+    9: "tct22: frame 3 lower bound 9985160 beyond window max 9876960 "
+       "on ('SW2', 'SW3')",
+}
+#: SHA-256 of the slot table, in table order, of the tied pair whose
+#: one restart promotes ``c`` (``_tied(..., "c")``, ``max_restarts=1``)
+PROMOTED_SLOTS = (
+    "f04f8128fd197c4bbe536aed11b22297a41949591be3606bc8cf94be99d72eed"
+)
+
+
+def _slot_digest(schedule):
+    table = [[list(slot) for slot in slots] for slots in schedule.slots.values()]
+    return hashlib.sha256(json.dumps(table).encode()).hexdigest()
+
+
 class TestHeuristicOrderAndVerdictText:
     """The re-solve's placement order breaks ``(period, e2e)`` ties by
-    name, and its reject says how many restarts ran and why it stopped."""
+    name, and its reject says how many restarts ran and why it stopped.
+    The texts and slots pinned here were recorded before the restart
+    loop and the online repair came to share one placement loop."""
 
     def _tied(self, topo, first):
         # D1->D3 and D2->D3 meet on SW1->D3: the short frame placed
@@ -205,9 +238,11 @@ class TestHeuristicOrderAndVerdictText:
                 max_restarts=0,
             )
         # a restart promotes the stream that failed, and then it fits
-        validate(schedule_heuristic(
+        promoted = schedule_heuristic(
             star_topology, self._tied(star_topology, "c"), max_restarts=1
-        ))
+        )
+        validate(promoted)
+        assert _slot_digest(promoted) == PROMOTED_SLOTS
 
     def test_reject_reports_the_restarts_that_ran(self, star_topology):
         hog = _tct(star_topology, "hog", "D1", "D3", length=80 * 1500,
@@ -218,3 +253,36 @@ class TestHeuristicOrderAndVerdictText:
         assert "stopped after 0 of 128 restarts: hog failed at the head" \
             in message
         assert "after 128 restarts" not in message
+
+    @pytest.mark.parametrize("seed", sorted(SPENT_BUDGET_REJECTS))
+    def test_a_spent_budget_names_the_last_failure(self, seed):
+        workload = simulation_workload(0.9, seed)
+        with pytest.raises(InfeasibleError) as info:
+            schedule_heuristic(
+                workload.topology, workload.tct_streams,
+                workload.ect_streams,
+            )
+        assert str(info.value) == (
+            "heuristic scheduler: could not place all 44 streams; the "
+            "budget of 92 restarts ran out (last failure: "
+            f"{SPENT_BUDGET_REJECTS[seed]})"
+        )
+
+    def test_a_spent_budget_takes_no_stream_cut(self, monkeypatch):
+        """The stream cut is the online repair's failure witness; a
+        restart only needs the name of the stream that failed."""
+        cuts = []
+
+        def counting(*args):
+            cuts.append(args[0].name)
+            return ()
+
+        for module in (heuristic, incremental):
+            monkeypatch.setattr(module, "_stream_cut", counting)
+        workload = simulation_workload(0.9, 1)
+        with pytest.raises(InfeasibleError, match="92 restarts ran out"):
+            schedule_heuristic(
+                workload.topology, workload.tct_streams,
+                workload.ect_streams,
+            )
+        assert cuts == []

@@ -1,9 +1,11 @@
 """The ``full`` rung's ring repair.
 
-Before it re-solves the whole network, the heuristic ``full`` rung of a
-TCT-only batch re-places a *ring* of released deterministic streams
-with the admits, tightest first, around the frozen rest, and grows the
-ring from where placement failed:
+Before it re-solves the whole network, the heuristic ``full`` rung
+re-places a *ring* of released deterministic streams with the batch —
+the sharers a new ECT crosses first, as ring 0 places them, then the
+ring and the admits tightest first, then the possibilities of the new
+ECT streams — around the frozen rest, and grows the ring from where
+placement failed:
 
 1. none: ring 0, the constructive rung's own attempt, placed once per
    climb and not again here — its failure names the stream F that did
@@ -13,19 +15,34 @@ ring from where placement failed:
    greater ``(period, e2e, name)`` than F) or, when the frame has none,
    F's stream cut (the deterministic streams looser than F on its
    route that its placement overlaps once all of them are released);
-2. gap: F's cut; when that fails on a stream whose cut names streams
-   not yet in the ring, those join and the ring is tried again, until
-   a failure adds none.
+2. gap: F's cut, less the sharers ring 0 already re-places; when that
+   fails on a stream whose cut names streams not yet in the ring,
+   those join and the ring is tried again, until a failure adds none.
 
 The first ring whose repair validates is published, and only its
-streams get new slot lists; the rung's span names the ring and how
-many streams it released.  Whatever the ring does, the rung must
-publish a schedule the independent validator accepts, and when the
-chain ends the rung must be exactly today's whole re-solve.
+streams and the sharers get new slot lists; the rung's span names the
+ring and how many streams it released.  Whatever the ring does, the
+rung must publish a schedule the independent validator accepts, and
+when the chain ends the rung must be exactly today's whole re-solve.
+TCT and ECT admits climb the same chain.
+
+``python tests/service/test_ring_repair.py [N]`` grows N seeded states
+(default 400) the way the property test below does, submits one ECT
+admit to each, and prints the climbs by the ring that decided them and
+whether each gap-chain accept is also a whole re-solve accept.
 """
 
 import gc
+import random
+import sys
+import time
 import weakref
+from pathlib import Path
+
+if __name__ == "__main__":
+    # run as a script: import ``repro`` and ``tests`` from this checkout
+    _ROOT = Path(__file__).resolve().parents[2]
+    sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +60,7 @@ from repro.core.incremental import (
     remove_stream,
     repair,
 )
+from repro.core.probabilistic import expand_ect
 from repro.core.reservation import prudent_reservation
 from repro.core.schedule import (
     InfeasibleError,
@@ -99,59 +117,92 @@ tct_specs = st.tuples(
     endpoints, st.sampled_from((1, 2)), st.integers(200, 4500),
     st.booleans(),
 )
-ect_specs = st.tuples(endpoints, st.integers(100, 400))
+PAIRS = [(src, dst) for src in DEVICES for dst in DEVICES if src != dst]
+
+
+class _Drawn:
+    """The two ``random.Random`` calls :func:`_grow` makes, over a
+    Hypothesis ``draw``: one grower serves the property test and the
+    seeded probe at the end of this file."""
+
+    def __init__(self, draw):
+        self._draw = draw
+
+    def randint(self, low, high):
+        return self._draw(st.integers(low, high))
+
+    def choice(self, options):
+        return self._draw(st.sampled_from(options))
+
+
+def _tct_spec(pick, name):
+    """Endpoints, period (ms), length (bytes, up to three frames) and
+    sharing of a TCT requirement."""
+    (src, dst), period = pick.choice(PAIRS), pick.choice((1, 2))
+    length, share = pick.randint(200, 4500), pick.choice((False, True))
+    return _requirement(name, src, dst, period, length, share)
+
+
+def _ect_spec(pick, name):
+    src, dst = pick.choice(PAIRS)
+    return EctStream(
+        name=name, source=src, destination=dst,
+        min_interevent_ns=milliseconds(2),
+        length_bytes=pick.randint(100, 400), possibilities=2,
+    )
+
+
+def _live_names(schedule):
+    return sorted(
+        [s.name for s in schedule.tct_streams()]
+        + [e.name for e in schedule.ect_streams]
+    )
+
+
+def _grow(pick):
+    """A state grown by the online primitives — TCT, sharing TCT beside
+    live ECT, removals, and ECT removals that leave stale extras on
+    their sharers — with ``pick`` (``random.Random`` or :class:`_Drawn`)
+    making every choice."""
+    schedule = empty_schedule(TOPOLOGY)
+    for step in range(pick.randint(8, 40)):
+        kind = pick.choice(("tct", "tct", "tct", "ect", "remove"))
+        try:
+            if kind == "tct":
+                stream = _tct_spec(pick, f"t{step}").resolve(TOPOLOGY)
+                schedule = add_shared_tct_stream(schedule, stream)
+            elif kind == "ect":
+                schedule = add_ect_stream(
+                    schedule, _ect_spec(pick, f"e{step}")
+                )
+            else:
+                names = _live_names(schedule)
+                if names:
+                    schedule = remove_stream(schedule, pick.choice(names))
+        except InfeasibleError:
+            continue
+    return schedule
 
 
 @st.composite
 def ring_case(draw):
-    """A state grown by the online primitives — TCT, sharing TCT beside
-    live ECT, removals, and ECT removals that leave stale extras on
-    their sharers — and a batch of one or two TCT admits, maybe with a
-    remove."""
-    schedule = empty_schedule(TOPOLOGY)
-    for step in range(draw(st.integers(8, 40))):
-        kind = draw(st.sampled_from(("tct", "tct", "tct", "ect", "remove")))
-        try:
-            if kind == "tct":
-                (src, dst), period, length, share = draw(tct_specs)
-                stream = _requirement(
-                    f"t{step}", src, dst, period, length, share
-                ).resolve(TOPOLOGY)
-                schedule = add_shared_tct_stream(schedule, stream)
-            elif kind == "ect":
-                (src, dst), length = draw(ect_specs)
-                schedule = add_ect_stream(schedule, EctStream(
-                    name=f"e{step}", source=src, destination=dst,
-                    min_interevent_ns=milliseconds(2), length_bytes=length,
-                    possibilities=2,
-                ))
-            else:
-                names = sorted(
-                    [s.name for s in schedule.tct_streams()]
-                    + [e.name for e in schedule.ect_streams]
-                )
-                if names:
-                    schedule = remove_stream(
-                        schedule, draw(st.sampled_from(names))
-                    )
-        except InfeasibleError:
-            continue
+    """A grown state and a batch of one or two admits, TCT or ECT,
+    maybe with a remove."""
+    pick = _Drawn(draw)
+    schedule = _grow(pick)
     batch = []
-    for index in range(draw(st.integers(1, 2))):
-        (src, dst), period, length, share = draw(tct_specs)
-        batch.append(AdmitTct(_requirement(
-            f"n{index}", src, dst, period, length, share
-        )))
-    names = sorted(
-        [s.name for s in schedule.tct_streams()]
-        + [e.name for e in schedule.ect_streams]
-    )
-    if schedule.ect_streams and draw(st.booleans()):
+    for index in range(pick.randint(1, 2)):
+        if pick.choice(("tct", "tct", "ect")) == "ect":
+            batch.append(AdmitEct(_ect_spec(pick, f"m{index}")))
+        else:
+            batch.append(AdmitTct(_tct_spec(pick, f"n{index}")))
+    names = _live_names(schedule)
+    if schedule.ect_streams and pick.choice((False, True)):
         # an ECT leaving with the batch: its sharers in the ring lose
         # the extras it induced
         names = [e.name for e in schedule.ect_streams]
-    if names and draw(st.booleans()):
-        batch.append(Remove(draw(st.sampled_from(names))))
+    if names and pick.choice((False, True)):
+        batch.append(Remove(pick.choice(names)))
     return schedule, batch
 
 
@@ -170,7 +221,9 @@ def _whole_resolve(schedule, batch, removals):
         if s.type == StreamType.DET and s.name not in removals
     ] + [r.requirement.resolve(TOPOLOGY) for r in batch
          if isinstance(r, AdmitTct)]
-    ects = [e for e in schedule.ect_streams if e.name not in removals]
+    ects = [e for e in schedule.ect_streams if e.name not in removals] + [
+        r.ect for r in batch if isinstance(r, AdmitEct)
+    ]
     restarts = max(128, 2 * (len(tct) + 2 * len(ects)) + 4)
     try:
         return schedule_heuristic(TOPOLOGY, tct, ects, max_restarts=restarts)
@@ -193,28 +246,58 @@ def _tightness(stream):
     return (stream.period_ns, stream.e2e_ns, stream.name)
 
 
-def _rung_ring(schedule, admitted, removals):
+class _Batch:
+    """What the contract reads of a batch: the TCT admits, the new ECT
+    streams and their possibilities, the removals, and the sharers —
+    the live sharing streams with a slot on a new ECT's route, in
+    ``streams`` order."""
+
+    def __init__(self, schedule, batch):
+        self.admitted = [r.requirement.resolve(TOPOLOGY) for r in batch
+                         if isinstance(r, AdmitTct)]
+        self.ects = [r.ect for r in batch if isinstance(r, AdmitEct)]
+        self.possibilities = sorted(
+            (p for ect in self.ects for p in expand_ect(ect, TOPOLOGY)),
+            key=lambda p: (p.parent, p.occurrence_ns, p.name),
+        )
+        self.removals = {r.name for r in batch if isinstance(r, Remove)}
+        routes = {
+            link.key for ect in self.ects for link in ect.route(TOPOLOGY)
+        }
+        self.sharers = [
+            s for s in schedule.streams
+            if s.type == StreamType.DET and s.share
+            and s.name not in self.removals
+            and any(link.key in routes for link in s.path)
+        ]
+
+
+def _rung_ring(schedule, case):
     """The ring the rung must publish, by the contract above: ``(its
     name, names of the released live streams, the repair)``, or
     ``None`` when the chain ends without one."""
     def attempt(ring):
-        place = sorted(ring + admitted, key=_tightness)
+        place = (case.sharers + sorted(ring + case.admitted, key=_tightness)
+                 + case.possibilities)
         try:
-            return repair(schedule, place, drop=removals), None
+            return repair(
+                schedule, place, drop=case.removals, ects=case.ects
+            ), None
         except (InfeasibleError, ScheduleError) as exc:
             return None, exc
 
     live = [
         s for s in schedule.streams
-        if s.type == StreamType.DET and s.name not in removals
+        if s.type == StreamType.DET and s.name not in case.removals
     ]
-    by_name = {s.name: s for s in live + admitted}
+    by_name = {s.name: s for s in live + case.admitted}
 
     def looser(failure):
         failed = by_name.get(getattr(failure, "stream", None))
         return [] if failed is None else [
             by_name[name] for name in getattr(failure, "gap", ())
-            if name in by_name and by_name[name] not in admitted
+            if name in by_name
+            and by_name[name] not in case.admitted + case.sharers
             and _tightness(by_name[name]) > _tightness(failed)
         ]
 
@@ -239,9 +322,8 @@ def _rung_ring(schedule, admitted, removals):
 @given(ring_case())
 def test_ring_or_whole_resolve(case):
     schedule, batch = case
-    admitted = [r.requirement.resolve(TOPOLOGY) for r in batch
-                if isinstance(r, AdmitTct)]
-    removals = {r.name for r in batch if isinstance(r, Remove)}
+    contract = _Batch(schedule, batch)
+    removals = contract.removals
     service = AdmissionService(ScheduleStore(schedule))
     resolved = ResolvedBatch(schedule, batch)
     try:
@@ -249,7 +331,7 @@ def test_ring_or_whole_resolve(case):
     except InfeasibleError as exc:
         result = str(exc)
 
-    expected = _rung_ring(schedule, admitted, removals)
+    expected = _rung_ring(schedule, contract)
     if expected is None:
         assert _outcome(result) == _outcome(
             _whole_resolve(schedule, batch, removals)
@@ -261,7 +343,10 @@ def test_ring_or_whole_resolve(case):
     assert resolved.ring == (name, len(ring))
     assert result.slots == repaired.slots
     validate(result)
-    validate_delta(result, ring | {s.name for s in admitted})
+    sharers = {s.name for s in contract.sharers}
+    validate_delta(result, ring | sharers | {
+        s.name for s in contract.admitted + contract.possibilities
+    })
     dropped = set(removals) | {
         p.name for name in removals for p in schedule.possibilities_of(name)
     }
@@ -271,9 +356,13 @@ def test_ring_or_whole_resolve(case):
             assert (name, link) not in result.slots
         elif result.slots[(name, link)] is not frames:
             released.add(name)
-    # every stream outside the ring keeps its slot-list objects
-    assert released == ring
-    live = _live_ect(schedule, removals)
+    # every stream outside the ring and the sharers keeps its slot-list
+    # objects
+    assert released == ring | sharers
+    live = _live_ect(schedule, removals) + [
+        next(p for p in contract.possibilities if p.parent == ect.name)
+        for ect in contract.ects
+    ]
     by_name = result.streams_by_name
     for name in released:
         stream = by_name[name]
@@ -843,24 +932,65 @@ def test_ring_accepts_when_the_newcomer_sorts_first(star_topology):
     assert after.slots[key] != before.slots[key]
 
 
-def test_ect_batches_go_straight_to_the_whole_resolve(
-    star_topology, monkeypatch
-):
-    service = AdmissionService(
-        ScheduleStore(empty_schedule(star_topology)),
-        ServiceConfig(rungs=(RungConfig(RUNG_FULL),)),
+def test_an_ect_admit_climbs_the_gap_chain():
+    """State 16 of the probe below: ring 0 re-places the sharer ``t12``
+    for the new ECT ``m0``, and with its new extras ``t12`` no longer
+    fits beside ``t8``, looser than it and its gap cut.  The gap ring
+    releases ``t8`` and accepts ``m0`` — the contract's repair, and a
+    batch the whole re-solve accepts too."""
+    schedule, batch, resolved, outcome, _ = _ect_climb(16)
+    with pytest.raises(InfeasibleError) as failure:
+        resolved.place()
+    assert (failure.value.stream, failure.value.gap) == ("t12", ("t8",))
+    assert str(failure.value).startswith("cannot admit m0: t12: ")
+    assert resolved.ring == ("gap", 1)
+    validate(outcome)
+    name, ring, repaired = _rung_ring(schedule, _Batch(schedule, batch))
+    assert (name, ring) == ("gap", {"t8"})
+    assert outcome.slots == repaired.slots
+    assert not isinstance(_whole_resolve(schedule, batch, set()), str)
+
+
+def test_a_ring_failing_on_a_live_stream_names_the_admit(star_topology):
+    """The state of ``test_a_tighter_blocker_goes_to_the_whole_resolve``:
+    the ring ``z`` fails on ``z`` itself, and the text says the batch
+    could not admit ``b``, the stream ``z`` placed for."""
+    service = _grown(
+        star_topology,
+        ("z", "D2", "D1", 8, 3000), ("t", "D3", "D1", 4, 800),
     )
-    calls = []
-    monkeypatch.setattr(
-        service, "_repair_ring", lambda *args: calls.append(args)
+    before = service.store.schedule
+    batch = ResolvedBatch(before, [_mtu_tct("b", "D3", "D1", 6, 3000)])
+    with pytest.raises(InfeasibleError) as failure:
+        batch.place([before.stream("z")])
+    assert failure.value.stream == "z"
+    assert str(failure.value).startswith("cannot admit b: z: ")
+
+
+def test_an_ending_chain_keeps_no_failure_alive(star_topology):
+    """The failure a chain ends on goes to the whole re-solve without a
+    traceback that holds the batch: once it is handled, the batch is
+    freed with its last reference."""
+    service = _grown(
+        star_topology,
+        ("z", "D2", "D1", 8, 3000), ("t", "D3", "D1", 4, 800),
     )
-    decision = service.submit(AdmitEct(EctStream(
-        name="e", source="D1", destination="D3",
-        min_interevent_ns=milliseconds(4), length_bytes=300,
-        possibilities=2,
-    )))
-    assert decision.accepted and decision.rung == RUNG_FULL
-    assert calls == []
+    batch = ResolvedBatch(
+        service.store.schedule, [_mtu_tct("b", "D3", "D1", 6, 3000)]
+    )
+    gc.disable()
+    try:
+        try:
+            service._repair_ring(batch)
+        except InfeasibleError as exc:
+            assert exc.stream == "z"
+        else:
+            pytest.fail("the chain should end")
+        kept = weakref.ref(batch)
+        del batch
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 class TestReleasedSharersLoseStaleExtras:
@@ -928,3 +1058,53 @@ def test_a_ring_reports_no_solver_stats_of_its_snapshot(star_topology):
     counters = service.metrics.to_dict()["counters"]
     assert "solver.decisions" not in counters
     assert "certificates.verified_sat" not in counters
+
+
+def _ect_climb(seed):
+    """Grow the state of ``seed``, draw one ECT admit and, when the
+    constructive rung falls through, climb the ``full`` rung: the
+    state, the admit's batch and the resolved batch — ``ring`` says
+    which ring decided, ``None`` without a climb — the climb's
+    outcome (schedule or rejection text) and its seconds."""
+    rng = random.Random(seed)
+    schedule = _grow(rng)
+    batch = [AdmitEct(_ect_spec(rng, "m0"))]
+    resolved = ResolvedBatch(schedule, batch)
+    if fastpath.decide(resolved).conclusive:
+        return schedule, batch, resolved, None, 0.0
+    service = AdmissionService(ScheduleStore(schedule))
+    started = time.perf_counter()
+    try:
+        outcome = service._resolve(resolved, RUNG_FULL)
+    except InfeasibleError as exc:
+        outcome = str(exc)
+    return (schedule, batch, resolved, outcome,
+            time.perf_counter() - started)
+
+
+if __name__ == "__main__":
+    states = int(sys.argv[1]) if len(sys.argv) > 1 else 400
+    climbs = accepted = 0
+    seconds = 0.0
+    decided = {"none": 0, "gap": 0, "whole": 0}
+    chain_accepts = []
+    for seed in range(states):
+        schedule, batch, resolved, outcome, took = _ect_climb(seed)
+        if resolved.ring is None:
+            continue
+        climbs += 1
+        seconds += took
+        accepted += not isinstance(outcome, str)
+        decided[resolved.ring[0]] += 1
+        if resolved.ring[0] != "whole":
+            whole = _whole_resolve(schedule, batch, set())
+            chain_accepts.append((seed, resolved.ring, whole))
+    print(f"{states} states: {climbs} ECT admits climb "
+          f"({seconds * 1e3:.0f} ms in all), {accepted} accepted")
+    print("  decided by ring: " + ", ".join(
+        f"{ring} {count}" for ring, count in decided.items()
+    ))
+    for seed, (ring, released), whole in chain_accepts:
+        verdict = "rejects" if isinstance(whole, str) else "accepts"
+        print(f"  seed {seed}: {ring} ring of {released} accepts, the "
+              f"whole re-solve {verdict}")
